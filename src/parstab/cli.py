@@ -367,6 +367,7 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     except simulation.SimulationError as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         return EXIT_SIMULATION
+    os.makedirs(out_dir, exist_ok=True)
     simulation.write_csv(result, os.path.join(out_dir, "simulation.csv"))
     summary = {
         "schema_version": 1,

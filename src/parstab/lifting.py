@@ -27,6 +27,10 @@ from .spectral_basis import (
 )
 
 
+# modes whose face traces are sampled at a time while filling cross_cols
+TRACE_CHUNK = 256
+
+
 class AdmissibilityError(ValueError):
     """A shift gamma collides with a (possibly eta-shifted) eigenvalue."""
 
@@ -127,6 +131,13 @@ def boundary_inner(quad: Quadrature, f_samples, g_samples) -> float:
     return float(np.sum(quad.weights * f * g))
 
 
+def _finite_traces(eigs, quad: Quadrature) -> np.ndarray:
+    traces = trace_matrix(eigs, quad)
+    if not np.all(np.isfinite(traces)):
+        raise FloatingPointError("non-finite trace samples on the face grid")
+    return traces
+
+
 def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
     """Head-mode trace Gram B[k][l] = <trace_k, trace_l> on the control face.
 
@@ -138,9 +149,7 @@ def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
     plant = eigs[0].plant
     if quad is None:
         quad = face_quadrature(plant, max_wavenumber(eigs[:n0]))
-    traces = trace_matrix(eigs[:n0], quad)
-    if not np.all(np.isfinite(traces)):
-        raise FloatingPointError("non-finite trace samples on the face grid")
+    traces = _finite_traces(eigs[:n0], quad)
     out = np.empty((n0, n0))
     for k in range(n0):
         for l in range(k, n0):
@@ -151,12 +160,14 @@ def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
 
 
 class LiftingContext:
-    """Cached trace samples and Gram columns for one mode list.
+    """Head trace samples and Gram columns for one mode list.
 
     Holds everything the certification sums need: the head Gram, the tall
     cross-Gram column block <trace_n, trace_l> for all enumerated n against
-    head l, and eigenvalues. `extra_panels` offsets the panel count so a
-    second context can serve as an independent-grid cross-check.
+    head l, and eigenvalues. `traces` keeps only the n0 head rows; the other
+    modes' traces are sampled TRACE_CHUNK modes at a time and dropped once
+    their cross-Gram rows are filled. `extra_panels` offsets the panel count
+    so a second context can serve as an independent-grid cross-check.
     """
 
     def __init__(self, eigs, n0: int, extra_panels: int = 0):
@@ -167,12 +178,13 @@ class LiftingContext:
         self.plant = eigs[0].plant
         self.lams = np.array([e.lam for e in self.eigs])
         self.quad = face_quadrature(self.plant, max_wavenumber(self.eigs), extra_panels)
-        self.traces = trace_matrix(self.eigs, self.quad)
-        if not np.all(np.isfinite(self.traces)):
-            raise FloatingPointError("non-finite trace samples on the face grid")
-        weighted = self.traces * self.quad.weights
+        self.traces = _finite_traces(self.eigs[:n0], self.quad)
         # (M, n0): row n, column l holds <trace_{n+1}, trace_{l+1}>
-        self.cross_cols = weighted @ self.traces[:n0].T
+        self.cross_cols = np.empty((len(self.eigs), n0))
+        for start in range(0, len(self.eigs), TRACE_CHUNK):
+            stop = start + TRACE_CHUNK
+            rows = _finite_traces(self.eigs[start:stop], self.quad)
+            self.cross_cols[start:stop] = (rows * self.quad.weights) @ self.traces.T
         self.head_gram = gram_matrix(self.eigs, n0, self.quad)
 
     def residual_terms(self, gamma: float, l: int, N: int, N_tail: int) -> np.ndarray:

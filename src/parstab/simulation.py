@@ -1,15 +1,14 @@
 """Closed-loop time integration in modal coordinates.
 
 The simulated plant carries N_sim modes, the observer exactly the N the
-design was built for. Both evolve jointly as one linear system. The stiff
-diagonal part (the open-loop eigenvalues) is integrated exactly through its
-exponential; the boundary-input and output-injection couplings go through a
-two-stage explicit midpoint correction, so the scheme is second order in h.
-The coupling block is stiff too: the forcing rows grow with the control-axis
-wavenumber, so its norm grows with N_sim (7.4e3 at N_sim = 240, 1.2e4 at 480
-on the strong-drift design at N = 60). At h = 2e-4 the relative error of
-that design's terminal h1_proxy against the exact solution grows from 1.3e-4
-at N_sim = 240 to 0.94% at 480.
+design was built for. Both evolve jointly as one linear time-invariant system
+x' = A x with A = `ClosedLoop.full_matrix`, so x(t + h) = expm(h A) x(t) is
+exact at every output time; `scipy.linalg.expm` evaluates it by scaling and
+squaring (Al-Mohy & Higham 2009). `run` computes E = expm(h A) once, fills
+the first BLOCK output rows by matrix-vector products and advances each later
+block of rows with one matrix product against E^BLOCK. The output spacing h
+is therefore no accuracy or stability limit, and the diagnostics of a block
+are array operations on its stacked states.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n; the observer head adds output injection L(y - yhat)
@@ -21,9 +20,11 @@ load-bearing part of this module.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
 from .lifting import LiftingContext, boundary_inner
 from .spectral_basis import eval_phi, face_quadrature, max_wavenumber, trace_matrix
@@ -31,7 +32,11 @@ from .synthesis import SynthesisArtifacts
 
 log = logging.getLogger(__name__)
 
-MAX_HALVINGS = 20
+# output rows per propagation block: rows of block b+1 are rows of block b
+# times E^BLOCK, one matrix product per block
+BLOCK = 256
+# T/h within this of an integer counts as an integer number of steps
+STEP_RATIO_TOL = 1e-9
 CSV_COLUMNS = (
     "t",
     "l2_proxy",
@@ -65,11 +70,10 @@ def default_n_sim(N: int) -> int:
 
 
 def default_step(lam_top: float) -> float:
-    """min(0.5/lam_{N_sim}, 1e-2), a starting point only.
+    """Default output spacing min(0.5/lam_{N_sim}, 1e-2).
 
-    It looks at the diagonal, which the stepper integrates exactly anyway.
-    What limits h is the explicit coupling stage, whose norm also grows with
-    N_sim, and this heuristic does not bound its error."""
+    The propagator is exact for every h, so h sets only how finely the
+    output rows resolve the fastest simulated mode; it bounds no error."""
     return min(0.5 / max(lam_top, 1e-12), 1e-2)
 
 
@@ -89,8 +93,8 @@ def init_state(z0_coeffs, N_sim: int, N: int) -> SimState:
 class ClosedLoop:
     """Coupled plant + observer matrices for one design at one N_sim.
 
-    With x = (z, zhat), the dynamics are x' = (D + C) x where D is the stiff
-    open-loop diagonal and C collects every coupling block:
+    With x = (z, zhat), the dynamics are x' = A x with A = `full_matrix`, the
+    open-loop diagonal plus these coupling blocks:
 
       * plant rows get the control forcing W U with U = zhat[:N0],
       * observer head rows get the gain block plus L(y - yhat),
@@ -159,15 +163,35 @@ class ClosedLoop:
             [[eval_phi(e, xi) for e in ctx.eigs[:N_sim]] for xi in sensors]
         )
         self.C_N = self.C_sim[:, :N]
-        L = m.observer_gain
+        self._full_matrix = None
+        self._propagator = None  # (h, expm(h A)) of the last step size used
 
+        w = np.maximum(lams + self.nu, self.nu + lams[0] + 1.0)
+        self.h1_weights = w
+        # squared face L2 norm of the control as a quadratic form in U
+        K = m.lift_sum() @ A
+        self.control_form = K.T @ m.trace_gram @ K
+        self._check_ctx = None
+
+    @property
+    def full_matrix(self) -> np.ndarray:
+        """A in x' = A x, assembled on first use."""
+        if self._full_matrix is None:
+            self._full_matrix = self._assemble()
+        return self._full_matrix
+
+    def _assemble(self) -> np.ndarray:
+        m = self.artifacts
+        N_sim, N, n0 = self.N_sim, self.N, self.n0
+        L = m.observer_gain
         n_tot = N_sim + N
         Acl = np.zeros((n_tot, n_tot))
-        Acl[:N_sim, :N_sim] = -np.diag(lams)
+        diag = np.arange(N_sim)
+        Acl[diag, diag] = -self.lams
         obs = slice(N_sim, n_tot)
         head = slice(N_sim, N_sim + n0)
-        if not open_loop:
-            Acl[:N_sim, head] += W
+        if not self.open_loop:
+            Acl[:N_sim, head] += self.forcing
             # head estimate: gain block plus output injection against
             # yhat = C_N (zhat - lift_head U) + C_sim lift_all U
             Acl[head, head] += m.gain_block
@@ -177,17 +201,9 @@ class ClosedLoop:
             )
             Acl[head, :N_sim] += L @ self.C_sim
             tail = slice(N_sim + n0, n_tot)
-            Acl[tail, tail] += -np.diag(lams[n0:N])
+            Acl[tail, tail] += -np.diag(self.lams[n0:N])
             Acl[tail, head] += m.tail_input_map
-        self.full_matrix = Acl
-        obs_diag = np.zeros(N) if open_loop else -ctx.lams[:N]
-        self.diag_stiff = np.concatenate([-lams, obs_diag])
-        self.coupling = Acl - np.diag(self.diag_stiff)
-        self._exp_cache = {}
-
-        w = np.maximum(lams + self.nu, self.nu + lams[0] + 1.0)
-        self.h1_weights = w
-        self._check_ctx = None
+        return Acl
 
     # -- derived quantities ------------------------------------------------
 
@@ -210,13 +226,7 @@ class ClosedLoop:
     def control_norm(self, state: SimState) -> float:
         """L2 norm of the boundary control over the face."""
         U = self.U(state)
-        v = self.artifacts.lift_sum() @ self.artifacts.gram_inverse @ U
-        return float(np.sqrt(max(v @ self.artifacts.trace_gram @ v, 0.0)))
-
-    def residual_outputs(self, state: SimState) -> np.ndarray:
-        """Sensor contribution of modes the observer never models."""
-        wn = self.w(state)
-        return self.C_sim[:, self.N :] @ wn[self.N :]
+        return float(np.sqrt(max(U @ self.control_form @ U, 0.0)))
 
     def certificate_energy(self, state: SimState, P: np.ndarray) -> float:
         """V = X'PX + sum_(N<n<=N_sim) (lam_n+nu) w_n^2 for soundness checks."""
@@ -235,37 +245,51 @@ class ClosedLoop:
             [zh[:n0], err[:n0], self.lams[n0:N] * err[n0:N]]
         )
 
+    def diagnostics(self, X: np.ndarray) -> dict:
+        """Every CSV column but t, for states stacked as the rows of X."""
+        N_sim, N, n0 = self.N_sim, self.N, self.n0
+        z, zhat = X[:, :N_sim], X[:, N_sim:]
+        U = np.zeros((len(X), n0)) if self.open_loop else zhat[:, :n0]
+        wn = z - U @ self.lift_all.T
+        y = z @ self.C_sim.T
+        # sensor contribution of the modes the observer never models
+        zeta = wn[:, N:] @ self.C_sim[:, N:].T
+        h1 = np.sqrt(wn**2 @ self.h1_weights)
+        u_sq = np.sum((U @ self.control_form) * U, axis=1)
+        return {
+            "l2_proxy": np.linalg.norm(z, axis=1),
+            "h1_proxy": h1,
+            "y1": y[:, 0],
+            "y2": y[:, 1],
+            "u_l2_gamma1": np.sqrt(np.maximum(u_sq, 0.0)),
+            "err_finite": np.linalg.norm(z[:, :N] - zhat, axis=1),
+            "err_residual": np.linalg.norm(z[:, N:], axis=1),
+            "zeta1": zeta[:, 0],
+            "zeta2": zeta[:, 1],
+            "composite": h1 + np.sum(np.abs(zhat[:, :n0]), axis=1),
+        }
+
     # -- integration -------------------------------------------------------
 
-    def _phases(self, h: float):
-        got = self._exp_cache.get(h)
-        if got is None:
-            got = (np.exp(0.5 * h * self.diag_stiff), np.exp(h * self.diag_stiff))
-            self._exp_cache[h] = got
-        return got
-
-    def _onestep(self, x: np.ndarray, h: float) -> np.ndarray:
-        Eh, E1 = self._phases(h)
-        C = self.coupling
-        xm = Eh * (x + 0.5 * h * (C @ x))
-        return E1 * x + h * Eh * (C @ xm)
-
-    def _advance(self, x: np.ndarray, h: float, depth: int) -> np.ndarray:
-        y = self._onestep(x, h)
-        if np.all(np.isfinite(y)):
-            return y
-        if depth >= MAX_HALVINGS:
-            raise SimulationError(
-                f"state non-finite after {MAX_HALVINGS} step halvings"
-            )
-        half = 0.5 * h
-        return self._advance(self._advance(x, half, depth + 1), half, depth + 1)
-
-    def step(self, state: SimState, h: float) -> SimState:
+    def propagator(self, h: float) -> np.ndarray:
+        """E = expm(h A), the exact step of length h; the last one is kept."""
         if h <= 0:
             raise ValueError("step size must be positive")
-        x = np.concatenate([state.z, state.zhat])
-        y = self._advance(x, h, 0)
+        if self._propagator is None or self._propagator[0] != h:
+            self._propagator = None  # drop the old E before expm allocates
+            # a fresh A scaled in place: expm's scratch is the largest
+            # allocation of a run, so no second dense copy sits next to it
+            hA = self._assemble()
+            hA *= h
+            self._propagator = (h, scipy.linalg.expm(hA))
+        return self._propagator[1]
+
+    def step(self, state: SimState, h: float) -> SimState:
+        """One exact step: x(t + h) = expm(h A) x(t)."""
+        E = self.propagator(h)
+        y = E @ np.concatenate([state.z, state.zhat])
+        if not np.all(np.isfinite(y)):
+            raise SimulationError(f"state non-finite at t={state.t + h:.3f}")
         return SimState(t=state.t + h, z=y[: self.N_sim], zhat=y[self.N_sim :])
 
     # -- consistency check -------------------------------------------------
@@ -328,6 +352,35 @@ def estimate_decay_rate(times, values, t_skip: float) -> float:
     return float(slope)
 
 
+def _step_count(T: float, h: float) -> tuple:
+    """(n, r): n whole steps of h, then a last partial step r < h to reach T.
+
+    r is 0 when T/h lies within STEP_RATIO_TOL of a positive integer n."""
+    ratio = T / h
+    n = round(ratio)
+    if n >= 1 and abs(ratio - n) <= STEP_RATIO_TOL:
+        return n, 0.0
+    n = math.floor(ratio)
+    return n, T - n * h
+
+
+def _blocks(E: np.ndarray, x0: np.ndarray, n_rows: int):
+    """Yield (start, rows) covering x0, E x0, ..., E^(n_rows-1) x0.
+
+    The first BLOCK rows come from matrix-vector products; each later block
+    is the previous one times E^BLOCK, formed by repeated squaring."""
+    block = np.empty((min(BLOCK, n_rows), len(x0)))
+    block[0] = x0
+    for i in range(1, len(block)):
+        block[i] = E @ block[i - 1]
+    yield 0, block
+    if n_rows > BLOCK:
+        E_block = np.linalg.matrix_power(E, BLOCK)
+        for start in range(BLOCK, n_rows, BLOCK):
+            block = block[: n_rows - start] @ E_block.T
+            yield start, block
+
+
 def run(
     z0_coeffs,
     T: float,
@@ -342,54 +395,63 @@ def run(
     check_tol: float = 1e-8,
     keep_states: bool = False,
 ) -> SimulationRun:
-    """Integrate the loop over [0, T] and collect the standard diagnostics.
+    """Propagate the loop over [0, T] and collect the standard diagnostics.
 
-    Every `check_every`-th step the lifted-projection identity is re-derived
-    by independent quadrature and must agree with the matrix route to
-    `check_tol`; disagreement is a hard failure since it means the simulated
-    forcing is not the designed forcing.
+    Rows sit at t = 0, h, 2h, ... and, when T is not a whole number of steps,
+    one last row at t = T. Every `check_every`-th row the lifted-projection
+    identity is re-derived by independent quadrature and must agree with the
+    matrix route to `check_tol`; disagreement is a hard failure since it
+    means the simulated forcing is not the designed forcing. A non-finite
+    state raises SimulationError.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     system = ClosedLoop(artifacts, N_sim=N_sim, nu=nu, open_loop=open_loop)
     if h is None:
         h = default_step(system.lams[-1])
+    E = system.propagator(h)
     state = init_state(z0_coeffs, system.N_sim, system.N)
-    n_steps = max(1, int(round(T / h)))
-    cols = {name: np.empty(n_steps + 1) for name in CSV_COLUMNS}
-    states = np.empty((n_steps + 1, system.N_sim + system.N)) if keep_states else None
+    n_steps, rest = _step_count(T, h)
+    n_rows = n_steps + 1 + (rest > 0)
+    times = np.arange(n_rows) * h
+    if rest > 0:
+        times[-1] = T
+    cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
+    cols["t"] = times
+    states = np.empty((n_rows, len(E))) if keep_states else None
+    checking = not open_loop and check_every
     check_max = 0.0
 
-    def record(i: int, s: SimState):
-        wn = system.w(s)
-        y = system.outputs(s)
-        zeta = system.residual_outputs(s)
-        err = s.z[: system.N] - s.zhat
-        head_abs = float(np.add.reduce(np.abs(s.zhat[: system.n0])))
-        h1 = float(np.sqrt(np.add.reduce(system.h1_weights * wn**2)))
-        cols["t"][i] = s.t
-        cols["l2_proxy"][i] = float(np.linalg.norm(s.z))
-        cols["h1_proxy"][i] = h1
-        cols["y1"][i], cols["y2"][i] = float(y[0]), float(y[1])
-        cols["u_l2_gamma1"][i] = system.control_norm(s)
-        cols["err_finite"][i] = float(np.linalg.norm(err))
-        cols["err_residual"][i] = float(np.linalg.norm(s.z[system.N :]))
-        cols["zeta1"][i], cols["zeta2"][i] = float(zeta[0]), float(zeta[1])
-        cols["composite"][i] = h1 + head_abs
+    def record(start: int, X: np.ndarray) -> None:
+        nonlocal check_max
+        stop = start + len(X)
+        if not np.all(np.isfinite(X)):
+            raise SimulationError(f"state non-finite by t={times[stop - 1]:.3f}")
+        for name, col in system.diagnostics(X).items():
+            cols[name][start:stop] = col
         if keep_states:
-            states[i] = np.concatenate([s.z, s.zhat])
-
-    record(0, state)
-    for i in range(1, n_steps + 1):
-        state = system.step(state, h)
-        if not open_loop and check_every and i % check_every == 0:
-            dev = system.projection_check(state)
+            states[start:stop] = X
+        if not checking:
+            return
+        for i in range(max(1, -(-start // check_every)) * check_every, stop, check_every):
+            x = X[i - start]
+            s = SimState(t=times[i], z=x[: system.N_sim], zhat=x[system.N_sim :])
+            dev = system.projection_check(s)
             check_max = max(check_max, dev)
             if dev > check_tol:
                 raise SimulationError(
-                    f"lifted-projection routes disagree by {dev:.3e} at t={state.t:.3f}"
+                    f"lifted-projection routes disagree by {dev:.3e} at t={s.t:.3f}"
                 )
-        record(i, state)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.concatenate([state.z, state.zhat])
+        for start, X in _blocks(E, x, n_steps + 1):
+            record(start, X)
+            x = X[-1]
+        if rest > 0:
+            x = system.propagator(rest) @ x
+            record(n_rows - 1, x[None])
+    state = SimState(t=float(times[-1]), z=x[: system.N_sim], zhat=x[system.N_sim :])
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
     try:
         rate = estimate_decay_rate(cols["t"], series, t_skip)
@@ -412,11 +474,11 @@ def run(
 
 def write_csv(run_result: SimulationRun, path) -> None:
     """One row per record; floats formatted with repr so they round-trip."""
-    cols = run_result.records
+    cols = [run_result.records[name].tolist() for name in CSV_COLUMNS]
+    line = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
     with open(path, "w") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        for i in range(len(run_result.times)):
-            fh.write(",".join(repr(float(cols[name][i])) for name in CSV_COLUMNS) + "\n")
+        fh.writelines(line % row for row in zip(*cols))
 
 
 def project_bump(plant, eigs, center, width: float, amplitude: float, count: int) -> np.ndarray:

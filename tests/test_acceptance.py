@@ -17,7 +17,7 @@ the sensor rows phi_n(xi) do not decay. So each unmodelled mode's share of
 the observer innovation falls off only like 1/k, a conditionally convergent
 series, and the observer gain (|L| about 199) amplifies that tail. This is
 the slow point-value convergence of a Galerkin model under Dirichlet
-boundary input, not a defect of the stepper.
+boundary input, not a time-integration error.
 """
 
 import json

@@ -242,6 +242,14 @@ def test_seed_flag_is_accepted(tmp_path):
     assert code == 0
 
 
+def test_simulate_creates_missing_out_dir(tmp_path):
+    out = tmp_path / "not" / "yet"
+    code = main(["simulate", "--config", write_cfg(tmp_path, MILD), "--out", str(out)])
+    assert code == 0
+    assert (out / "simulation.csv").exists()
+    assert (out / "summary.json").exists()
+
+
 def test_missing_config_flag_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["synthesize"])

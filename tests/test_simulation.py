@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import simpson
+from scipy.linalg import expm
 
 from parstab.certification import solve_lyapunov
 from parstab.simulation import (
@@ -169,10 +170,39 @@ def test_certificate_energy_decays_on_certified_design(mild_art30):
     assert np.max(ratios) < 1.0 + 1e-3
 
 
-def test_advance_gives_up_on_non_finite(example_art30):
-    system = ClosedLoop(example_art30, N_sim=60)
-    with np.errstate(invalid="ignore"), pytest.raises(SimulationError):
-        system._advance(np.full(90, np.inf), 1e-3, 0)
+def test_run_gives_up_on_non_finite(example_art30):
+    with pytest.raises(SimulationError, match="non-finite"):
+        run(np.full(5, 1e308), 0.5, 1e-3, example_art30, N_sim=60)
+
+
+def test_run_rows_match_matrix_exponential(example_art30):
+    # rows on both sides of the first block boundary and the last row
+    h = 1e-3
+    z0 = np.linspace(1.0, -1.0, 8)
+    result = run(z0, 0.3, h, example_art30, N_sim=60, keep_states=True)
+    assert len(result.times) == 301
+    A = ClosedLoop(example_art30, N_sim=60).full_matrix
+    s0 = init_state(z0, 60, 30)
+    x0 = np.concatenate([s0.z, s0.zhat])
+    for i in (0, 1, 255, 256, 257, 300):
+        want = expm(result.times[i] * A) @ x0
+        assert np.linalg.norm(result.states[i] - want) <= 1e-10 * np.linalg.norm(want)
+
+
+def test_run_ends_at_T_with_a_partial_step(example_art30):
+    z0 = np.ones(5)
+    result = run(z0, 0.25, 0.1, example_art30, N_sim=60, check_every=1, keep_states=True)
+    assert np.allclose(result.times, [0.0, 0.1, 0.2, 0.25], rtol=0, atol=1e-15)
+    assert result.times[-1] == 0.25
+    assert result.final_state.t == 0.25
+    A = ClosedLoop(example_art30, N_sim=60).full_matrix
+    s0 = init_state(z0, 60, 30)
+    want = expm(0.25 * A) @ np.concatenate([s0.z, s0.zhat])
+    got = np.concatenate([result.final_state.z, result.final_state.zhat])
+    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+    assert np.array_equal(result.states[-1], got)
+    # 0.3 / 0.1 is 2.9999999999999996 in floating point: three whole steps
+    assert len(run(z0, 0.3, 0.1, example_art30, N_sim=60).times) == 4
 
 
 def test_step_rejects_nonpositive_h(example_art30):
