@@ -21,7 +21,6 @@ from .lifting import (
     gram_matrix,
     lambda_gamma,
     lifted_projection,
-    residual_norm_sq,
 )
 from .synthesis import (
     SynthesisArtifacts,
@@ -73,7 +72,6 @@ __all__ = [
     "gram_matrix",
     "lambda_gamma",
     "lifted_projection",
-    "residual_norm_sq",
     "SynthesisArtifacts",
     "assemble_F",
     "control_trace",

@@ -27,6 +27,8 @@ log = logging.getLogger(__name__)
 
 NEG_SLACK = 1e-9  # absolute slack on "<= 0" checks
 LYAP_RESIDUAL_TOL = 1e-8
+# share of a tail sum its last half-block may hold before the tail doubles
+TAIL_BLOCK_FRAC = 0.01
 
 
 class CertificationError(RuntimeError):
@@ -57,29 +59,38 @@ def solve_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
     return P
 
 
-def _s_sum(artifacts: SynthesisArtifacts, N: int, N_tail: int, with_gamma_sq: bool) -> float:
-    c1, _ = riesz_constants(artifacts.plant)
-    A = artifacts.gram_inverse
-    total = 0.0
-    for k, gamma in enumerate(artifacts.gammas):
-        lift_diag = np.diag(artifacts.head_lifts[k])
-        for l in range(1, artifacts.n0 + 1):
-            row_sq = float(A[l - 1] @ A[l - 1])
-            coef = lift_diag[l - 1] ** 2 * row_sq
-            if with_gamma_sq:
+def _tail_sum_terms(artifacts: SynthesisArtifacts, N: int, N_tail: int, gamma_sq: bool):
+    """(coef, per-mode terms) of each (k, l) pair in the S1/S2 tail sums.
+
+    Pairs come in order k, then l. Sum over pairs of coef * sum(terms) is
+    S1 (with the gamma_k^2 weights) or S2 (without) divided by c1.
+    """
+    m = artifacts
+    A = m.gram_inverse
+    for k, gamma in enumerate(m.gammas):
+        lift_diag = np.diag(m.head_lifts[k])
+        for l in range(1, m.n0 + 1):
+            coef = lift_diag[l - 1] ** 2 * float(A[l - 1] @ A[l - 1])
+            if gamma_sq:
                 coef *= gamma**2
-            total += coef * artifacts.context.residual_norm_sq(gamma, l, N, N_tail)
-    return c1 * total
+            yield coef, m.context.residual_terms(gamma, l, N, N_tail)
+
+
+def _s_total(artifacts: SynthesisArtifacts, N: int, N_tail: int, gamma_sq: bool) -> float:
+    c1, _ = riesz_constants(artifacts.plant)
+    pairs = _tail_sum_terms(artifacts, N, N_tail, gamma_sq)
+    # ascending mode order within a pair, pair order across pairs
+    return c1 * sum(coef * float(np.add.reduce(terms)) for coef, terms in pairs)
 
 
 def compute_S1(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> float:
     """Tail coupling sum with the gamma_k^2 weights."""
-    return _s_sum(artifacts, N, N_tail, with_gamma_sq=True)
+    return _s_total(artifacts, N, N_tail, gamma_sq=True)
 
 
 def compute_S2(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> float:
     """Same sum as compute_S1 without the gamma_k^2 factor."""
-    return _s_sum(artifacts, N, N_tail, with_gamma_sq=False)
+    return _s_total(artifacts, N, N_tail, gamma_sq=False)
 
 
 def sphi_terms(eigs, xi1, xi2, N: int, N_tail: int, nu: float) -> np.ndarray:
@@ -199,13 +210,13 @@ class Certificate:
         }
 
 
-def choose_tail(artifacts: SynthesisArtifacts, N: int, nu: float, block_frac: float = 0.01) -> int:
+def choose_tail(artifacts: SynthesisArtifacts, N: int, nu: float) -> int:
     """Tail length for the certificate sums.
 
-    Starts at max(4N, 400). The contribution of the last half-block to each
-    sum must stay below `block_frac` of its total, else the tail doubles up
-    to the cap max(16N, start). Available modes bound everything; hitting
-    that bound logs a warning instead of failing.
+    Starts at max(4N, 400). The contribution of the last half-block to the
+    S1 and Sphi sums must stay below TAIL_BLOCK_FRAC of each total, else the
+    tail doubles up to the cap max(16N, start). Available modes bound
+    everything; hitting that bound logs a warning instead of failing.
     """
     m = artifacts
     start = lifting.default_tail(N)
@@ -216,17 +227,12 @@ def choose_tail(artifacts: SynthesisArtifacts, N: int, nu: float, block_frac: fl
         log.warning("tail truncated to %d available modes (wanted %d)", have, start)
     xi1, xi2 = m.sensors
     while True:
-        ok = True
-        for terms in _policy_term_arrays(m, N, n_tail, nu, xi1, xi2):
-            total = float(np.add.reduce(terms))
-            if total <= 0.0:
-                continue
-            half = (n_tail - N) // 2
-            block = float(np.add.reduce(terms[len(terms) - half :])) if half else 0.0
-            if block >= block_frac * total:
-                ok = False
-                break
-        if ok:
+        half = (n_tail - N) // 2
+        # S1's per-mode terms up to the factor c1, which cancels in the ratio
+        s1_terms = sum(coef * terms for coef, terms in _tail_sum_terms(m, N, n_tail, True))
+        if _tail_block_small(s1_terms, half) and _tail_block_small(
+            sphi_terms(m.eigs, xi1, xi2, N, n_tail, nu), half
+        ):
             return n_tail
         nxt = min(2 * n_tail, cap, have)
         if nxt <= n_tail:
@@ -240,18 +246,13 @@ def choose_tail(artifacts: SynthesisArtifacts, N: int, nu: float, block_frac: fl
         n_tail = nxt
 
 
-def _policy_term_arrays(m: SynthesisArtifacts, N, n_tail, nu, xi1, xi2):
-    c1, _ = riesz_constants(m.plant)
-    agg = None
-    for k, gamma in enumerate(m.gammas):
-        lift_diag = np.diag(m.head_lifts[k])
-        for l in range(1, m.n0 + 1):
-            row_sq = float(m.gram_inverse[l - 1] @ m.gram_inverse[l - 1])
-            coef = c1 * gamma**2 * lift_diag[l - 1] ** 2 * row_sq
-            terms = coef * m.context.residual_terms(gamma, l, N, n_tail)
-            agg = terms if agg is None else agg + terms
-    yield agg if agg is not None else np.zeros(0)
-    yield sphi_terms(m.eigs, xi1, xi2, N, n_tail, nu)
+def _tail_block_small(terms: np.ndarray, half: int) -> bool:
+    """The last `half` terms hold less than TAIL_BLOCK_FRAC of a positive sum."""
+    total = float(np.add.reduce(terms))
+    if total <= 0.0:
+        return True
+    block = float(np.add.reduce(terms[len(terms) - half :])) if half else 0.0
+    return block < TAIL_BLOCK_FRAC * total
 
 
 def certify_round(artifacts: SynthesisArtifacts, nu: float) -> Certificate:

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import copy
+import dataclasses
 import json
 import logging
 import os
@@ -24,9 +25,7 @@ import numpy as np
 
 from . import certification, lifting, simulation, synthesis
 from .spectral_basis import (
-    DomainError,
     FaceId,
-    PatternError,
     PlantConfig,
     SearchRadiusError,
     count_unstable,
@@ -43,6 +42,16 @@ EXIT_SIMULATION = 4
 
 class ConfigError(ValueError):
     """Invalid configuration; message carries a JSON-pointer to the key."""
+
+
+# what building a design can raise: config, domain, pattern, sensor
+# placement and admissibility errors are all ValueErrors
+DESIGN_ERRORS = (ValueError, SearchRadiusError, synthesis.SynthesisError)
+
+
+def _abort(what: str, err: Exception) -> int:
+    print(f"{what}: {err}", file=sys.stderr)
+    return EXIT_SYNTHESIS
 
 
 _REQUIRED = object()
@@ -71,7 +80,6 @@ SCHEMA = {
         "required": False,
         "N_start": 30,
         "N_max": 200,
-        "block_frac": 0.01,
     },
     "simulation": {
         "z0": {"modes": None, "coeffs": None, "bump": None},
@@ -193,22 +201,21 @@ def build_plant(cfg: RunConfig) -> PlantConfig:
     )
 
 
-def _prepare(cfg: RunConfig, count: int):
+def _prepare(cfg: RunConfig, count: int) -> lifting.LiftingContext:
     plant = build_plant(cfg)
     probe = enumerate_eigenpairs(plant, max(count, 64))
     n0, _ = count_unstable(probe, plant.delta)
-    ctx = lifting.LiftingContext(probe, n0)
-    return plant, ctx
+    return lifting.LiftingContext(probe, n0)
 
 
-def _synthesize(cfg: RunConfig, ctx) -> synthesis.SynthesisArtifacts:
+def _synthesize(cfg: RunConfig, ctx, N: int) -> synthesis.SynthesisArtifacts:
     s = cfg.synthesis
     return synthesis.synthesize(
         ctx,
         cfg.sensors["xi1"],
         cfg.sensors["xi2"],
-        int(s["N"]),
-        build_plant(cfg).delta,
+        N,
+        ctx.plant.delta,
         c_ratio=float(s["c_ratio"]),
         gamma_base=float(s["gamma_base"]),
         spread=None if s["spread"] is None else float(s["spread"]),
@@ -267,20 +274,9 @@ def _certify_rounds_max(cfg: RunConfig) -> int:
 def cmd_synthesize(cfg: RunConfig, out_dir: str) -> int:
     N = int(cfg.synthesis["N"])
     try:
-        plant, ctx = _prepare(cfg, max(lifting.default_tail(N), N + 1))
-        art = _synthesize(cfg, ctx)
-    except (
-        ConfigError,
-        DomainError,
-        PatternError,
-        SearchRadiusError,
-        ValueError,
-        synthesis.SynthesisError,
-        synthesis.SensorPlacementError,
-        lifting.AdmissibilityError,
-    ) as err:
-        print(f"synthesis failed: {err}", file=sys.stderr)
-        return EXIT_SYNTHESIS
+        art = _synthesize(cfg, _prepare(cfg, max(lifting.default_tail(N), N + 1)), N)
+    except DESIGN_ERRORS as err:
+        return _abort("synthesis failed", err)
     _write_json(synthesis.report_dict(art), os.path.join(out_dir, "synthesis.json"))
     return EXIT_OK
 
@@ -288,41 +284,15 @@ def cmd_synthesize(cfg: RunConfig, out_dir: str) -> int:
 def cmd_certify(cfg: RunConfig, out_dir: str) -> int:
     top = _certify_rounds_max(cfg)
     try:
-        plant, ctx = _prepare(cfg, max(lifting.tail_cap(top), top + 1))
-        s = cfg.synthesis
-
-        def builder(n):
-            return synthesis.synthesize(
-                ctx,
-                cfg.sensors["xi1"],
-                cfg.sensors["xi2"],
-                n,
-                plant.delta,
-                c_ratio=float(s["c_ratio"]),
-                gamma_base=float(s["gamma_base"]),
-                spread=None if s["spread"] is None else float(s["spread"]),
-                sensor_tol=float(s["sensor_tol"]),
-                cond_max=float(s["cond_max"]),
-            )
-
+        ctx = _prepare(cfg, max(lifting.tail_cap(top), top + 1))
         cert = certification.certify(
-            builder,
+            lambda n: _synthesize(cfg, ctx, n),
             int(cfg.certification["N_start"]),
             int(cfg.certification["N_max"]),
-            plant.nu,
+            ctx.plant.nu,
         )
-    except (
-        ConfigError,
-        DomainError,
-        PatternError,
-        SearchRadiusError,
-        ValueError,
-        synthesis.SynthesisError,
-        synthesis.SensorPlacementError,
-        lifting.AdmissibilityError,
-    ) as err:
-        print(f"certification aborted in synthesis: {err}", file=sys.stderr)
-        return EXIT_SYNTHESIS
+    except DESIGN_ERRORS as err:
+        return _abort("certification aborted in synthesis", err)
     _write_json(cert.to_json_dict(), os.path.join(out_dir, "certificate.json"))
     if not cert.certified:
         print(f"certification failed: {cert.status}", file=sys.stderr)
@@ -335,20 +305,11 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     sim = cfg.simulation
     n_sim = int(sim["N_sim"]) if sim["N_sim"] is not None else simulation.default_n_sim(N)
     try:
-        plant, ctx = _prepare(cfg, max(lifting.default_tail(N), N + 1, n_sim))
-        art = _synthesize(cfg, ctx)
-    except (
-        ConfigError,
-        DomainError,
-        PatternError,
-        SearchRadiusError,
-        ValueError,
-        synthesis.SynthesisError,
-        synthesis.SensorPlacementError,
-        lifting.AdmissibilityError,
-    ) as err:
-        print(f"synthesis failed: {err}", file=sys.stderr)
-        return EXIT_SYNTHESIS
+        ctx = _prepare(cfg, max(lifting.default_tail(N), N + 1, n_sim))
+        art = _synthesize(cfg, ctx, N)
+    except DESIGN_ERRORS as err:
+        return _abort("synthesis failed", err)
+    plant = ctx.plant
     try:
         z0 = _resolve_z0(cfg, plant, ctx.eigs, n_sim)
         result = simulation.run(
@@ -361,9 +322,8 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
             t_skip=float(sim["t_skip"]),
             check_every=int(sim["check_every"]),
         )
-    except ConfigError as err:
-        print(f"simulation config invalid: {err}", file=sys.stderr)
-        return EXIT_SYNTHESIS
+    except ValueError as err:
+        return _abort("simulation config invalid", err)
     except simulation.SimulationError as err:
         print(f"simulation failed: {err}", file=sys.stderr)
         return EXIT_SIMULATION
@@ -414,32 +374,30 @@ def _deep_merge(base: dict, override: dict) -> dict:
     return out
 
 
-def cmd_sweep(raw_cfg: dict, out_dir: str) -> int:
+def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
     """Run the pipeline once per sweep entry, each with overrides applied."""
-    entries = raw_cfg.get("sweep") or []
-    if not entries:
+    if not cfg.sweep:
         print("sweep requested but config has no sweep entries", file=sys.stderr)
         return EXIT_SYNTHESIS
-    base = {k: v for k, v in raw_cfg.items() if k != "sweep"}
+    base = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "sweep"}
     workers = os.environ.get("PARSTAB_THREADS")
     try:
-        workers = max(1, int(workers)) if workers else min(4, len(entries))
+        workers = max(1, int(workers)) if workers else min(4, len(cfg.sweep))
     except ValueError:
-        workers = min(4, len(entries))
+        workers = min(4, len(cfg.sweep))
 
     def one(i_entry):
         i, entry = i_entry
-        sub_raw = _deep_merge(base, entry)
         sub_dir = os.path.join(out_dir, f"sweep_{i:03d}")
         try:
-            sub_cfg = _validated(sub_raw)
+            sub_cfg = _validated(_deep_merge(base, entry))
         except ConfigError as err:
             print(f"sweep entry {i}: {err}", file=sys.stderr)
             return i, EXIT_SYNTHESIS
         return i, cmd_pipeline(sub_cfg, sub_dir)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(one, enumerate(entries)))
+        results = dict(pool.map(one, enumerate(cfg.sweep)))
     index = {
         "schema_version": 1,
         "runs": [
@@ -471,17 +429,13 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(args.config)
     except ConfigError as err:
-        print(f"config error: {err}", file=sys.stderr)
-        return EXIT_SYNTHESIS
-    if args.command == "sweep":
-        with open(args.config) as fh:
-            raw = json.load(fh, object_pairs_hook=_no_duplicates)
-        return cmd_sweep(raw, args.out)
+        return _abort("config error", err)
     handler = {
         "synthesize": cmd_synthesize,
         "certify": cmd_certify,
         "simulate": cmd_simulate,
         "pipeline": cmd_pipeline,
+        "sweep": cmd_sweep,
     }[args.command]
     return handler(cfg, args.out)
 

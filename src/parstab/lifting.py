@@ -11,6 +11,14 @@ The coefficient sign convention is load-bearing. For head modes (n <= N0)
 the denominator is (gamma - lam_n - eta * [n == 2]) while for tail modes it
 is (gamma + lam_n); both carry a leading minus sign. The split comes from the
 frequency-shifted elliptic problems used on either side of N0.
+`shift_denominators` is the one place that formula and its admissibility
+check live; every lifting map in the package is built from it.
+
+`build_projection_table`, `lifted_projection`, `gram_matrix` and
+`boundary_inner` are per-mode and pairwise forms of what `LiftingContext`
+computes in blocks. They are kept on purpose as the oracles the tests check
+against closed forms and an independent elliptic solve; `head_gram` and the
+simulation's projection check also use the last two.
 """
 
 from __future__ import annotations
@@ -35,28 +43,41 @@ class AdmissibilityError(ValueError):
     """A shift gamma collides with a (possibly eta-shifted) eigenvalue."""
 
 
-def head_denominator(gamma: float, lam: float, position: int, eta: float) -> float:
-    """Denominator for head mode at 1-based `position`; eta shifts position 2."""
-    return gamma - lam - (eta if position == 2 else 0.0)
+# a lifting denominator at most this far from zero makes gamma inadmissible
+ADMISSIBLE_TOL = 1e-9
 
 
-def lambda_gamma(gamma: float, eta: float, unstable_lambdas, tol: float = 1e-9) -> np.ndarray:
+def shift_denominators(gamma, lams, *, n0=0, eta=0.0, first=1, strict=True):
+    """Lifting denominators of modes first, first+1, ... with eigenvalues lams.
+
+    Head modes n <= n0 get gamma - lam_n - eta*[n == 2], tail modes
+    gamma + lam_n. A denominator within ADMISSIBLE_TOL of zero raises
+    AdmissibilityError naming the first such 1-based mode index, or with
+    `strict=False` comes back as nan.
+    """
+    lams = np.asarray(lams, dtype=float)
+    n = np.arange(first, first + len(lams))
+    dens = np.where(n <= n0, gamma - lams, gamma + lams)
+    if n0 >= 2:
+        dens[n == 2] -= eta
+    bad = np.abs(dens) <= ADMISSIBLE_TOL
+    if strict and bad.any():
+        i = int(np.argmax(bad))
+        raise AdmissibilityError(
+            f"gamma={gamma} hits eigenvalue index {first + i} "
+            f"(denominator {dens[i]:.3e})"
+        )
+    dens[bad] = np.nan
+    return dens
+
+
+def lambda_gamma(gamma: float, eta: float, unstable_lambdas) -> np.ndarray:
     """Diagonal head-mode lifting matrix diag(1/(gamma - lam_n - eta*[n==2])).
 
-    Raises AdmissibilityError naming the first offending 1-based index when a
-    denominator falls below `tol` in magnitude.
+    Raises AdmissibilityError when gamma hits a shifted head eigenvalue.
     """
-    lams = np.asarray(unstable_lambdas, dtype=float)
-    dens = np.array(
-        [head_denominator(gamma, lam, i + 1, eta) for i, lam in enumerate(lams)]
-    )
-    bad = np.nonzero(np.abs(dens) <= tol)[0]
-    if bad.size:
-        raise AdmissibilityError(
-            f"gamma={gamma} hits eigenvalue index {bad[0] + 1} "
-            f"(denominator {dens[bad[0]]:.3e})"
-        )
-    return np.diag(1.0 / dens)
+    n0 = len(unstable_lambdas)
+    return np.diag(1.0 / shift_denominators(gamma, unstable_lambdas, n0=n0, eta=eta))
 
 
 @dataclass(frozen=True)
@@ -74,20 +95,10 @@ class LiftedProjectionTable:
     valid: np.ndarray
 
 
-def build_projection_table(
-    gamma: float, eta: float, eigs, n0: int, tol: float = 1e-9
-) -> LiftedProjectionTable:
-    lams = np.array([e.lam for e in eigs])
-    dens = np.empty(len(eigs))
-    for i, lam in enumerate(lams):
-        if i < n0:
-            dens[i] = head_denominator(gamma, lam, i + 1, eta)
-        else:
-            dens[i] = gamma + lam
-    valid = np.abs(dens) > tol
-    coeffs = np.full(len(eigs), np.nan)
-    coeffs[valid] = -1.0 / dens[valid]
-    return LiftedProjectionTable(gamma=gamma, eta=eta, n0=n0, coeffs=coeffs, valid=valid)
+def build_projection_table(gamma: float, eta: float, eigs, n0: int) -> LiftedProjectionTable:
+    dens = shift_denominators(gamma, [e.lam for e in eigs], n0=n0, eta=eta, strict=False)
+    valid = ~np.isnan(dens)
+    return LiftedProjectionTable(gamma=gamma, eta=eta, n0=n0, coeffs=-1.0 / dens, valid=valid)
 
 
 def lifted_projection(table: LiftedProjectionTable, boundary_inner_value: float, n: int) -> float:
@@ -102,20 +113,14 @@ def lifted_projection(table: LiftedProjectionTable, boundary_inner_value: float,
     return float(table.coeffs[n - 1] * boundary_inner_value)
 
 
-def check_gamma_admissible(gamma, eta, lams, n0, n_tail, tol: float = 1e-9):
+def check_gamma_admissible(gamma, eta, lams, n0, n_tail):
     """Raise unless gamma clears every shifted eigenvalue up to n_tail.
 
     The exact rule is an infinite family of non-collisions; modes beyond
     n_tail are covered in practice because the ladder values sit far below
     lam_{n_tail}. Checked indices are 1-based in the error message.
     """
-    lams = np.asarray(lams, dtype=float)[:n_tail]
-    for i, lam in enumerate(lams):
-        den = head_denominator(gamma, lam, i + 1, eta) if i < n0 else gamma + lam
-        if abs(den) <= tol:
-            raise AdmissibilityError(
-                f"gamma={gamma} inadmissible at mode {i + 1} (denominator {den:.3e})"
-            )
+    shift_denominators(gamma, np.asarray(lams)[:n_tail], n0=n0, eta=eta)
 
 
 def boundary_inner(quad: Quadrature, f_samples, g_samples) -> float:
@@ -166,18 +171,17 @@ class LiftingContext:
     cross-Gram column block <trace_n, trace_l> for all enumerated n against
     head l, and eigenvalues. `traces` keeps only the n0 head rows; the other
     modes' traces are sampled TRACE_CHUNK modes at a time and dropped once
-    their cross-Gram rows are filled. `extra_panels` offsets the panel count
-    so a second context can serve as an independent-grid cross-check.
+    their cross-Gram rows are filled.
     """
 
-    def __init__(self, eigs, n0: int, extra_panels: int = 0):
+    def __init__(self, eigs, n0: int):
         if n0 < 1 or n0 > len(eigs):
             raise ValueError("n0 out of range")
         self.eigs = list(eigs)
         self.n0 = n0
         self.plant = eigs[0].plant
         self.lams = np.array([e.lam for e in self.eigs])
-        self.quad = face_quadrature(self.plant, max_wavenumber(self.eigs), extra_panels)
+        self.quad = face_quadrature(self.plant, max_wavenumber(self.eigs))
         self.traces = _finite_traces(self.eigs[:n0], self.quad)
         # (M, n0): row n, column l holds <trace_{n+1}, trace_{l+1}>
         self.cross_cols = np.empty((len(self.eigs), n0))
@@ -197,11 +201,8 @@ class LiftingContext:
             )
         if not (1 <= l <= self.n0):
             raise ValueError(f"l={l} is not a head mode index")
-        sl = slice(N, N_tail)
-        dens = gamma + self.lams[sl]
-        if np.any(np.abs(dens) <= 1e-9):
-            raise AdmissibilityError(f"gamma={gamma} hits a tail eigenvalue in the sum")
-        return (self.cross_cols[sl, l - 1] / dens) ** 2
+        dens = shift_denominators(gamma, self.lams[N:N_tail], first=N + 1)
+        return (self.cross_cols[N:N_tail, l - 1] / dens) ** 2
 
     def residual_norm_sq(self, gamma: float, l: int, N: int, N_tail: int) -> float:
         """Truncated squared tail norm of the lifted head trace l.
@@ -211,10 +212,6 @@ class LiftingContext:
         """
         terms = self.residual_terms(gamma, l, N, N_tail)
         return float(np.add.reduce(terms))
-
-
-def residual_norm_sq(context: LiftingContext, gamma: float, l: int, N: int, N_tail: int) -> float:
-    return context.residual_norm_sq(gamma, l, N, N_tail)
 
 
 def default_tail(N: int) -> int:

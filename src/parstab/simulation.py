@@ -11,10 +11,10 @@ is therefore no accuracy or stability limit, and the diagnostics of a block
 are array operations on its stacked states.
 
 Forcing enters the plant row n as minus the face inner product of the
-control against trace_n; the observer head adds output injection L(y - yhat)
-and the observer tail copies the plant-tail forcing map exactly, which keeps
-the tail estimation error autonomous. These sign conventions are the
-load-bearing part of this module.
+control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
+head adds output injection L(y - yhat) and the observer tail rows are rows
+N0+1..N of that same matrix W, which keeps the tail estimation error
+autonomous. These sign conventions are the load-bearing part of this module.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .lifting import LiftingContext, boundary_inner
+from .lifting import LiftingContext, boundary_inner, shift_denominators
 from .spectral_basis import eval_phi, face_quadrature, max_wavenumber, trace_matrix
 from .synthesis import SynthesisArtifacts
 
@@ -37,6 +37,8 @@ log = logging.getLogger(__name__)
 BLOCK = 256
 # T/h within this of an integer counts as an integer number of steps
 STEP_RATIO_TOL = 1e-9
+# largest deviation projection_check may find during a run
+CHECK_TOL = 1e-8
 CSV_COLUMNS = (
     "t",
     "l2_proxy",
@@ -98,7 +100,7 @@ class ClosedLoop:
 
       * plant rows get the control forcing W U with U = zhat[:N0],
       * observer head rows get the gain block plus L(y - yhat),
-      * observer tail rows copy the plant forcing map of modes N0+1..N.
+      * observer tail rows get rows N0+1..N of the plant forcing W.
 
     `open_loop` disables the controller entirely (U forced to zero, observer
     frozen at zero), which reduces the plant to pure modal decay/growth.
@@ -108,7 +110,6 @@ class ClosedLoop:
         self,
         artifacts: SynthesisArtifacts,
         N_sim: int = None,
-        nu: float = None,
         open_loop: bool = False,
     ):
         m = artifacts
@@ -127,36 +128,26 @@ class ClosedLoop:
         self.N = N
         self.n0 = n0
         self.N_sim = N_sim
-        self.nu = m.plant.nu if nu is None else nu
+        self.nu = m.plant.nu
         self.open_loop = open_loop
         lams = ctx.lams[:N_sim]
         self.lams = lams
         A = m.gram_inverse
         cross = ctx.cross_cols[:N_sim]  # <trace_n, trace_l>, n <= N_sim
 
-        # lifted projection maps: column l of M_k is d(gamma_k)_n per unit U_l
-        Mks = []
+        # lifted projection maps: column l of the k-th term is d(gamma_k)_n
+        # per unit U_l; head rows are -B_k A
+        lift_all = 0
         for k, g in enumerate(m.gammas):
             Mk = np.zeros((N_sim, n0))
             Mk[:n0] = -m.shifted_grams[k] @ A
-            den = g + lams[n0:]
+            den = shift_denominators(g, lams[n0:], n0=n0, first=n0 + 1)
             Mk[n0:] = -(cross[n0:] @ m.head_lifts[k] @ A) / den[:, None]
-            Mks.append(Mk)
-        self.lift_maps = Mks
-        self.lift_all = sum(Mks)
+            lift_all = lift_all + Mk
+        self.lift_all = lift_all
 
-        # plant forcing: -<u, trace_n> expressed through the lifted maps
-        W = np.zeros((N_sim, n0))
-        for k, g in enumerate(m.gammas):
-            fac = np.array(
-                [
-                    g - lams[j] - (m.eta if j == 1 and n0 >= 2 else 0.0)
-                    for j in range(n0)
-                ]
-            )
-            W[:n0] += fac[:, None] * Mks[k][:n0]
-            W[n0:] += (lams[n0:, None] + g) * Mks[k][n0:]
-        self.forcing = W
+        # plant forcing -<u, trace_n> per unit U, u = sum_k <Lam_k A U, traces>
+        self.forcing = -cross @ m.lift_sum() @ A
 
         sensors = [np.asarray(s, dtype=float) for s in m.sensors]
         self.C_sim = np.vstack(
@@ -202,7 +193,7 @@ class ClosedLoop:
             Acl[head, :N_sim] += L @ self.C_sim
             tail = slice(N_sim + n0, n_tot)
             Acl[tail, tail] += -np.diag(self.lams[n0:N])
-            Acl[tail, head] += m.tail_input_map
+            Acl[tail, head] += self.forcing[n0:N]
         return Acl
 
     # -- derived quantities ------------------------------------------------
@@ -388,11 +379,9 @@ def run(
     artifacts: SynthesisArtifacts,
     *,
     N_sim: int = None,
-    nu: float = None,
     open_loop: bool = False,
     t_skip: float = 2.0,
     check_every: int = 100,
-    check_tol: float = 1e-8,
     keep_states: bool = False,
 ) -> SimulationRun:
     """Propagate the loop over [0, T] and collect the standard diagnostics.
@@ -400,13 +389,13 @@ def run(
     Rows sit at t = 0, h, 2h, ... and, when T is not a whole number of steps,
     one last row at t = T. Every `check_every`-th row the lifted-projection
     identity is re-derived by independent quadrature and must agree with the
-    matrix route to `check_tol`; disagreement is a hard failure since it
+    matrix route to CHECK_TOL; disagreement is a hard failure since it
     means the simulated forcing is not the designed forcing. A non-finite
     state raises SimulationError.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    system = ClosedLoop(artifacts, N_sim=N_sim, nu=nu, open_loop=open_loop)
+    system = ClosedLoop(artifacts, N_sim=N_sim, open_loop=open_loop)
     if h is None:
         h = default_step(system.lams[-1])
     E = system.propagator(h)
@@ -438,7 +427,7 @@ def run(
             s = SimState(t=times[i], z=x[: system.N_sim], zhat=x[system.N_sim :])
             dev = system.projection_check(s)
             check_max = max(check_max, dev)
-            if dev > check_tol:
+            if dev > CHECK_TOL:
                 raise SimulationError(
                     f"lifted-projection routes disagree by {dev:.3e} at t={s.t:.3f}"
                 )

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 from scipy.signal import place_poles
@@ -71,6 +72,17 @@ def eta_shift_matrix(n0: int, eta: float) -> np.ndarray:
     return xi
 
 
+class GammaLadder(NamedTuple):
+    """The accepted shift ladder and the head-block matrices built from it."""
+
+    gammas: tuple
+    head_lifts: list  # Lam_k
+    shifted_grams: list  # B_k = Lam_k B Lam_k
+    A: np.ndarray  # (sum B_k)^-1
+    gain_block: np.ndarray  # -sum gamma_k B_k A + Xi
+    margin: float  # spectral abscissa of gain_block
+
+
 def select_gamma_ladder(
     context: lifting.LiftingContext,
     B: np.ndarray,
@@ -79,14 +91,13 @@ def select_gamma_ladder(
     c_ratio: float = 2.0,
     gamma_base: float = 10.0,
     cond_max: float = 1e12,
-):
+) -> GammaLadder:
     """Pick shifts gamma_k = base*(1 + (k-1)*rho), rho = (c_ratio-1)/(N0-1).
 
     The base doubles until (i) every shift clears the eigenvalue
     admissibility rule over the cached mode range, (ii) sum B_k is invertible
     with condition below `cond_max`, and (iii) the gain block
-    -sum gamma_k B_k A + Xi has spectral abscissa below -delta. Returns
-    (gammas, A, margin) where margin is that abscissa.
+    -sum gamma_k B_k A + Xi has spectral abscissa below -delta.
     """
     if c_ratio <= 1.0:
         raise ValueError("c_ratio must exceed 1")
@@ -119,12 +130,17 @@ def select_gamma_ladder(
         margin = abscissa(gain_block)
         if margin < -delta:
             log.debug("gamma ladder accepted at base %.6g (margin %.4f)", base, margin)
-            return gammas, A, margin
+            return GammaLadder(gammas, lam_mats, Bks, A, gain_block, margin)
         last_diag = f"gain-block abscissa {margin:.4f} >= {-delta} at base {base}"
         base *= 2.0
     raise SynthesisError(
         f"no admissible gamma ladder up to base {cap:.3e}: {last_diag}"
     )
+
+
+def sensor_rows(modes, xi1, xi2) -> np.ndarray:
+    """Values phi_n(xi1) and phi_n(xi2) of the given modes, as two rows."""
+    return np.vstack([[eval_phi(e, xi1) for e in modes], [eval_phi(e, xi2) for e in modes]])
 
 
 def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
@@ -146,7 +162,7 @@ def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
         if not inside:
             raise DomainError("sensors must be interior points")
     head = eigs[:n0]
-    C0 = np.vstack([[eval_phi(e, xi1) for e in head], [eval_phi(e, xi2) for e in head]])
+    C0 = sensor_rows(head, xi1, xi2)
     groups = {}
     for i, e in enumerate(head):
         groups.setdefault(e.group_id, []).append(i)
@@ -232,7 +248,6 @@ class SynthesisArtifacts:
     observer_gain: np.ndarray = None  # L
     closed_loop: np.ndarray = None  # F
     stacked_gain: np.ndarray = None  # G
-    tail_input_map: np.ndarray = None  # forcing of tail modes per head input
     sensors: tuple = ()
     margins: dict = field(default_factory=dict)
     context: lifting.LiftingContext = field(default=None, repr=False, compare=False)
@@ -244,14 +259,6 @@ class SynthesisArtifacts:
     def lift_sum(self) -> np.ndarray:
         """sum_k Lam_{gamma_k}, the combined head lifting diagonal."""
         return sum(self.head_lifts)
-
-
-def sensor_matrices(eigs, n0: int, N: int, xi1, xi2):
-    head = eigs[:n0]
-    tail = eigs[n0:N]
-    C0 = np.vstack([[eval_phi(e, xi1) for e in head], [eval_phi(e, xi2) for e in head]])
-    C1 = np.vstack([[eval_phi(e, xi1) for e in tail], [eval_phi(e, xi2) for e in tail]])
-    return C0, C1
 
 
 def assemble_F(gain_block, A0, LC0, L, C1t, tail_lams):
@@ -303,22 +310,19 @@ def synthesize(
         raise SynthesisError("tail eigenvalues must clear the decay target")
     eta = select_eta(head_lams)
     B = context.head_gram
-    gammas, A, gain_margin = select_gamma_ladder(
+    ladder = select_gamma_ladder(
         context, B, eta, delta, c_ratio=c_ratio, gamma_base=gamma_base, cond_max=cond_max
     )
-    head_lifts = [lifting.lambda_gamma(g, eta, head_lams) for g in gammas]
-    Bks = [L @ B @ L for L in head_lifts]
-    gain_block = -sum(g * Bk for g, Bk in zip(gammas, Bks)) @ A + eta_shift_matrix(n0, eta)
     C0 = validate_sensors(xi1, xi2, eigs, n0, tol=sensor_tol)
-    _, C1 = sensor_matrices(eigs, n0, N, xi1, xi2)
+    C1 = sensor_rows(eigs[n0:N], xi1, xi2)
     C1t = C1 / tail_lams[None, :]
     A0 = -np.diag(head_lams)
     if spread is None:
         spread = 0.5 * delta
     L = place_observer_gain(A0, C0, delta, spread)
-    F, G = assemble_F(gain_block, A0, L @ C0, L, C1t, tail_lams)
+    F, G = assemble_F(ladder.gain_block, A0, L @ C0, L, C1t, tail_lams)
     margins = {
-        "gain_block_abscissa": gain_margin,
+        "gain_block_abscissa": ladder.margin,
         "observer_abscissa": abscissa(A0 - L @ C0),
         "F_abscissa": abscissa(F),
     }
@@ -326,10 +330,6 @@ def synthesize(
         raise SynthesisError(
             f"closed-loop abscissa {margins['F_abscissa']:.4f} misses -{delta}"
         )
-    lift_sum = sum(head_lifts)
-    # forcing of modes n > N0 by the head input U: rows of the cross Gram
-    # against the combined lifted trace, with a leading minus sign
-    tail_map = -context.cross_cols[n0:N] @ lift_sum @ A
     return SynthesisArtifacts(
         plant=context.plant,
         eigs=eigs,
@@ -337,12 +337,12 @@ def synthesize(
         N=N,
         delta=delta,
         eta=eta,
-        gammas=gammas,
-        head_lifts=head_lifts,
+        gammas=ladder.gammas,
+        head_lifts=ladder.head_lifts,
         trace_gram=B,
-        shifted_grams=Bks,
-        gram_inverse=A,
-        gain_block=gain_block,
+        shifted_grams=ladder.shifted_grams,
+        gram_inverse=ladder.A,
+        gain_block=ladder.gain_block,
         head_drift=A0,
         tail_drift=tail_lams.copy(),
         sensor_head=C0,
@@ -351,7 +351,6 @@ def synthesize(
         observer_gain=L,
         closed_loop=F,
         stacked_gain=G,
-        tail_input_map=tail_map,
         sensors=(tuple(np.asarray(xi1, dtype=float)), tuple(np.asarray(xi2, dtype=float))),
         margins=margins,
         context=context,

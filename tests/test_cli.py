@@ -174,6 +174,26 @@ def test_unseparated_sensors_exit_code(tmp_path, capsys):
     assert "not separated" in capsys.readouterr().err
 
 
+def test_certify_unseparated_sensors_exit_code(tmp_path, capsys):
+    cfg = {
+        **EXAMPLE,
+        "sensors": {"xi1": [0.7, 0.7], "xi2": [0.9, 0.9]},
+        "certification": {"N_start": 10, "N_max": 10},
+    }
+    code = main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "certification aborted in synthesis" in err
+    assert "not separated" in err
+
+
+def test_block_frac_is_not_a_config_key(tmp_path, capsys):
+    cfg = {**MILD, "certification": {"N_start": 8, "N_max": 8, "block_frac": 0.5}}
+    code = main(["certify", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "/certification/block_frac: unknown key" in capsys.readouterr().err
+
+
 def test_config_error_exit_code(tmp_path, capsys):
     cfg = {**EXAMPLE, "sensors": {"xi1": [0.0, 1.0], "xi2": [1.0, 0.5]}}
     code = main(["synthesize", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
@@ -190,6 +210,13 @@ def test_unknown_mode_exit_code(tmp_path, capsys):
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "not within N_sim" in capsys.readouterr().err
+
+
+def test_simulate_rejects_nonpositive_T(tmp_path, capsys):
+    cfg = {**MILD, "simulation": {**MILD["simulation"], "T": 0.0}}
+    code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "T must be positive" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

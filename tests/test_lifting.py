@@ -9,10 +9,9 @@ from parstab.lifting import (
     check_gamma_admissible,
     default_tail,
     gram_matrix,
-    head_denominator,
     lambda_gamma,
     lifted_projection,
-    residual_norm_sq,
+    shift_denominators,
     tail_cap,
 )
 from parstab.spectral_basis import (
@@ -23,10 +22,21 @@ from parstab.spectral_basis import (
 )
 
 
-def test_head_denominator_shifts_second_mode_only():
-    assert head_denominator(10.0, -3.5, 1, 0.25) == pytest.approx(13.5)
-    assert head_denominator(10.0, -0.5, 2, 0.25) == pytest.approx(10.25)
-    assert head_denominator(10.0, -0.5, 3, 0.25) == pytest.approx(10.5)
+def test_shift_denominators_shift_second_head_mode_only():
+    dens = shift_denominators(10.0, (-3.5, -0.5, -0.5), n0=3, eta=0.25)
+    assert dens[0] == pytest.approx(13.5)
+    assert dens[1] == pytest.approx(10.25)
+    assert dens[2] == pytest.approx(10.5)
+
+
+def test_shift_denominators_tail_rule_and_first_bad_index():
+    # modes 3..5 of a two-mode head: tail rule gamma + lam, eta unused
+    dens = shift_denominators(10.0, (1.0, 2.0, 3.0), n0=2, eta=0.25, first=3)
+    assert np.array_equal(dens, [11.0, 12.0, 13.0])
+    with pytest.raises(AdmissibilityError, match="index 4 "):
+        shift_denominators(-2.0, (1.0, 2.0, 3.0, 2.0), first=3)
+    loose = shift_denominators(-2.0, (1.0, 2.0, 3.0), first=3, strict=False)
+    assert np.isnan(loose[1]) and loose[0] == -1.0 and loose[2] == 1.0
 
 
 def test_lambda_gamma_values():
@@ -112,30 +122,30 @@ def test_context_cross_columns_extend_head_gram(example_ctx):
 
 
 def test_residual_norm_empty_and_monotone(example_ctx):
-    assert residual_norm_sq(example_ctx, 50.0, 1, 100, 100) == 0.0
-    r400 = residual_norm_sq(example_ctx, 50.0, 1, 100, 400)
-    r480 = residual_norm_sq(example_ctx, 50.0, 1, 100, 480)
+    assert example_ctx.residual_norm_sq(50.0, 1, 100, 100) == 0.0
+    r400 = example_ctx.residual_norm_sq(50.0, 1, 100, 400)
+    r480 = example_ctx.residual_norm_sq(50.0, 1, 100, 480)
     assert 0.0 <= r400 <= r480
 
 
 def test_residual_norm_decays_with_truncation(example_ctx):
     # tail terms fall off slowly (roughly n^-1.4 here), so doubling N only
     # roughly halves the sum; strict decrease is the guaranteed part
-    r100 = residual_norm_sq(example_ctx, 50.0, 1, 100, 480)
-    r200 = residual_norm_sq(example_ctx, 50.0, 1, 200, 480)
+    r100 = example_ctx.residual_norm_sq(50.0, 1, 100, 480)
+    r200 = example_ctx.residual_norm_sq(50.0, 1, 200, 480)
     assert r200 < r100
     assert r100 / r200 > 1.5
 
 
 def test_residual_norm_argument_errors(example_ctx):
     with pytest.raises(ValueError):
-        residual_norm_sq(example_ctx, 50.0, 1, 100, 99)
+        example_ctx.residual_norm_sq(50.0, 1, 100, 99)
     with pytest.raises(ValueError):
-        residual_norm_sq(example_ctx, 50.0, 1, 100, len(example_ctx.eigs) + 1)
+        example_ctx.residual_norm_sq(50.0, 1, 100, len(example_ctx.eigs) + 1)
     with pytest.raises(ValueError):
-        residual_norm_sq(example_ctx, 50.0, 7, 100, 400)
+        example_ctx.residual_norm_sq(50.0, 7, 100, 400)
     with pytest.raises(AdmissibilityError):
-        residual_norm_sq(example_ctx, -example_ctx.lams[150], 1, 100, 400)
+        example_ctx.residual_norm_sq(-example_ctx.lams[150], 1, 100, 400)
 
 
 def test_tail_defaults():

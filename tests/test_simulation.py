@@ -22,7 +22,7 @@ from parstab.simulation import (
     run,
     write_csv,
 )
-from parstab.spectral_basis import eval_phi
+from parstab.spectral_basis import eval_phi, trace_matrix
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
 
@@ -122,6 +122,20 @@ def test_tail_error_is_autonomous(example_art30):
     et = system.lams[n0:N] * (state.z[n0:N] - state.zhat[n0:N])
     want = e0 * np.exp(-system.lams[n0:N] * t_end)
     assert np.max(np.abs(et - want)) < 1e-7
+
+
+def test_forcing_is_minus_the_face_inner_product(example_art60, example_ctx):
+    m = example_art60
+    system = ClosedLoop(m, N_sim=240)
+    U = np.array([0.4, -1.1, 0.7])
+    quad = example_ctx.quad
+    u = (m.lift_sum() @ m.gram_inverse @ U) @ example_ctx.traces
+    want = -trace_matrix(example_ctx.eigs[:240], quad) @ (quad.weights * u)
+    got = system.forcing @ U
+    assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(got))
+    # the observer tail is forced by the plant's own rows N0+1..N
+    obs_tail = system.full_matrix[240 + m.n0 : 240 + m.N, 240 : 240 + m.n0]
+    assert np.array_equal(obs_tail, system.forcing[m.n0 : m.N])
 
 
 def test_projection_check_consistency(example_art30):

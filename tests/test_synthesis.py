@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from parstab import synthesis
 from parstab.spectral_basis import DomainError, PlantConfig, enumerate_eigenpairs, trace_matrix
 from parstab.synthesis import (
     SensorPlacementError,
@@ -44,30 +45,25 @@ def test_eta_shift_matrix():
 
 
 def test_gamma_ladder_example(example_ctx):
-    gammas, A, margin = select_gamma_ladder(
-        example_ctx, example_ctx.head_gram, 1.0, 0.5
-    )
+    ladder = select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 0.5)
+    gammas, A = ladder.gammas, ladder.A
     assert gammas == pytest.approx((10.0, 15.0, 20.0))
     assert gammas[-1] == pytest.approx(2.0 * gammas[0])
-    assert margin == pytest.approx(-5.1371, abs=1e-3)
+    assert ladder.margin == pytest.approx(-5.1371, abs=1e-3)
     assert np.min(np.linalg.eigvalsh(0.5 * (A + A.T))) > 0
 
 
 def test_gamma_ladder_single_mode(mild_ctx):
-    gammas, A, margin = select_gamma_ladder(
-        mild_ctx, mild_ctx.head_gram, 0.1, 1.5, gamma_base=2.0
-    )
-    assert gammas == pytest.approx((2.0,))
+    ladder = select_gamma_ladder(mild_ctx, mild_ctx.head_gram, 0.1, 1.5, gamma_base=2.0)
+    assert ladder.gammas == pytest.approx((2.0,))
     # with one mode the gain block is exactly -gamma
-    assert margin == pytest.approx(-2.0, abs=1e-12)
+    assert ladder.margin == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_gamma_ladder_doubles_until_margin(example_ctx):
-    gammas, _, margin = select_gamma_ladder(
-        example_ctx, example_ctx.head_gram, 1.0, 100.0
-    )
-    assert gammas[0] > 10.0
-    assert margin < -100.0
+    ladder = select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 100.0)
+    assert ladder.gammas[0] > 10.0
+    assert ladder.margin < -100.0
 
 
 def test_gamma_ladder_gives_up(example_ctx):
@@ -87,6 +83,19 @@ def test_validate_sensors_returns_head_values(example_eigs):
         assert C0[1, j] == pytest.approx(float(eval_phi(e, EXAMPLE_SENSOR_2)))
     det = C0[0, 1] * C0[1, 2] - C0[0, 2] * C0[1, 1]
     assert abs(det) > 1e-3
+
+
+def test_synthesize_evaluates_each_sensor_row_once(example_ctx, monkeypatch):
+    calls = []
+    real = synthesis.eval_phi
+
+    def counted(e, x):
+        calls.append(e.multi_index)
+        return real(e, x)
+
+    monkeypatch.setattr(synthesis, "eval_phi", counted)
+    synthesize(example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, 30, 0.5)
+    assert len(calls) == 2 * 30
 
 
 def test_validate_sensors_rejections(example_eigs):
@@ -152,12 +161,6 @@ def test_stacked_gain_layout(example_art60):
     assert np.array_equal(G[: m.n0], m.observer_gain)
     assert np.array_equal(G[m.n0 : 2 * m.n0], -m.observer_gain)
     assert not np.any(G[2 * m.n0 :])
-
-
-def test_tail_input_map_formula(example_art60, example_ctx):
-    m = example_art60
-    want = -example_ctx.cross_cols[m.n0 : m.N] @ m.lift_sum() @ m.gram_inverse
-    assert np.allclose(m.tail_input_map, want, rtol=1e-12)
 
 
 def test_assemble_F_rejects_nothing_but_builds_shape(example_art60):
