@@ -100,14 +100,11 @@ def sphi_terms(eigs, xi1, xi2, N: int, N_tail: int, nu: float) -> np.ndarray:
     if N_tail > len(eigs):
         raise ValueError(f"only {len(eigs)} modes available, N_tail={N_tail}")
     tail = eigs[N:N_tail]
-    if not tail:
-        return np.zeros(0)
     lams = np.array([e.lam for e in tail])
     if np.any(lams + nu <= 0):
         raise ValueError("lam_n + nu must be positive beyond N")
-    v1 = np.array([eval_phi(e, np.asarray(xi1, dtype=float)) for e in tail])
-    v2 = np.array([eval_phi(e, np.asarray(xi2, dtype=float)) for e in tail])
-    return (v1**2 + v2**2) / (lams + nu) ** 2
+    vals = eval_phi(tail, np.vstack([xi1, xi2]))
+    return (vals[:, 0] ** 2 + vals[:, 1] ** 2) / (lams + nu) ** 2
 
 
 def compute_Sphi(eigs, xi1, xi2, N: int, N_tail: int, nu: float) -> float:

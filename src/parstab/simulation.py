@@ -27,8 +27,14 @@ import numpy as np
 import scipy.linalg
 
 from .lifting import LiftingContext, boundary_inner, shift_denominators
-from .spectral_basis import eval_phi, face_quadrature, max_wavenumber, trace_matrix
-from .synthesis import SynthesisArtifacts
+from .spectral_basis import (
+    eval_phi,
+    face_quadrature,
+    interior_quadrature,
+    max_wavenumber,
+    trace_matrix,
+)
+from .synthesis import SynthesisArtifacts, sensor_rows
 
 log = logging.getLogger(__name__)
 
@@ -149,10 +155,7 @@ class ClosedLoop:
         # plant forcing -<u, trace_n> per unit U, u = sum_k <Lam_k A U, traces>
         self.forcing = -cross @ m.lift_sum() @ A
 
-        sensors = [np.asarray(s, dtype=float) for s in m.sensors]
-        self.C_sim = np.vstack(
-            [[eval_phi(e, xi) for e in ctx.eigs[:N_sim]] for xi in sensors]
-        )
+        self.C_sim = sensor_rows(ctx.eigs[:N_sim], *m.sensors)
         self.C_N = self.C_sim[:, :N]
         self._full_matrix = None
         self._propagator = None  # (h, expm(h A)) of the last step size used
@@ -472,12 +475,10 @@ def write_csv(run_result: SimulationRun, path) -> None:
 
 def project_bump(plant, eigs, center, width: float, amplitude: float, count: int) -> np.ndarray:
     """Coefficients <bump, psi_n> of a Gaussian bump by interior quadrature."""
-    from .spectral_basis import interior_quadrature, phi_matrix
-
     quad = interior_quadrature(plant, max_wavenumber(eigs[:count]))
     center = np.asarray(center, dtype=float)
     d2 = np.add.reduce((quad.points - center) ** 2, axis=1)
     bump = amplitude * np.exp(-d2 / (2.0 * width**2))
-    vals = phi_matrix(eigs[:count], quad.points)
+    vals = eval_phi(eigs[:count], quad.points)
     mu = plant.mu(quad.points)
     return vals @ (quad.weights * mu * bump)

@@ -16,11 +16,18 @@ and psi_k = mu phi_k forms the bi-orthonormal partner family under the plain
 L2 inner product. Everything downstream (lifting, synthesis, certification,
 simulation) consumes only eigenvalues, point values and conormal traces, so
 this module is the single basis provider.
+
+`eval_phi` and `conormal_trace` take one mode or a whole list of modes. A
+list is evaluated in one batch: per axis, the envelope is computed once and
+the sine once per wavenumber that occurs, and these factors are multiplied
+into an (M, npts) table in place. `_separable_rows` holds that product; it is
+the only place the formula is written, and its per-element order of
+operations is the one a mode-by-mode loop would use, so a batch is bit for
+bit equal to evaluating the modes one at a time.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -172,11 +179,6 @@ class Eigenpair:
         )
 
 
-def mode_eigenvalue(plant: PlantConfig, multi_index) -> float:
-    kap = [k * math.pi / l for k, l in zip(multi_index, plant.lengths)]
-    return sum(k * k for k in kap) + sum(b * b for b in plant.drift) / 4.0 - plant.reaction
-
-
 def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
     """First `count` eigenpairs in ascending eigenvalue order.
 
@@ -191,16 +193,24 @@ def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
     d = plant.dim
     bound = 2.0 * count ** (2.0 / d) + 64.0
     radius = int(math.isqrt(int(bound))) + 1
-    candidates = []
-    for k in itertools.product(range(1, radius + 1), repeat=d):
-        if sum(v * v for v in k) <= bound:
-            candidates.append((mode_eigenvalue(plant, k), k))
-    if len(candidates) <= count:
+    # rows of {1..radius}^d in lexicographic order, cut to the ball
+    ks = np.indices((radius,) * d).reshape(d, -1).T + 1
+    ks = ks[np.sum(ks * ks, axis=1) <= bound]
+    if len(ks) <= count:
         raise SearchRadiusError(
-            f"enumeration bound {bound:.1f} produced only {len(candidates)} "
+            f"enumeration bound {bound:.1f} produced only {len(ks)} "
             f"candidates for count={count}"
         )
-    candidates.sort()
+    # lam_k = sum_i kappa_i^2 + |b|^2/4 - c, summed axis by axis
+    lams = 0.0
+    for ax, l in enumerate(plant.lengths):
+        kap = ks[:, ax] * math.pi / l
+        lams = lams + kap * kap
+    lams = lams + sum(b * b for b in plant.drift) / 4.0 - plant.reaction
+    # sort on lam, ties on the multi-index (lexsort's last key is primary)
+    order = np.lexsort(tuple(ks[:, ax] for ax in reversed(range(d))) + (lams,))
+    lams = lams[order]
+    ks = ks[order]
     # a-posteriori sufficiency: every unseen index has sum k_i^2 > bound, so its
     # eigenvalue exceeds pi^2/max(l)^2 * bound + |b|^2/4 - c; that floor must
     # dominate the accepted eigenvalues.
@@ -209,17 +219,17 @@ def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
         + sum(b * b for b in plant.drift) / 4.0
         - plant.reaction
     )
-    if candidates[count][0] < candidates[count - 1][0] - 1e-12 or floor < candidates[count - 1][0]:
+    if lams[count] < lams[count - 1] - 1e-12 or floor < lams[count - 1]:
         raise SearchRadiusError("enumeration bound not provably sufficient")
     norm = math.prod(math.sqrt(2.0 / l) for l in plant.lengths)
     out = []
     group = -1
     prev = None
-    for lam, k in candidates[:count]:
+    for lam, k in zip(lams[:count].tolist(), ks[:count].tolist()):
         if prev is None or lam > prev + 1e-9:
             group += 1
         prev = lam
-        out.append(Eigenpair(multi_index=k, lam=lam, norm_const=norm, group_id=group, plant=plant))
+        out.append(Eigenpair(multi_index=tuple(k), lam=lam, norm_const=norm, group_id=group, plant=plant))
     return out
 
 
@@ -232,17 +242,70 @@ def _as_points(x, dim):
     return pts, scalar
 
 
-def eval_phi(e: Eigenpair, x):
-    """Forward eigenfunction value phi_n(x); x may be one point or a stack."""
-    plant = e.plant
+def _as_modes(e):
+    """(modes, single): one Eigenpair or a sequence of modes of one plant."""
+    if isinstance(e, Eigenpair):
+        return [e], True
+    return list(e), False
+
+
+def _multi_indices(modes) -> np.ndarray:
+    return np.array([m.multi_index for m in modes])
+
+
+def _shaped(rows, single, scalar):
+    if not single:
+        return rows
+    return float(rows[0, 0]) if scalar else rows[0]
+
+
+# sine-table entries gathered at a time while multiplying them into the rows
+GATHER_ELEMS = 1 << 17
+
+
+def _separable_rows(plant, ks, pts, lead, axes, half, scaled) -> np.ndarray:
+    """The separable product, one row per mode and one column per point.
+
+    Row n starts at lead[n]. Each axis i in `axes` then multiplies it, in
+    this order, by sqrt(2/l_i) (only if `scaled`), by the envelope
+    exp(half * b_i x_i) and by sin(kappa x_i) with kappa = ks[n, i] pi / l_i.
+    The envelope is built once per axis and the sine once per wavenumber
+    that occurs. Rows are multiplied in place, so besides those tables the
+    only temporary is one gathered block of at most GATHER_ELEMS sines.
+    """
+    rows = np.empty((len(ks), len(pts)))
+    rows[:] = lead[:, None]
+    step = max(1, GATHER_ELEMS // max(1, len(pts)))
+    for ax in axes:
+        x = pts[:, ax]
+        if scaled:
+            rows *= math.sqrt(2.0 / plant.lengths[ax])
+        rows *= np.exp(half * plant.drift[ax] * x)
+        wavenumbers, which = np.unique(ks[:, ax], return_inverse=True)
+        sines = np.multiply.outer(wavenumbers * math.pi / plant.lengths[ax], x)
+        np.sin(sines, out=sines)
+        for start in range(0, len(ks), step):
+            rows[start : start + step] *= sines[which[start : start + step]]
+    return rows
+
+
+def eval_phi(e, x):
+    """Forward eigenfunction values phi_n(x) at one point or a stack.
+
+    `e` is one Eigenpair, giving a float at one point and an (npts,) array
+    at a stack, or a sequence of M modes of one plant, giving an (M, npts)
+    array.
+    """
+    modes, single = _as_modes(e)
+    if not modes:
+        return np.zeros((0, len(np.atleast_2d(x))))
+    plant = modes[0].plant
     pts, scalar = _as_points(x, plant.dim)
     if not np.all(plant.contains(pts, tol=1e-12)):
         raise DomainError("point outside the box closure")
-    out = np.full(pts.shape[0], e.norm_const)
-    for ax in range(plant.dim):
-        kap = e.wavenumbers[ax]
-        out = out * np.exp(-0.5 * plant.drift[ax] * pts[:, ax]) * np.sin(kap * pts[:, ax])
-    return float(out[0]) if scalar else out
+    norms = np.array([m.norm_const for m in modes])
+    rows = _separable_rows(plant, _multi_indices(modes), pts, norms, range(plant.dim), -0.5, False)
+    return _shaped(rows, single, scalar)
 
 
 def eval_psi(e: Eigenpair, x):
@@ -284,7 +347,7 @@ def _on_face(plant: PlantConfig, pts, face: FaceId, tol=1e-10):
     return np.all(np.abs(coord - target) <= tol) and np.all(plant.contains(pts, tol=tol))
 
 
-def conormal_trace(e: Eigenpair, s):
+def conormal_trace(e, s):
     """Conormal flux of phi_n on the control face.
 
     The divergence-form flux is sum_i n_i a_i d_i(phi) with a_i = mu and
@@ -294,37 +357,28 @@ def conormal_trace(e: Eigenpair, s):
 
     (the mu weight cancels the e^{-b x/2} envelope into e^{+b x/2}); on the
     high face the prefactor picks up (-1)^{k_a} e^{b_a l_a / 2} and a sign
-    flip from the normal.
+    flip from the normal. `e` and the result are shaped as in eval_phi.
     """
-    plant = e.plant
+    modes, single = _as_modes(e)
+    if not modes:
+        return np.zeros((0, len(np.atleast_2d(s))))
+    plant = modes[0].plant
     face = plant.control_face
     pts, scalar = _as_points(s, plant.dim)
     if not _on_face(plant, pts, face):
         raise DomainError("point not on the control face")
     a = face.axis
-    kap_a = e.wavenumbers[a]
     la = plant.lengths[a]
+    ks = _multi_indices(modes)
+    kap_a = ks[:, a] * math.pi / la
     if face.side == 0:
         lead = -math.sqrt(2.0 / la) * kap_a
     else:
-        lead = (
-            math.sqrt(2.0 / la)
-            * kap_a
-            * (-1) ** e.multi_index[a]
-            * math.exp(0.5 * plant.drift[a] * la)
-        )
-    out = np.full(pts.shape[0], lead)
-    for ax in range(plant.dim):
-        if ax == a:
-            continue
-        kap = e.wavenumbers[ax]
-        out = (
-            out
-            * math.sqrt(2.0 / plant.lengths[ax])
-            * np.exp(0.5 * plant.drift[ax] * pts[:, ax])
-            * np.sin(kap * pts[:, ax])
-        )
-    return float(out[0]) if scalar else out
+        sign = np.where(ks[:, a] % 2 == 0, 1.0, -1.0)
+        lead = math.sqrt(2.0 / la) * kap_a * sign * math.exp(0.5 * plant.drift[a] * la)
+    in_face = [ax for ax in range(plant.dim) if ax != a]
+    rows = _separable_rows(plant, ks, pts, lead, in_face, 0.5, True)
+    return _shaped(rows, single, scalar)
 
 
 def riesz_constants(plant: PlantConfig) -> tuple:
@@ -444,12 +498,12 @@ def max_wavenumber(eigs: list) -> int:
 
 def phi_matrix(eigs: list, points: np.ndarray) -> np.ndarray:
     """Row n holds phi_n sampled at `points`."""
-    return np.vstack([eval_phi(e, points) for e in eigs]) if eigs else np.zeros((0, len(points)))
+    return eval_phi(eigs, points)
 
 
 def trace_matrix(eigs: list, quad: Quadrature) -> np.ndarray:
     """Row n holds the conormal trace of mode n on the face rule."""
-    return np.vstack([conormal_trace(e, quad.points) for e in eigs])
+    return conormal_trace(eigs, quad.points)
 
 
 def biorthonormality_defect(eigs: list, quad: Quadrature = None) -> float:

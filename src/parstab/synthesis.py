@@ -140,7 +140,9 @@ def select_gamma_ladder(
 
 def sensor_rows(modes, xi1, xi2) -> np.ndarray:
     """Values phi_n(xi1) and phi_n(xi2) of the given modes, as two rows."""
-    return np.vstack([[eval_phi(e, xi1) for e in modes], [eval_phi(e, xi2) for e in modes]])
+    # a C-ordered copy: a transposed view changes the summation order of the
+    # products taken with these rows, and with it their last bits
+    return np.ascontiguousarray(eval_phi(modes, np.vstack([xi1, xi2])).T)
 
 
 def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
@@ -363,10 +365,7 @@ def control_trace(artifacts: SynthesisArtifacts, U, s):
     if U.shape != (artifacts.n0,):
         raise ValueError(f"U must have {artifacts.n0} components")
     coeff = artifacts.lift_sum() @ artifacts.gram_inverse @ U
-    stack = np.vstack(
-        [np.atleast_1d(conormal_trace(e, s)) for e in artifacts.eigs[: artifacts.n0]]
-    )
-    out = coeff @ stack
+    out = coeff @ conormal_trace(artifacts.eigs[: artifacts.n0], s)
     return float(out[0]) if np.ndim(s) == 1 else out
 
 

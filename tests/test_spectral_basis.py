@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from parstab.spectral_basis import (
@@ -10,6 +11,7 @@ from parstab.spectral_basis import (
     FaceId,
     PatternError,
     PlantConfig,
+    SearchRadiusError,
     biorthonormality_defect,
     conormal_trace,
     count_unstable,
@@ -20,8 +22,8 @@ from parstab.spectral_basis import (
     face_quadrature,
     gauss_panels,
     interior_quadrature,
-    mode_eigenvalue,
     nu_default,
+    phi_matrix,
     riesz_constants,
     trace_matrix,
 )
@@ -35,23 +37,27 @@ def explicit_eigenvalue(plant, k):
     ) - plant.reaction
 
 
+def enumerated_eigenvalue(plant, k, count=60):
+    return {e.multi_index: e.lam for e in enumerate_eigenpairs(plant, count)}[k]
+
+
 def test_eigenvalues_drifted_plane(example_plant):
-    assert mode_eigenvalue(example_plant, (1, 1)) == pytest.approx(-3.5)
-    assert mode_eigenvalue(example_plant, (1, 2)) == pytest.approx(-0.5)
-    assert mode_eigenvalue(example_plant, (2, 1)) == pytest.approx(-0.5)
-    assert mode_eigenvalue(example_plant, (2, 2)) == pytest.approx(2.5)
-    assert mode_eigenvalue(example_plant, (1, 3)) == pytest.approx(4.5)
+    assert enumerated_eigenvalue(example_plant, (1, 1)) == pytest.approx(-3.5)
+    assert enumerated_eigenvalue(example_plant, (1, 2)) == pytest.approx(-0.5)
+    assert enumerated_eigenvalue(example_plant, (2, 1)) == pytest.approx(-0.5)
+    assert enumerated_eigenvalue(example_plant, (2, 2)) == pytest.approx(2.5)
+    assert enumerated_eigenvalue(example_plant, (1, 3)) == pytest.approx(4.5)
     for k in [(1, 1), (3, 2), (5, 5)]:
-        assert mode_eigenvalue(example_plant, k) == pytest.approx(
+        assert enumerated_eigenvalue(example_plant, k) == pytest.approx(
             explicit_eigenvalue(example_plant, k), abs=1e-12
         )
 
 
 def test_eigenvalues_line(d1_plant):
     # n^2 + 9/4 - 10
-    assert mode_eigenvalue(d1_plant, (1,)) == pytest.approx(-6.75)
-    assert mode_eigenvalue(d1_plant, (2,)) == pytest.approx(-3.75)
-    assert mode_eigenvalue(d1_plant, (3,)) == pytest.approx(1.25)
+    assert enumerated_eigenvalue(d1_plant, (1,)) == pytest.approx(-6.75)
+    assert enumerated_eigenvalue(d1_plant, (2,)) == pytest.approx(-3.75)
+    assert enumerated_eigenvalue(d1_plant, (3,)) == pytest.approx(1.25)
 
 
 def test_enumeration_order_and_tie_break(example_eigs):
@@ -220,3 +226,175 @@ def test_interior_quadrature_integrates_mu(example_plant):
     got = np.dot(quad.weights, np.exp(np.sum(3.0 * quad.points, axis=1)))
     want = ((math.exp(3 * math.pi) - 1) / 3.0) ** 2
     assert got == pytest.approx(want, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Per-mode reference formulas. The batched evaluation must reproduce them bit
+# for bit, so every artifact built from eigenfunction values and traces keeps
+# its bytes.
+
+
+def ref_enumerate(plant, count):
+    """(multi_index, lam, group_id) of the first `count` modes, one candidate
+    at a time over itertools.product, with the same sufficiency checks."""
+    d = plant.dim
+    bound = 2.0 * count ** (2.0 / d) + 64.0
+    radius = int(math.isqrt(int(bound))) + 1
+    candidates = []
+    for k in itertools.product(range(1, radius + 1), repeat=d):
+        if sum(v * v for v in k) <= bound:
+            kap = [ki * math.pi / li for ki, li in zip(k, plant.lengths)]
+            lam = sum(v * v for v in kap) + sum(b * b for b in plant.drift) / 4.0 - plant.reaction
+            candidates.append((lam, k))
+    if len(candidates) <= count:
+        raise SearchRadiusError("too few candidates")
+    candidates.sort()
+    floor = (
+        (math.pi / max(plant.lengths)) ** 2 * bound
+        + sum(b * b for b in plant.drift) / 4.0
+        - plant.reaction
+    )
+    if candidates[count][0] < candidates[count - 1][0] - 1e-12 or floor < candidates[count - 1][0]:
+        raise SearchRadiusError("bound not sufficient")
+    out = []
+    group = -1
+    prev = None
+    for lam, k in candidates[:count]:
+        if prev is None or lam > prev + 1e-9:
+            group += 1
+        prev = lam
+        out.append((k, lam, group))
+    return out
+
+
+def ref_phi(e, pts):
+    plant = e.plant
+    out = np.full(pts.shape[0], e.norm_const)
+    for ax in range(plant.dim):
+        kap = e.wavenumbers[ax]
+        out = out * np.exp(-0.5 * plant.drift[ax] * pts[:, ax]) * np.sin(kap * pts[:, ax])
+    return out
+
+
+def ref_trace(e, pts):
+    plant = e.plant
+    a = plant.control_face.axis
+    kap_a = e.wavenumbers[a]
+    la = plant.lengths[a]
+    if plant.control_face.side == 0:
+        lead = -math.sqrt(2.0 / la) * kap_a
+    else:
+        lead = math.sqrt(2.0 / la) * kap_a * (-1) ** e.multi_index[a] * math.exp(0.5 * plant.drift[a] * la)
+    out = np.full(pts.shape[0], lead)
+    for ax in range(plant.dim):
+        if ax == a:
+            continue
+        kap = e.wavenumbers[ax]
+        out = (
+            out
+            * math.sqrt(2.0 / plant.lengths[ax])
+            * np.exp(0.5 * plant.drift[ax] * pts[:, ax])
+            * np.sin(kap * pts[:, ax])
+        )
+    return out
+
+
+ORACLE_PLANTS = {
+    "d1": dict(dim=1, lengths=(2.5,), drift=(1.3,), reaction=4.0),
+    "d2": dict(dim=2, lengths=(math.pi, 2.0), drift=(0.7, -1.1), reaction=3.0),
+    "d3": dict(dim=3, lengths=(1.0, 1.5, 2.0), drift=(0.4, -0.9, 1.2), reaction=20.0),
+}
+
+
+FACES = [
+    (name, axis, side)
+    for name, kw in sorted(ORACLE_PLANTS.items())
+    for axis in range(kw["dim"])
+    for side in (0, 1)
+]
+
+
+def oracle_plant(name, axis, side):
+    return PlantConfig(control_face=FaceId(axis=axis, side=side), **ORACLE_PLANTS[name])
+
+
+def same_bits(got, want):
+    got = np.asarray(got)
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PLANTS))
+def test_batched_phi_matches_per_mode_formula_bit_for_bit(name):
+    plant = oracle_plant(name, 0, 0)
+    eigs = enumerate_eigenpairs(plant, 40)
+    rng = np.random.default_rng(3)
+    # enough points that the in-place products run over several row blocks
+    pts = rng.uniform(0.0, 1.0, size=(20000, plant.dim)) * np.array(plant.lengths)
+    pts[0] = plant.lengths  # a corner of the closure
+    want = np.vstack([ref_phi(e, pts) for e in eigs])
+    assert same_bits(eval_phi(eigs, pts), want)
+    assert same_bits(phi_matrix(eigs, pts), want)
+    assert same_bits(eval_phi(eigs[7], pts), want[7])
+    assert eval_phi(eigs[7], pts[5]) == float(want[7, 5])
+    assert same_bits(eval_phi(eigs, pts[5]), want[:, 5:6])
+
+
+@pytest.mark.parametrize("name, axis, side", FACES)
+def test_batched_traces_match_per_mode_formula_bit_for_bit(name, axis, side):
+    plant = oracle_plant(name, axis, side)
+    eigs = enumerate_eigenpairs(plant, 40)
+    quad = face_quadrature(plant, 1)
+    want = np.vstack([ref_trace(e, quad.points) for e in eigs])
+    assert same_bits(conormal_trace(eigs, quad.points), want)
+    assert same_bits(trace_matrix(eigs, quad), want)
+    assert same_bits(conormal_trace(eigs[5], quad.points), want[5])
+    assert conormal_trace(eigs[5], quad.points[-1]) == float(want[5, -1])
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_PLANTS))
+def test_batch_with_one_bad_point_raises(name):
+    plant = oracle_plant(name, 0, 1)
+    eigs = enumerate_eigenpairs(plant, 10)
+    inside = np.full((4, plant.dim), 0.5)
+    inside[2, -1] = plant.lengths[-1] + 0.1
+    with pytest.raises(DomainError):
+        eval_phi(eigs, inside)
+    quad = face_quadrature(plant, 1)
+    pts = quad.points.copy()
+    pts[len(pts) // 2, 0] -= 0.01  # off the face x_0 = l_0
+    with pytest.raises(DomainError):
+        conormal_trace(eigs, pts)
+
+
+def test_empty_mode_list_gives_empty_rows(example_plant):
+    quad = face_quadrature(example_plant, 2)
+    pts = np.array([[0.3, 0.4], [1.0, 2.0], [2.0, 1.0]])
+    assert eval_phi([], pts).shape == (0, 3)
+    assert phi_matrix([], pts).shape == (0, 3)
+    assert conormal_trace([], quad.points).shape == (0, len(quad.points))
+    assert trace_matrix([], quad).shape == (0, len(quad.points))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    dim=st.integers(min_value=1, max_value=3),
+    count=st.integers(min_value=1, max_value=300),
+    lengths=st.lists(st.floats(min_value=0.5, max_value=4.0), min_size=3, max_size=3),
+    drift=st.lists(st.floats(min_value=-4.0, max_value=4.0), min_size=3, max_size=3),
+    reaction=st.floats(min_value=-5.0, max_value=30.0),
+)
+# cubes: many exact eigenvalue ties for the tie-break
+@example(dim=2, count=150, lengths=[2.0] * 3, drift=[1.0] * 3, reaction=0.0)
+@example(dim=3, count=300, lengths=[1.0] * 3, drift=[0.5] * 3, reaction=3.0)
+def test_enumeration_matches_itertools_loop(dim, count, lengths, drift, reaction):
+    plant = PlantConfig(dim=dim, lengths=lengths[:dim], drift=drift[:dim], reaction=reaction)
+    try:
+        want = ref_enumerate(plant, count)
+    except SearchRadiusError:
+        with pytest.raises(SearchRadiusError):
+            enumerate_eigenpairs(plant, count)
+        return
+    got = [(e.multi_index, e.lam, e.group_id) for e in enumerate_eigenpairs(plant, count)]
+    assert got == want
+    assert all(type(v) is int for k, _, _ in got for v in k)
+    assert all(type(lam) is float for _, lam, _ in got)

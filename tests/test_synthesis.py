@@ -1,10 +1,17 @@
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from parstab import synthesis
-from parstab.spectral_basis import DomainError, PlantConfig, enumerate_eigenpairs, trace_matrix
+from parstab.spectral_basis import (
+    DomainError,
+    Eigenpair,
+    PlantConfig,
+    enumerate_eigenpairs,
+    trace_matrix,
+)
 from parstab.synthesis import (
     SensorPlacementError,
     SynthesisError,
@@ -86,16 +93,22 @@ def test_validate_sensors_returns_head_values(example_eigs):
 
 
 def test_synthesize_evaluates_each_sensor_row_once(example_ctx, monkeypatch):
-    calls = []
+    # count (mode, sensor) evaluations; eval_phi takes a batch of modes
+    evals = Counter()
     real = synthesis.eval_phi
 
-    def counted(e, x):
-        calls.append(e.multi_index)
-        return real(e, x)
+    def counted(modes, x):
+        for e in [modes] if isinstance(modes, Eigenpair) else modes:
+            for p in np.atleast_2d(x):
+                evals[e.multi_index, tuple(p.tolist())] += 1
+        return real(modes, x)
 
     monkeypatch.setattr(synthesis, "eval_phi", counted)
     synthesize(example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, 30, 0.5)
-    assert len(calls) == 2 * 30
+    assert sum(evals.values()) == 2 * 30
+    assert evals == Counter(
+        (e.multi_index, xi) for e in example_ctx.eigs[:30] for xi in (EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2)
+    )
 
 
 def test_validate_sensors_rejections(example_eigs):
