@@ -182,20 +182,24 @@ class Eigenpair:
 def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
     """First `count` eigenpairs in ascending eigenvalue order.
 
-    Candidate multi-indices are all k with sum(k_i^2) <= 2*count^(2/d) + 64.
-    The bound is validated a posteriori: the (count+1)-th candidate must exist
-    and dominate the count-th, otherwise the enumeration refuses rather than
-    truncate silently. Ties in the eigenvalue sort break lexicographically on
-    the multi-index so runs are reproducible.
+    Candidate multi-indices are all k in the ellipsoid
+    sum (k_i * l_min / l_i)^2 <= 2*count^(2/d) + 64, which is the ball
+    sum k_i^2 <= bound on a square or cube. The bound is validated a
+    posteriori: the (count+1)-th candidate must exist and dominate the
+    count-th, otherwise the enumeration refuses rather than truncate
+    silently. Ties in the eigenvalue sort break lexicographically on the
+    multi-index so runs are reproducible.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
     d = plant.dim
     bound = 2.0 * count ** (2.0 / d) + 64.0
-    radius = int(math.isqrt(int(bound))) + 1
-    # rows of {1..radius}^d in lexicographic order, cut to the ball
-    ks = np.indices((radius,) * d).reshape(d, -1).T + 1
-    ks = ks[np.sum(ks * ks, axis=1) <= bound]
+    l_min = min(plant.lengths)
+    scale = np.array([l_min / l for l in plant.lengths])  # all 1.0 on a cube
+    radii = tuple(int(l / l_min * math.sqrt(bound)) + 1 for l in plant.lengths)
+    # rows of the index box in lexicographic order, cut to the ellipsoid
+    ks = np.indices(radii).reshape(d, -1).T + 1
+    ks = ks[np.sum((ks * scale) ** 2, axis=1) <= bound]
     if len(ks) <= count:
         raise SearchRadiusError(
             f"enumeration bound {bound:.1f} produced only {len(ks)} "
@@ -211,11 +215,11 @@ def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
     order = np.lexsort(tuple(ks[:, ax] for ax in reversed(range(d))) + (lams,))
     lams = lams[order]
     ks = ks[order]
-    # a-posteriori sufficiency: every unseen index has sum k_i^2 > bound, so its
-    # eigenvalue exceeds pi^2/max(l)^2 * bound + |b|^2/4 - c; that floor must
-    # dominate the accepted eigenvalues.
+    # a-posteriori sufficiency: every unseen index has sum (k_i/l_i)^2 >
+    # bound/l_min^2, so its eigenvalue exceeds pi^2/l_min^2 * bound + |b|^2/4
+    # - c; that floor must dominate the accepted eigenvalues.
     floor = (
-        (math.pi / max(plant.lengths)) ** 2 * bound
+        (math.pi / l_min) ** 2 * bound
         + sum(b * b for b in plant.drift) / 4.0
         - plant.reaction
     )

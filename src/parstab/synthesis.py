@@ -7,6 +7,11 @@ normalizer A = (sum B_k)^-1, places an observer gain L on the unstable head
 block and assembles the closed-loop system matrix F together with the maps
 needed later by certification and simulation.
 
+The gain L comes from an in-repo port of the Yang-Tits ("YT") method of
+`scipy.signal.place_poles`, reduced to what this design asks of it: distinct
+real targets and two sensors. It keeps scipy's order of operations, so L is
+bit-equal to scipy's, and scipy.signal stays off the import path.
+
 All Hurwitz claims are verified by dense eigenvalue computation at build
 time; nothing is trusted from formulas alone.
 """
@@ -18,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.signal import place_poles
+from scipy.linalg import qr
 
 from . import lifting
 from .spectral_basis import DomainError, conormal_trace, eval_phi
@@ -194,13 +199,99 @@ def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
     return C0
 
 
+def _yt_order(n: int) -> list:
+    """Tits-Yang update order (IEEE TAC 41(10), p. 1442) for n >= 3 real poles.
+
+    Steps 1.a-3.a of scipy's `_YT_loop` with no complex pair; the steps that
+    only matter for complex poles or a single real pole are left out.
+    """
+    h = n // 2
+    order = [(n, 1)] + [(2 * r, 2 * r + 1) for r in range(1, h + n % 2)]
+    order += [(2 * r - 1, 2 * r) for r in range(1, h + 1)]
+    order += [(i, i + j) for j in range(2, h + n % 2) for i in range(1, h + 1)]
+    order += [
+        (i, i + j - n if i + j > n else i + j)
+        for j in range(2, h + n % 2)
+        for i in range(h + 1, n + 1)
+    ]
+    order += [(i, i + h) for i in range(1, h + 1)]
+    return [(i - 1, j - 1) for i, j in order]
+
+
+def _yt_real(ker, Q, X, i, j):
+    """Rank-2 update of columns i, j of the transfer matrix X (YT section 6.1)."""
+    u, v = Q[:, -2, np.newaxis], Q[:, -1, np.newaxis]
+    m = np.dot(np.dot(ker[i].T, np.dot(u, v.T) - np.dot(v, u.T)), ker[j])
+    um, sm, vm = np.linalg.svd(m)
+    mu1, mu2 = um.T[:2, :, np.newaxis]
+    nu1, nu2 = vm[:2, :, np.newaxis]
+    xij = np.vstack((X[:, i, np.newaxis], X[:, j, np.newaxis]))
+    if not np.allclose(sm[0], sm[1]):
+        kmn = np.vstack((np.dot(ker[i], mu1), np.dot(ker[j], nu1)))
+    else:
+        zi, zj = np.zeros(ker[i].shape), np.zeros(ker[j].shape)
+        kij = np.vstack((np.hstack((ker[i], zi)), np.hstack((zj, ker[j]))))
+        kmn = np.dot(kij, np.vstack((np.hstack((mu1, mu2)), np.hstack((nu1, nu2)))))
+    t = np.dot(np.dot(kmn, kmn.T), xij)
+    t = np.sqrt(2) * t / np.linalg.norm(t) if not np.allclose(t, 0) else kmn
+    n = X.shape[0]
+    X[:, i] = t[:n, 0]
+    X[:, j] = t[n:, 0]
+
+
+def _place_yt(A, B, poles) -> np.ndarray:
+    """Gain K with spec(A - B K) = poles, for distinct real poles.
+
+    A port of `scipy.signal.place_poles(A, B, poles).gain_matrix` (method
+    "YT"; Kautsky, Nichols & Van Dooren, IJC 41(5), 1985; Tits & Yang, IEEE
+    TAC 41(10), 1996) restricted to distinct real poles. Real poles never
+    reach scipy's KNV0 step, so it is left out. The order of operations is
+    scipy's, so K is bit-equal to scipy's, and so are its defaults: at most 30
+    sweeps, stopping once |det X| moves by less than 1e-3 relative. A loop
+    that has not converged keeps its last transfer matrix, as scipy does.
+    """
+    poles = np.sort(np.asarray(poles, dtype=float))
+    n = A.shape[0]
+    u, z = qr(B, mode="full")
+    rank = np.linalg.matrix_rank(B)
+    if n == rank:
+        return np.real(-np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0])
+    ker, cols = [], []
+    for p in poles:
+        space = np.dot(u[:, rank:].T, A - p * np.eye(n)).T
+        Q, _ = qr(space, mode="full")
+        ker.append(Q[:, space.shape[1] :])
+        x = np.sum(ker[-1], axis=1)[:, np.newaxis]
+        cols.append(x / np.linalg.norm(x))
+    X = np.hstack(cols)
+    floor = np.sqrt(np.spacing(1))
+    sweeps = 30 if rank > 1 else 0  # one input column leaves nothing to optimise
+    for _ in range(sweeps):
+        det_before = np.abs(np.linalg.det(X))
+        for i, j in _yt_order(n):
+            Q, _ = qr(np.delete(X, (i, j), axis=1), mode="full")
+            _yt_real(ker, Q, X, i, j)
+        det = np.max((floor, np.abs(np.linalg.det(X))))
+        if np.abs((det - det_before) / det) < 1e-3 and det > floor:
+            break
+    X = X.astype(complex)
+    try:
+        m = np.linalg.solve(X.T, np.dot(np.diag(poles), X.T)).T
+        gain = np.linalg.solve(z[:rank, :], np.dot(u[:, :rank].T, m - A))
+    except np.linalg.LinAlgError as err:
+        raise SynthesisError(f"pole placement failed: {err}") from err
+    return np.real(-gain)
+
+
 def place_observer_gain(A0: np.ndarray, C0: np.ndarray, delta: float, spread: float) -> np.ndarray:
     """Gain L (N0 x 2) putting the spectrum of A0 - L C0 below -delta.
 
     Targets are the distinct reals -delta - spread*k. For a single head mode
     the minimum-norm row solving the scalar placement is used directly;
-    otherwise the placement runs on the transposed pair. Only the abscissa
-    requirement is the contract, checked with a 1e-6 allowance.
+    otherwise the in-repo YT placement `_place_yt` runs on the transposed
+    pair (two sensors, distinct real targets, bit-equal to
+    `scipy.signal.place_poles`). Only the abscissa requirement is the
+    contract, checked with a 1e-6 allowance.
     """
     A0 = np.atleast_2d(np.asarray(A0, dtype=float))
     C0 = np.atleast_2d(np.asarray(C0, dtype=float))
@@ -213,11 +304,7 @@ def place_observer_gain(A0: np.ndarray, C0: np.ndarray, delta: float, spread: fl
             raise SynthesisError("head mode invisible, cannot place observer pole")
         L = ((A0[0, 0] - targets[0]) / denom) * ct[None, :]
     else:
-        try:
-            res = place_poles(A0.T, C0.T, targets)
-        except ValueError as err:
-            raise SynthesisError(f"pole placement failed: {err}") from err
-        L = res.gain_matrix.T
+        L = _place_yt(A0.T, C0.T, targets).T
     got = abscissa(A0 - L @ C0)
     if got >= -delta + 1e-6:
         raise SynthesisError(

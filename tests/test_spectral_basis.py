@@ -11,7 +11,6 @@ from parstab.spectral_basis import (
     FaceId,
     PatternError,
     PlantConfig,
-    SearchRadiusError,
     biorthonormality_defect,
     conormal_trace,
     count_unstable,
@@ -236,26 +235,31 @@ def test_interior_quadrature_integrates_mu(example_plant):
 
 def ref_enumerate(plant, count):
     """(multi_index, lam, group_id) of the first `count` modes, one candidate
-    at a time over itertools.product, with the same sufficiency checks."""
-    d = plant.dim
-    bound = 2.0 * count ** (2.0 / d) + 64.0
-    radius = int(math.isqrt(int(bound))) + 1
+    at a time over itertools.product.
+
+    The candidates are every index with sum (k_i/l_i)^2 <= level. The level
+    doubles until more than `count` indices qualify and then once more, so
+    the first `count` modes lie deep inside the box and no bound of the code
+    under test is reused.
+    """
+
+    def below(level):
+        box = [range(1, int(l * math.sqrt(level)) + 1) for l in plant.lengths]
+        return [
+            k
+            for k in itertools.product(*box)
+            if sum((ki / li) ** 2 for ki, li in zip(k, plant.lengths)) <= level
+        ]
+
+    level = 1.0
+    while len(below(level)) <= count:
+        level *= 2.0
     candidates = []
-    for k in itertools.product(range(1, radius + 1), repeat=d):
-        if sum(v * v for v in k) <= bound:
-            kap = [ki * math.pi / li for ki, li in zip(k, plant.lengths)]
-            lam = sum(v * v for v in kap) + sum(b * b for b in plant.drift) / 4.0 - plant.reaction
-            candidates.append((lam, k))
-    if len(candidates) <= count:
-        raise SearchRadiusError("too few candidates")
+    for k in below(2.0 * level):
+        kap = [ki * math.pi / li for ki, li in zip(k, plant.lengths)]
+        lam = sum(v * v for v in kap) + sum(b * b for b in plant.drift) / 4.0 - plant.reaction
+        candidates.append((lam, k))
     candidates.sort()
-    floor = (
-        (math.pi / max(plant.lengths)) ** 2 * bound
-        + sum(b * b for b in plant.drift) / 4.0
-        - plant.reaction
-    )
-    if candidates[count][0] < candidates[count - 1][0] - 1e-12 or floor < candidates[count - 1][0]:
-        raise SearchRadiusError("bound not sufficient")
     out = []
     group = -1
     prev = None
@@ -388,13 +392,21 @@ def test_empty_mode_list_gives_empty_rows(example_plant):
 @example(dim=3, count=300, lengths=[1.0] * 3, drift=[0.5] * 3, reaction=3.0)
 def test_enumeration_matches_itertools_loop(dim, count, lengths, drift, reaction):
     plant = PlantConfig(dim=dim, lengths=lengths[:dim], drift=drift[:dim], reaction=reaction)
-    try:
-        want = ref_enumerate(plant, count)
-    except SearchRadiusError:
-        with pytest.raises(SearchRadiusError):
-            enumerate_eigenpairs(plant, count)
-        return
+    want = ref_enumerate(plant, count)
     got = [(e.multi_index, e.lam, e.group_id) for e in enumerate_eigenpairs(plant, count)]
     assert got == want
     assert all(type(v) is int for k, _, _ in got for v in k)
     assert all(type(lam) is float for _, lam, _ in got)
+
+
+@pytest.mark.parametrize(
+    "lengths, count",
+    [((1.0, 2.0), 400), ((1.0, 4.0), 14), ((1.0, 1.0, 3.0), 200)],
+)
+def test_enumeration_on_elongated_boxes(lengths, count):
+    # a candidate ball in index space refused these boxes; the ellipsoid
+    # scaled by l_i / l_min holds their first modes
+    d = len(lengths)
+    plant = PlantConfig(dim=d, lengths=lengths, drift=(0.8,) * d, reaction=2.0)
+    got = [(e.multi_index, e.lam, e.group_id) for e in enumerate_eigenpairs(plant, count)]
+    assert got == ref_enumerate(plant, count)

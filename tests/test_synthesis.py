@@ -1,8 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from parstab import synthesis
 from parstab.spectral_basis import (
@@ -28,6 +34,8 @@ from parstab.synthesis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_select_eta_values():
@@ -226,3 +234,114 @@ def test_report_round_trips_through_json(example_art30):
     assert np.array_equal(np.array(back["L"]), example_art30.observer_gain)
     assert back["N"] == 30 and back["N0"] == 3
     assert back["schema_version"] == 1
+
+
+# ---------------------------------------------------------------------------
+# The in-repo YT placement against scipy.signal.place_poles, which is
+# imported by these tests only.
+
+
+def scipy_gain(A0, C0, targets):
+    from scipy.signal import place_poles
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # convergence warnings; the gain is still returned
+        return place_poles(A0.T, C0.T, targets).gain_matrix.T
+
+
+def test_observer_gain_is_scipys_on_the_strong_drift_head(example_art60):
+    m = example_art60
+    targets = [-0.5 - 0.25 * (k + 1) for k in range(3)]
+    assert np.array_equal(m.observer_gain, scipy_gain(m.head_drift, m.sensor_head, targets))
+
+
+def test_observer_gain_is_scipys_when_two_sensors_see_two_modes(d1_eigs):
+    # n0 == rank(C0): scipy's least-squares branch
+    C0 = synthesis.sensor_rows(d1_eigs[:2], (0.7,), (2.1,))
+    A0 = -np.diag([e.lam for e in d1_eigs[:2]])
+    L = place_observer_gain(A0, C0, 0.5, 0.25)
+    assert np.array_equal(L, scipy_gain(A0, C0, [-0.75, -1.0]))
+
+
+def test_rank_one_sensor_rows_skip_the_update_loop():
+    A0 = -np.diag([-3.0, -1.0, 2.0])
+    c = np.array([[0.9, -0.4, 0.6]])
+    targets = [-1.0, -1.5, -2.0]
+    # one input column: kernel start vectors only, no rank-2 updates
+    got = synthesis._place_yt(A0.T, c.T, targets).T
+    assert np.array_equal(got, scipy_gain(A0, c, targets))
+    # two proportional sensor rows leave the final solve non-square, which
+    # scipy reports as a ValueError and the port as a SynthesisError
+    C0 = np.vstack([c, 2.0 * c])
+    with pytest.raises(ValueError):
+        scipy_gain(A0, C0, targets)
+    with pytest.raises(SynthesisError, match="pole placement failed"):
+        place_observer_gain(A0, C0, 0.5, 0.5)
+
+
+def test_singular_transfer_matrix_is_a_synthesis_error():
+    # the third mode is invisible to both sensors: every pole has the same
+    # kernel, so the rank-2 updates take their equal-singular-value branch
+    A0 = -np.diag([1.0, 2.0, 3.0])
+    C0 = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    with pytest.raises(ValueError):
+        scipy_gain(A0, C0, [-4.0, -5.0, -6.0])
+    with pytest.raises(SynthesisError, match="pole placement failed: Singular matrix"):
+        place_observer_gain(A0, C0, 3.0, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.data(),
+    n0=st.integers(min_value=2, max_value=6),
+    delta=st.floats(min_value=0.1, max_value=3.0),
+    spread=st.floats(min_value=0.05, max_value=2.0),
+)
+def test_yt_placement_is_scipys_on_observable_pairs(data, n0, delta, spread):
+    entries = st.floats(min_value=-5.0, max_value=5.0)
+    A0 = np.array(data.draw(st.lists(entries, min_size=n0 * n0, max_size=n0 * n0))).reshape(n0, n0)
+    C0 = np.array(data.draw(st.lists(entries, min_size=2 * n0, max_size=2 * n0))).reshape(2, n0)
+    obs = np.vstack([C0 @ np.linalg.matrix_power(A0, k) for k in range(n0)])
+    assume(np.linalg.matrix_rank(C0) == 2 and np.linalg.matrix_rank(obs) == n0)
+    targets = [-delta - spread * (k + 1) for k in range(n0)]
+    try:
+        want = scipy_gain(A0, C0, targets)
+    except ValueError:
+        with pytest.raises(SynthesisError):
+            synthesis._place_yt(A0.T, C0.T, targets)
+        return
+    assert np.array_equal(synthesis._place_yt(A0.T, C0.T, targets).T, want)
+
+
+# import parstab.cli, read the strong demo and synthesize it (n0 = 3, so the
+# YT update loop runs); print the scipy submodules loaded at each point
+GUARD_SCRIPT = """
+import json, sys
+from parstab import cli
+
+def heavy():
+    names = ("scipy.signal", "scipy.stats", "scipy.interpolate")
+    return sorted(m for m in sys.modules if m in names or m.startswith(tuple(n + "." for n in names)))
+
+at_import = heavy()
+cli.parse_config(sys.argv[1])
+code = cli.main(["synthesize", "--config", sys.argv[1], "--out", sys.argv[2]])
+print(json.dumps({"import": at_import, "main": heavy(), "code": code}))
+"""
+
+
+def test_cli_never_loads_scipy_signal(tmp_path):
+    demo = os.path.join(ROOT, "demos", "strong_drift_pipeline.json")
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", GUARD_SCRIPT, demo, str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    out = json.loads(proc.stdout.splitlines()[-1])
+    assert out == {"import": [], "main": [], "code": 0}
+    report = json.loads((tmp_path / "out" / "synthesis.json").read_text())
+    assert report["N0"] == 3
