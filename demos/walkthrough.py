@@ -68,6 +68,20 @@ print(
     f"(theta1_max = {mild_cert.theta1_max:.3f}, psi = {mild_cert.psi_bound:.3f})"
 )
 
+banner("certification on a cube (3-D, drift 0.5 along every axis)")
+cube = PlantConfig(dim=3, drift=(0.5, 0.5, 0.5), reaction=2.0, delta=1.5)
+cube_eigs = enumerate_eigenpairs(cube, 640)
+cube_ctx = LiftingContext(cube_eigs, count_unstable(cube_eigs, cube.delta)[0])
+centre = (np.pi / 2,) * 3
+cube_cert = certify(
+    lambda n: synthesize(cube_ctx, centre, (1.2, 1.9, 1.1), n, 1.5, gamma_base=2.0),
+    10,
+    160,
+    cube.nu,
+)
+for n, n_tail, status in cube_cert.rounds:
+    print(f"N = {n:3d}, tail {n_tail}: {status}")
+
 banner("closed loop vs open loop (strong drift, five low modes excited)")
 z0 = np.zeros(240)
 for mode in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
@@ -82,3 +96,4 @@ print(f"composite energy drop over 20s: {ratio:.2e}")
 print()
 print("CLI equivalents: parstab pipeline --config demos/strong_drift_pipeline.json")
 print("                 parstab pipeline --config demos/quick_certify.json")
+print("                 parstab pipeline --config demos/cube_3d.json")

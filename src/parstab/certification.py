@@ -183,6 +183,8 @@ class Certificate:
     status: str
     P: np.ndarray = field(default=None, repr=False, compare=False)
     N_tail: int = 0
+    # (N, N_tail, status) of every round run, in order; a failed status
+    # names the check that blocked the round
     rounds: tuple = ()
 
     @property
@@ -204,6 +206,11 @@ class Certificate:
             "psi_bound": self.psi_bound,
             "P_norm": self.P_norm,
             "status": self.status,
+            "N_tail": self.N_tail,
+            "rounds": [
+                {"N": n, "N_tail": n_tail, "status": status}
+                for n, n_tail, status in self.rounds
+            ],
         }
 
 
@@ -305,6 +312,7 @@ def certify_round(artifacts: SynthesisArtifacts, nu: float) -> Certificate:
         status=status,
         P=P,
         N_tail=n_tail,
+        rounds=((N, n_tail, status),),
     )
 
 
@@ -326,7 +334,7 @@ def certify(artifacts_builder, N_start: int, N_max: int, nu: float) -> Certifica
     N = N_start
     while N <= N_max:
         cert = certify_round(artifacts_builder(N), nu)
-        rounds.append((N, cert.status))
+        rounds.extend(cert.rounds)
         if prev_norm is not None and np.isfinite(cert.P_norm) and cert.P_norm > 2.0 * prev_norm:
             log.warning(
                 "Lyapunov norm grew %.2fx across doubling to N=%d",

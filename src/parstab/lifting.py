@@ -5,7 +5,10 @@ ingredients computed here without ever solving an elliptic problem:
 
   * resolvent-like coefficients p_n(gamma) that turn a face inner product
     <v, trace_n> into the mode-n component of the lifted interior function,
-  * Gram matrices of conormal traces over the control face.
+  * Gram matrices of conormal traces over the control face, in closed form:
+    a trace is a product over the in-face axes, so each face inner product
+    is a product of 1-D integrals of e^{b s} sin sin (`trace_cross_gram`),
+    and no face grid is built for them in any dimension.
 
 The coefficient sign convention is load-bearing. For head modes (n <= N0)
 the denominator is (gamma - lam_n - eta * [n == 2]) while for tail modes it
@@ -17,12 +20,14 @@ check live; every lifting map in the package is built from it.
 `build_projection_table`, `lifted_projection`, `gram_matrix` and
 `boundary_inner` are per-mode and pairwise forms of what `LiftingContext`
 computes in blocks. They are kept on purpose as the oracles the tests check
-against closed forms and an independent elliptic solve; `head_gram` and the
-simulation's projection check also use the last two.
+against closed forms and an independent elliptic solve; `gram_matrix` is the
+tensor-grid form of the head Gram, and the simulation's projection check
+uses `boundary_inner`.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,13 +35,11 @@ import numpy as np
 from .spectral_basis import (
     Quadrature,
     face_quadrature,
+    in_face_axes,
     max_wavenumber,
+    trace_leads,
     trace_matrix,
 )
-
-
-# modes whose face traces are sampled at a time while filling cross_cols
-TRACE_CHUNK = 256
 
 
 class AdmissibilityError(ValueError):
@@ -69,6 +72,59 @@ def shift_denominators(gamma, lams, *, n0=0, eta=0.0, first=1, strict=True):
         )
     dens[bad] = np.nan
     return dens
+
+
+def trace_cross_gram(rows, cols) -> np.ndarray:
+    """Face inner products <trace_n, trace_l> for modes n in rows, l in cols.
+
+    A conormal trace is its lead (`trace_leads`) times one factor
+    sqrt(2/l_i) e^{b_i s/2} sin(p pi s/l_i) per in-face axis i, so with
+    p, q the two modes' indices on that axis
+
+        <trace_n, trace_l> = lead_n lead_l prod_i (2/l_i) I_i,
+        I_i = int_0^l e^{b s} sin(p w s) sin(q w s) ds,   w = pi/l.
+
+    With J(m) = int_0^l e^{b s} cos(m w s) ds = b((-1)^m e^{bl} - 1)/(b^2 + (m w)^2),
+    I = (J(|p-q|) - J(p+q))/2, written over one denominator so that large
+    p, q do not cancel:
+
+        p != q:  I = 2 b E p q w^2 / ((b^2 + (|p-q| w)^2)(b^2 + ((p+q) w)^2))
+        p == q:  I = (expm1(bl)/(2b)) (2p w)^2 / (b^2 + (2p w)^2)
+
+    where E = expm1(bl) if p - q is even and -(e^{bl} + 1) if odd; with b = 0,
+    I is l/2 on p == q and 0 elsewhere. Entries are elementwise, so the
+    result does not depend on how many modes are asked for at once, and a
+    square block over one mode list is exactly symmetric. Returns a
+    (len(rows), len(cols)) array; a non-finite entry (drift too strong for
+    double precision) raises FloatingPointError.
+    """
+    plant = rows[0].plant
+    kr = np.array([e.multi_index for e in rows])
+    kc = np.array([e.multi_index for e in cols])
+    out = np.multiply.outer(trace_leads(plant, kr), trace_leads(plant, kc))
+    for ax in in_face_axes(plant):
+        b, length = plant.drift[ax], plant.lengths[ax]
+        p = kr[:, ax, None]
+        q = kc[None, :, ax]
+        same = p == q
+        if b == 0.0:
+            out *= np.where(same, 1.0, 0.0)
+            continue
+        w = math.pi / length
+        bl = b * length
+        b2 = b * b
+        om1 = (np.abs(p - q) * w) ** 2
+        om2 = ((p + q) * w) ** 2
+        # overflow and the unused p == q slots of `off` show up as inf or
+        # nan, which the finiteness check below reports
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            E = np.where((p - q) % 2 == 0, np.expm1(bl), -(np.exp(bl) + 1.0))
+            off = b * E * (4 * p * q) * (w * w) / (length * ((b2 + om1) * (b2 + om2)))
+            on = (np.expm1(bl) / bl) * (om2 / (b2 + om2))
+            out *= np.where(same, on, off)
+    if not np.all(np.isfinite(out)):
+        raise FloatingPointError("non-finite face inner products of the traces")
+    return out
 
 
 def lambda_gamma(gamma: float, eta: float, unstable_lambdas) -> np.ndarray:
@@ -153,7 +209,7 @@ def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
         raise ValueError("n0 must be at least 1")
     plant = eigs[0].plant
     if quad is None:
-        quad = face_quadrature(plant, max_wavenumber(eigs[:n0]))
+        quad = face_quadrature(plant, max_wavenumber(eigs[:n0]), rows=n0)
     traces = _finite_traces(eigs[:n0], quad)
     out = np.empty((n0, n0))
     for k in range(n0):
@@ -165,13 +221,15 @@ def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
 
 
 class LiftingContext:
-    """Head trace samples and Gram columns for one mode list.
+    """Trace Gram columns and eigenvalues for one mode list.
 
-    Holds everything the certification sums need: the head Gram, the tall
-    cross-Gram column block <trace_n, trace_l> for all enumerated n against
-    head l, and eigenvalues. `traces` keeps only the n0 head rows; the other
-    modes' traces are sampled TRACE_CHUNK modes at a time and dropped once
-    their cross-Gram rows are filled.
+    Holds everything the certification sums need: the tall cross-Gram
+    column block `cross_cols`, <trace_n, trace_l> for all enumerated n
+    against head l, in closed form by `trace_cross_gram` (no face grid, so
+    the work is O(M n0) in any dimension), its first n0 rows as the head
+    Gram `head_gram`, and the eigenvalues. `quad` and `traces` are the head
+    modes' traces sampled on a face rule sized to the head wavenumbers, for
+    callers that want the control as a function on the face.
     """
 
     def __init__(self, eigs, n0: int):
@@ -181,15 +239,12 @@ class LiftingContext:
         self.n0 = n0
         self.plant = eigs[0].plant
         self.lams = np.array([e.lam for e in self.eigs])
-        self.quad = face_quadrature(self.plant, max_wavenumber(self.eigs))
-        self.traces = _finite_traces(self.eigs[:n0], self.quad)
+        head = self.eigs[:n0]
+        self.quad = face_quadrature(self.plant, max_wavenumber(head), rows=n0)
+        self.traces = _finite_traces(head, self.quad)
         # (M, n0): row n, column l holds <trace_{n+1}, trace_{l+1}>
-        self.cross_cols = np.empty((len(self.eigs), n0))
-        for start in range(0, len(self.eigs), TRACE_CHUNK):
-            stop = start + TRACE_CHUNK
-            rows = _finite_traces(self.eigs[start:stop], self.quad)
-            self.cross_cols[start:stop] = (rows * self.quad.weights) @ self.traces.T
-        self.head_gram = gram_matrix(self.eigs, n0, self.quad)
+        self.cross_cols = trace_cross_gram(self.eigs, head)
+        self.head_gram = self.cross_cols[:n0].copy()
 
     def residual_terms(self, gamma: float, l: int, N: int, N_tail: int) -> np.ndarray:
         """Per-mode squared terms (<trace_l, trace_n>/(gamma+lam_n))^2, n=N+1..N_tail."""

@@ -299,7 +299,9 @@ class ClosedLoop:
         m = self.artifacts
         if self._check_ctx is None:
             plant = m.plant
-            quad = face_quadrature(plant, max_wavenumber(m.eigs[: self.n0]), extra_panels=3)
+            quad = face_quadrature(
+                plant, max_wavenumber(m.eigs[: self.n0]), extra_panels=3, rows=self.n0
+            )
             self._check_ctx = (quad, trace_matrix(m.eigs[: self.n0], quad))
         quad, traces = self._check_ctx
         U = self.U(state)
@@ -475,7 +477,7 @@ def write_csv(run_result: SimulationRun, path) -> None:
 
 def project_bump(plant, eigs, center, width: float, amplitude: float, count: int) -> np.ndarray:
     """Coefficients <bump, psi_n> of a Gaussian bump by interior quadrature."""
-    quad = interior_quadrature(plant, max_wavenumber(eigs[:count]))
+    quad = interior_quadrature(plant, max_wavenumber(eigs[:count]), rows=count)
     center = np.asarray(center, dtype=float)
     d2 = np.add.reduce((quad.points - center) ** 2, axis=1)
     bump = amplitude * np.exp(-d2 / (2.0 * width**2))

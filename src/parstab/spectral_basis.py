@@ -47,8 +47,17 @@ class PatternError(ValueError):
     """Unstable-mode multiplicity pattern outside the supported shapes."""
 
 
+class GridSizeError(ValueError):
+    """A quadrature rule and its sample table would not fit the byte cap."""
+
+
 QUAD_ORDER = 16
 PANELS_PER_HALFWAVE = 8
+# Largest rule plus sample table a quadrature is built for, in bytes. The
+# estimate runs about 20% low: `project_bump` on an 80-mode 2-D plant is
+# estimated at 1.10 GB and peaks 1.34 GB above its start (2.5 s), so a run
+# at the cap peaks near 2.4 GB. A 3-D bump projection is far above it.
+GRID_BYTES_MAX = 2_000_000_000
 
 
 @dataclass(frozen=True)
@@ -371,18 +380,32 @@ def conormal_trace(e, s):
     pts, scalar = _as_points(s, plant.dim)
     if not _on_face(plant, pts, face):
         raise DomainError("point not on the control face")
-    a = face.axis
-    la = plant.lengths[a]
     ks = _multi_indices(modes)
-    kap_a = ks[:, a] * math.pi / la
-    if face.side == 0:
-        lead = -math.sqrt(2.0 / la) * kap_a
-    else:
-        sign = np.where(ks[:, a] % 2 == 0, 1.0, -1.0)
-        lead = math.sqrt(2.0 / la) * kap_a * sign * math.exp(0.5 * plant.drift[a] * la)
-    in_face = [ax for ax in range(plant.dim) if ax != a]
-    rows = _separable_rows(plant, ks, pts, lead, in_face, 0.5, True)
+    rows = _separable_rows(plant, ks, pts, trace_leads(plant, ks), in_face_axes(plant), 0.5, True)
     return _shaped(rows, single, scalar)
+
+
+def in_face_axes(plant: PlantConfig) -> list:
+    """The axes that run along the control face, in ascending order."""
+    return [ax for ax in range(plant.dim) if ax != plant.control_face.axis]
+
+
+def trace_leads(plant: PlantConfig, ks) -> np.ndarray:
+    """Prefactor of each mode's conormal trace, ks an (M, d) index array.
+
+    It is the face's conormal derivative of the control-axis factor:
+    -sqrt(2/l_a) kappa_a on the low face, and on the high face
+    sqrt(2/l_a) kappa_a (-1)^{k_a} e^{b_a l_a / 2}. `conormal_trace`
+    multiplies it by the in-face factors.
+    """
+    a = plant.control_face.axis
+    la = plant.lengths[a]
+    ks = np.asarray(ks)
+    kap_a = ks[:, a] * math.pi / la
+    if plant.control_face.side == 0:
+        return -math.sqrt(2.0 / la) * kap_a
+    sign = np.where(ks[:, a] % 2 == 0, 1.0, -1.0)
+    return math.sqrt(2.0 / la) * kap_a * sign * math.exp(0.5 * plant.drift[a] * la)
 
 
 def riesz_constants(plant: PlantConfig) -> tuple:
@@ -457,10 +480,30 @@ def _panel_count(kmax: int) -> int:
     return max(PANELS_PER_HALFWAVE, PANELS_PER_HALFWAVE * kmax)
 
 
-def interior_quadrature(plant: PlantConfig, kmax: int, extra_panels: int = 0) -> Quadrature:
-    axes = [
-        gauss_panels(l, _panel_count(kmax) + extra_panels) for l in plant.lengths
-    ]
+def _check_grid_bytes(plant: PlantConfig, what: str, npts: int, rows: int) -> None:
+    """Refuse a rule whose points, weights and `rows` sample rows exceed GRID_BYTES_MAX.
+
+    The estimate counts 8 bytes per point for each of 2d coordinate arrays
+    (the points and the meshgrid or in-face copy built on the way) and for
+    each of the `rows` mode rows a caller samples on the rule.
+    """
+    nbytes = 8 * npts * (2 * plant.dim + rows)
+    if nbytes > GRID_BYTES_MAX:
+        raise GridSizeError(
+            f"{what} rule of {npts} points with {rows} sampled modes needs "
+            f"{nbytes / 1e9:.3g} GB, above the {GRID_BYTES_MAX / 1e9:.3g} GB cap"
+        )
+
+
+def interior_quadrature(
+    plant: PlantConfig, kmax: int, extra_panels: int = 0, rows: int = 0
+) -> Quadrature:
+    """Tensor rule over the box. `rows` is the number of modes the caller
+    will sample on it; GridSizeError is raised before anything is built if
+    the rule and those samples would exceed GRID_BYTES_MAX."""
+    panels = _panel_count(kmax) + extra_panels
+    _check_grid_bytes(plant, "interior", (panels * QUAD_ORDER) ** plant.dim, rows)
+    axes = [gauss_panels(l, panels) for l in plant.lengths]
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     w = axes[0][1]
@@ -469,19 +512,21 @@ def interior_quadrature(plant: PlantConfig, kmax: int, extra_panels: int = 0) ->
     return Quadrature(points=pts, weights=np.ravel(w))
 
 
-def face_quadrature(plant: PlantConfig, kmax: int, extra_panels: int = 0) -> Quadrature:
+def face_quadrature(
+    plant: PlantConfig, kmax: int, extra_panels: int = 0, rows: int = 0
+) -> Quadrature:
     """Rule over the control face. In one dimension the face is a single
-    point and the measure is counting measure (weight one)."""
+    point and the measure is counting measure (weight one). `rows` is
+    checked as in `interior_quadrature`."""
     face = plant.control_face
     coord = 0.0 if face.side == 0 else plant.lengths[face.axis]
     if plant.dim == 1:
         pts = np.array([[coord]])
         return Quadrature(points=pts, weights=np.array([1.0]), local=np.zeros((1, 0)))
-    other = [ax for ax in range(plant.dim) if ax != face.axis]
-    axes = [
-        gauss_panels(plant.lengths[ax], _panel_count(kmax) + extra_panels)
-        for ax in other
-    ]
+    other = in_face_axes(plant)
+    panels = _panel_count(kmax) + extra_panels
+    _check_grid_bytes(plant, "face", (panels * QUAD_ORDER) ** len(other), rows)
+    axes = [gauss_panels(plant.lengths[ax], panels) for ax in other]
     if len(axes) == 1:
         loc = axes[0][0][:, None]
         w = axes[0][1]
@@ -514,7 +559,7 @@ def biorthonormality_defect(eigs: list, quad: Quadrature = None) -> float:
     """max |<phi_i, psi_j> - delta_ij| over the supplied modes."""
     plant = eigs[0].plant
     if quad is None:
-        quad = interior_quadrature(plant, max_wavenumber(eigs))
+        quad = interior_quadrature(plant, max_wavenumber(eigs), rows=len(eigs))
     vals = phi_matrix(eigs, quad.points)
     mu = plant.mu(quad.points)
     gram = (vals * (quad.weights * mu)) @ vals.T

@@ -1,9 +1,9 @@
 """Shared plants and designs.
 
-Session scope everywhere: building a context samples the face traces of
-every mode (it keeps the cross-Gram columns and only the head trace rows),
-and the mild-plant context needs ~1900 modes for the deepest tail the
-certification policy can request.
+Session scope everywhere: a context is cheap (its cross-Gram columns are
+closed-form face integrals, a few milliseconds for ~1900 modes), but the
+designs built on it are not, and the mild-plant context needs ~1900 modes
+for the deepest tail the certification policy can request.
 """
 
 import numpy as np

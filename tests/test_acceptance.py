@@ -22,6 +22,7 @@ boundary input, not a time-integration error.
 
 import json
 import math
+import os
 import time
 
 import numpy as np
@@ -257,6 +258,23 @@ def test_terminal_energy_insensitive_to_resolution_doubling(mild_ctx, mild_art30
     h1_base = h1[DECAY_N_SIM]
     h1_doubled = h1[2 * DECAY_N_SIM]
     assert abs(h1_doubled - h1_base) / h1_base < 0.01
+
+
+def test_cube_demo_certifies_in_3d(tmp_path):
+    # the face integrals are closed-form, so a 3-D certify costs about what
+    # a 2-D one does (0.1 s for the three rounds below on 2 vCPUs)
+    demo = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos", "cube_3d.json")
+    out = tmp_path / "out"
+    t0 = time.perf_counter()
+    code = main(["certify", "--config", demo, "--out", str(out)])
+    elapsed = time.perf_counter() - t0
+    assert code == 0
+    cert = json.loads((out / "certificate.json").read_text())
+    assert math.isfinite(cert["theta1_max"]) and cert["theta1_max"] <= 0.0
+    assert cert["status"] == "certified"
+    assert [r["N"] for r in cert["rounds"]] == [10, 20, cert["N"]]
+    assert cert["rounds"][-1] == {"N": cert["N"], "N_tail": cert["N_tail"], "status": "certified"}
+    assert elapsed < 20.0
 
 
 def test_pipeline_determinism(tmp_path):

@@ -184,7 +184,11 @@ def test_certificate_json_shape(mild_art30):
         "psi_bound",
         "P_norm",
         "status",
+        "N_tail",
+        "rounds",
     }
     back = json.loads(json.dumps(payload))
     assert back["status"] == "certified"
+    assert back["N_tail"] == 480
+    assert back["rounds"] == [{"N": 30, "N_tail": 480, "status": "certified"}]
     assert back["theta1_max"] == cert.theta1_max

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from parstab.cli import (
     parse_config,
 )
 from parstab.spectral_basis import FaceId
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 MILD = {
     "plant": {"d": 2, "c": 0.5, "nu": 1.5, "delta": 1.5},
@@ -217,6 +220,24 @@ def test_simulate_rejects_nonpositive_T(tmp_path, capsys):
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "T must be positive" in capsys.readouterr().err
+
+
+def test_simulate_3d_bump_is_refused_without_allocating(tmp_path, capsys):
+    with open(os.path.join(ROOT, "demos", "cube_3d.json")) as fh:
+        cfg = json.load(fh)
+    cfg["simulation"]["z0"] = {"bump": {"width": 0.3}}
+    path = write_cfg(tmp_path, cfg)
+    tracemalloc.start()
+    try:
+        code = main(["simulate", "--config", path, "--out", str(tmp_path / "o")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "simulation config invalid: interior rule of" in err and "GB, above the" in err
+    assert peak < 20e6
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -13,12 +17,18 @@ from parstab.lifting import (
     lifted_projection,
     shift_denominators,
     tail_cap,
+    trace_cross_gram,
 )
 from parstab.spectral_basis import (
+    Eigenpair,
+    FaceId,
     PlantConfig,
     Quadrature,
     enumerate_eigenpairs,
+    face_quadrature,
     gauss_panels,
+    max_wavenumber,
+    trace_matrix,
 )
 
 
@@ -118,7 +128,115 @@ def test_gram_matrix_symmetric_psd(example_ctx):
 
 def test_context_cross_columns_extend_head_gram(example_ctx):
     assert example_ctx.cross_cols.shape == (len(example_ctx.eigs), 3)
-    assert np.allclose(example_ctx.cross_cols[:3], example_ctx.head_gram)
+    assert np.array_equal(example_ctx.cross_cols[:3], example_ctx.head_gram)
+
+
+def _grid_cross_gram(rows, cols):
+    """<trace_n, trace_l> on the tensor face rule sized to every mode."""
+    quad = face_quadrature(rows[0].plant, max_wavenumber(list(rows) + list(cols)))
+    return (trace_matrix(rows, quad) * quad.weights) @ trace_matrix(cols, quad).T
+
+
+def _faces(dim):
+    return [FaceId(axis=ax, side=side) for ax in range(dim) for side in (0, 1)]
+
+
+CROSS_GRAM_PLANTS = (
+    # every face of a square with drift on both axes
+    [dict(dim=2, drift=(0.5, -0.7), reaction=10.0, control_face=f) for f in _faces(2)]
+    # drift on one in-face axis only, and none at all on an elongated box
+    + [
+        dict(dim=2, drift=(0.0, 1.3), reaction=10.0, control_face=FaceId(1, 1)),
+        dict(dim=2, drift=(0.0, 1.3), reaction=10.0, control_face=FaceId(0, 0)),
+        dict(dim=2, lengths=(1.0, 4.0), reaction=12.0, control_face=FaceId(0, 1)),
+        dict(dim=2, lengths=(1.0, 4.0), drift=(-2.0, 0.4), reaction=12.0),
+    ]
+    # every face of a cube with drift, an elongated box with and without it
+    + [dict(dim=3, drift=(0.4, -0.3, 0.6), reaction=4.0, control_face=f) for f in _faces(3)]
+    + [
+        dict(dim=3, lengths=(1.0, 1.5, 2.0), reaction=4.0),
+        dict(dim=3, lengths=(1.0, 1.5, 2.0), drift=(1.0, 0.0, -0.5), reaction=4.0,
+             control_face=FaceId(1, 1)),
+    ]
+)
+
+
+@pytest.mark.parametrize("kwargs", CROSS_GRAM_PLANTS)
+def test_cross_gram_matches_the_face_grid(kwargs):
+    plant = PlantConfig(delta=0.5, **kwargs)
+    eigs = enumerate_eigenpairs(plant, 120 if plant.dim == 2 else 30)
+    got = trace_cross_gram(eigs, eigs[:4])
+    want = _grid_cross_gram(eigs, eigs[:4])
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("drift", [0.0, 2.5, -2.5])
+def test_cross_gram_holds_at_high_wavenumbers(drift):
+    # in-face indices up to 200, where J(|p-q|) - J(p+q) would cancel
+    plant = PlantConfig(dim=2, drift=(drift, 0.3), reaction=10.0, delta=0.5)
+    ks = [1, 2, 3, 50, 51, 120, 199, 200]
+    eigs = [
+        Eigenpair(multi_index=(k, 2), lam=0.0, norm_const=2 / np.pi, group_id=i, plant=plant)
+        for i, k in enumerate(ks)
+    ]
+    got = trace_cross_gram(eigs, eigs)
+    want = _grid_cross_gram(eigs, eigs)
+    scale = np.max(np.abs(want), axis=0)
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+def test_cross_gram_is_exactly_diagonal_in_face_without_drift(mild_ctx):
+    # with b = 0 the in-face sines are orthogonal: only modes sharing the
+    # head mode's in-face index couple to it, and the rest are exactly zero
+    head = mild_ctx.eigs[0].multi_index
+    same = np.array([e.multi_index[0] == head[0] for e in mild_ctx.eigs])
+    assert np.all(mild_ctx.cross_cols[~same] == 0.0)
+    assert np.all(mild_ctx.cross_cols[same] != 0.0)
+
+
+def test_head_gram_is_the_exactly_symmetric_head_block(example_ctx, mild_ctx, d1_ctx):
+    for ctx in (example_ctx, mild_ctx, d1_ctx):
+        assert np.array_equal(ctx.head_gram, ctx.cross_cols[: ctx.n0])
+        assert np.array_equal(ctx.head_gram, ctx.head_gram.T)
+
+
+def test_head_gram_does_not_depend_on_the_mode_count(example_eigs, example_ctx):
+    small = LiftingContext(example_eigs[:100], 3)
+    assert np.array_equal(small.head_gram, example_ctx.head_gram)
+    assert np.array_equal(small.cross_cols, example_ctx.cross_cols[:100])
+
+
+def test_cross_gram_rejects_overflowing_drift():
+    plant = PlantConfig(dim=2, drift=(300.0, 0.0), reaction=0.0, delta=0.5)
+    eigs = enumerate_eigenpairs(plant, 8)
+    with pytest.raises(FloatingPointError):
+        trace_cross_gram(eigs, eigs[:1])
+
+
+# build the mild plant's context and print a digest of its cross-Gram bytes
+CROSS_DIGEST = """
+import hashlib
+from parstab.lifting import LiftingContext
+from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
+plant = PlantConfig(dim=2, reaction=0.5, nu=1.5, delta=1.5)
+ctx = LiftingContext(enumerate_eigenpairs(plant, 1921), 1)
+print(hashlib.sha256(ctx.cross_cols.tobytes()).hexdigest())
+"""
+
+
+def test_cross_gram_bytes_do_not_depend_on_blas_threads():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", CROSS_DIGEST], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout.strip())
+    assert len(digests) == 1
 
 
 def test_residual_norm_empty_and_monotone(example_ctx):

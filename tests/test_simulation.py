@@ -22,7 +22,7 @@ from parstab.simulation import (
     run,
     write_csv,
 )
-from parstab.spectral_basis import eval_phi, trace_matrix
+from parstab.spectral_basis import eval_phi, face_quadrature, max_wavenumber, trace_matrix
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
 
@@ -128,9 +128,11 @@ def test_forcing_is_minus_the_face_inner_product(example_art60, example_ctx):
     m = example_art60
     system = ClosedLoop(m, N_sim=240)
     U = np.array([0.4, -1.1, 0.7])
-    quad = example_ctx.quad
-    u = (m.lift_sum() @ m.gram_inverse @ U) @ example_ctx.traces
-    want = -trace_matrix(example_ctx.eigs[:240], quad) @ (quad.weights * u)
+    # a rule sized to all 240 modes; the context's own covers the head only
+    quad = face_quadrature(m.plant, max_wavenumber(example_ctx.eigs[:240]))
+    traces = trace_matrix(example_ctx.eigs[:240], quad)
+    u = (m.lift_sum() @ m.gram_inverse @ U) @ traces[: m.n0]
+    want = -traces @ (quad.weights * u)
     got = system.forcing @ U
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(got))
     # the observer tail is forced by the plant's own rows N0+1..N

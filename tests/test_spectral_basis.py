@@ -8,7 +8,9 @@ from hypothesis import strategies as st
 
 from parstab.spectral_basis import (
     DomainError,
+    GRID_BYTES_MAX,
     FaceId,
+    GridSizeError,
     PatternError,
     PlantConfig,
     biorthonormality_defect,
@@ -225,6 +227,21 @@ def test_interior_quadrature_integrates_mu(example_plant):
     got = np.dot(quad.weights, np.exp(np.sum(3.0 * quad.points, axis=1)))
     want = ((math.exp(3 * math.pi) - 1) / 3.0) ** 2
     assert got == pytest.approx(want, rel=1e-10)
+
+
+def test_grid_guard_refuses_before_building(example_plant):
+    cube = PlantConfig(dim=3, reaction=2.0)
+    # 768^3 interior points with 80 sampled rows: about 0.3 TB
+    with pytest.raises(GridSizeError, match=r"interior rule of 452984832 points .* GB"):
+        interior_quadrature(cube, 6, rows=80)
+    with pytest.raises(GridSizeError, match="face rule"):
+        face_quadrature(cube, 200, rows=3)
+    # the table, not only the rule, counts: this 2-D rule alone is small
+    npts = (8 * 10 * 16) ** 2
+    rows = GRID_BYTES_MAX // (8 * npts)
+    assert len(interior_quadrature(example_plant, 10, rows=rows - 4).weights) == npts
+    with pytest.raises(GridSizeError):
+        interior_quadrature(example_plant, 10, rows=rows)
 
 
 # ---------------------------------------------------------------------------

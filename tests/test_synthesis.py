@@ -16,6 +16,8 @@ from parstab.spectral_basis import (
     Eigenpair,
     PlantConfig,
     enumerate_eigenpairs,
+    face_quadrature,
+    max_wavenumber,
     trace_matrix,
 )
 from parstab.synthesis import (
@@ -200,15 +202,17 @@ def test_assemble_F_rejects_nothing_but_builds_shape(example_art60):
 
 def test_control_trace_zero_and_quadrature_consistency(example_art60, example_ctx):
     m = example_art60
-    pts = example_ctx.quad.points
+    # the context's own rule is sized to the head modes only
+    quad = face_quadrature(m.plant, max_wavenumber(example_ctx.eigs[:40]))
+    pts = quad.points
     assert not np.any(control_trace(m, np.zeros(3), pts))
 
     U = np.array([0.4, -1.1, 0.7])
     u = control_trace(m, U, pts)
     coeff = m.lift_sum() @ m.gram_inverse @ U
     for n in (1, 5, 40):
-        trace_n = trace_matrix(example_ctx.eigs[n - 1 : n], example_ctx.quad)[0]
-        inner = float(np.dot(example_ctx.quad.weights * u, trace_n))
+        trace_n = trace_matrix(example_ctx.eigs[n - 1 : n], quad)[0]
+        inner = float(np.dot(quad.weights * u, trace_n))
         want = float(example_ctx.cross_cols[n - 1] @ coeff)
         assert inner == pytest.approx(want, rel=1e-8)
 
