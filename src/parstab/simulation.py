@@ -19,21 +19,19 @@ autonomous. These sign conventions are the load-bearing part of this module.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
+import multiprocessing
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
-from .lifting import LiftingContext, boundary_inner, shift_denominators
-from .spectral_basis import (
-    eval_phi,
-    face_quadrature,
-    interior_quadrature,
-    max_wavenumber,
-    trace_matrix,
-)
+from .lifting import LiftingContext, shift_denominators
+from .spectral_basis import axis_rules, face_quadrature, max_wavenumber, trace_matrix
+from .spectral_basis import eval_phi  # noqa: F401  perfbench/spans.py wraps this name
 from .synthesis import SynthesisArtifacts, sensor_rows
 
 log = logging.getLogger(__name__)
@@ -58,6 +56,10 @@ CSV_COLUMNS = (
     "zeta2",
     "composite",
 )
+# one line of the CSV: every column formatted by repr
+_CSV_LINE = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
+# rows formatted as one task by `write_csv`
+CSV_CHUNK_ROWS = 8192
 
 
 class SimulationError(RuntimeError):
@@ -294,27 +296,29 @@ class ClosedLoop:
         Matrix route: -B_k A U. Quadrature route: rebuild u_k on an
         independent face grid (offset panel count), integrate it against each
         head trace and scale by the head lifting coefficient. Returns the max
-        absolute deviation over k.
+        absolute deviation over k. The grid, the head traces and the per-k
+        maps applied to U are built on the first call.
         """
-        m = self.artifacts
         if self._check_ctx is None:
-            plant = m.plant
+            m = self.artifacts
             quad = face_quadrature(
-                plant, max_wavenumber(m.eigs[: self.n0]), extra_panels=3, rows=self.n0
+                m.plant, max_wavenumber(m.eigs[: self.n0]), extra_panels=3, rows=self.n0
             )
-            self._check_ctx = (quad, trace_matrix(m.eigs[: self.n0], quad))
-        quad, traces = self._check_ctx
+            A = m.gram_inverse
+            maps = [
+                (m.head_lifts[k] @ A, -np.diag(m.head_lifts[k]), -m.shifted_grams[k] @ A)
+                for k in range(len(m.gammas))
+            ]
+            self._check_ctx = (quad, trace_matrix(m.eigs[: self.n0], quad), maps)
+        quad, traces, maps = self._check_ctx
         U = self.U(state)
         worst = 0.0
-        for k, g in enumerate(m.gammas):
-            coeff = m.head_lifts[k] @ m.gram_inverse @ U
-            u_samples = coeff @ traces
-            inner = np.array(
-                [boundary_inner(quad, u_samples, traces[n]) for n in range(self.n0)]
-            )
-            lift_diag = np.diag(m.head_lifts[k])
-            route_quad = -lift_diag * inner
-            route_matrix = -m.shifted_grams[k] @ m.gram_inverse @ U
+        for to_coeff, minus_lift_diag, to_matrix in maps:
+            u_samples = (to_coeff @ U) @ traces
+            # face inner product of u_k with each head trace
+            inner = np.sum(quad.weights * u_samples * traces, axis=1)
+            route_quad = minus_lift_diag * inner
+            route_matrix = to_matrix @ U
             worst = max(worst, float(np.max(np.abs(route_quad - route_matrix))))
         return worst
 
@@ -466,21 +470,63 @@ def run(
     )
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; the pool size of `write_csv` is capped by it."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _format_rows(chunk: np.ndarray) -> str:
+    """CSV lines of the rows of `chunk`, each float by repr so it round-trips."""
+    return "".join([_CSV_LINE % row for row in map(tuple, chunk.tolist())])
+
+
 def write_csv(run_result: SimulationRun, path) -> None:
-    """One row per record; floats formatted with repr so they round-trip."""
-    cols = [run_result.records[name].tolist() for name in CSV_COLUMNS]
-    line = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
-    with open(path, "w") as fh:
+    """Header, then one line per record in CSV_COLUMNS order.
+
+    Rows are cut into chunks of CSV_CHUNK_ROWS, each column-stacked on its
+    own and formatted by `_format_rows`; the chunks are written in order. With
+    two or more usable CPUs and the fork start method, a pool of forked
+    workers, one per CPU up to the chunk count, formats the chunks, since the
+    repr of each float is most of the cost; otherwise this process does. The
+    bytes are the same either way. Workers only format strings and never call
+    BLAS, so forking while BLAS threads run in this process is safe.
+    """
+    cols = [run_result.records[name] for name in CSV_COLUMNS]
+    starts = range(0, len(cols[0]), CSV_CHUNK_ROWS)
+    chunks = (np.column_stack([c[s : s + CSV_CHUNK_ROWS] for c in cols]) for s in starts)
+    workers = min(_usable_cpus(), len(starts))
+    with contextlib.ExitStack() as stack:
+        fmt = map
+        if workers >= 2 and "fork" in multiprocessing.get_all_start_methods():
+            fmt = stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap
+        fh = stack.enter_context(open(path, "w"))
         fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(line % row for row in zip(*cols))
+        fh.writelines(fmt(_format_rows, chunks))
 
 
 def project_bump(plant, eigs, center, width: float, amplitude: float, count: int) -> np.ndarray:
-    """Coefficients <bump, psi_n> of a Gaussian bump by interior quadrature."""
-    quad = interior_quadrature(plant, max_wavenumber(eigs[:count]), rows=count)
+    """Coefficients <bump, psi_n> of a Gaussian bump, as products of 1-D integrals.
+
+    The bump, the weight mu and phi_n all factor over the axes, so
+
+        <bump, psi_n> = amplitude norm_n prod_i int_0^{l_i} g_i(x) sin(k_i pi x / l_i) dx,
+        g_i(x) = exp(-(x - c_i)^2 / (2 width^2)) e^{b_i x / 2},
+
+    each integral on the per-axis rule of `interior_quadrature` (`axis_rules`).
+    No tensor grid is built.
+    """
     center = np.asarray(center, dtype=float)
-    d2 = np.add.reduce((quad.points - center) ** 2, axis=1)
-    bump = amplitude * np.exp(-d2 / (2.0 * width**2))
-    vals = eval_phi(eigs[:count], quad.points)
-    mu = plant.mu(quad.points)
-    return vals @ (quad.weights * mu * bump)
+    if center.shape != (plant.dim,):
+        raise ValueError(f"bump center needs {plant.dim} coordinates")
+    modes = eigs[:count]
+    ks = np.array([e.multi_index for e in modes])
+    out = amplitude * np.array([e.norm_const for e in modes])
+    for ax, (x, w) in enumerate(axis_rules(plant, max_wavenumber(modes))):
+        g = w * np.exp(-((x - center[ax]) ** 2) / (2.0 * width**2) + 0.5 * plant.drift[ax] * x)
+        wavenumbers, which = np.unique(ks[:, ax], return_inverse=True)
+        sines = np.sin(np.multiply.outer(wavenumbers * math.pi / plant.lengths[ax], x))
+        # a row sum, not a BLAS product, so the bytes do not depend on threads
+        out *= np.sum(sines * g, axis=1)[which]
+    return out

@@ -54,9 +54,9 @@ class GridSizeError(ValueError):
 QUAD_ORDER = 16
 PANELS_PER_HALFWAVE = 8
 # Largest rule plus sample table a quadrature is built for, in bytes. The
-# estimate runs about 20% low: `project_bump` on an 80-mode 2-D plant is
-# estimated at 1.10 GB and peaks 1.34 GB above its start (2.5 s), so a run
-# at the cap peaks near 2.4 GB. A 3-D bump projection is far above it.
+# estimate runs about 20% low: an interior rule sampled by 80 modes of a 2-D
+# plant is estimated at 1.10 GB and peaked 1.34 GB above its start, so a run
+# at the cap peaks near 2.4 GB.
 GRID_BYTES_MAX = 2_000_000_000
 
 
@@ -495,6 +495,13 @@ def _check_grid_bytes(plant: PlantConfig, what: str, npts: int, rows: int) -> No
         )
 
 
+def axis_rules(plant: PlantConfig, kmax: int, extra_panels: int = 0) -> list:
+    """One composite Gauss rule (x, w) per axis; `interior_quadrature` is
+    their tensor product."""
+    panels = _panel_count(kmax) + extra_panels
+    return [gauss_panels(l, panels) for l in plant.lengths]
+
+
 def interior_quadrature(
     plant: PlantConfig, kmax: int, extra_panels: int = 0, rows: int = 0
 ) -> Quadrature:
@@ -503,7 +510,7 @@ def interior_quadrature(
     the rule and those samples would exceed GRID_BYTES_MAX."""
     panels = _panel_count(kmax) + extra_panels
     _check_grid_bytes(plant, "interior", (panels * QUAD_ORDER) ** plant.dim, rows)
-    axes = [gauss_panels(l, panels) for l in plant.lengths]
+    axes = axis_rules(plant, kmax, extra_panels)
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     w = axes[0][1]

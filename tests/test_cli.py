@@ -12,7 +12,8 @@ from parstab.cli import (
     main,
     parse_config,
 )
-from parstab.spectral_basis import FaceId
+from parstab.simulation import project_bump
+from parstab.spectral_basis import FaceId, enumerate_eigenpairs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -222,7 +223,8 @@ def test_simulate_rejects_nonpositive_T(tmp_path, capsys):
     assert "T must be positive" in capsys.readouterr().err
 
 
-def test_simulate_3d_bump_is_refused_without_allocating(tmp_path, capsys):
+def test_simulate_3d_bump_runs(tmp_path):
+    # the bump is projected by per-axis 1-D integrals, so 3-D needs no grid
     with open(os.path.join(ROOT, "demos", "cube_3d.json")) as fh:
         cfg = json.load(fh)
     cfg["simulation"]["z0"] = {"bump": {"width": 0.3}}
@@ -233,11 +235,15 @@ def test_simulate_3d_bump_is_refused_without_allocating(tmp_path, capsys):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "simulation config invalid: interior rule of" in err and "GB, above the" in err
-    assert peak < 20e6
-    assert not (tmp_path / "o").exists()
+    assert code == 0
+    assert peak < 50e6
+    with open(tmp_path / "o" / "simulation.csv") as fh:
+        first = dict(zip(fh.readline().strip().split(","), fh.readline().split(",")))
+    plant = build_plant(parse_config(path))
+    n_sim = cfg["simulation"]["N_sim"]
+    z0 = project_bump(plant, enumerate_eigenpairs(plant, n_sim), [0.5 * math.pi] * 3, 0.3, 1.0, n_sim)
+    assert float(first["l2_proxy"]) == pytest.approx(np.linalg.norm(z0), rel=1e-12)
+    assert np.linalg.norm(z0) > 0.1
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

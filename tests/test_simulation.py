@@ -1,5 +1,8 @@
 import csv
 import math
+import multiprocessing
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,12 +11,15 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
+from parstab import simulation
 from parstab.certification import solve_lyapunov
 from parstab.simulation import (
+    CSV_CHUNK_ROWS,
     CSV_COLUMNS,
     ClosedLoop,
     SimState,
     SimulationError,
+    SimulationRun,
     default_n_sim,
     default_step,
     estimate_decay_rate,
@@ -22,7 +28,16 @@ from parstab.simulation import (
     run,
     write_csv,
 )
-from parstab.spectral_basis import eval_phi, face_quadrature, max_wavenumber, trace_matrix
+from parstab.spectral_basis import (
+    PlantConfig,
+    axis_rules,
+    enumerate_eigenpairs,
+    eval_phi,
+    face_quadrature,
+    gauss_panels,
+    max_wavenumber,
+    trace_matrix,
+)
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
 
@@ -66,6 +81,62 @@ def test_bump_projection_against_simpson(example_plant, example_eigs):
         )
         want = simpson(simpson(bump * mu * phi, x=xs, axis=1), x=xs)
         assert coeffs[n] == pytest.approx(want, rel=1e-8, abs=1e-12)
+
+
+def _bump_on_tensor_grid(plant, eigs, center, width, amplitude, count, rules):
+    """<bump, psi_n> summed over the tensor product of the per-axis rules."""
+    grids = np.meshgrid(*[x for x, _ in rules], indexing="ij")
+    pts = np.column_stack([g.ravel() for g in grids])
+    w = rules[0][1]
+    for _, wa in rules[1:]:
+        w = np.multiply.outer(w, wa)
+    bump = amplitude * np.exp(-np.sum((pts - center) ** 2, axis=1) / (2.0 * width**2))
+    return eval_phi(eigs[:count], pts) @ (np.ravel(w) * plant.mu(pts) * bump)
+
+
+@pytest.mark.parametrize(
+    "plant, center, count, panels",
+    [
+        (PlantConfig(dim=2, drift=(3.0, 3.0), reaction=10.0), (1.2, 2.0), 40, None),
+        (PlantConfig(dim=2, lengths=(1.0, 2.5), drift=(-1.0, 0.5)), (0.3, 1.9), 16, None),
+        (PlantConfig(dim=3, drift=(0.5, -0.3, 0.2), reaction=2.0), (1.0, 1.7, 2.0), 10, 4),
+    ],
+)
+def test_bump_projection_matches_the_tensor_grid(plant, center, count, panels):
+    eigs = enumerate_eigenpairs(plant, count + 1)
+    if panels is None:  # the 1-D rules whose tensor product is interior_quadrature
+        rules = axis_rules(plant, max_wavenumber(eigs[:count]))
+    else:  # 64^3 points; the full-size 3-D rule would not fit in memory
+        rules = [gauss_panels(l, panels) for l in plant.lengths]
+    want = _bump_on_tensor_grid(plant, eigs, np.array(center), 0.35, 1.3, count, rules)
+    got = project_bump(plant, eigs, center, 0.35, 1.3, count)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_bump_projection_at_240_modes_needs_no_grid(example_plant):
+    eigs = enumerate_eigenpairs(example_plant, 241)
+    tracemalloc.start()
+    try:
+        coeffs = project_bump(example_plant, eigs, (1.2, 2.0), 0.4, 2.0, 240)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the tensor interior rule for these modes was estimated at about 10 GB
+    assert peak < 5e6
+    # two of the highest modes against Simpson's rule on a fine 2-D grid
+    xs = np.linspace(0.0, np.pi, 801)
+    X, Y = np.meshgrid(xs, xs, indexing="ij")
+    pts = np.column_stack([X.ravel(), Y.ravel()])
+    bump_mu = 2.0 * np.exp(-((X - 1.2) ** 2 + (Y - 2.0) ** 2) / (2 * 0.4**2) + 3.0 * (X + Y))
+    for n in (200, 239):
+        phi = eval_phi(eigs[n], pts).reshape(X.shape)
+        want = simpson(simpson(bump_mu * phi, x=xs, axis=1), x=xs)
+        assert coeffs[n] == pytest.approx(want, rel=1e-6, abs=1e-9 * np.max(np.abs(coeffs)))
+
+
+def test_bump_center_needs_one_coordinate_per_axis(example_plant, example_eigs):
+    with pytest.raises(ValueError, match="2 coordinates"):
+        project_bump(example_plant, example_eigs, (1.0, 1.0, 1.0), 0.3, 1.0, 5)
 
 
 def test_open_loop_step_is_exact_modal_decay(example_art30):
@@ -264,3 +335,68 @@ def test_csv_round_trip(tmp_path, example_art30):
         col = result.column(name)
         for i, row in enumerate(rows[1:]):
             assert float(row[j]) == col[i]
+
+
+def _reference_csv(records, path) -> None:
+    """The writer before chunking: every column to a list, one format per row."""
+    cols = [records[name].tolist() for name in CSV_COLUMNS]
+    line = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
+    with open(path, "w") as fh:
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(line % row for row in zip(*cols))
+
+
+def _records(n_rows: int) -> dict:
+    """Columns of mixed magnitude with -0.0, 1e-05, 1e16, 5e-324, nan and
+    both infinities spread over the table, first and last cell included."""
+    rng = np.random.default_rng(n_rows)
+    table = rng.standard_normal((n_rows, len(CSV_COLUMNS)))
+    table *= 10.0 ** rng.integers(-30, 30, size=table.shape)
+    specials = [-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, -np.inf]
+    cells = np.linspace(0, table.size - 1, min(table.size, 3 * len(specials))).astype(int)
+    table.ravel()[cells] = np.resize(specials, len(cells))
+    return {name: table[:, j].copy() for j, name in enumerate(CSV_COLUMNS)}
+
+
+def _sim_run(records: dict) -> SimulationRun:
+    return SimulationRun(times=records["t"], records=records, rate=0.0, final_state=None)
+
+
+def _pid_rows(chunk) -> str:
+    return f"{os.getpid()}\n"
+
+
+def _refuse_rows(chunk) -> str:
+    raise ValueError("chunk refused")
+
+
+@pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
+@pytest.mark.parametrize(
+    "n_rows",
+    [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5],
+)
+def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_rows, workers):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    records = _records(n_rows)
+    _reference_csv(records, tmp_path / "want.csv")
+    write_csv(_sim_run(records), tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert multiprocessing.active_children() == []
+
+
+def test_csv_pool_formats_every_chunk_in_a_worker(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_format_rows", _pid_rows)
+    write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS + 1)), tmp_path / "pids.csv")
+    pids = (tmp_path / "pids.csv").read_text().splitlines()[1:]
+    assert len(pids) == 3
+    assert str(os.getpid()) not in pids
+    assert multiprocessing.active_children() == []
+
+
+def test_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_format_rows", _refuse_rows)
+    with pytest.raises(ValueError, match="chunk refused"):
+        write_csv(_sim_run(_records(CSV_CHUNK_ROWS + 1)), tmp_path / "never.csv")
+    assert multiprocessing.active_children() == []
