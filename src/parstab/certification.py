@@ -145,7 +145,7 @@ def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> flo
     return float(np.max(np.linalg.eigvalsh(theta)))
 
 
-def check_psi(lambda_next, nu, delta, eps, eta_cert, S_phi, n0: int = None) -> float:
+def check_psi(lambda_next, nu, delta, eps, eta_cert, S_phi, n0: int) -> float:
     """Tail decay bound Theta2 = -lambda_{N+1}/2 + 3*nu/2 + 2*delta.
 
     Before returning, the per-mode slope -2*(1 - N0^2/eps) + eta_cert*S_phi
@@ -156,9 +156,9 @@ def check_psi(lambda_next, nu, delta, eps, eta_cert, S_phi, n0: int = None) -> f
         raise NotYetCertifiable(
             f"lambda_(N+1) = {lambda_next} not positive; N below the unstable range"
         )
-    if n0 is not None and eps != 2 * n0**2:
+    if eps != 2 * n0**2:
         raise ValueError(f"eps must equal 2*N0^2, got {eps}")
-    slope = -1.0 + eta_cert * S_phi if n0 is None else -2.0 * (1.0 - n0**2 / eps) + eta_cert * S_phi
+    slope = -2.0 * (1.0 - n0**2 / eps) + eta_cert * S_phi
     if slope > -0.5 + NEG_SLACK:
         raise NotYetCertifiable(
             f"tail slope {slope:.4f} exceeds -1/2 (eta_cert*S_phi = "

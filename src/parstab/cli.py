@@ -15,6 +15,7 @@ import argparse
 import concurrent.futures
 import copy
 import dataclasses
+import functools
 import json
 import logging
 import os
@@ -45,8 +46,9 @@ class ConfigError(ValueError):
 
 
 # what building a design can raise: config, domain, pattern, sensor
-# placement and admissibility errors are all ValueErrors
-DESIGN_ERRORS = (ValueError, SearchRadiusError, synthesis.SynthesisError)
+# placement and admissibility errors are all ValueErrors; trace integrals
+# that overflow under strong in-face drift raise FloatingPointError
+DESIGN_ERRORS = (ValueError, SearchRadiusError, synthesis.SynthesisError, FloatingPointError)
 
 
 def _abort(what: str, err: Exception) -> int:
@@ -151,6 +153,8 @@ def _validated(raw: dict) -> RunConfig:
         if not all(0.0 < float(v) < float(l) for v, l in zip(xi, lengths)):
             raise ConfigError(f"/sensors/{key}: sensor must be an interior point")
     c = merged["certification"]
+    if c["N_start"] < 1:
+        raise ConfigError("/certification/N_start: must be at least 1")
     if c["N_max"] < c["N_start"]:
         raise ConfigError("/certification/N_max: below N_start")
     z0 = merged["simulation"]["z0"]
@@ -201,29 +205,6 @@ def build_plant(cfg: RunConfig) -> PlantConfig:
     )
 
 
-def _prepare(cfg: RunConfig, count: int) -> lifting.LiftingContext:
-    plant = build_plant(cfg)
-    probe = enumerate_eigenpairs(plant, max(count, 64))
-    n0, _ = count_unstable(probe, plant.delta)
-    return lifting.LiftingContext(probe, n0)
-
-
-def _synthesize(cfg: RunConfig, ctx, N: int) -> synthesis.SynthesisArtifacts:
-    s = cfg.synthesis
-    return synthesis.synthesize(
-        ctx,
-        cfg.sensors["xi1"],
-        cfg.sensors["xi2"],
-        N,
-        ctx.plant.delta,
-        c_ratio=float(s["c_ratio"]),
-        gamma_base=float(s["gamma_base"]),
-        spread=None if s["spread"] is None else float(s["spread"]),
-        sensor_tol=float(s["sensor_tol"]),
-        cond_max=float(s["cond_max"]),
-    )
-
-
 def _write_json(obj: dict, path) -> None:
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
@@ -271,25 +252,69 @@ def _certify_rounds_max(cfg: RunConfig) -> int:
     return top
 
 
-def cmd_synthesize(cfg: RunConfig, out_dir: str) -> int:
-    N = int(cfg.synthesis["N"])
+def _n_sim(cfg: RunConfig) -> int:
+    n_sim = cfg.simulation["N_sim"]
+    return simulation.default_n_sim(int(cfg.synthesis["N"])) if n_sim is None else int(n_sim)
+
+
+def _design_source(cfg: RunConfig):
+    """N -> SynthesisArtifacts for one command, each N synthesized once.
+
+    One LiftingContext, built on first use so that its errors reach the
+    calling stage, serves every stage: it holds the synthesis tail, the top
+    certificate round's tail cap and the simulated modes. Enumeration is
+    prefix-stable and context rows do not depend on the context's length,
+    so each stage reads what a context sized for it alone would give. The
+    stages only read a design, so one object serves them all.
+    """
+
+    @functools.cache
+    def context() -> lifting.LiftingContext:
+        plant = build_plant(cfg)
+        count = max(
+            lifting.default_tail(int(cfg.synthesis["N"])),
+            lifting.tail_cap(_certify_rounds_max(cfg)),
+            _n_sim(cfg),
+        )
+        eigs = enumerate_eigenpairs(plant, count)
+        n0, _ = count_unstable(eigs, plant.delta)
+        return lifting.LiftingContext(eigs, n0)
+
+    @functools.cache
+    def design(N: int) -> synthesis.SynthesisArtifacts:
+        ctx, s = context(), cfg.synthesis
+        return synthesis.synthesize(
+            ctx,
+            cfg.sensors["xi1"],
+            cfg.sensors["xi2"],
+            N,
+            ctx.plant.delta,
+            c_ratio=float(s["c_ratio"]),
+            gamma_base=float(s["gamma_base"]),
+            spread=None if s["spread"] is None else float(s["spread"]),
+            sensor_tol=float(s["sensor_tol"]),
+            cond_max=float(s["cond_max"]),
+        )
+
+    return design
+
+
+def cmd_synthesize(cfg: RunConfig, designs, out_dir: str) -> int:
     try:
-        art = _synthesize(cfg, _prepare(cfg, max(lifting.default_tail(N), N + 1)), N)
+        art = designs(int(cfg.synthesis["N"]))
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
     _write_json(synthesis.report_dict(art), os.path.join(out_dir, "synthesis.json"))
     return EXIT_OK
 
 
-def cmd_certify(cfg: RunConfig, out_dir: str) -> int:
-    top = _certify_rounds_max(cfg)
+def cmd_certify(cfg: RunConfig, designs, out_dir: str) -> int:
     try:
-        ctx = _prepare(cfg, max(lifting.tail_cap(top), top + 1))
         cert = certification.certify(
-            lambda n: _synthesize(cfg, ctx, n),
+            designs,
             int(cfg.certification["N_start"]),
             int(cfg.certification["N_max"]),
-            ctx.plant.nu,
+            build_plant(cfg).nu,
         )
     except DESIGN_ERRORS as err:
         return _abort("certification aborted in synthesis", err)
@@ -300,18 +325,17 @@ def cmd_certify(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
+def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
     N = int(cfg.synthesis["N"])
     sim = cfg.simulation
-    n_sim = int(sim["N_sim"]) if sim["N_sim"] is not None else simulation.default_n_sim(N)
     try:
-        ctx = _prepare(cfg, max(lifting.default_tail(N), N + 1, n_sim))
-        art = _synthesize(cfg, ctx, N)
+        art = designs(N)
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
-    plant = ctx.plant
+    n_sim = _n_sim(cfg)
+    plant = art.plant
     try:
-        z0 = _resolve_z0(cfg, plant, ctx.eigs, n_sim)
+        z0 = _resolve_z0(cfg, plant, art.eigs, n_sim)
         result = simulation.run(
             z0,
             float(sim["T"]),
@@ -347,16 +371,16 @@ def cmd_simulate(cfg: RunConfig, out_dir: str) -> int:
     return EXIT_OK
 
 
-def cmd_pipeline(cfg: RunConfig, out_dir: str) -> int:
-    """synthesize, certify, simulate; certification failure only fails the
-    pipeline when the config marks it required."""
-    code = cmd_synthesize(cfg, out_dir)
+def cmd_pipeline(cfg: RunConfig, designs, out_dir: str) -> int:
+    """synthesize, certify, simulate on one design source; certification
+    failure only fails the pipeline when the config marks it required."""
+    code = cmd_synthesize(cfg, designs, out_dir)
     if code != EXIT_OK:
         return code
-    cert_code = cmd_certify(cfg, out_dir)
+    cert_code = cmd_certify(cfg, designs, out_dir)
     if cert_code == EXIT_SYNTHESIS:
         return cert_code
-    sim_code = cmd_simulate(cfg, out_dir)
+    sim_code = cmd_simulate(cfg, designs, out_dir)
     if sim_code != EXIT_OK:
         return sim_code
     if cert_code != EXIT_OK and bool(cfg.certification["required"]):
@@ -394,7 +418,7 @@ def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
         except ConfigError as err:
             print(f"sweep entry {i}: {err}", file=sys.stderr)
             return i, EXIT_SYNTHESIS
-        return i, cmd_pipeline(sub_cfg, sub_dir)
+        return i, cmd_pipeline(sub_cfg, _design_source(sub_cfg), sub_dir)
 
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         results = dict(pool.map(one, enumerate(cfg.sweep)))
@@ -430,14 +454,15 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
     except ConfigError as err:
         return _abort("config error", err)
+    if args.command == "sweep":
+        return cmd_sweep(cfg, args.out)
     handler = {
         "synthesize": cmd_synthesize,
         "certify": cmd_certify,
         "simulate": cmd_simulate,
         "pipeline": cmd_pipeline,
-        "sweep": cmd_sweep,
     }[args.command]
-    return handler(cfg, args.out)
+    return handler(cfg, _design_source(cfg), args.out)
 
 
 if __name__ == "__main__":

@@ -213,9 +213,6 @@ class ClosedLoop:
     def w(self, state: SimState) -> np.ndarray:
         return state.z - self.lifted_part(state)
 
-    def what(self, state: SimState) -> np.ndarray:
-        return state.zhat - self.lift_all[: self.N] @ self.U(state)
-
     def outputs(self, state: SimState) -> np.ndarray:
         return self.C_sim @ state.z
 

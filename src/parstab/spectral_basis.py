@@ -329,31 +329,6 @@ def eval_psi(e: Eigenpair, x):
     return float(out[0]) if scalar else out
 
 
-def eval_phi_gradient(e: Eigenpair, x) -> np.ndarray:
-    """Analytic gradient of phi_n, shape (npts, d)."""
-    plant = e.plant
-    pts, scalar = _as_points(x, plant.dim)
-    if not np.all(plant.contains(pts, tol=1e-12)):
-        raise DomainError("point outside the box closure")
-    axis_vals = []
-    axis_ders = []
-    for ax in range(plant.dim):
-        kap = e.wavenumbers[ax]
-        b = plant.drift[ax]
-        envelope = np.exp(-0.5 * b * pts[:, ax])
-        s = np.sin(kap * pts[:, ax])
-        cvals = np.cos(kap * pts[:, ax])
-        axis_vals.append(envelope * s)
-        axis_ders.append(envelope * (kap * cvals - 0.5 * b * s))
-    grad = np.empty((pts.shape[0], plant.dim))
-    for ax in range(plant.dim):
-        col = np.full(pts.shape[0], e.norm_const)
-        for other in range(plant.dim):
-            col = col * (axis_ders[other] if other == ax else axis_vals[other])
-        grad[:, ax] = col
-    return grad[0] if scalar else grad
-
-
 def _on_face(plant: PlantConfig, pts, face: FaceId, tol=1e-10):
     coord = pts[:, face.axis]
     target = 0.0 if face.side == 0 else plant.lengths[face.axis]
@@ -458,12 +433,11 @@ class Quadrature:
     """Composite tensor Gauss-Legendre rule.
 
     `points` are full d-coordinates; for face rules the pinned axis is filled
-    with the face value and `local` carries the in-face coordinates.
+    with the face value.
     """
 
     points: np.ndarray
     weights: np.ndarray
-    local: np.ndarray = None
 
 
 def gauss_panels(length: float, panels: int, order: int = QUAD_ORDER):
@@ -495,22 +469,20 @@ def _check_grid_bytes(plant: PlantConfig, what: str, npts: int, rows: int) -> No
         )
 
 
-def axis_rules(plant: PlantConfig, kmax: int, extra_panels: int = 0) -> list:
+def axis_rules(plant: PlantConfig, kmax: int) -> list:
     """One composite Gauss rule (x, w) per axis; `interior_quadrature` is
     their tensor product."""
-    panels = _panel_count(kmax) + extra_panels
+    panels = _panel_count(kmax)
     return [gauss_panels(l, panels) for l in plant.lengths]
 
 
-def interior_quadrature(
-    plant: PlantConfig, kmax: int, extra_panels: int = 0, rows: int = 0
-) -> Quadrature:
+def interior_quadrature(plant: PlantConfig, kmax: int, rows: int = 0) -> Quadrature:
     """Tensor rule over the box. `rows` is the number of modes the caller
     will sample on it; GridSizeError is raised before anything is built if
     the rule and those samples would exceed GRID_BYTES_MAX."""
-    panels = _panel_count(kmax) + extra_panels
+    panels = _panel_count(kmax)
     _check_grid_bytes(plant, "interior", (panels * QUAD_ORDER) ** plant.dim, rows)
-    axes = axis_rules(plant, kmax, extra_panels)
+    axes = axis_rules(plant, kmax)
     grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
     pts = np.column_stack([g.ravel() for g in grids])
     w = axes[0][1]
@@ -529,7 +501,7 @@ def face_quadrature(
     coord = 0.0 if face.side == 0 else plant.lengths[face.axis]
     if plant.dim == 1:
         pts = np.array([[coord]])
-        return Quadrature(points=pts, weights=np.array([1.0]), local=np.zeros((1, 0)))
+        return Quadrature(points=pts, weights=np.array([1.0]))
     other = in_face_axes(plant)
     panels = _panel_count(kmax) + extra_panels
     _check_grid_bytes(plant, "face", (panels * QUAD_ORDER) ** len(other), rows)
@@ -545,7 +517,7 @@ def face_quadrature(
     pts[:, face.axis] = coord
     for j, ax in enumerate(other):
         pts[:, ax] = loc[:, j]
-    return Quadrature(points=pts, weights=w, local=loc)
+    return Quadrature(points=pts, weights=w)
 
 
 def max_wavenumber(eigs: list) -> int:

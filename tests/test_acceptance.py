@@ -293,8 +293,13 @@ def test_pipeline_determinism(tmp_path):
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
-    out1, out2 = tmp_path / "run1", tmp_path / "run2"
+    out1, out2, out3 = tmp_path / "run1", tmp_path / "run2", tmp_path / "stages"
     assert main(["pipeline", "--config", str(path), "--out", str(out1)]) == 0
     assert main(["pipeline", "--config", str(path), "--out", str(out2)]) == 0
+    # each stage alone, on its own design source, writes the pipeline's bytes
+    assert main(["synthesize", "--config", str(path), "--out", str(out3)]) == 0
+    assert main(["certify", "--config", str(path), "--out", str(out3)]) == 3
+    assert main(["simulate", "--config", str(path), "--out", str(out3)]) == 0
     for name in ("synthesis.json", "certificate.json", "summary.json", "simulation.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+        assert (out3 / name).read_bytes() == (out1 / name).read_bytes(), name

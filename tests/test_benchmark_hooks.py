@@ -58,13 +58,15 @@ def test_benchmark_tracer_instruments_a_pipeline(tmp_path):
     out = json.loads(proc.stdout.splitlines()[-1])
     assert out["code"] == 0
     m = out["metrics"]
-    # one design per stage, one certificate round, T/h + 1 rows checked
-    # every 100th; one batched eval_phi call per sensor-row block: head and
-    # tail rows in each of the 3 designs, the round's Sphi terms and C_sim
-    assert m["lifting.context_builds"] == 3
-    assert m["synthesis.calls"] == 3
+    # one context and one N = 8 design shared by the three stages, one
+    # certificate round, T/h + 1 rows checked every 100th; one batched
+    # eval_phi call per sensor-row block: the design's head and tail rows,
+    # the round's Sphi terms and C_sim
+    assert m["spectral_basis.enumerate_calls"] == 1
+    assert m["lifting.context_builds"] == 1
+    assert m["synthesis.calls"] == 1
     assert m["certification.rounds"] == 1
     assert m["simulation.rows"] == 501
     assert m["simulation.checks"] == 5
-    assert m["spectral_basis.point_evals"] == 8
+    assert m["spectral_basis.point_evals"] == 4
     assert m["spectral_basis.trace_rows"] > 0

@@ -86,6 +86,13 @@ def test_parse_rejects_certification_window(tmp_path):
         parse_config(write_cfg(tmp_path, bad))
 
 
+def test_parse_rejects_nonpositive_n_start(tmp_path):
+    # N_start = 0 would double to 0 forever in the certificate search
+    bad = {**EXAMPLE, "certification": {"N_start": 0, "N_max": 30}}
+    with pytest.raises(ConfigError, match="/certification/N_start"):
+        parse_config(write_cfg(tmp_path, bad))
+
+
 def test_parse_rejects_modes_without_coeffs(tmp_path):
     bad = {**EXAMPLE, "simulation": {"z0": {"modes": [[1, 1]]}}}
     with pytest.raises(ConfigError, match="coeffs"):
@@ -189,6 +196,21 @@ def test_certify_unseparated_sensors_exit_code(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "certification aborted in synthesis" in err
     assert "not separated" in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "certify", "simulate", "pipeline"])
+def test_overflowing_trace_integrals_exit_code(tmp_path, capsys, command):
+    # e^{b l} with b l = 400 pi along the face overflows the trace Gram
+    cfg = {
+        "plant": {"d": 2, "b": [400.0, 0.0], "c": 40002.0, "delta": 0.5},
+        "sensors": {"xi1": [0.53, 1.05], "xi2": [1.05, 0.53]},
+        "synthesis": {"N": 20},
+    }
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "non-finite" in err
+    assert "Traceback" not in err
 
 
 def test_block_frac_is_not_a_config_key(tmp_path, capsys):

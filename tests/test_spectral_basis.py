@@ -18,7 +18,6 @@ from parstab.spectral_basis import (
     count_unstable,
     enumerate_eigenpairs,
     eval_phi,
-    eval_phi_gradient,
     eval_psi,
     face_quadrature,
     gauss_panels,
@@ -107,24 +106,9 @@ def test_psi_is_weighted_phi(example_eigs):
     assert eval_psi(e, pts) == pytest.approx(mu * eval_phi(e, pts), rel=1e-12)
 
 
-def test_phi_gradient_matches_finite_differences(example_eigs):
-    rng = np.random.default_rng(7)
-    pts = rng.uniform(0.2, np.pi - 0.2, size=(5, 2))
-    step = 1e-6
-    for e in example_eigs[:6]:
-        grad = eval_phi_gradient(e, pts)
-        for axis in range(2):
-            shift = np.zeros(2)
-            shift[axis] = step
-            fd = (eval_phi(e, pts + shift) - eval_phi(e, pts - shift)) / (2 * step)
-            assert np.max(np.abs(grad[:, axis] - fd)) < 1e-5
-
-
 def test_eval_outside_box_raises(example_eigs):
     with pytest.raises(DomainError):
         eval_phi(example_eigs[0], [(0.1, 3.5)])
-    with pytest.raises(DomainError):
-        eval_phi_gradient(example_eigs[0], [(-0.1, 1.0)])
 
 
 def test_biorthonormality_line(d1_plant, d1_eigs):
