@@ -1,6 +1,9 @@
 """Observer-based boundary stabilization of drift-reaction-diffusion plants
 on boxes: eigenbasis computation, controller synthesis, Lyapunov decay
-certificates and closed-loop simulation."""
+certificates and closed-loop simulation.
+
+The `parstab` command lives in `parstab.cli` (`python -m parstab`); the
+package import leaves it unloaded."""
 
 from .spectral_basis import (
     Eigenpair,
@@ -51,7 +54,6 @@ from .simulation import (
     run,
     write_csv,
 )
-from .cli import RunConfig, main, parse_config
 
 __version__ = "0.1.0"
 
@@ -95,8 +97,5 @@ __all__ = [
     "init_state",
     "run",
     "write_csv",
-    "RunConfig",
-    "main",
-    "parse_config",
     "__version__",
 ]

@@ -7,6 +7,11 @@ controller never sees. Two scalar checks close the argument: the bordered
 matrix Theta1 must be negative semidefinite and the tail decay bound Theta2
 must be nonpositive. The certifier doubles N until both hold or a budget
 runs out, returning an honest failure record in the latter case.
+
+P comes from a block back-substitution on F's structure (a dense head of
+2*N0 rows over a diagonal tail), in numpy alone. Every sum in P, and in the
+P F product of Theta1, runs over the head rows only, so those bytes do not
+depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from . import lifting
 from .spectral_basis import eval_phi, riesz_constants
@@ -39,18 +43,51 @@ class NotYetCertifiable(CertificationError):
     """Precondition tied to N failed; a larger N may fix it."""
 
 
+def head_size(F: np.ndarray) -> int:
+    """Rows before F's diagonal tail: F[h:] is zero off the diagonal.
+
+    `assemble_F` gives h = 2*N0; a matrix without that structure has h = n,
+    or n - 1 when only its last row is diagonal.
+    """
+    off = np.array(F, dtype=float)
+    np.fill_diagonal(off, 0.0)
+    rows = np.flatnonzero(np.any(off != 0.0, axis=1))
+    return int(rows[-1]) + 1 if len(rows) else 0
+
+
 def solve_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
-    """P solving F'P + PF + 2*delta*P = -I, symmetric positive definite."""
+    """P solving F'P + PF + 2*delta*P = -I, symmetric positive definite.
+
+    F is block upper triangular with a dense head of h = `head_size(F)` rows
+    and a diagonal tail D, so with F_s = F + delta*I = [[H, B], [0, D]] the
+    equation splits by block back-substitution (Bartels & Stewart, Comm. ACM
+    15(9), 1972, with the triangular form given):
+    - H'P11 + P11 H = -I, solved in its Kronecker form;
+    - (H' + d_j I) P12[:, j] = -(P11 B)[:, j], one h x h solve per tail column;
+    - P22 = -(I + B'P12 + P12'B) / (d_i + d_j), elementwise.
+    The Kronecker system has h^2 unknowns; `assemble_F` gives h = 2*N0.
+    """
     F = np.asarray(F, dtype=float)
     if abscissa(F) >= -delta:
         raise CertificationError(
             f"F + {delta}*I is not Hurwitz (abscissa {abscissa(F):.4f}), "
             "no certificate exists"
         )
-    shifted = F + delta * np.eye(F.shape[0])
-    P = scipy.linalg.solve_continuous_lyapunov(shifted.T, -np.eye(F.shape[0]))
+    n = F.shape[0]
+    h = head_size(F)
+    shifted = F + delta * np.eye(n)
+    H, B, d = shifted[:h, :h], shifted[:h, h:], np.diagonal(shifted)[h:]
+    eye_h = np.eye(h)
+    # row-major vec: vec(H'X) = (H' kron I) vec(X), vec(XH) = (I kron H') vec(X)
+    kron = np.kron(H.T, eye_h) + np.kron(eye_h, H.T)
+    P11 = np.linalg.solve(kron, -eye_h.ravel()).reshape(h, h)
+    heads = H.T[None, :, :] + d[:, None, None] * eye_h
+    P12 = np.linalg.solve(heads, -(P11 @ B).T[:, :, None])[:, :, 0].T
+    cross = B.T @ P12
+    P22 = -(np.eye(n - h) + cross + cross.T) / (d[:, None] + d[None, :])
+    P = np.block([[P11, P12], [P12.T, P22]])
     P = 0.5 * (P + P.T)
-    residual = F.T @ P + P @ F + 2.0 * delta * P + np.eye(F.shape[0])
+    residual = F.T @ P + P @ F + 2.0 * delta * P + np.eye(n)
     res = float(np.max(np.abs(residual)))
     if res >= LYAP_RESIDUAL_TOL:
         raise CertificationError(f"Lyapunov residual {res:.3e} too large")
@@ -116,8 +153,8 @@ def eta_cert_rule(S_phi: float, N: int) -> float:
     return float(N) if S_phi == 0.0 else 1.0 / math.sqrt(S_phi)
 
 
-def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> float:
-    """Largest eigenvalue of the bordered certificate matrix.
+def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> np.ndarray:
+    """The bordered certificate matrix Theta1, symmetric.
 
     Layout: state block of size n_F = 2*N0 + (N - N0) bordered by the two
     output channels. E1 picks the observer head out of the state; E2 stacks
@@ -134,14 +171,26 @@ def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> flo
     LC0 = m.observer_gain @ m.sensor_head
     LC1t = m.observer_gain @ m.sensor_tail_scaled
     E2 = np.hstack([m.gain_block, LC0, LC1t, m.observer_gain])
-    top = F.T @ P + P @ F + 2.0 * m.delta * P + eps * S1 * (E1.T @ E1)
+    # P @ F from F's blocks (dense head of h = 2*N0 rows, diagonal tail):
+    # every sum runs over the h head rows only, so its bytes do not depend
+    # on how BLAS splits the work; F'P is its transpose, P being symmetric
+    h = 2 * n0
+    PF = np.empty_like(P)
+    PF[:, :h] = P[:, :h] @ F[:h, :h]
+    PF[:, h:] = P[:, :h] @ F[:h, h:] + P[:, h:] * np.diagonal(F)[h:]
+    top = PF.T + PF + 2.0 * m.delta * P + eps * S1 * (E1.T @ E1)
     theta = np.zeros((n_F + 2, n_F + 2))
     theta[:n_F, :n_F] = top
     theta[:n_F, n_F:] = P @ G
     theta[n_F:, :n_F] = G.T @ P
     theta[n_F:, n_F:] = -eta_cert * np.eye(2)
     theta += eps * S2 * (E2.T @ E2)
-    theta = 0.5 * (theta + theta.T)
+    return 0.5 * (theta + theta.T)
+
+
+def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> float:
+    """Largest eigenvalue of the bordered certificate matrix `theta1_matrix`."""
+    theta = theta1_matrix(P, artifacts, S1, S2, eps, eta_cert)
     return float(np.max(np.linalg.eigvalsh(theta)))
 
 

@@ -3,12 +3,13 @@
 The simulated plant carries N_sim modes, the observer exactly the N the
 design was built for. Both evolve jointly as one linear time-invariant system
 x' = A x with A = `ClosedLoop.full_matrix`, so x(t + h) = expm(h A) x(t) is
-exact at every output time; `scipy.linalg.expm` evaluates it by scaling and
-squaring (Al-Mohy & Higham 2009). `run` computes E = expm(h A) once, fills
-the first BLOCK output rows by matrix-vector products and advances each later
-block of rows with one matrix product against E^BLOCK. The output spacing h
-is therefore no accuracy or stability limit, and the diagnostics of a block
-are array operations on its stacked states.
+exact at every output time; `linalg.expm`, an in-repo numpy port of the
+scaling and squaring algorithm of Al-Mohy & Higham (2009), evaluates it.
+`run` computes E = expm(h A) once, fills the first BLOCK output rows by
+matrix-vector products and advances each later block of rows with one
+matrix product against E^BLOCK. The output spacing h is therefore no
+accuracy or stability limit, and the diagnostics of a block are array
+operations on its stacked states.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
@@ -27,9 +28,9 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .lifting import LiftingContext, shift_denominators
+from .linalg import expm
 from .spectral_basis import axis_rules, face_quadrature, max_wavenumber, trace_matrix
 from .spectral_basis import eval_phi  # noqa: F401  perfbench/spans.py wraps this name
 from .synthesis import SynthesisArtifacts, sensor_rows
@@ -270,11 +271,12 @@ class ClosedLoop:
             raise ValueError("step size must be positive")
         if self._propagator is None or self._propagator[0] != h:
             self._propagator = None  # drop the old E before expm allocates
-            # a fresh A scaled in place: expm's scratch is the largest
-            # allocation of a run, so no second dense copy sits next to it
+            # a fresh A scaled in place: expm's scratch (up to six more
+            # arrays of this size) is the largest allocation of a run, so no
+            # second copy of A sits next to it
             hA = self._assemble()
             hA *= h
-            self._propagator = (h, scipy.linalg.expm(hA))
+            self._propagator = (h, expm(hA))
         return self._propagator[1]
 
     def step(self, state: SimState, h: float) -> SimState:

@@ -9,8 +9,8 @@ needed later by certification and simulation.
 
 The gain L comes from an in-repo port of the Yang-Tits ("YT") method of
 `scipy.signal.place_poles`, reduced to what this design asks of it: distinct
-real targets and two sensors. It keeps scipy's order of operations, so L is
-bit-equal to scipy's, and scipy.signal stays off the import path.
+real targets and two sensors. It keeps scipy's order of operations on
+numpy's QR, so L is bit-equal to scipy's without importing scipy.
 
 All Hurwitz claims are verified by dense eigenvalue computation at build
 time; nothing is trusted from formulas alone.
@@ -23,7 +23,6 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import qr
 
 from . import lifting
 from .spectral_basis import DomainError, conormal_trace, eval_phi
@@ -239,6 +238,13 @@ def _yt_real(ker, Q, X, i, j):
     X[:, j] = t[n:, 0]
 
 
+def _qr(a):
+    """Complete QR with Fortran-ordered factors, as `scipy.linalg.qr` returns
+    them; the products that follow then sum in scipy's order."""
+    q, r = np.linalg.qr(a, mode="complete")
+    return np.asfortranarray(q), np.asfortranarray(r)
+
+
 def _place_yt(A, B, poles) -> np.ndarray:
     """Gain K with spec(A - B K) = poles, for distinct real poles.
 
@@ -252,14 +258,14 @@ def _place_yt(A, B, poles) -> np.ndarray:
     """
     poles = np.sort(np.asarray(poles, dtype=float))
     n = A.shape[0]
-    u, z = qr(B, mode="full")
+    u, z = _qr(B)
     rank = np.linalg.matrix_rank(B)
     if n == rank:
         return np.real(-np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0])
     ker, cols = [], []
     for p in poles:
         space = np.dot(u[:, rank:].T, A - p * np.eye(n)).T
-        Q, _ = qr(space, mode="full")
+        Q, _ = _qr(space)
         ker.append(Q[:, space.shape[1] :])
         x = np.sum(ker[-1], axis=1)[:, np.newaxis]
         cols.append(x / np.linalg.norm(x))
@@ -269,7 +275,7 @@ def _place_yt(A, B, poles) -> np.ndarray:
     for _ in range(sweeps):
         det_before = np.abs(np.linalg.det(X))
         for i, j in _yt_order(n):
-            Q, _ = qr(np.delete(X, (i, j), axis=1), mode="full")
+            Q, _ = _qr(np.delete(X, (i, j), axis=1))
             _yt_real(ker, Q, X, i, j)
         det = np.max((floor, np.abs(np.linalg.det(X))))
         if np.abs((det - det_before) / det) < 1e-3 and det > floor:

@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from parstab.certification import (
     CertificationError,
@@ -15,6 +21,7 @@ from parstab.certification import (
     compute_S2,
     compute_Sphi,
     eta_cert_rule,
+    head_size,
     solve_lyapunov,
 )
 from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
@@ -31,6 +38,45 @@ def test_solve_lyapunov_scalars():
 def test_solve_lyapunov_rejects_shifted_unstable():
     with pytest.raises(CertificationError):
         solve_lyapunov(np.array([[-0.5]]), 1.0)
+
+
+def block_loop(rng, n0, n_tail, margin):
+    """F as `assemble_F` lays it out: a dense 2*n0 head over a diagonal tail,
+    with every eigenvalue's real part at or below -margin."""
+    h = 2 * n0
+    H = rng.standard_normal((h, h)) * rng.uniform(0.1, 5.0)
+    H -= (np.max(np.linalg.eigvals(H).real) + margin) * np.eye(h)
+    F = np.zeros((h + n_tail, h + n_tail))
+    F[:h, :h] = H
+    F[:h, h:] = rng.standard_normal((h, n_tail)) * rng.uniform(0.1, 10.0)
+    F[h:, h:] = -np.diag(rng.uniform(margin, 200.0, n_tail))
+    return F
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n0=st.integers(min_value=1, max_value=4),
+    n_tail=st.integers(min_value=0, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    margin=st.floats(min_value=0.2, max_value=5.0),
+)
+def test_block_lyapunov_solve_is_scipys(n0, n_tail, seed, margin):
+    F = block_loop(np.random.default_rng(seed), n0, n_tail, margin)
+    assert head_size(F) <= 2 * n0
+    delta = 0.5 * margin
+    P = solve_lyapunov(F, delta)
+    want = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(len(F))).T, -np.eye(len(F)))
+    assert np.array_equal(P, P.T)
+    assert np.max(np.abs(P - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def test_head_size_reads_the_zero_pattern(example_art30):
+    m = example_art30
+    assert head_size(m.closed_loop) == 2 * m.n0
+    assert head_size(np.diag([-1.0, -2.0])) == 0
+    dense = -np.eye(4) + np.triu(np.ones((4, 4)), 1)
+    assert head_size(dense) == 3  # the last row is diagonal
+    assert head_size(dense.T) == 4
 
 
 def test_solve_lyapunov_example_loop(example_art30):
@@ -192,3 +238,37 @@ def test_certificate_json_shape(mild_art30):
     assert back["N_tail"] == 480
     assert back["rounds"] == [{"N": 30, "N_tail": 480, "status": "certified"}]
     assert back["theta1_max"] == cert.theta1_max
+
+
+# P and the bordered Theta1 of the strong-drift design at N = 120 and 240,
+# as digests of their bytes
+THETA_DIGEST = """
+import hashlib
+from parstab.certification import solve_lyapunov, theta1_matrix
+from parstab.lifting import LiftingContext
+from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
+from parstab.synthesis import synthesize
+
+plant = PlantConfig(dim=2, drift=(3.0, 3.0), reaction=10.0, delta=0.5)
+ctx = LiftingContext(enumerate_eigenpairs(plant, 960), 3)
+for N in (120, 240):
+    m = synthesize(ctx, (0.53, 1.05), (1.05, 0.53), N, 0.5)
+    P = solve_lyapunov(m.closed_loop, m.delta)
+    theta = theta1_matrix(P, m, 1.0, 1.0, 18.0, 10.0)
+    print(hashlib.sha256(P.tobytes() + theta.tobytes()).hexdigest())
+"""
+
+
+def test_lyapunov_and_theta1_bytes_do_not_depend_on_blas_threads():
+    # the eigenvalues of a 245-dim Theta1 still may (README, thread counts)
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    digests = set()
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        proc = subprocess.run(
+            [sys.executable, "-c", THETA_DIGEST], capture_output=True, text=True, env=env, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.add(proc.stdout)
+    assert len(digests) == 1

@@ -1,6 +1,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -41,6 +43,17 @@ def write_cfg(tmp_path, cfg, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def run_python(args, threads=None, timeout=300):
+    """A fresh interpreter on ./src, optionally with a fixed BLAS thread count."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join([os.path.join(ROOT, "src"), env.get("PYTHONPATH", "")])
+    if threads is not None:
+        env.update(OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=timeout
+    )
 
 
 def test_parse_fills_defaults(tmp_path):
@@ -340,3 +353,67 @@ def test_synthesis_report_round_trips_exactly(tmp_path):
     assert (out1 / "synthesis.json").read_bytes() == (out2 / "synthesis.json").read_bytes()
     report = json.loads((out1 / "synthesis.json").read_text())
     assert np.array(report["A"]).shape == (1, 1)
+
+
+@pytest.mark.parametrize("module", ["parstab", "parstab.cli"])
+def test_python_m_runs_without_warnings(module):
+    proc = run_python(["-W", "error", "-m", module, "--help"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: parstab")
+
+
+# Runs parstab commands with every scipy import refused. argv[1] is a JSON
+# list of [config, command, out] triples; prints the exit codes and the
+# scipy modules anything tried to import.
+NO_SCIPY = """
+import json, sys
+
+tried = []
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] == "scipy":
+            tried.append(name)
+            raise ImportError(f"{name} is refused")
+        return None
+
+sys.meta_path.insert(0, RefuseScipy())
+from parstab import cli
+
+codes = [cli.main([cmd, "--config", cfg, "--out", out]) for cfg, cmd, out in json.loads(sys.argv[1])]
+print(json.dumps({"codes": codes, "tried": tried}))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    quick = os.path.join(ROOT, "demos", "quick_certify.json")
+    strong = os.path.join(ROOT, "demos", "strong_drift_pipeline.json")
+    runs = [[quick, cmd, str(tmp_path / cmd)] for cmd in ("synthesize", "certify", "simulate", "pipeline")]
+    # N0 = 3 on the strong demo, so the YT update loop and its QR steps run
+    runs.append([strong, "synthesize", str(tmp_path / "strong")])
+    proc = run_python(["-c", NO_SCIPY, json.dumps(runs)])
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {"codes": [0] * 5, "tried": []}
+    assert json.loads((tmp_path / "strong" / "synthesis.json").read_text())["N0"] == 3
+    for name in ("synthesis.json", "certificate.json", "summary.json", "simulation.csv"):
+        assert (tmp_path / "pipeline" / name).exists()
+
+
+@pytest.mark.parametrize(
+    "cfg, code",
+    [
+        # n0 = 1, one round at N = 120
+        (dict(MILD, certification={"N_start": 120, "N_max": 120}), 0),
+        # n0 = 3, rounds at N = 30, 60 and 120, all failing theta1
+        (dict(EXAMPLE, synthesis={"N": 60}, certification={"N_start": 30, "N_max": 120}), 3),
+    ],
+)
+def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path, cfg, code):
+    path = write_cfg(tmp_path, cfg)
+    certs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        proc = run_python(["-m", "parstab", "certify", "--config", path, "--out", str(out)], threads)
+        assert proc.returncode == code, proc.stderr
+        certs.append((out / "certificate.json").read_bytes())
+    assert certs[0] == certs[1]

@@ -1,7 +1,4 @@
 import json
-import os
-import subprocess
-import sys
 import warnings
 from collections import Counter
 
@@ -36,8 +33,6 @@ from parstab.synthesis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
-
-ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_select_eta_values():
@@ -315,37 +310,3 @@ def test_yt_placement_is_scipys_on_observable_pairs(data, n0, delta, spread):
             synthesis._place_yt(A0.T, C0.T, targets)
         return
     assert np.array_equal(synthesis._place_yt(A0.T, C0.T, targets).T, want)
-
-
-# import parstab.cli, read the strong demo and synthesize it (n0 = 3, so the
-# YT update loop runs); print the scipy submodules loaded at each point
-GUARD_SCRIPT = """
-import json, sys
-from parstab import cli
-
-def heavy():
-    names = ("scipy.signal", "scipy.stats", "scipy.interpolate")
-    return sorted(m for m in sys.modules if m in names or m.startswith(tuple(n + "." for n in names)))
-
-at_import = heavy()
-cli.parse_config(sys.argv[1])
-code = cli.main(["synthesize", "--config", sys.argv[1], "--out", sys.argv[2]])
-print(json.dumps({"import": at_import, "main": heavy(), "code": code}))
-"""
-
-
-def test_cli_never_loads_scipy_signal(tmp_path):
-    demo = os.path.join(ROOT, "demos", "strong_drift_pipeline.json")
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
-    proc = subprocess.run(
-        [sys.executable, "-c", GUARD_SCRIPT, demo, str(tmp_path / "out")],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=300,
-    )
-    assert proc.returncode == 0, proc.stderr
-    out = json.loads(proc.stdout.splitlines()[-1])
-    assert out == {"import": [], "main": [], "code": 0}
-    report = json.loads((tmp_path / "out" / "synthesis.json").read_text())
-    assert report["N0"] == 3
