@@ -30,7 +30,7 @@ plant = PlantConfig(dim=2, drift=(3.0, 3.0), reaction=10.0, delta=0.5)
 eigs = enumerate_eigenpairs(plant, 481)
 n0, pattern = count_unstable(eigs, plant.delta)
 print(f"unstable modes (vs -delta): {n0}, multiplicity pattern {pattern}")
-print("leading eigenvalues:", np.round([e.lam for e in eigs[:6]], 3))
+print("leading eigenvalues:", np.round(eigs.lams[:6], 3))
 
 banner("controller synthesis at N = 60")
 ctx = LiftingContext(eigs, n0)
@@ -85,7 +85,7 @@ for n, n_tail, status in cube_cert.rounds:
 banner("closed loop vs open loop (strong drift, five low modes excited)")
 z0 = np.zeros(240)
 for mode in [(1, 1), (1, 2), (2, 1), (2, 2), (1, 3)]:
-    z0[next(i for i, e in enumerate(eigs) if e.multi_index == mode)] = 1.0
+    z0[np.flatnonzero(np.all(eigs.ks == mode, axis=1))[0]] = 1.0
 closed = run(z0, 20.0, 2e-4, design, N_sim=240)
 opened = run(z0[:120], 10.0, 1e-3, design, N_sim=120, open_loop=True)
 print(f"closed-loop decay rate : {closed.rate:+.3f}  (target <= -0.5)")

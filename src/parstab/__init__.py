@@ -6,8 +6,8 @@ The `parstab` command lives in `parstab.cli` (`python -m parstab`); the
 package import leaves it unloaded."""
 
 from .spectral_basis import (
-    Eigenpair,
     FaceId,
+    ModeTable,
     PlantConfig,
     conormal_trace,
     count_unstable,
@@ -58,8 +58,8 @@ from .simulation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Eigenpair",
     "FaceId",
+    "ModeTable",
     "PlantConfig",
     "conormal_trace",
     "count_unstable",

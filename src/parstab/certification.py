@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lifting
-from .spectral_basis import eval_phi, riesz_constants
+from .spectral_basis import ModeTable, eval_phi, riesz_constants
 from .synthesis import SynthesisArtifacts, abscissa
 
 log = logging.getLogger(__name__)
@@ -130,21 +130,21 @@ def compute_S2(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> float:
     return _s_total(artifacts, N, N_tail, gamma_sq=False)
 
 
-def sphi_terms(eigs, xi1, xi2, N: int, N_tail: int, nu: float) -> np.ndarray:
+def sphi_terms(eigs: ModeTable, xi1, xi2, N: int, N_tail: int, nu: float) -> np.ndarray:
     """Per-mode sensor tail terms (phi_n(xi1)^2 + phi_n(xi2)^2)/(lam_n+nu)^2."""
     if N_tail < N:
         raise ValueError("N_tail must be at least N")
     if N_tail > len(eigs):
         raise ValueError(f"only {len(eigs)} modes available, N_tail={N_tail}")
     tail = eigs[N:N_tail]
-    lams = np.array([e.lam for e in tail])
+    lams = tail.lams
     if np.any(lams + nu <= 0):
         raise ValueError("lam_n + nu must be positive beyond N")
     vals = eval_phi(tail, np.vstack([xi1, xi2]))
     return (vals[:, 0] ** 2 + vals[:, 1] ** 2) / (lams + nu) ** 2
 
 
-def compute_Sphi(eigs, xi1, xi2, N: int, N_tail: int, nu: float) -> float:
+def compute_Sphi(eigs: ModeTable, xi1, xi2, N: int, N_tail: int, nu: float) -> float:
     return float(np.add.reduce(sphi_terms(eigs, xi1, xi2, N, N_tail, nu)))
 
 

@@ -127,6 +127,11 @@ def _merge(schema: dict, data: dict, pointer: str) -> dict:
     return out
 
 
+def _is_int(value) -> bool:
+    """A JSON integer (bool is not one)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class RunConfig:
     plant: dict
@@ -157,9 +162,18 @@ def _validated(raw: dict) -> RunConfig:
         raise ConfigError("/certification/N_start: must be at least 1")
     if c["N_max"] < c["N_start"]:
         raise ConfigError("/certification/N_max: below N_start")
-    z0 = merged["simulation"]["z0"]
-    if isinstance(z0, dict) and z0.get("modes") is not None and z0.get("coeffs") is None:
-        raise ConfigError("/simulation/z0/modes: needs matching coeffs")
+    sim = merged["simulation"]
+    if not _is_int(sim["check_every"]) or sim["check_every"] < 0:
+        raise ConfigError("/simulation/check_every: must be a non-negative integer")
+    z0 = sim["z0"]
+    if isinstance(z0, dict) and z0.get("modes") is not None:
+        if z0.get("coeffs") is None:
+            raise ConfigError("/simulation/z0/modes: needs matching coeffs")
+        modes = z0["modes"]
+        if not isinstance(modes, list) or not all(
+            isinstance(m, list) and all(_is_int(v) for v in m) for m in modes
+        ):
+            raise ConfigError("/simulation/z0/modes: expected an array of integer multi-indices")
     sweep = merged["sweep"]
     if sweep is not None and not isinstance(sweep, list):
         raise ConfigError("/sweep: expected an array of override objects")
@@ -231,15 +245,16 @@ def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
         out = np.zeros(n_sim)
         out[: min(len(coeffs), n_sim)] = coeffs[:n_sim]
         return out
-    modes = [tuple(int(v) for v in m) for m in z0["modes"]]
+    modes = z0["modes"]
     if len(modes) != len(coeffs):
         raise ConfigError("/simulation/z0: modes and coeffs lengths differ")
-    index = {e.multi_index: i for i, e in enumerate(eigs[:n_sim])}
+    ks = eigs.ks[:n_sim]
     out = np.zeros(n_sim)
     for m, cval in zip(modes, coeffs):
-        if m not in index:
+        rows = np.flatnonzero(np.all(ks == m, axis=1)) if len(m) == plant.dim else ()
+        if not len(rows):
             raise ConfigError(f"/simulation/z0/modes: mode {list(m)} not within N_sim")
-        out[index[m]] = cval
+        out[rows[0]] = cval
     return out
 
 
@@ -443,7 +458,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True, help="JSON config path")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="reserved; runs are deterministic")
         p.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(

@@ -21,8 +21,8 @@ check live; every lifting map in the package is built from it.
 `boundary_inner` are per-mode and pairwise forms of what `LiftingContext`
 computes in blocks. They are kept on purpose as the oracles the tests check
 against closed forms and an independent elliptic solve; `gram_matrix` is the
-tensor-grid form of the head Gram, and the simulation's projection check
-uses `boundary_inner`.
+tensor-grid form of the head Gram. The simulation's projection check sums
+its own face inner products on a separate grid.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spectral_basis import (
+    ModeTable,
     Quadrature,
     face_quadrature,
     in_face_axes,
@@ -74,7 +75,7 @@ def shift_denominators(gamma, lams, *, n0=0, eta=0.0, first=1, strict=True):
     return dens
 
 
-def trace_cross_gram(rows, cols) -> np.ndarray:
+def trace_cross_gram(rows: ModeTable, cols: ModeTable) -> np.ndarray:
     """Face inner products <trace_n, trace_l> for modes n in rows, l in cols.
 
     A conormal trace is its lead (`trace_leads`) times one factor
@@ -98,9 +99,8 @@ def trace_cross_gram(rows, cols) -> np.ndarray:
     (len(rows), len(cols)) array; a non-finite entry (drift too strong for
     double precision) raises FloatingPointError.
     """
-    plant = rows[0].plant
-    kr = np.array([e.multi_index for e in rows])
-    kc = np.array([e.multi_index for e in cols])
+    plant = rows.plant
+    kr, kc = rows.ks, cols.ks
     out = np.multiply.outer(trace_leads(plant, kr), trace_leads(plant, kc))
     for ax in in_face_axes(plant):
         b, length = plant.drift[ax], plant.lengths[ax]
@@ -151,8 +151,8 @@ class LiftedProjectionTable:
     valid: np.ndarray
 
 
-def build_projection_table(gamma: float, eta: float, eigs, n0: int) -> LiftedProjectionTable:
-    dens = shift_denominators(gamma, [e.lam for e in eigs], n0=n0, eta=eta, strict=False)
+def build_projection_table(gamma: float, eta: float, eigs: ModeTable, n0: int) -> LiftedProjectionTable:
+    dens = shift_denominators(gamma, eigs.lams, n0=n0, eta=eta, strict=False)
     valid = ~np.isnan(dens)
     return LiftedProjectionTable(gamma=gamma, eta=eta, n0=n0, coeffs=-1.0 / dens, valid=valid)
 
@@ -199,7 +199,7 @@ def _finite_traces(eigs, quad: Quadrature) -> np.ndarray:
     return traces
 
 
-def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
+def gram_matrix(eigs: ModeTable, n0: int, quad: Quadrature = None) -> np.ndarray:
     """Head-mode trace Gram B[k][l] = <trace_k, trace_l> on the control face.
 
     Entries are computed once per unordered pair and mirrored, so the result
@@ -207,9 +207,8 @@ def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
     """
     if n0 < 1:
         raise ValueError("n0 must be at least 1")
-    plant = eigs[0].plant
     if quad is None:
-        quad = face_quadrature(plant, max_wavenumber(eigs[:n0]), rows=n0)
+        quad = face_quadrature(eigs.plant, max_wavenumber(eigs[:n0]), rows=n0)
     traces = _finite_traces(eigs[:n0], quad)
     out = np.empty((n0, n0))
     for k in range(n0):
@@ -221,7 +220,7 @@ def gram_matrix(eigs, n0: int, quad: Quadrature = None) -> np.ndarray:
 
 
 class LiftingContext:
-    """Trace Gram columns and eigenvalues for one mode list.
+    """Trace Gram columns and eigenvalues for one mode table.
 
     Holds everything the certification sums need: the tall cross-Gram
     column block `cross_cols`, <trace_n, trace_l> for all enumerated n
@@ -232,14 +231,14 @@ class LiftingContext:
     callers that want the control as a function on the face.
     """
 
-    def __init__(self, eigs, n0: int):
+    def __init__(self, eigs: ModeTable, n0: int):
         if n0 < 1 or n0 > len(eigs):
             raise ValueError("n0 out of range")
-        self.eigs = list(eigs)
+        self.eigs = eigs
         self.n0 = n0
-        self.plant = eigs[0].plant
-        self.lams = np.array([e.lam for e in self.eigs])
-        head = self.eigs[:n0]
+        self.plant = eigs.plant
+        self.lams = eigs.lams
+        head = eigs[:n0]
         self.quad = face_quadrature(self.plant, max_wavenumber(head), rows=n0)
         self.traces = _finite_traces(head, self.quad)
         # (M, n0): row n, column l holds <trace_{n+1}, trace_{l+1}>

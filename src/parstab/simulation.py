@@ -31,7 +31,7 @@ import numpy as np
 
 from .lifting import LiftingContext, shift_denominators
 from .linalg import expm
-from .spectral_basis import axis_rules, face_quadrature, max_wavenumber, trace_matrix
+from .spectral_basis import ModeTable, axis_rules, face_quadrature, max_wavenumber, trace_matrix
 from .spectral_basis import eval_phi  # noqa: F401  perfbench/spans.py wraps this name
 from .synthesis import SynthesisArtifacts, sensor_rows
 
@@ -403,6 +403,8 @@ def run(
     """
     if T <= 0:
         raise ValueError("T must be positive")
+    if check_every < 0:
+        raise ValueError("check_every must be non-negative")
     system = ClosedLoop(artifacts, N_sim=N_sim, open_loop=open_loop)
     if h is None:
         h = default_step(system.lams[-1])
@@ -505,7 +507,7 @@ def write_csv(run_result: SimulationRun, path) -> None:
         fh.writelines(fmt(_format_rows, chunks))
 
 
-def project_bump(plant, eigs, center, width: float, amplitude: float, count: int) -> np.ndarray:
+def project_bump(plant, eigs: ModeTable, center, width: float, amplitude: float, count: int) -> np.ndarray:
     """Coefficients <bump, psi_n> of a Gaussian bump, as products of 1-D integrals.
 
     The bump, the weight mu and phi_n all factor over the axes, so
@@ -520,8 +522,8 @@ def project_bump(plant, eigs, center, width: float, amplitude: float, count: int
     if center.shape != (plant.dim,):
         raise ValueError(f"bump center needs {plant.dim} coordinates")
     modes = eigs[:count]
-    ks = np.array([e.multi_index for e in modes])
-    out = amplitude * np.array([e.norm_const for e in modes])
+    ks = modes.ks
+    out = amplitude * np.full(len(modes), modes.norm)
     for ax, (x, w) in enumerate(axis_rules(plant, max_wavenumber(modes))):
         g = w * np.exp(-((x - center[ax]) ** 2) / (2.0 * width**2) + 0.5 * plant.drift[ax] * x)
         wavenumbers, which = np.unique(ks[:, ax], return_inverse=True)

@@ -17,11 +17,14 @@ L2 inner product. Everything downstream (lifting, synthesis, certification,
 simulation) consumes only eigenvalues, point values and conormal traces, so
 this module is the single basis provider.
 
-`eval_phi` and `conormal_trace` take one mode or a whole list of modes. A
-list is evaluated in one batch: per axis, the envelope is computed once and
-the sine once per wavenumber that occurs, and these factors are multiplied
-into an (M, npts) table in place. `_separable_rows` holds that product; it is
-the only place the formula is written, and its per-element order of
+The modes are arrays: `enumerate_eigenpairs` returns one `ModeTable` holding
+the (M, d) multi-indices, the eigenvalues, the multiplicity group ids and the
+one normalising constant prod_i sqrt(2/l_i). Slicing a table gives a table.
+`eval_phi`, `eval_psi` and `conormal_trace` evaluate a whole table in one
+batch and return an (M, npts) array: per axis, the envelope is computed once
+and the sine once per wavenumber that occurs, and these factors are
+multiplied into the rows in place. `_separable_rows` holds that product; it
+is the only place the formula is written, and its per-element order of
 operations is the one a mode-by-mode loop would use, so a batch is bit for
 bit equal to evaluating the modes one at a time.
 """
@@ -29,7 +32,8 @@ bit equal to evaluating the modes one at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -171,25 +175,46 @@ def nu_default(plant: PlantConfig) -> float:
     return max(0.0, plant.reaction + 1.0)
 
 
-@dataclass(frozen=True)
-class Eigenpair:
-    """One mode: multi-index, eigenvalue and evaluation data."""
+class Mode(NamedTuple):
+    """One row of a ModeTable, as an integer index into it gives."""
 
     multi_index: tuple
     lam: float
-    norm_const: float
     group_id: int
-    plant: PlantConfig = field(repr=False, compare=False)
-
-    @property
-    def wavenumbers(self) -> tuple:
-        return tuple(
-            k * math.pi / l for k, l in zip(self.multi_index, self.plant.lengths)
-        )
 
 
-def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
-    """First `count` eigenpairs in ascending eigenvalue order.
+@dataclass(frozen=True, eq=False)
+class ModeTable:
+    """The first M modes of one plant, in ascending eigenvalue order.
+
+    `ks` is the (M, d) integer multi-index array, `lams` the eigenvalues,
+    `group_ids` numbers the distinct eigenvalues (equal within 1e-9) from
+    the first one on, and `norm` is the constant prod_i sqrt(2/l_i) every
+    eigenfunction carries. The arrays are read-only. A slice gives a table
+    over the same plant; an integer gives one `Mode`.
+    """
+
+    plant: PlantConfig
+    ks: np.ndarray
+    lams: np.ndarray
+    group_ids: np.ndarray
+    norm: float
+
+    def __post_init__(self):
+        for a in (self.ks, self.lams, self.group_ids):
+            a.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.lams)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return ModeTable(self.plant, self.ks[key], self.lams[key], self.group_ids[key], self.norm)
+        return Mode(tuple(self.ks[key].tolist()), float(self.lams[key]), int(self.group_ids[key]))
+
+
+def enumerate_eigenpairs(plant: PlantConfig, count: int) -> ModeTable:
+    """Table of the first `count` modes in ascending eigenvalue order.
 
     Candidate multi-indices are all k in the ellipsoid
     sum (k_i * l_min / l_i)^2 <= 2*count^(2/d) + 64, which is the ball
@@ -234,42 +259,19 @@ def enumerate_eigenpairs(plant: PlantConfig, count: int) -> list:
     )
     if lams[count] < lams[count - 1] - 1e-12 or floor < lams[count - 1]:
         raise SearchRadiusError("enumeration bound not provably sufficient")
+    lams, ks = lams[:count], ks[:count]
+    # a new group wherever the eigenvalue rises by more than 1e-9
+    group_ids = np.concatenate([[0], np.cumsum(lams[1:] > lams[:-1] + 1e-9)])
     norm = math.prod(math.sqrt(2.0 / l) for l in plant.lengths)
-    out = []
-    group = -1
-    prev = None
-    for lam, k in zip(lams[:count].tolist(), ks[:count].tolist()):
-        if prev is None or lam > prev + 1e-9:
-            group += 1
-        prev = lam
-        out.append(Eigenpair(multi_index=tuple(k), lam=lam, norm_const=norm, group_id=group, plant=plant))
-    return out
+    return ModeTable(plant, ks, lams, group_ids, norm)
 
 
-def _as_points(x, dim):
-    x = np.asarray(x, dtype=float)
-    scalar = x.ndim == 1
-    pts = np.atleast_2d(x)
+def _as_points(x, dim) -> np.ndarray:
+    """One point or a stack of points as an (npts, dim) array."""
+    pts = np.atleast_2d(np.asarray(x, dtype=float))
     if pts.shape[1] != dim:
         raise DomainError(f"points must have {dim} coordinates")
-    return pts, scalar
-
-
-def _as_modes(e):
-    """(modes, single): one Eigenpair or a sequence of modes of one plant."""
-    if isinstance(e, Eigenpair):
-        return [e], True
-    return list(e), False
-
-
-def _multi_indices(modes) -> np.ndarray:
-    return np.array([m.multi_index for m in modes])
-
-
-def _shaped(rows, single, scalar):
-    if not single:
-        return rows
-    return float(rows[0, 0]) if scalar else rows[0]
+    return pts
 
 
 # sine-table entries gathered at a time while multiplying them into the rows
@@ -302,31 +304,21 @@ def _separable_rows(plant, ks, pts, lead, axes, half, scaled) -> np.ndarray:
     return rows
 
 
-def eval_phi(e, x):
-    """Forward eigenfunction values phi_n(x) at one point or a stack.
-
-    `e` is one Eigenpair, giving a float at one point and an (npts,) array
-    at a stack, or a sequence of M modes of one plant, giving an (M, npts)
-    array.
-    """
-    modes, single = _as_modes(e)
-    if not modes:
-        return np.zeros((0, len(np.atleast_2d(x))))
-    plant = modes[0].plant
-    pts, scalar = _as_points(x, plant.dim)
+def eval_phi(modes: ModeTable, x) -> np.ndarray:
+    """Forward eigenfunction values phi_n(x): an (M, npts) array for the M
+    modes of the table at one point or a stack of npts points."""
+    plant = modes.plant
+    pts = _as_points(x, plant.dim)
     if not np.all(plant.contains(pts, tol=1e-12)):
         raise DomainError("point outside the box closure")
-    norms = np.array([m.norm_const for m in modes])
-    rows = _separable_rows(plant, _multi_indices(modes), pts, norms, range(plant.dim), -0.5, False)
-    return _shaped(rows, single, scalar)
+    lead = np.full(len(modes), modes.norm)
+    return _separable_rows(plant, modes.ks, pts, lead, range(plant.dim), -0.5, False)
 
 
-def eval_psi(e: Eigenpair, x):
-    """Dual value psi_n(x) = mu(x) phi_n(x)."""
-    plant = e.plant
-    pts, scalar = _as_points(x, plant.dim)
-    out = plant.mu(pts) * eval_phi(e, pts)
-    return float(out[0]) if scalar else out
+def eval_psi(modes: ModeTable, x) -> np.ndarray:
+    """Dual values psi_n(x) = mu(x) phi_n(x), shaped as in eval_phi."""
+    pts = _as_points(x, modes.plant.dim)
+    return modes.plant.mu(pts) * eval_phi(modes, pts)
 
 
 def _on_face(plant: PlantConfig, pts, face: FaceId, tol=1e-10):
@@ -335,7 +327,7 @@ def _on_face(plant: PlantConfig, pts, face: FaceId, tol=1e-10):
     return np.all(np.abs(coord - target) <= tol) and np.all(plant.contains(pts, tol=tol))
 
 
-def conormal_trace(e, s):
+def conormal_trace(modes: ModeTable, s) -> np.ndarray:
     """Conormal flux of phi_n on the control face.
 
     The divergence-form flux is sum_i n_i a_i d_i(phi) with a_i = mu and
@@ -345,19 +337,14 @@ def conormal_trace(e, s):
 
     (the mu weight cancels the e^{-b x/2} envelope into e^{+b x/2}); on the
     high face the prefactor picks up (-1)^{k_a} e^{b_a l_a / 2} and a sign
-    flip from the normal. `e` and the result are shaped as in eval_phi.
+    flip from the normal. The result is shaped as in eval_phi.
     """
-    modes, single = _as_modes(e)
-    if not modes:
-        return np.zeros((0, len(np.atleast_2d(s))))
-    plant = modes[0].plant
-    face = plant.control_face
-    pts, scalar = _as_points(s, plant.dim)
-    if not _on_face(plant, pts, face):
+    plant = modes.plant
+    pts = _as_points(s, plant.dim)
+    if not _on_face(plant, pts, plant.control_face):
         raise DomainError("point not on the control face")
-    ks = _multi_indices(modes)
-    rows = _separable_rows(plant, ks, pts, trace_leads(plant, ks), in_face_axes(plant), 0.5, True)
-    return _shaped(rows, single, scalar)
+    ks = modes.ks
+    return _separable_rows(plant, ks, pts, trace_leads(plant, ks), in_face_axes(plant), 0.5, True)
 
 
 def in_face_axes(plant: PlantConfig) -> list:
@@ -388,27 +375,20 @@ def riesz_constants(plant: PlantConfig) -> tuple:
     return 1.0 / plant.mu_max, 1.0 / plant.mu_min
 
 
-def count_unstable(eigs: list, delta: float, allow_general: bool = False) -> tuple:
+def count_unstable(eigs: ModeTable, delta: float, allow_general: bool = False) -> tuple:
     """Number of modes with lam <= delta plus their multiplicity pattern.
 
     The supported shapes are an all-simple prefix or a prefix whose second
     distinct eigenvalue is double; anything else raises unless
-    `allow_general` is set. The list must be long enough to witness the first
-    eigenvalue beyond delta.
+    `allow_general` is set. The table must be long enough to witness the
+    first eigenvalue beyond delta.
     """
-    lams = [e.lam for e in eigs]
-    n0 = sum(1 for lam in lams if lam <= delta)
-    if n0 >= len(lams):
+    n0 = int(np.count_nonzero(eigs.lams <= delta))
+    if n0 >= len(eigs):
         raise ValueError("eigenvalue list too short to witness the threshold")
-    pattern = []
-    last_gid = None
-    for e in eigs[:n0]:
-        if pattern and e.group_id == last_gid:
-            pattern[-1] += 1
-        else:
-            pattern.append(1)
-        last_gid = e.group_id
-    pattern = tuple(pattern)
+    # group ids rise along the table, so each group is one run
+    _, counts = np.unique(eigs.group_ids[:n0], return_counts=True)
+    pattern = tuple(counts.tolist())
     if not allow_general:
         simple = all(m == 1 for m in pattern)
         double_second = (
@@ -520,23 +500,23 @@ def face_quadrature(
     return Quadrature(points=pts, weights=w)
 
 
-def max_wavenumber(eigs: list) -> int:
-    return max(max(e.multi_index) for e in eigs)
+def max_wavenumber(modes: ModeTable) -> int:
+    return int(modes.ks.max())
 
 
-def phi_matrix(eigs: list, points: np.ndarray) -> np.ndarray:
+def phi_matrix(eigs: ModeTable, points: np.ndarray) -> np.ndarray:
     """Row n holds phi_n sampled at `points`."""
     return eval_phi(eigs, points)
 
 
-def trace_matrix(eigs: list, quad: Quadrature) -> np.ndarray:
+def trace_matrix(eigs: ModeTable, quad: Quadrature) -> np.ndarray:
     """Row n holds the conormal trace of mode n on the face rule."""
     return conormal_trace(eigs, quad.points)
 
 
-def biorthonormality_defect(eigs: list, quad: Quadrature = None) -> float:
+def biorthonormality_defect(eigs: ModeTable, quad: Quadrature = None) -> float:
     """max |<phi_i, psi_j> - delta_ij| over the supplied modes."""
-    plant = eigs[0].plant
+    plant = eigs.plant
     if quad is None:
         quad = interior_quadrature(plant, max_wavenumber(eigs), rows=len(eigs))
     vals = phi_matrix(eigs, quad.points)

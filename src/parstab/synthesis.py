@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lifting
-from .spectral_basis import DomainError, conormal_trace, eval_phi
+from .spectral_basis import DomainError, ModeTable, conormal_trace, eval_phi
 
 log = logging.getLogger(__name__)
 
@@ -142,14 +142,14 @@ def select_gamma_ladder(
     )
 
 
-def sensor_rows(modes, xi1, xi2) -> np.ndarray:
+def sensor_rows(modes: ModeTable, xi1, xi2) -> np.ndarray:
     """Values phi_n(xi1) and phi_n(xi2) of the given modes, as two rows."""
     # a C-ordered copy: a transposed view changes the summation order of the
     # products taken with these rows, and with it their last bits
     return np.ascontiguousarray(eval_phi(modes, np.vstack([xi1, xi2])).T)
 
 
-def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
+def validate_sensors(xi1, xi2, eigs: ModeTable, n0: int, tol: float = 1e-3) -> np.ndarray:
     """Check mode visibility at the two sensors and return C0 (2 x N0).
 
     Simple head modes need |phi_i(xi1)| + |phi_i(xi2)| > tol. A double pair
@@ -158,7 +158,7 @@ def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
     placement. The (A0, C0) pair must then be observable at full numerical
     rank.
     """
-    plant = eigs[0].plant
+    plant = eigs.plant
     xi1 = np.asarray(xi1, dtype=float)
     xi2 = np.asarray(xi2, dtype=float)
     if np.allclose(xi1, xi2):
@@ -170,8 +170,8 @@ def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
     head = eigs[:n0]
     C0 = sensor_rows(head, xi1, xi2)
     groups = {}
-    for i, e in enumerate(head):
-        groups.setdefault(e.group_id, []).append(i)
+    for i, gid in enumerate(head.group_ids.tolist()):
+        groups.setdefault(gid, []).append(i)
     for members in groups.values():
         if len(members) == 1:
             i = members[0]
@@ -190,7 +190,7 @@ def validate_sensors(xi1, xi2, eigs, n0: int, tol: float = 1e-3) -> np.ndarray:
             raise SensorPlacementError(
                 f"multiplicity {len(members)} head group unsupported"
             )
-    A0 = -np.diag([e.lam for e in head])
+    A0 = -np.diag(head.lams)
     obs = np.vstack([C0 @ np.linalg.matrix_power(A0, k) for k in range(n0)])
     rank = np.linalg.matrix_rank(obs, tol=1e-10 * max(1.0, np.linalg.norm(obs)))
     if rank < n0:
@@ -324,7 +324,7 @@ class SynthesisArtifacts:
     """Everything the closed loop is made of, for one design size N."""
 
     plant: object
-    eigs: list = field(repr=False)
+    eigs: ModeTable = field(repr=False)
     n0: int = 0
     N: int = 0
     delta: float = 0.0
@@ -346,10 +346,6 @@ class SynthesisArtifacts:
     sensors: tuple = ()
     margins: dict = field(default_factory=dict)
     context: lifting.LiftingContext = field(default=None, repr=False, compare=False)
-
-    @property
-    def head_lams(self) -> np.ndarray:
-        return np.array([e.lam for e in self.eigs[: self.n0]])
 
     def lift_sum(self) -> np.ndarray:
         """sum_k Lam_{gamma_k}, the combined head lifting diagonal."""
@@ -467,7 +463,7 @@ def report_dict(artifacts: SynthesisArtifacts) -> dict:
     m = artifacts
     return {
         "schema_version": 1,
-        "eigenvalues": [e.lam for e in m.eigs[: m.N]],
+        "eigenvalues": m.eigs.lams[: m.N].tolist(),
         "eta": m.eta,
         "gamma": list(m.gammas),
         "B": m.trace_gram.tolist(),

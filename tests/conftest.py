@@ -95,7 +95,7 @@ def d1_ctx(d1_eigs, d1_plant):
 def mode_index(eigs, multi_index):
     """Position of a separable mode in the enumeration, or raise."""
     key = tuple(int(v) for v in multi_index)
-    for i, e in enumerate(eigs):
-        if e.multi_index == key:
-            return i
+    rows = np.flatnonzero(np.all(eigs.ks == key, axis=1))
+    if len(rows):
+        return int(rows[0])
     raise KeyError(f"mode {key} not in the first {len(eigs)} eigenpairs")

@@ -82,9 +82,8 @@ def test_weighted_eigen_pde_residual(example_plant, example_eigs):
     b = example_plant.drift
     c = example_plant.reaction
     worst = 0.0
-    for e in example_eigs[:10]:
-        k = e.multi_index
-        phi = eval_phi(e, pts)
+    phis = eval_phi(example_eigs[:10], pts)
+    for k, lam, phi in zip(example_eigs.ks[:10].tolist(), example_eigs.lams[:10], phis):
         lap = np.zeros(len(pts))
         drift = np.zeros(len(pts))
         for axis in range(2):
@@ -104,7 +103,7 @@ def test_weighted_eigen_pde_residual(example_plant, example_eigs):
             lap += fpp * g
             drift += b[axis] * fp * g
         mu = np.exp(b[0] * pts[:, 0] + b[1] * pts[:, 1])
-        residual = mu * (-lap - drift - c * phi - e.lam * phi)
+        residual = mu * (-lap - drift - c * phi - lam * phi)
         worst = max(worst, float(np.max(np.abs(residual))))
     elapsed = time.perf_counter() - t0
     assert worst < 1e-6
@@ -114,7 +113,7 @@ def test_weighted_eigen_pde_residual(example_plant, example_eigs):
 def test_lifting_formula_against_elliptic_solve_line(d1_plant, d1_eigs):
     t0 = time.perf_counter()
     n0 = 2
-    eta = synthesis.select_eta([e.lam for e in d1_eigs[:n0]])
+    eta = synthesis.select_eta(d1_eigs.lams[:n0])
     assert eta == pytest.approx(1.0)
     M = 2000
     xg = np.linspace(0.0, np.pi, M)
@@ -136,7 +135,7 @@ def test_lifting_formula_against_elliptic_solve_line(d1_plant, d1_eigs):
         rhs = np.zeros(n_int)
         rhs[0] = -(-1.0 / hg**2 + 3.0 / (2 * hg))  # boundary value 1 at x = 0
         for i_mode in range(n0):
-            lam_i = d1_eigs[i_mode].lam
+            lam_i = d1_eigs.lams[i_mode]
             psi = mu * phi_all[i_mode]
             coefficient = -2.0 * lam_i - (eta if i_mode == 1 else 0.0)
             lhs += coefficient * np.outer(phi_all[i_mode][1:-1], psi[1:-1] * quadw[1:-1])
@@ -145,7 +144,7 @@ def test_lifting_formula_against_elliptic_solve_line(d1_plant, d1_eigs):
         table = build_projection_table(gamma, eta, d1_eigs, n0)
         for k in range(1, 7):
             fd_coeff = float(np.sum(solution * mu * phi_all[k - 1] * quadw))
-            trace_at_zero = float(conormal_trace(d1_eigs[k - 1], np.array([[0.0]]))[0])
+            trace_at_zero = float(conormal_trace(d1_eigs[k - 1 : k], np.array([[0.0]]))[0, 0])
             predicted = lifted_projection(table, trace_at_zero, k)
             assert abs(fd_coeff - predicted) / abs(predicted) < 1e-3
     elapsed = time.perf_counter() - t0

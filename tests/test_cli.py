@@ -15,7 +15,7 @@ from parstab.cli import (
     parse_config,
 )
 from parstab.simulation import project_bump
-from parstab.spectral_basis import FaceId, enumerate_eigenpairs
+from parstab.spectral_basis import FaceId, ModeTable, enumerate_eigenpairs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -251,6 +251,48 @@ def test_unknown_mode_exit_code(tmp_path, capsys):
     assert "not within N_sim" in capsys.readouterr().err
 
 
+def _quick_with(simulation_overrides):
+    with open(os.path.join(ROOT, "demos", "quick_certify.json")) as fh:
+        cfg = json.load(fh)
+    cfg["simulation"].update(simulation_overrides)
+    return cfg
+
+
+def test_simulate_rejects_negative_check_every(tmp_path, capsys):
+    # a negative stride would leave the projection check range empty and
+    # report projection_check_max 0.0 for a run that checked nothing
+    cfg = _quick_with({"check_every": -5})
+    code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "/simulation/check_every" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("entry", [1.5, "1"])
+def test_simulate_rejects_non_integer_z0_modes(tmp_path, capsys, entry):
+    cfg = _quick_with({"z0": {"modes": [[entry, 1]], "coeffs": [1.0]}})
+    code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "/simulation/z0/modes" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_pipeline_reads_modes_as_arrays(tmp_path, monkeypatch):
+    # no stage takes one mode out of the table: integer keys raise
+    table_getitem = ModeTable.__getitem__
+
+    def slices_only(self, key):
+        if not isinstance(key, slice):
+            raise AssertionError(f"ModeTable indexed by {key!r}")
+        return table_getitem(self, key)
+
+    monkeypatch.setattr(ModeTable, "__getitem__", slices_only)
+    cfg = os.path.join(ROOT, "demos", "quick_certify.json")
+    assert main(["pipeline", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    for name in ("synthesis.json", "certificate.json", "summary.json", "simulation.csv"):
+        assert (tmp_path / "o" / name).exists()
+
+
 def test_simulate_rejects_nonpositive_T(tmp_path, capsys):
     cfg = {**MILD, "simulation": {**MILD["simulation"], "T": 0.0}}
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
@@ -323,14 +365,6 @@ def test_sweep_without_entries_fails(tmp_path, capsys):
     assert "no sweep entries" in capsys.readouterr().err
 
 
-def test_seed_flag_is_accepted(tmp_path):
-    out = tmp_path / "out"
-    code = main(
-        ["synthesize", "--config", write_cfg(tmp_path, MILD), "--out", str(out), "--seed", "7"]
-    )
-    assert code == 0
-
-
 def test_simulate_creates_missing_out_dir(tmp_path):
     out = tmp_path / "not" / "yet"
     code = main(["simulate", "--config", write_cfg(tmp_path, MILD), "--out", str(out)])
@@ -353,6 +387,12 @@ def test_synthesis_report_round_trips_exactly(tmp_path):
     assert (out1 / "synthesis.json").read_bytes() == (out2 / "synthesis.json").read_bytes()
     report = json.loads((out1 / "synthesis.json").read_text())
     assert np.array(report["A"]).shape == (1, 1)
+
+
+def test_walkthrough_demo_runs():
+    proc = run_python([os.path.join(ROOT, "demos", "walkthrough.py")])
+    assert proc.returncode == 0, proc.stderr
+    assert "closed-loop decay rate" in proc.stdout
 
 
 @pytest.mark.parametrize("module", ["parstab", "parstab.cli"])

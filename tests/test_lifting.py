@@ -20,8 +20,8 @@ from parstab.lifting import (
     trace_cross_gram,
 )
 from parstab.spectral_basis import (
-    Eigenpair,
     FaceId,
+    ModeTable,
     PlantConfig,
     Quadrature,
     enumerate_eigenpairs,
@@ -133,7 +133,7 @@ def test_context_cross_columns_extend_head_gram(example_ctx):
 
 def _grid_cross_gram(rows, cols):
     """<trace_n, trace_l> on the tensor face rule sized to every mode."""
-    quad = face_quadrature(rows[0].plant, max_wavenumber(list(rows) + list(cols)))
+    quad = face_quadrature(rows.plant, max(max_wavenumber(rows), max_wavenumber(cols)))
     return (trace_matrix(rows, quad) * quad.weights) @ trace_matrix(cols, quad).T
 
 
@@ -176,10 +176,13 @@ def test_cross_gram_holds_at_high_wavenumbers(drift):
     # in-face indices up to 200, where J(|p-q|) - J(p+q) would cancel
     plant = PlantConfig(dim=2, drift=(drift, 0.3), reaction=10.0, delta=0.5)
     ks = [1, 2, 3, 50, 51, 120, 199, 200]
-    eigs = [
-        Eigenpair(multi_index=(k, 2), lam=0.0, norm_const=2 / np.pi, group_id=i, plant=plant)
-        for i, k in enumerate(ks)
-    ]
+    eigs = ModeTable(
+        plant,
+        ks=np.array([(k, 2) for k in ks]),
+        lams=np.zeros(len(ks)),
+        group_ids=np.arange(len(ks)),
+        norm=2 / np.pi,
+    )
     got = trace_cross_gram(eigs, eigs)
     want = _grid_cross_gram(eigs, eigs)
     scale = np.max(np.abs(want), axis=0)
@@ -189,8 +192,8 @@ def test_cross_gram_holds_at_high_wavenumbers(drift):
 def test_cross_gram_is_exactly_diagonal_in_face_without_drift(mild_ctx):
     # with b = 0 the in-face sines are orthogonal: only modes sharing the
     # head mode's in-face index couple to it, and the rest are exactly zero
-    head = mild_ctx.eigs[0].multi_index
-    same = np.array([e.multi_index[0] == head[0] for e in mild_ctx.eigs])
+    ks = mild_ctx.eigs.ks
+    same = ks[:, 0] == ks[0, 0]
     assert np.all(mild_ctx.cross_cols[~same] == 0.0)
     assert np.all(mild_ctx.cross_cols[same] != 0.0)
 

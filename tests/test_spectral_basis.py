@@ -11,6 +11,8 @@ from parstab.spectral_basis import (
     GRID_BYTES_MAX,
     FaceId,
     GridSizeError,
+    Mode,
+    ModeTable,
     PatternError,
     PlantConfig,
     biorthonormality_defect,
@@ -38,7 +40,8 @@ def explicit_eigenvalue(plant, k):
 
 
 def enumerated_eigenvalue(plant, k, count=60):
-    return {e.multi_index: e.lam for e in enumerate_eigenpairs(plant, count)}[k]
+    eigs = enumerate_eigenpairs(plant, count)
+    return dict(zip(map(tuple, eigs.ks.tolist()), eigs.lams.tolist()))[k]
 
 
 def test_eigenvalues_drifted_plane(example_plant):
@@ -61,13 +64,28 @@ def test_eigenvalues_line(d1_plant):
 
 
 def test_enumeration_order_and_tie_break(example_eigs):
-    lams = [e.lam for e in example_eigs]
+    lams = example_eigs.lams.tolist()
     assert lams == sorted(lams)
     # the double at -0.5 is listed lexicographically
     assert example_eigs[1].multi_index == (1, 2)
     assert example_eigs[2].multi_index == (2, 1)
-    gids = [e.group_id for e in example_eigs[:6]]
+    gids = example_eigs.group_ids[:6].tolist()
     assert gids == [0, 1, 1, 2, 3, 3]
+
+
+def test_mode_table_slices_to_tables_and_indexes_to_modes(example_eigs):
+    head = example_eigs[1:4]
+    assert isinstance(head, ModeTable) and len(head) == 3
+    assert head.plant is example_eigs.plant and head.norm == example_eigs.norm
+    assert head.ks.tolist() == [[1, 2], [2, 1], [2, 2]]
+    assert head.group_ids.tolist() == [1, 1, 2]
+    assert example_eigs[2] == Mode((2, 1), -0.5, 1)
+    assert example_eigs[-1] == Mode(
+        tuple(example_eigs.ks[-1].tolist()), float(example_eigs.lams[-1]), int(example_eigs.group_ids[-1])
+    )
+    assert [m.multi_index for m in example_eigs[:3]] == [(1, 1), (1, 2), (2, 1)]
+    with pytest.raises(ValueError):
+        head.lams[0] = 0.0
 
 
 def test_enumeration_rejects_nonpositive_count(example_plant):
@@ -81,34 +99,34 @@ def test_enumeration_properties(count):
     plant = PlantConfig(dim=2, drift=(3.0, 3.0), reaction=10.0)
     eigs = enumerate_eigenpairs(plant, count)
     assert len(eigs) == count
-    lams = np.array([e.lam for e in eigs])
+    lams = eigs.lams
     assert np.all(np.diff(lams) >= -1e-12)
-    gids = [e.group_id for e in eigs]
+    gids = eigs.group_ids.tolist()
     assert gids[0] == 0
     assert all(b - a in (0, 1) for a, b in zip(gids, gids[1:]))
 
 
 def test_phi_separable_product(example_eigs):
-    e = example_eigs[4]  # mode (1, 3)
+    k = example_eigs[4].multi_index  # mode (1, 3)
     pts = np.array([[0.3, 0.7], [1.1, 2.9], [np.pi / 2, np.pi / 3]])
-    got = eval_phi(e, pts)
+    got = eval_phi(example_eigs[4:5], pts)[0]
     for p, val in zip(pts, got):
         want = 1.0
-        for ki, xi, bi in zip(e.multi_index, p, (3.0, 3.0)):
+        for ki, xi, bi in zip(k, p, (3.0, 3.0)):
             want *= math.sqrt(2 / math.pi) * math.exp(-bi * xi / 2) * math.sin(ki * xi)
         assert val == pytest.approx(want, rel=1e-13)
 
 
 def test_psi_is_weighted_phi(example_eigs):
-    e = example_eigs[2]
+    modes = example_eigs[2:3]
     pts = np.array([[0.4, 0.9], [2.0, 1.5]])
     mu = np.exp(3.0 * pts[:, 0] + 3.0 * pts[:, 1])
-    assert eval_psi(e, pts) == pytest.approx(mu * eval_phi(e, pts), rel=1e-12)
+    assert eval_psi(modes, pts)[0] == pytest.approx(mu * eval_phi(modes, pts)[0], rel=1e-12)
 
 
 def test_eval_outside_box_raises(example_eigs):
     with pytest.raises(DomainError):
-        eval_phi(example_eigs[0], [(0.1, 3.5)])
+        eval_phi(example_eigs[:1], [(0.1, 3.5)])
 
 
 def test_biorthonormality_line(d1_plant, d1_eigs):
@@ -118,10 +136,9 @@ def test_biorthonormality_line(d1_plant, d1_eigs):
 def test_conormal_trace_low_face_closed_form(example_plant, example_eigs):
     # control face is {x2 = 0}; independent closed form along it
     s = np.array([[0.3, 0.0], [1.2, 0.0], [2.9, 0.0]])
-    for e in example_eigs[:8]:
-        i, j = e.multi_index
+    for (i, j), got in zip(example_eigs.ks[:8].tolist(), conormal_trace(example_eigs[:8], s)):
         want = -(2.0 / np.pi) * j * np.exp(1.5 * s[:, 0]) * np.sin(i * s[:, 0])
-        assert conormal_trace(e, s) == pytest.approx(want.tolist(), rel=1e-12, abs=1e-12)
+        assert got == pytest.approx(want.tolist(), rel=1e-12, abs=1e-12)
 
 
 def test_conormal_trace_high_face_sign_and_weight():
@@ -130,15 +147,14 @@ def test_conormal_trace_high_face_sign_and_weight():
     )
     eigs = enumerate_eigenpairs(plant, 4)
     s = np.array([[np.pi]])
-    for e in eigs:
-        n = e.multi_index[0]
+    for (n,), got in zip(eigs.ks.tolist(), conormal_trace(eigs, s)):
         want = math.sqrt(2 / math.pi) * n * (-1) ** n * math.exp(1.5 * np.pi)
-        assert conormal_trace(e, s)[0] == pytest.approx(want, rel=1e-12)
+        assert got[0] == pytest.approx(want, rel=1e-12)
 
 
 def test_trace_off_face_raises(example_eigs):
     with pytest.raises(DomainError):
-        conormal_trace(example_eigs[0], [(0.5, 0.1)])
+        conormal_trace(example_eigs[:1], [(0.5, 0.1)])
 
 
 def test_traces_do_not_vanish(example_plant, example_eigs):
@@ -272,29 +288,31 @@ def ref_enumerate(plant, count):
     return out
 
 
-def ref_phi(e, pts):
-    plant = e.plant
-    out = np.full(pts.shape[0], e.norm_const)
+def ref_norm(plant):
+    return math.prod(math.sqrt(2.0 / l) for l in plant.lengths)
+
+
+def ref_phi(plant, k, pts):
+    out = np.full(pts.shape[0], ref_norm(plant))
     for ax in range(plant.dim):
-        kap = e.wavenumbers[ax]
+        kap = k[ax] * math.pi / plant.lengths[ax]
         out = out * np.exp(-0.5 * plant.drift[ax] * pts[:, ax]) * np.sin(kap * pts[:, ax])
     return out
 
 
-def ref_trace(e, pts):
-    plant = e.plant
+def ref_trace(plant, k, pts):
     a = plant.control_face.axis
-    kap_a = e.wavenumbers[a]
+    kap_a = k[a] * math.pi / plant.lengths[a]
     la = plant.lengths[a]
     if plant.control_face.side == 0:
         lead = -math.sqrt(2.0 / la) * kap_a
     else:
-        lead = math.sqrt(2.0 / la) * kap_a * (-1) ** e.multi_index[a] * math.exp(0.5 * plant.drift[a] * la)
+        lead = math.sqrt(2.0 / la) * kap_a * (-1) ** k[a] * math.exp(0.5 * plant.drift[a] * la)
     out = np.full(pts.shape[0], lead)
     for ax in range(plant.dim):
         if ax == a:
             continue
-        kap = e.wavenumbers[ax]
+        kap = k[ax] * math.pi / plant.lengths[ax]
         out = (
             out
             * math.sqrt(2.0 / plant.lengths[ax])
@@ -336,11 +354,11 @@ def test_batched_phi_matches_per_mode_formula_bit_for_bit(name):
     # enough points that the in-place products run over several row blocks
     pts = rng.uniform(0.0, 1.0, size=(20000, plant.dim)) * np.array(plant.lengths)
     pts[0] = plant.lengths  # a corner of the closure
-    want = np.vstack([ref_phi(e, pts) for e in eigs])
+    want = np.vstack([ref_phi(plant, k, pts) for k in eigs.ks.tolist()])
     assert same_bits(eval_phi(eigs, pts), want)
     assert same_bits(phi_matrix(eigs, pts), want)
-    assert same_bits(eval_phi(eigs[7], pts), want[7])
-    assert eval_phi(eigs[7], pts[5]) == float(want[7, 5])
+    assert same_bits(eval_phi(eigs[7:8], pts), want[7:8])
+    assert same_bits(eval_phi(eigs[7:8], pts[5]), want[7:8, 5:6])
     assert same_bits(eval_phi(eigs, pts[5]), want[:, 5:6])
 
 
@@ -349,11 +367,11 @@ def test_batched_traces_match_per_mode_formula_bit_for_bit(name, axis, side):
     plant = oracle_plant(name, axis, side)
     eigs = enumerate_eigenpairs(plant, 40)
     quad = face_quadrature(plant, 1)
-    want = np.vstack([ref_trace(e, quad.points) for e in eigs])
+    want = np.vstack([ref_trace(plant, k, quad.points) for k in eigs.ks.tolist()])
     assert same_bits(conormal_trace(eigs, quad.points), want)
     assert same_bits(trace_matrix(eigs, quad), want)
-    assert same_bits(conormal_trace(eigs[5], quad.points), want[5])
-    assert conormal_trace(eigs[5], quad.points[-1]) == float(want[5, -1])
+    assert same_bits(conormal_trace(eigs[5:6], quad.points), want[5:6])
+    assert same_bits(conormal_trace(eigs[5:6], quad.points[-1]), want[5:6, -1:])
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_PLANTS))
@@ -371,13 +389,14 @@ def test_batch_with_one_bad_point_raises(name):
         conormal_trace(eigs, pts)
 
 
-def test_empty_mode_list_gives_empty_rows(example_plant):
+def test_empty_mode_list_gives_empty_rows(example_plant, example_eigs):
     quad = face_quadrature(example_plant, 2)
     pts = np.array([[0.3, 0.4], [1.0, 2.0], [2.0, 1.0]])
-    assert eval_phi([], pts).shape == (0, 3)
-    assert phi_matrix([], pts).shape == (0, 3)
-    assert conormal_trace([], quad.points).shape == (0, len(quad.points))
-    assert trace_matrix([], quad).shape == (0, len(quad.points))
+    none = example_eigs[:0]
+    assert eval_phi(none, pts).shape == (0, 3)
+    assert phi_matrix(none, pts).shape == (0, 3)
+    assert conormal_trace(none, quad.points).shape == (0, len(quad.points))
+    assert trace_matrix(none, quad).shape == (0, len(quad.points))
 
 
 @settings(max_examples=40, deadline=None)

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from parstab import synthesis
 from parstab.spectral_basis import (
     DomainError,
-    Eigenpair,
     PlantConfig,
     enumerate_eigenpairs,
     face_quadrature,
@@ -90,9 +89,10 @@ def test_validate_sensors_returns_head_values(example_eigs):
 
     C0 = validate_sensors(EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, example_eigs, 3)
     assert C0.shape == (2, 3)
-    for j, e in enumerate(example_eigs[:3]):
-        assert C0[0, j] == pytest.approx(float(eval_phi(e, EXAMPLE_SENSOR_1)))
-        assert C0[1, j] == pytest.approx(float(eval_phi(e, EXAMPLE_SENSOR_2)))
+    for j in range(3):
+        mode = example_eigs[j : j + 1]
+        assert C0[0, j] == pytest.approx(float(eval_phi(mode, EXAMPLE_SENSOR_1)[0, 0]))
+        assert C0[1, j] == pytest.approx(float(eval_phi(mode, EXAMPLE_SENSOR_2)[0, 0]))
     det = C0[0, 1] * C0[1, 2] - C0[0, 2] * C0[1, 1]
     assert abs(det) > 1e-3
 
@@ -103,16 +103,16 @@ def test_synthesize_evaluates_each_sensor_row_once(example_ctx, monkeypatch):
     real = synthesis.eval_phi
 
     def counted(modes, x):
-        for e in [modes] if isinstance(modes, Eigenpair) else modes:
+        for k in modes.ks.tolist():
             for p in np.atleast_2d(x):
-                evals[e.multi_index, tuple(p.tolist())] += 1
+                evals[tuple(k), tuple(p.tolist())] += 1
         return real(modes, x)
 
     monkeypatch.setattr(synthesis, "eval_phi", counted)
     synthesize(example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, 30, 0.5)
     assert sum(evals.values()) == 2 * 30
     assert evals == Counter(
-        (e.multi_index, xi) for e in example_ctx.eigs[:30] for xi in (EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2)
+        (tuple(k), xi) for k in example_ctx.eigs.ks[:30].tolist() for xi in (EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2)
     )
 
 
@@ -160,7 +160,7 @@ def test_shifted_gram_identity(example_art60):
 
 def test_closed_loop_spectrum_is_block_union(example_art60):
     m = example_art60
-    tail = np.array([e.lam for e in m.eigs[m.n0 : m.N]])
+    tail = m.eigs.lams[m.n0 : m.N]
     parts = np.concatenate(
         [
             np.linalg.eigvals(m.gain_block),
@@ -189,7 +189,7 @@ def test_assemble_F_rejects_nothing_but_builds_shape(example_art60):
         m.observer_gain @ m.sensor_head,
         m.observer_gain,
         m.sensor_tail_scaled,
-        np.array([e.lam for e in m.eigs[m.n0 : m.N]]),
+        m.eigs.lams[m.n0 : m.N],
     )
     assert np.array_equal(F, m.closed_loop)
     assert np.array_equal(G, m.stacked_gain)
@@ -257,7 +257,7 @@ def test_observer_gain_is_scipys_on_the_strong_drift_head(example_art60):
 def test_observer_gain_is_scipys_when_two_sensors_see_two_modes(d1_eigs):
     # n0 == rank(C0): scipy's least-squares branch
     C0 = synthesis.sensor_rows(d1_eigs[:2], (0.7,), (2.1,))
-    A0 = -np.diag([e.lam for e in d1_eigs[:2]])
+    A0 = -np.diag(d1_eigs.lams[:2])
     L = place_observer_gain(A0, C0, 0.5, 0.25)
     assert np.array_equal(L, scipy_gain(A0, C0, [-0.75, -1.0]))
 
