@@ -42,9 +42,7 @@ for key, value in sorted(design.margins.items()):
 print("observer gain spectral norm:", round(np.linalg.norm(design.observer_gain, 2), 3))
 
 banner("certification attempt (strong drift)")
-cert = certify(
-    lambda n: synthesize(ctx, (0.53, 1.05), (1.05, 0.53), n, 0.5), 30, 60, plant.nu
-)
+cert = certify(lambda n: synthesize(ctx, (0.53, 1.05), (1.05, 0.53), n, 0.5), 30, 60)
 print(f"status: {cert.status} at N = {cert.N} (theta1_max = {cert.theta1_max:.3e})")
 print("the boundary-trace tail sums of this plant are too large at these sizes;")
 print("the loop still decays, as the simulation below shows")
@@ -62,7 +60,7 @@ def mild_design(n):
     )
 
 
-mild_cert = certify(mild_design, 8, 64, 1.5)
+mild_cert = certify(mild_design, 8, 64)
 print(
     f"status: {mild_cert.status} at N = {mild_cert.N} "
     f"(theta1_max = {mild_cert.theta1_max:.3f}, psi = {mild_cert.psi_bound:.3f})"
@@ -77,7 +75,6 @@ cube_cert = certify(
     lambda n: synthesize(cube_ctx, centre, (1.2, 1.9, 1.1), n, 1.5, gamma_base=2.0),
     10,
     160,
-    cube.nu,
 )
 for n, n_tail, status in cube_cert.rounds:
     print(f"N = {n:3d}, tail {n_tail}: {status}")

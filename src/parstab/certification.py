@@ -263,7 +263,7 @@ class Certificate:
         }
 
 
-def choose_tail(artifacts: SynthesisArtifacts, N: int, nu: float) -> int:
+def choose_tail(artifacts: SynthesisArtifacts, N: int) -> int:
     """Tail length for the certificate sums.
 
     Starts at max(4N, 400). The contribution of the last half-block to the
@@ -284,7 +284,7 @@ def choose_tail(artifacts: SynthesisArtifacts, N: int, nu: float) -> int:
         # S1's per-mode terms up to the factor c1, which cancels in the ratio
         s1_terms = sum(coef * terms for coef, terms in _tail_sum_terms(m, N, n_tail, True))
         if _tail_block_small(s1_terms, half) and _tail_block_small(
-            sphi_terms(m.eigs, xi1, xi2, N, n_tail, nu), half
+            sphi_terms(m.eigs, xi1, xi2, N, n_tail, m.plant.nu), half
         ):
             return n_tail
         nxt = min(2 * n_tail, cap, have)
@@ -308,10 +308,10 @@ def _tail_block_small(terms: np.ndarray, half: int) -> bool:
     return block < TAIL_BLOCK_FRAC * total
 
 
-def certify_round(artifacts: SynthesisArtifacts, nu: float) -> Certificate:
+def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     """Run every certificate check at the size the artifacts were built for."""
     m = artifacts
-    N = m.N
+    N, nu = m.N, m.plant.nu
     eps = 2.0 * m.n0**2
     blocking = None
     P = None
@@ -325,7 +325,7 @@ def certify_round(artifacts: SynthesisArtifacts, nu: float) -> Certificate:
     except CertificationError as err:
         blocking = f"lyapunov: {err}"
     if P is not None:
-        n_tail = choose_tail(m, N, nu)
+        n_tail = choose_tail(m, N)
         S1 = compute_S1(m, N, n_tail)
         S2 = compute_S2(m, N, n_tail)
         xi1, xi2 = m.sensors
@@ -365,7 +365,7 @@ def certify_round(artifacts: SynthesisArtifacts, nu: float) -> Certificate:
     )
 
 
-def certify(artifacts_builder, N_start: int, N_max: int, nu: float) -> Certificate:
+def certify(artifacts_builder, N_start: int, N_max: int) -> Certificate:
     """Search N in {N_start, 2*N_start, ...} <= N_max for a valid certificate.
 
     `artifacts_builder` maps N to SynthesisArtifacts (rebuilding the
@@ -382,7 +382,7 @@ def certify(artifacts_builder, N_start: int, N_max: int, nu: float) -> Certifica
     cert = None
     N = N_start
     while N <= N_max:
-        cert = certify_round(artifacts_builder(N), nu)
+        cert = certify_round(artifacts_builder(N))
         rounds.extend(cert.rounds)
         if prev_norm is not None and np.isfinite(cert.P_norm) and cert.P_norm > 2.0 * prev_norm:
             log.warning(

@@ -12,12 +12,12 @@ failure, 4 simulation failure.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import copy
 import dataclasses
 import functools
 import json
 import logging
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -58,41 +58,61 @@ def _abort(what: str, err: Exception) -> int:
 
 _REQUIRED = object()
 
-# schema tree: leaves are defaults (_REQUIRED must be present), dict nodes recurse
+# The schema tree. A dict node is a section: always present, its keys filled
+# with their defaults. A leaf is (kind, default), the default _REQUIRED for a
+# key that must be given. A kind is int, float, bool or str, [kind] for an
+# array of that kind, or a schema dict for an optional object. `null` is
+# allowed only where the default is None, and means the same as leaving the
+# key out.
 SCHEMA = {
     "plant": {
-        "d": _REQUIRED,
-        "lengths": None,
-        "b": None,
-        "c": 0.0,
-        "face": {"axis": None, "side": "low"},
-        "nu": None,
-        "delta": 0.5,
+        "d": (int, _REQUIRED),
+        "lengths": ([float], None),
+        "b": ([float], None),
+        "c": (float, 0.0),
+        "face": {"axis": (int, None), "side": (str, "low")},
+        "nu": (float, None),
+        "delta": (float, 0.5),
     },
-    "sensors": {"xi1": _REQUIRED, "xi2": _REQUIRED},
+    "sensors": {"xi1": ([float], _REQUIRED), "xi2": ([float], _REQUIRED)},
     "synthesis": {
-        "N": 30,
-        "c_ratio": 2.0,
-        "gamma_base": 10.0,
-        "spread": None,
-        "sensor_tol": 1e-3,
-        "cond_max": 1e12,
+        "N": (int, 30),
+        "c_ratio": (float, 2.0),
+        "gamma_base": (float, 10.0),
+        "spread": (float, None),
+        "sensor_tol": (float, 1e-3),
+        "cond_max": (float, 1e12),
     },
     "certification": {
-        "required": False,
-        "N_start": 30,
-        "N_max": 200,
+        "required": (bool, False),
+        "N_start": (int, 30),
+        "N_max": (int, 200),
     },
     "simulation": {
-        "z0": {"modes": None, "coeffs": None, "bump": None},
-        "T": 20.0,
-        "h": None,
-        "N_sim": None,
-        "t_skip": 2.0,
-        "check_every": 100,
-        "open_loop": False,
+        "z0": {
+            "modes": ([[int]], None),
+            "coeffs": ([float], None),
+            "bump": (
+                {"center": ([float], None), "width": (float, 0.2), "amplitude": (float, 1.0)},
+                None,
+            ),
+        },
+        "T": (float, 20.0),
+        "h": (float, None),
+        "N_sim": (int, None),
+        "t_skip": (float, 2.0),
+        "check_every": (int, 100),
+        "open_loop": (bool, False),
     },
-    "sweep": None,
+    "sweep": ([dict], None),
+}
+
+_KIND_NAMES = {
+    int: "an integer",
+    float: "a number",
+    bool: "true or false",
+    str: "a string",
+    dict: "an object",
 }
 
 
@@ -105,31 +125,37 @@ def _no_duplicates(pairs):
     return dict(pairs)
 
 
+def _typed(kind, value, pointer: str):
+    """`value` checked against a schema kind; a number for a float kind comes back a float."""
+    if isinstance(kind, dict):
+        if not isinstance(value, dict):
+            raise ConfigError(f"{pointer}: expected an object")
+        return _merge(kind, value, pointer)
+    if isinstance(kind, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"{pointer}: expected an array")
+        return [_typed(kind[0], v, f"{pointer}/{i}") for i, v in enumerate(value)]
+    if kind is float and type(value) is int:
+        return float(value)
+    if type(value) is not kind:  # so a bool is not an int
+        raise ConfigError(f"{pointer}: expected {_KIND_NAMES[kind]}")
+    return value
+
+
 def _merge(schema: dict, data: dict, pointer: str) -> dict:
-    out = {}
-    for key, value in data.items():
+    """`data` checked against `schema`, with every absent key at its default."""
+    for key in data:
         if key not in schema:
             raise ConfigError(f"{pointer}/{key}: unknown key")
-    for key, default in schema.items():
+    out = {}
+    for key, node in schema.items():
         here = f"{pointer}/{key}"
-        if key in data:
-            value = data[key]
-            if isinstance(default, dict) and value is not None:
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{here}: expected an object")
-                out[key] = _merge(default, value, here)
-            else:
-                out[key] = value
-        elif default is _REQUIRED:
+        kind, default = (node, {}) if isinstance(node, dict) else node
+        value = data[key] if key in data else default
+        if value is _REQUIRED:
             raise ConfigError(f"{here}: required key missing")
-        else:
-            out[key] = copy.deepcopy(default) if isinstance(default, dict) else default
+        out[key] = None if value is None and default is None else _typed(kind, value, here)
     return out
-
-
-def _is_int(value) -> bool:
-    """A JSON integer (bool is not one)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -143,19 +169,22 @@ class RunConfig:
 
 
 def _validated(raw: dict) -> RunConfig:
+    """Types from SCHEMA, then the checks that relate values to each other."""
     merged = _merge(SCHEMA, raw, "")
     p = merged["plant"]
-    if p["d"] not in (1, 2, 3):
-        raise ConfigError("/plant/d: must be 1, 2 or 3")
     d = p["d"]
-    lengths = p["lengths"] or [float(np.pi)] * d
+    if d not in (1, 2, 3):
+        raise ConfigError("/plant/d: must be 1, 2 or 3")
+    lengths = p["lengths"] or [math.pi] * d
     if len(lengths) != d:
         raise ConfigError("/plant/lengths: wrong number of entries")
+    if p["face"]["side"] not in ("low", "high"):
+        raise ConfigError("/plant/face/side: must be 'low' or 'high'")
     for key in ("xi1", "xi2"):
         xi = merged["sensors"][key]
-        if not isinstance(xi, (list, tuple)) or len(xi) != d:
+        if len(xi) != d:
             raise ConfigError(f"/sensors/{key}: expected {d} coordinates")
-        if not all(0.0 < float(v) < float(l) for v, l in zip(xi, lengths)):
+        if not all(0.0 < v < l for v, l in zip(xi, lengths)):
             raise ConfigError(f"/sensors/{key}: sensor must be an interior point")
     c = merged["certification"]
     if c["N_start"] < 1:
@@ -163,28 +192,18 @@ def _validated(raw: dict) -> RunConfig:
     if c["N_max"] < c["N_start"]:
         raise ConfigError("/certification/N_max: below N_start")
     sim = merged["simulation"]
-    if not _is_int(sim["check_every"]) or sim["check_every"] < 0:
-        raise ConfigError("/simulation/check_every: must be a non-negative integer")
+    if sim["check_every"] < 0:
+        raise ConfigError("/simulation/check_every: must be non-negative")
     z0 = sim["z0"]
-    if isinstance(z0, dict) and z0.get("modes") is not None:
-        if z0.get("coeffs") is None:
+    if z0["modes"] is not None:
+        if z0["coeffs"] is None:
             raise ConfigError("/simulation/z0/modes: needs matching coeffs")
-        modes = z0["modes"]
-        if not isinstance(modes, list) or not all(
-            isinstance(m, list) and all(_is_int(v) for v in m) for m in modes
-        ):
-            raise ConfigError("/simulation/z0/modes: expected an array of integer multi-indices")
-    sweep = merged["sweep"]
-    if sweep is not None and not isinstance(sweep, list):
-        raise ConfigError("/sweep: expected an array of override objects")
-    return RunConfig(
-        plant=merged["plant"],
-        sensors=merged["sensors"],
-        synthesis=merged["synthesis"],
-        certification=merged["certification"],
-        simulation=merged["simulation"],
-        sweep=sweep or [],
-    )
+        if len(z0["modes"]) != len(z0["coeffs"]):
+            raise ConfigError("/simulation/z0: modes and coeffs lengths differ")
+        for i, m in enumerate(z0["modes"]):
+            if len(m) != d:
+                raise ConfigError(f"/simulation/z0/modes/{i}: expected {d} indices")
+    return RunConfig(**{**merged, "sweep": merged["sweep"] or []})
 
 
 def parse_config(path) -> RunConfig:
@@ -202,20 +221,18 @@ def parse_config(path) -> RunConfig:
 
 
 def build_plant(cfg: RunConfig) -> PlantConfig:
-    p = cfg.plant
-    face = p["face"] or {}
-    axis = face.get("axis")
-    side = {"low": 0, "high": 1}.get(face.get("side", "low"))
-    if side is None:
-        raise ConfigError("/plant/face/side: must be 'low' or 'high'")
+    p, face = cfg.plant, cfg.plant["face"]
     return PlantConfig(
         dim=p["d"],
-        lengths=tuple(p["lengths"] or ()),
-        drift=tuple(p["b"] or ()),
-        reaction=float(p["c"]),
-        control_face=FaceId(axis=p["d"] - 1 if axis is None else int(axis), side=side),
+        lengths=p["lengths"] or (),
+        drift=p["b"] or (),
+        reaction=p["c"],
+        control_face=FaceId(
+            axis=p["d"] - 1 if face["axis"] is None else face["axis"],
+            side=("low", "high").index(face["side"]),
+        ),
         nu=p["nu"],
-        delta=float(p["delta"]),
+        delta=p["delta"],
     )
 
 
@@ -228,30 +245,21 @@ def _write_json(obj: dict, path) -> None:
 
 def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
     z0 = cfg.simulation["z0"]
-    if z0.get("coeffs") is None and z0.get("bump") is None:
+    bump, coeffs = z0["bump"], z0["coeffs"]
+    if bump is not None:
+        center = bump["center"]
+        if center is None:
+            center = [0.5 * l for l in plant.lengths]
+        return simulation.project_bump(plant, eigs, center, bump["width"], bump["amplitude"], n_sim)
+    if coeffs is None:
         raise ConfigError("/simulation/z0: give coeffs (optionally with modes) or bump")
-    if z0.get("bump") is not None:
-        b = z0["bump"]
-        return simulation.project_bump(
-            plant,
-            eigs,
-            b.get("center", [0.5 * l for l in plant.lengths]),
-            float(b.get("width", 0.2)),
-            float(b.get("amplitude", 1.0)),
-            n_sim,
-        )
-    coeffs = [float(v) for v in z0["coeffs"]]
-    if z0.get("modes") is None:
-        out = np.zeros(n_sim)
+    out = np.zeros(n_sim)
+    if z0["modes"] is None:
         out[: min(len(coeffs), n_sim)] = coeffs[:n_sim]
         return out
-    modes = z0["modes"]
-    if len(modes) != len(coeffs):
-        raise ConfigError("/simulation/z0: modes and coeffs lengths differ")
     ks = eigs.ks[:n_sim]
-    out = np.zeros(n_sim)
-    for m, cval in zip(modes, coeffs):
-        rows = np.flatnonzero(np.all(ks == m, axis=1)) if len(m) == plant.dim else ()
+    for m, cval in zip(z0["modes"], coeffs):
+        rows = np.flatnonzero(np.all(ks == m, axis=1))
         if not len(rows):
             raise ConfigError(f"/simulation/z0/modes: mode {list(m)} not within N_sim")
         out[rows[0]] = cval
@@ -259,9 +267,8 @@ def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
 
 
 def _certify_rounds_max(cfg: RunConfig) -> int:
-    n = int(cfg.certification["N_start"])
-    top = n
-    while n <= int(cfg.certification["N_max"]):
+    n = top = cfg.certification["N_start"]
+    while n <= cfg.certification["N_max"]:
         top = n
         n *= 2
     return top
@@ -269,7 +276,7 @@ def _certify_rounds_max(cfg: RunConfig) -> int:
 
 def _n_sim(cfg: RunConfig) -> int:
     n_sim = cfg.simulation["N_sim"]
-    return simulation.default_n_sim(int(cfg.synthesis["N"])) if n_sim is None else int(n_sim)
+    return simulation.default_n_sim(cfg.synthesis["N"]) if n_sim is None else n_sim
 
 
 def _design_source(cfg: RunConfig):
@@ -287,7 +294,7 @@ def _design_source(cfg: RunConfig):
     def context() -> lifting.LiftingContext:
         plant = build_plant(cfg)
         count = max(
-            lifting.default_tail(int(cfg.synthesis["N"])),
+            lifting.default_tail(cfg.synthesis["N"]),
             lifting.tail_cap(_certify_rounds_max(cfg)),
             _n_sim(cfg),
         )
@@ -304,11 +311,11 @@ def _design_source(cfg: RunConfig):
             cfg.sensors["xi2"],
             N,
             ctx.plant.delta,
-            c_ratio=float(s["c_ratio"]),
-            gamma_base=float(s["gamma_base"]),
-            spread=None if s["spread"] is None else float(s["spread"]),
-            sensor_tol=float(s["sensor_tol"]),
-            cond_max=float(s["cond_max"]),
+            c_ratio=s["c_ratio"],
+            gamma_base=s["gamma_base"],
+            spread=s["spread"],
+            sensor_tol=s["sensor_tol"],
+            cond_max=s["cond_max"],
         )
 
     return design
@@ -316,7 +323,7 @@ def _design_source(cfg: RunConfig):
 
 def cmd_synthesize(cfg: RunConfig, designs, out_dir: str) -> int:
     try:
-        art = designs(int(cfg.synthesis["N"]))
+        art = designs(cfg.synthesis["N"])
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
     _write_json(synthesis.report_dict(art), os.path.join(out_dir, "synthesis.json"))
@@ -325,12 +332,8 @@ def cmd_synthesize(cfg: RunConfig, designs, out_dir: str) -> int:
 
 def cmd_certify(cfg: RunConfig, designs, out_dir: str) -> int:
     try:
-        cert = certification.certify(
-            designs,
-            int(cfg.certification["N_start"]),
-            int(cfg.certification["N_max"]),
-            build_plant(cfg).nu,
-        )
+        c = cfg.certification
+        cert = certification.certify(designs, c["N_start"], c["N_max"])
     except DESIGN_ERRORS as err:
         return _abort("certification aborted in synthesis", err)
     _write_json(cert.to_json_dict(), os.path.join(out_dir, "certificate.json"))
@@ -341,7 +344,7 @@ def cmd_certify(cfg: RunConfig, designs, out_dir: str) -> int:
 
 
 def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
-    N = int(cfg.synthesis["N"])
+    N = cfg.synthesis["N"]
     sim = cfg.simulation
     try:
         art = designs(N)
@@ -353,13 +356,13 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         z0 = _resolve_z0(cfg, plant, art.eigs, n_sim)
         result = simulation.run(
             z0,
-            float(sim["T"]),
-            None if sim["h"] is None else float(sim["h"]),
+            sim["T"],
+            sim["h"],
             art,
             N_sim=n_sim,
-            open_loop=bool(sim["open_loop"]),
-            t_skip=float(sim["t_skip"]),
-            check_every=int(sim["check_every"]),
+            open_loop=sim["open_loop"],
+            t_skip=sim["t_skip"],
+            check_every=sim["check_every"],
         )
     except ValueError as err:
         return _abort("simulation config invalid", err)
@@ -372,11 +375,11 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         "schema_version": 1,
         "decay_rate": result.rate,
         "delta": plant.delta,
-        "T": float(sim["T"]),
+        "T": sim["T"],
         "h": result.diagnostics["h"],
         "N": N,
         "N_sim": n_sim,
-        "open_loop": bool(sim["open_loop"]),
+        "open_loop": sim["open_loop"],
         "initial_composite": float(result.column("composite")[0]),
         "terminal_composite": float(result.column("composite")[-1]),
         "terminal_h1": float(result.column("h1_proxy")[-1]),
@@ -398,7 +401,7 @@ def cmd_pipeline(cfg: RunConfig, designs, out_dir: str) -> int:
     sim_code = cmd_simulate(cfg, designs, out_dir)
     if sim_code != EXIT_OK:
         return sim_code
-    if cert_code != EXIT_OK and bool(cfg.certification["required"]):
+    if cert_code != EXIT_OK and cfg.certification["required"]:
         return EXIT_CERTIFICATION
     return EXIT_OK
 
@@ -414,38 +417,24 @@ def _deep_merge(base: dict, override: dict) -> dict:
 
 
 def cmd_sweep(cfg: RunConfig, out_dir: str) -> int:
-    """Run the pipeline once per sweep entry, each with overrides applied."""
+    """Run the pipeline once per sweep entry, in order, each with its overrides applied."""
     if not cfg.sweep:
         print("sweep requested but config has no sweep entries", file=sys.stderr)
         return EXIT_SYNTHESIS
     base = {k: v for k, v in dataclasses.asdict(cfg).items() if k != "sweep"}
-    workers = os.environ.get("PARSTAB_THREADS")
-    try:
-        workers = max(1, int(workers)) if workers else min(4, len(cfg.sweep))
-    except ValueError:
-        workers = min(4, len(cfg.sweep))
-
-    def one(i_entry):
-        i, entry = i_entry
-        sub_dir = os.path.join(out_dir, f"sweep_{i:03d}")
+    runs = []
+    for i, entry in enumerate(cfg.sweep):
+        name = f"sweep_{i:03d}"
         try:
             sub_cfg = _validated(_deep_merge(base, entry))
         except ConfigError as err:
             print(f"sweep entry {i}: {err}", file=sys.stderr)
-            return i, EXIT_SYNTHESIS
-        return i, cmd_pipeline(sub_cfg, _design_source(sub_cfg), sub_dir)
-
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        results = dict(pool.map(one, enumerate(cfg.sweep)))
-    index = {
-        "schema_version": 1,
-        "runs": [
-            {"index": i, "out": f"sweep_{i:03d}", "exit_code": results[i]}
-            for i in sorted(results)
-        ],
-    }
-    _write_json(index, os.path.join(out_dir, "sweep_index.json"))
-    return max(results.values(), default=EXIT_OK)
+            code = EXIT_SYNTHESIS
+        else:
+            code = cmd_pipeline(sub_cfg, _design_source(sub_cfg), os.path.join(out_dir, name))
+        runs.append({"index": i, "out": name, "exit_code": code})
+    _write_json({"schema_version": 1, "runs": runs}, os.path.join(out_dir, "sweep_index.json"))
+    return max(run["exit_code"] for run in runs)
 
 
 def main(argv=None) -> int:

@@ -492,7 +492,10 @@ def write_csv(run_result: SimulationRun, path) -> None:
     workers, one per CPU up to the chunk count, formats the chunks, since the
     repr of each float is most of the cost; otherwise this process does. The
     bytes are the same either way. Workers only format strings and never call
-    BLAS, so forking while BLAS threads run in this process is safe.
+    BLAS. Forking is safe only while no other thread of this process is
+    inside a BLAS call: OpenBLAS stops its thread pool around fork, and a
+    sweep that ran its entries on threads hung in most runs once its CSVs
+    spanned several chunks (a thread spinning, the BLAS worker gone).
     """
     cols = [run_result.records[name] for name in CSV_COLUMNS]
     starts = range(0, len(cols[0]), CSV_CHUNK_ROWS)

@@ -165,7 +165,7 @@ def test_design_margins_and_gram_partition(example_ctx):
 
 def test_certificate_closes_and_tail_sums_shrink(mild_ctx):
     t0 = time.perf_counter()
-    cert = certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 30, 200, 1.5)
+    cert = certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 30, 200)
     assert cert.certified
     assert cert.N <= 200
     art = conftest.mild_synthesize(mild_ctx, cert.N)
@@ -180,7 +180,7 @@ def test_certificate_closes_and_tail_sums_shrink(mild_ctx):
     assert cert.theta1_max <= 0.0
     assert cert.psi_bound < 0
 
-    sweep = [certify_round(conftest.mild_synthesize(mild_ctx, n), 1.5) for n in (30, 60, 120)]
+    sweep = [certify_round(conftest.mild_synthesize(mild_ctx, n)) for n in (30, 60, 120)]
     for a, b in zip(sweep, sweep[1:]):
         assert b.S1 < a.S1
         assert b.S2 < a.S2
@@ -241,7 +241,7 @@ def exact_terminal_h1(artifacts, z0, T, n_sim):
 
 
 def test_terminal_energy_insensitive_to_resolution_doubling(mild_ctx, mild_art30):
-    cert = certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 30, 30, 1.5)
+    cert = certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 30, 30)
     assert cert.certified
     assert cert.N == 30
     h1 = {}

@@ -162,12 +162,12 @@ def test_theta1_dimension_guard(mild_art30):
 
 
 def test_choose_tail_hits_cap(example_art30, mild_art30):
-    assert choose_tail(example_art30, 30, 11.0) == 480
-    assert choose_tail(mild_art30, 30, 1.5) == 480
+    assert choose_tail(example_art30, 30) == 480
+    assert choose_tail(mild_art30, 30) == 480
 
 
 def test_certify_round_mild_design(mild_art30):
-    cert = certify_round(mild_art30, 1.5)
+    cert = certify_round(mild_art30)
     assert cert.certified
     assert cert.status == "certified"
     assert cert.N == 30
@@ -186,7 +186,7 @@ def test_certify_round_mild_design(mild_art30):
 
 
 def test_certify_stops_at_first_passing_round(mild_ctx):
-    cert = certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 30, 120, 1.5)
+    cert = certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 30, 120)
     assert cert.certified
     assert cert.N == 30
     assert len(cert.rounds) == 1
@@ -200,7 +200,7 @@ def test_certify_reports_failure_with_reason(example_ctx):
             example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, n, 0.5
         )
 
-    cert = certify(builder, 30, 30, 11.0)
+    cert = certify(builder, 30, 30)
     assert not cert.certified
     assert cert.status.startswith("failed")
     assert "theta1" in cert.status
@@ -210,11 +210,11 @@ def test_certify_reports_failure_with_reason(example_ctx):
 
 def test_certify_argument_order(mild_ctx):
     with pytest.raises(ValueError):
-        certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 60, 30, 1.5)
+        certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 60, 30)
 
 
 def test_certificate_json_shape(mild_art30):
-    cert = certify_round(mild_art30, 1.5)
+    cert = certify_round(mild_art30)
     payload = cert.to_json_dict()
     assert set(payload) == {
         "schema_version",

@@ -3,18 +3,20 @@ import math
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from parstab import cli
 from parstab.cli import (
     ConfigError,
     build_plant,
     main,
     parse_config,
 )
-from parstab.simulation import project_bump
+from parstab.simulation import CSV_CHUNK_ROWS, project_bump
 from parstab.spectral_basis import FaceId, ModeTable, enumerate_eigenpairs
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -268,13 +270,55 @@ def test_simulate_rejects_negative_check_every(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("entry", [1.5, "1"])
-def test_simulate_rejects_non_integer_z0_modes(tmp_path, capsys, entry):
-    cfg = _quick_with({"z0": {"modes": [[entry, 1]], "coeffs": [1.0]}})
-    code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+@pytest.mark.parametrize(
+    "pointer, value",
+    [
+        pytest.param("/simulation/open_loop", "false", id="open_loop"),
+        pytest.param("/certification/required", "no", id="required"),
+        pytest.param("/synthesis/N", 8.7, id="N"),
+        pytest.param("/simulation/N_sim", 32.9, id="N_sim"),
+        pytest.param("/certification/N_start", "30", id="N_start"),
+        pytest.param("/synthesis/c_ratio", None, id="c_ratio"),
+        pytest.param("/simulation/T", None, id="T"),
+        pytest.param("/plant/d", 2.0, id="d"),
+        # reported at the misspelt key, /simulation/z0/bump/widht
+        pytest.param("/simulation/z0/bump", {"widht": 0.05}, id="bump"),
+        # reported at the entry, /sweep/1
+        pytest.param("/sweep", [{"synthesis": {"N": 12}}, 12], id="sweep"),
+        pytest.param("/simulation/z0/modes/0/0", 1.5, id="modes_1.5"),
+        pytest.param("/simulation/z0/modes/0/0", "1", id="modes_1"),
+        pytest.param("/simulation/z0/modes/0", [1], id="modes_arity"),
+    ],
+)
+def test_pipeline_rejects_mistyped_config(tmp_path, capsys, pointer, value):
+    with open(os.path.join(ROOT, "demos", "quick_certify.json")) as fh:
+        cfg = json.load(fh)
+    *path, last = [int(k) if k.isdigit() else k for k in pointer.split("/")[1:]]
+    node = cfg
+    for key in path:
+        node = node[key]
+    node[last] = value
+    code = main(["pipeline", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "/simulation/z0/modes" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {pointer}")
+    assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+def test_config_numbers_are_floats_and_null_means_absent(tmp_path):
+    cfg = {
+        **EXAMPLE,
+        "plant": {**EXAMPLE["plant"], "nu": 11, "lengths": None, "face": {"axis": None}},
+        "synthesis": {"N": 8, "spread": None, "gamma_base": 3},
+        "simulation": {"z0": {"bump": {"width": 1}}, "T": 2, "h": None},
+    }
+    parsed = parse_config(write_cfg(tmp_path, cfg))
+    assert type(parsed.plant["nu"]) is float and parsed.plant["lengths"] is None
+    assert parsed.plant["face"] == {"axis": None, "side": "low"}
+    assert type(parsed.synthesis["gamma_base"]) is float and parsed.synthesis["spread"] is None
+    assert parsed.simulation["z0"]["bump"] == {"center": None, "width": 1.0, "amplitude": 1.0}
+    assert type(parsed.simulation["T"]) is float and parsed.simulation["h"] is None
 
 
 def test_pipeline_reads_modes_as_arrays(tmp_path, monkeypatch):
@@ -343,11 +387,20 @@ def test_simulation_overflow_exit_code(tmp_path, capsys):
 
 
 def test_sweep_runs_every_entry(tmp_path, monkeypatch):
-    monkeypatch.setenv("PARSTAB_THREADS", "1")
+    on_main_thread = []
+    pipeline = cli.cmd_pipeline
+
+    def recording(*args):
+        on_main_thread.append(threading.current_thread() is threading.main_thread())
+        return pipeline(*args)
+
+    monkeypatch.setattr(cli, "cmd_pipeline", recording)
     cfg = {**MILD, "sweep": [{"synthesis": {"N": 8}}, {"synthesis": {"N": 10}}]}
     out = tmp_path / "sweep"
     code = main(["sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
     assert code == 0
+    # the entries run in order on the calling thread, never beside a fork
+    assert on_main_thread == [True, True]
     index = json.loads((out / "sweep_index.json").read_text())
     assert [r["exit_code"] for r in index["runs"]] == [0, 0]
     for i in range(2):
@@ -357,6 +410,38 @@ def test_sweep_runs_every_entry(tmp_path, monkeypatch):
         for i in range(2)
     ]
     assert n_values == [8, 10]
+
+
+def _overridden(base, override):
+    out = dict(base)
+    for key, value in override.items():
+        out[key] = _overridden(base[key], value) if isinstance(value, dict) else value
+    return out
+
+
+def test_sweep_demo_finishes_and_matches_standalone_pipelines(tmp_path):
+    # every entry writes a multi-chunk CSV through the forked writer; run
+    # beside other sweep entries in threads, such a sweep used to hang
+    demo = os.path.join(ROOT, "demos", "sweep_quick.json")
+    out = tmp_path / "sweep"
+    proc = run_python(["-m", "parstab", "sweep", "--config", demo, "--out", str(out)], timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    with open(demo) as fh:
+        cfg = json.load(fh)
+    entries = cfg.pop("sweep")
+    index = json.loads((out / "sweep_index.json").read_text())
+    assert index["runs"] == [
+        {"index": i, "out": f"sweep_{i:03d}", "exit_code": 0} for i in range(len(entries))
+    ]
+    names = ("synthesis.json", "certificate.json", "summary.json", "simulation.csv")
+    for i, entry in enumerate(entries):
+        alone = tmp_path / f"alone_{i}"
+        path = write_cfg(tmp_path, _overridden(cfg, entry), f"entry_{i}.json")
+        assert main(["pipeline", "--config", path, "--out", str(alone)]) == 0
+        for name in names:
+            assert (out / f"sweep_{i:03d}" / name).read_bytes() == (alone / name).read_bytes()
+        with open(alone / "simulation.csv") as fh:
+            assert sum(1 for _ in fh) - 1 > CSV_CHUNK_ROWS
 
 
 def test_sweep_without_entries_fails(tmp_path, capsys):
