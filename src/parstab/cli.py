@@ -243,6 +243,19 @@ def _write_json(obj: dict, path) -> None:
         fh.write("\n")
 
 
+def _z0_missing(cfg: RunConfig) -> bool:
+    """True, with the config error printed, when simulation.z0 gives neither
+    coeffs nor bump. `simulate` and `pipeline` check it once their design
+    exists and before they write anything, so synthesis errors still come
+    first; `_validated` cannot refuse it, since synthesize and certify need
+    no z0."""
+    z0 = cfg.simulation["z0"]
+    if z0["coeffs"] is None and z0["bump"] is None:
+        _abort("config error", ConfigError("/simulation/z0: give coeffs (optionally with modes) or bump"))
+        return True
+    return False
+
+
 def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
     z0 = cfg.simulation["z0"]
     bump, coeffs = z0["bump"], z0["coeffs"]
@@ -251,8 +264,6 @@ def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
         if center is None:
             center = [0.5 * l for l in plant.lengths]
         return simulation.project_bump(plant, eigs, center, bump["width"], bump["amplitude"], n_sim)
-    if coeffs is None:
-        raise ConfigError("/simulation/z0: give coeffs (optionally with modes) or bump")
     out = np.zeros(n_sim)
     if z0["modes"] is None:
         out[: min(len(coeffs), n_sim)] = coeffs[:n_sim]
@@ -321,11 +332,15 @@ def _design_source(cfg: RunConfig):
     return design
 
 
-def cmd_synthesize(cfg: RunConfig, designs, out_dir: str) -> int:
+def cmd_synthesize(cfg: RunConfig, designs, out_dir: str, needs_z0: bool = False) -> int:
+    """Write synthesis.json; with `needs_z0` (the first stage of a pipeline)
+    a missing simulation.z0 is refused before the write."""
     try:
         art = designs(cfg.synthesis["N"])
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
+    if needs_z0 and _z0_missing(cfg):
+        return EXIT_SYNTHESIS
     _write_json(synthesis.report_dict(art), os.path.join(out_dir, "synthesis.json"))
     return EXIT_OK
 
@@ -350,6 +365,8 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         art = designs(N)
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
+    if _z0_missing(cfg):
+        return EXIT_SYNTHESIS
     n_sim = _n_sim(cfg)
     plant = art.plant
     try:
@@ -392,7 +409,7 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
 def cmd_pipeline(cfg: RunConfig, designs, out_dir: str) -> int:
     """synthesize, certify, simulate on one design source; certification
     failure only fails the pipeline when the config marks it required."""
-    code = cmd_synthesize(cfg, designs, out_dir)
+    code = cmd_synthesize(cfg, designs, out_dir, needs_z0=True)
     if code != EXIT_OK:
         return code
     cert_code = cmd_certify(cfg, designs, out_dir)

@@ -5,11 +5,13 @@ design was built for. Both evolve jointly as one linear time-invariant system
 x' = A x with A = `ClosedLoop.full_matrix`, so x(t + h) = expm(h A) x(t) is
 exact at every output time; `linalg.expm`, an in-repo numpy port of the
 scaling and squaring algorithm of Al-Mohy & Higham (2009), evaluates it.
-`run` computes E = expm(h A) once, fills the first BLOCK output rows by
-matrix-vector products and advances each later block of rows with one
-matrix product against E^BLOCK. The output spacing h is therefore no
-accuracy or stability limit, and the diagnostics of a block are array
-operations on its stacked states.
+A is diagonal except for the rows and columns of the n0 observer-head
+states, and `expm` forms its products from that border. `run` computes
+E = expm(h A) once, fills the first BLOCK output rows by doubling (rows
+[0, k) times (E^k)' give rows [k, 2k)) and advances each later block of rows
+with one matrix product against E^BLOCK, the last of those squares. The
+output spacing h is therefore no accuracy or stability limit, and the
+diagnostics of a block are array operations on its stacked states.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
@@ -20,11 +22,11 @@ autonomous. These sign conventions are the load-bearing part of this module.
 
 from __future__ import annotations
 
-import contextlib
 import logging
 import math
-import multiprocessing
 import os
+import pickle
+import signal
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +40,8 @@ from .synthesis import SynthesisArtifacts, sensor_rows
 log = logging.getLogger(__name__)
 
 # output rows per propagation block: rows of block b+1 are rows of block b
-# times E^BLOCK, one matrix product per block
+# times E^BLOCK, one matrix product per block; a power of two, since the
+# first block is filled by doubling
 BLOCK = 256
 # T/h within this of an integer counts as an integer number of steps
 STEP_RATIO_TOL = 1e-9
@@ -59,7 +62,7 @@ CSV_COLUMNS = (
 )
 # one line of the CSV: every column formatted by repr
 _CSV_LINE = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
-# rows formatted as one task by `write_csv`
+# rows formatted and written at a time by `write_csv`
 CSV_CHUNK_ROWS = 8192
 
 
@@ -271,9 +274,10 @@ class ClosedLoop:
             raise ValueError("step size must be positive")
         if self._propagator is None or self._propagator[0] != h:
             self._propagator = None  # drop the old E before expm allocates
-            # a fresh A scaled in place: expm's scratch (up to six more
-            # arrays of this size) is the largest allocation of a run, so no
-            # second copy of A sits next to it
+            # a fresh A scaled in place: expm's scratch (up to four more
+            # arrays of this size on the loop's border route, six on the
+            # dense one) is the largest allocation of a run, so no second
+            # copy of A sits next to it
             hA = self._assemble()
             hA *= h
             self._propagator = (h, expm(hA))
@@ -366,18 +370,25 @@ def _step_count(T: float, h: float) -> tuple:
 def _blocks(E: np.ndarray, x0: np.ndarray, n_rows: int):
     """Yield (start, rows) covering x0, E x0, ..., E^(n_rows-1) x0.
 
-    The first BLOCK rows come from matrix-vector products; each later block
-    is the previous one times E^BLOCK, formed by repeated squaring."""
+    The first BLOCK rows come by doubling: with rows [0, k) filled, rows
+    [k, 2k) are those rows times (E^k)', and E^k is squared to E^2k. The
+    squares end at E^BLOCK, the same products as
+    `np.linalg.matrix_power(E, BLOCK)`; each later block is the previous
+    one times E^BLOCK."""
     block = np.empty((min(BLOCK, n_rows), len(x0)))
     block[0] = x0
-    for i in range(1, len(block)):
-        block[i] = E @ block[i - 1]
+    power = E  # E^filled
+    filled = 1
+    while filled < len(block):
+        count = min(filled, len(block) - filled)
+        block[filled : filled + count] = block[:count] @ power.T
+        filled += count
+        if filled < n_rows:
+            power = power @ power
     yield 0, block
-    if n_rows > BLOCK:
-        E_block = np.linalg.matrix_power(E, BLOCK)
-        for start in range(BLOCK, n_rows, BLOCK):
-            block = block[: n_rows - start] @ E_block.T
-            yield start, block
+    for start in range(BLOCK, n_rows, BLOCK):
+        block = block[: n_rows - start] @ power.T
+        yield start, block
 
 
 def run(
@@ -472,7 +483,7 @@ def run(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; the pool size of `write_csv` is capped by it."""
+    """CPUs this process may run on; `write_csv` splits its rows into as many slices."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -483,31 +494,96 @@ def _format_rows(chunk: np.ndarray) -> str:
     return "".join([_CSV_LINE % row for row in map(tuple, chunk.tolist())])
 
 
+def _formatted(cols, start: int, stop: int):
+    """Encoded CSV lines of rows [start, stop), one CSV_CHUNK_ROWS chunk at a time."""
+    for s in range(start, stop, CSV_CHUNK_ROWS):
+        chunk = np.column_stack([c[s : min(s + CSV_CHUNK_ROWS, stop)] for c in cols])
+        yield _format_rows(chunk).encode()
+
+
+def _fork_formatter(cols, start: int, stop: int) -> tuple:
+    """(pid, pipe) of a forked child that formats rows [start, stop).
+
+    The child formats all its rows before it writes any, so it never waits
+    on the pipe while the caller is still formatting. It then sends a zero
+    byte and the lines, or a one byte and its pickled exception, and exits
+    without running any cleanup of the process it was forked from. A child
+    that cannot send either exits with status 1 and sends nothing."""
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(write_fd)
+        return pid, os.fdopen(read_fd, "rb")
+    code = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                lines = list(_formatted(cols, start, stop))
+            except BaseException as err:  # noqa: BLE001  raised again by the caller
+                pipe.write(b"\1" + pickle.dumps(err))
+            else:
+                pipe.write(b"\0")
+                pipe.writelines(lines)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _copy_child(pipe, fh) -> None:
+    """Append the lines a `_fork_formatter` child sends to `fh`, or raise its exception."""
+    status = pipe.read(1)
+    if status == b"\1":
+        raise pickle.loads(pipe.read())
+    if status != b"\0":
+        raise SimulationError("a CSV formatter ended without output")
+    while data := pipe.read(1 << 20):
+        fh.write(data)
+
+
 def write_csv(run_result: SimulationRun, path) -> None:
     """Header, then one line per record in CSV_COLUMNS order.
 
-    Rows are cut into chunks of CSV_CHUNK_ROWS, each column-stacked on its
-    own and formatted by `_format_rows`; the chunks are written in order. With
-    two or more usable CPUs and the fork start method, a pool of forked
-    workers, one per CPU up to the chunk count, formats the chunks, since the
-    repr of each float is most of the cost; otherwise this process does. The
-    bytes are the same either way. Workers only format strings and never call
-    BLAS. Forking is safe only while no other thread of this process is
-    inside a BLAS call: OpenBLAS stops its thread pool around fork, and a
-    sweep that ran its entries on threads hung in most runs once its CSVs
-    spanned several chunks (a thread spinning, the BLAS worker gone).
+    The rows are split into one contiguous slice per usable CPU, at most one
+    per CSV_CHUNK_ROWS chunk, since the repr of each float is most of the
+    cost. This process formats slice 0 and writes it one chunk at a time;
+    a child forked by `_fork_formatter` formats each other slice and streams
+    it back over a pipe, and the slices are written in order. Without
+    `os.fork` this process formats every slice. The bytes are the same
+    either way. An exception raised in a child is raised here, and every
+    child is reaped before this returns or raises. Children only format
+    strings and never call BLAS. Forking is safe only while no other thread
+    of this process is inside a BLAS call: OpenBLAS stops its thread pool
+    around fork, and a sweep that ran its entries on threads hung in most
+    runs once its CSVs spanned several chunks (a thread spinning, the BLAS
+    worker gone).
     """
     cols = [run_result.records[name] for name in CSV_COLUMNS]
-    starts = range(0, len(cols[0]), CSV_CHUNK_ROWS)
-    chunks = (np.column_stack([c[s : s + CSV_CHUNK_ROWS] for c in cols]) for s in starts)
-    workers = min(_usable_cpus(), len(starts))
-    with contextlib.ExitStack() as stack:
-        fmt = map
-        if workers >= 2 and "fork" in multiprocessing.get_all_start_methods():
-            fmt = stack.enter_context(multiprocessing.get_context("fork").Pool(workers)).imap
-        fh = stack.enter_context(open(path, "w"))
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        fh.writelines(fmt(_format_rows, chunks))
+    n_rows = len(cols[0])
+    slices = 1
+    if hasattr(os, "fork"):
+        slices = max(1, min(_usable_cpus(), -(-n_rows // CSV_CHUNK_ROWS)))
+    bounds = [n_rows * i // slices for i in range(slices + 1)]
+    children = []
+    statuses = []
+    with open(path, "wb") as fh:
+        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
+        try:
+            for i in range(1, slices):
+                children.append(_fork_formatter(cols, bounds[i], bounds[i + 1]))
+            fh.writelines(_formatted(cols, 0, bounds[1]))
+            for _, pipe in children:
+                _copy_child(pipe, fh)
+        except BaseException:
+            for pid, _ in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid, pipe in children:
+                pipe.close()
+                statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses):
+        raise SimulationError(f"CSV formatters ended with wait statuses {statuses}")
 
 
 def project_bump(plant, eigs: ModeTable, center, width: float, amplitude: float, count: int) -> np.ndarray:

@@ -306,6 +306,28 @@ def test_pipeline_rejects_mistyped_config(tmp_path, capsys, pointer, value):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("command", ["pipeline", "simulate"])
+def test_simulating_commands_refuse_an_empty_z0_before_writing(tmp_path, capsys, command):
+    with open(os.path.join(ROOT, "demos", "quick_certify.json")) as fh:
+        cfg = json.load(fh)
+    cfg["simulation"]["z0"] = {}
+    code = main([command, "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: /simulation/z0: give coeffs")
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+    # synthesize and certify need no z0
+    assert main(["synthesize", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "s")]) == 0
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    code = "import sys, parstab.cli; print('multiprocessing' in sys.modules)"
+    out = run_python(["-c", code])
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_config_numbers_are_floats_and_null_means_absent(tmp_path):
     cfg = {
         **EXAMPLE,

@@ -83,3 +83,54 @@ def test_expm_matches_scipy_on_the_workload_loops(strong_design, n_sim, h):
     hA = ClosedLoop(strong_design, N_sim=n_sim).full_matrix * h
     assert hA.shape == (n_sim + 60, n_sim + 60)
     assert relerr(linalg.expm(hA), scipy.linalg.expm(hA)) <= 1e-13
+
+
+def arrowhead(n, head, seed):
+    """Diagonal plus dense rows and columns at `head`."""
+    rng = np.random.default_rng(seed)
+    A = np.diag(-rng.uniform(0.0, 3.0, n))
+    A[head] = rng.standard_normal((len(head), n))
+    A[:, head] = rng.standard_normal((n, len(head)))
+    return A
+
+
+@pytest.mark.parametrize("n, head", [(64, [0, 1, 2]), (200, [5, 17, 120, 199])])
+def test_border_product_equals_the_dense_product(n, head):
+    A = arrowhead(n, head, n)
+    B = linalg.Border(A, linalg.border_indices(A))
+    M = np.random.default_rng(1).standard_normal((n, n))
+    want = A @ M
+    assert np.max(np.abs(B @ M - want)) <= 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(B @ M[:, 0] - want[:, 0])) <= 1e-13 * np.max(np.abs(want))
+    # in place, as the Pade sums use it
+    B.matmul(M, out=M)
+    assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_border_detection(strong_design):
+    loop = ClosedLoop(strong_design, N_sim=240)
+    head = np.arange(240, 240 + strong_design.n0)
+    assert np.array_equal(linalg.border_indices(loop.full_matrix), head)
+    assert np.array_equal(linalg.border_indices(arrowhead(64, [3, 9], 0)), [3, 9])
+    # dense, too wide a border, unstructured (tridiagonal), too small to pay
+    dense = np.random.default_rng(2).standard_normal((64, 64))
+    assert linalg.border_indices(dense) is None
+    assert linalg.border_indices(arrowhead(64, list(range(5)), 0)) is None
+    assert linalg.border_indices(np.eye(64) + np.eye(64, k=1) + np.eye(64, k=-1)) is None
+    assert linalg.border_indices(arrowhead(15, [0], 0)) is None
+    # a border that leaves one off-diagonal nonzero outside it
+    stray = arrowhead(64, [3, 9], 0)
+    stray[20, 30] = 1.0
+    assert linalg.border_indices(stray) is None
+
+
+@pytest.mark.parametrize(
+    "scale, degree, squarings",
+    [(0.001, 3, 0), (0.3, 5, 0), (3.0, 7, 0), (6.0, 9, 0), (14.0, 13, 0), (30.0, 13, 1), (300.0, 13, 4)],
+)
+def test_expm_of_arrowheads_matches_scipy_on_every_degree(scale, degree, squarings):
+    A = arrowhead(64, [5, 17, 40], 64)
+    A *= scale / np.linalg.norm(A, 1)
+    assert degree_of(A) == (degree, squarings)
+    assert linalg.border_indices(A) is not None
+    assert relerr(linalg.expm(A), scipy.linalg.expm(A)) < 1e-14

@@ -1,6 +1,5 @@
 import csv
 import math
-import multiprocessing
 import os
 import tracemalloc
 
@@ -276,6 +275,41 @@ def test_run_rows_match_matrix_exponential(example_art30):
         assert np.linalg.norm(result.states[i] - want) <= 1e-10 * np.linalg.norm(want)
 
 
+@pytest.fixture(scope="module")
+def contraction():
+    # a dense non-normal E of spectral radius about 0.999, so 800 powers stay finite
+    rng = np.random.default_rng(3)
+    E = rng.standard_normal((7, 7))
+    E *= 0.999 / np.max(np.abs(np.linalg.eigvals(E)))
+    return E, rng.standard_normal(7)
+
+
+@pytest.mark.parametrize(
+    "n_rows",
+    [1, 2, 3, simulation.BLOCK - 1, simulation.BLOCK, simulation.BLOCK + 1, 3 * simulation.BLOCK + 5],
+)
+def test_blocks_match_explicit_powers(contraction, n_rows):
+    E, x0 = contraction
+    blocks = list(simulation._blocks(E, x0, n_rows))
+    assert [start for start, _ in blocks] == list(range(0, n_rows, simulation.BLOCK))
+    got = np.concatenate([rows for _, rows in blocks])
+    assert got.shape == (n_rows, len(x0))
+    assert np.array_equal(got[0], x0)
+    want = np.empty_like(got)
+    want[0] = x0
+    for k in range(1, n_rows):
+        want[k] = E @ want[k - 1]
+    scale = np.linalg.norm(want, axis=1)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * scale)
+
+
+def test_blocks_advance_by_matrix_power(contraction):
+    E, x0 = contraction
+    (_, first), (_, second) = simulation._blocks(E, x0, 2 * simulation.BLOCK)
+    E_block = np.linalg.matrix_power(E, simulation.BLOCK)
+    assert np.array_equal(second, first @ E_block.T)
+
+
 def test_run_ends_at_T_with_a_partial_step(example_art30):
     z0 = np.ones(5)
     result = run(z0, 0.25, 0.1, example_art30, N_sim=60, check_every=1, keep_states=True)
@@ -370,6 +404,29 @@ def _refuse_rows(chunk) -> str:
     raise ValueError("chunk refused")
 
 
+def _refuse_rows_in_children(caller: int):
+    def fmt(chunk) -> str:
+        if os.getpid() != caller:
+            raise ValueError("chunk refused in a child")
+        return ""
+
+    return fmt
+
+
+def _exit_in_children(caller: int):
+    def fmt(chunk) -> str:
+        if os.getpid() != caller:
+            os._exit(3)
+        return ""
+
+    return fmt
+
+
+def _assert_no_children_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize(
     "n_rows",
@@ -381,22 +438,52 @@ def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_
     _reference_csv(records, tmp_path / "want.csv")
     write_csv(_sim_run(records), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
-    assert multiprocessing.active_children() == []
+    _assert_no_children_left()
 
 
-def test_csv_pool_formats_every_chunk_in_a_worker(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_csv_caller_formats_slice_zero_and_children_the_rest(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(simulation, "_format_rows", _pid_rows)
-    write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS + 1)), tmp_path / "pids.csv")
+    write_csv(_sim_run(_records(2 * cpus * CSV_CHUNK_ROWS)), tmp_path / "pids.csv")
     pids = (tmp_path / "pids.csv").read_text().splitlines()[1:]
-    assert len(pids) == 3
-    assert str(os.getpid()) not in pids
-    assert multiprocessing.active_children() == []
+    # one line per chunk: two chunks per slice, slices in order
+    assert len(pids) == 2 * cpus
+    assert pids[:2] == [str(os.getpid())] * 2
+    children = pids[2::2]
+    assert pids[3::2] == children
+    assert len(set(children)) == cpus - 1 and str(os.getpid()) not in children
+    _assert_no_children_left()
+
+
+def test_csv_error_in_the_caller_kills_and_reaps_every_child(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(simulation, "_format_rows", _refuse_rows)
+    with pytest.raises(ValueError, match="chunk refused"):
+        write_csv(_sim_run(_records(3 * CSV_CHUNK_ROWS)), tmp_path / "never.csv")
+    _assert_no_children_left()
 
 
 def test_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch):
+    # both children fail; the first one's exception is raised, the other child is killed
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
+    monkeypatch.setattr(simulation, "_format_rows", _refuse_rows_in_children(os.getpid()))
+    with pytest.raises(ValueError, match="chunk refused in a child"):
+        write_csv(_sim_run(_records(3 * CSV_CHUNK_ROWS)), tmp_path / "never.csv")
+    _assert_no_children_left()
+
+
+def test_csv_child_that_dies_fails_the_write(tmp_path, monkeypatch):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulation, "_format_rows", _refuse_rows)
-    with pytest.raises(ValueError, match="chunk refused"):
-        write_csv(_sim_run(_records(CSV_CHUNK_ROWS + 1)), tmp_path / "never.csv")
-    assert multiprocessing.active_children() == []
+    monkeypatch.setattr(simulation, "_format_rows", _exit_in_children(os.getpid()))
+    with pytest.raises(SimulationError, match="without output"):
+        write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS)), tmp_path / "never.csv")
+    _assert_no_children_left()
+
+
+def test_csv_without_fork_formats_every_slice_in_the_caller(tmp_path, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(simulation, "_format_rows", _pid_rows)
+    monkeypatch.delattr(os, "fork")
+    write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS)), tmp_path / "pids.csv")
+    assert (tmp_path / "pids.csv").read_text().splitlines()[1:] == [str(os.getpid())] * 2
