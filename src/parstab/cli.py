@@ -236,10 +236,22 @@ def build_plant(cfg: RunConfig) -> PlantConfig:
     )
 
 
+def _json_ready(obj):
+    """obj with every non-finite float (an undefined rate or bound) as None, JSON null."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _json_ready(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_json_ready(value) for value in obj]
+    return obj
+
+
 def _write_json(obj: dict, path) -> None:
+    """obj as RFC 8259 JSON: NaN and infinities are written as null."""
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     with open(path, "w") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
+        json.dump(_json_ready(obj), fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
 
 

@@ -1,26 +1,30 @@
 """Matrix exponential by scaling and squaring, on numpy alone.
 
-`expm` follows Al-Mohy & Higham, "A new scaling and squaring algorithm for
-the matrix exponential", SIAM J. Matrix Anal. Appl. 31(3), 2009, Algorithm
-5.1: a diagonal [m/m] Pade approximant r_m of degree 3, 5, 7, 9 or 13 to
-exp(2^-s A), squared s times. Degree and scaling come from the exact 1-norms
-of A^2, A^4 and A^6, the bounds ||A^8|| <= ||A^2|| ||A^6|| and
-||A^10|| <= ||A^4|| ||A^6||, and the extra squarings ell(A, m) that keep the
-backward error of r_m at unit roundoff.
+On a dense input `expm` follows Al-Mohy & Higham, "A new scaling and
+squaring algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl.
+31(3), 2009, Algorithm 5.1: a diagonal [m/m] Pade approximant r_m of degree
+3, 5, 7, 9 or 13 to exp(2^-s A), squared s times. Degree and scaling come
+from the exact 1-norms of A^2, A^4 and A^6, the bounds
+||A^8|| <= ||A^2|| ||A^6|| and ||A^10|| <= ||A^4|| ||A^6||, and the extra
+squarings ell(A, m) that keep the backward error of r_m at unit roundoff.
 
 The dense work arrays are filled in place, so a degree-13 step holds at most
 seven n x n arrays at once, the input included.
 
 A matrix whose off-diagonal nonzeros all lie in a few rows and the columns
-of the same indices (its border; `border_indices`) takes a second route. The
+of the same indices (its border; `border_indices`) takes the other route. The
 closed loop of `parstab.simulation` is one: off its diagonal, only the rows
 and columns of the observer head are nonzero. Each product A @ M is then
 formed from the diagonal, the border rows and the border columns in
-O(n^2 k) for a border of k indices (`Border`), not O(n^3). The Pade sums are
-built from the powers A^2, A^4, ..., A^12 of 2^-s A, each added as it is
-formed and then overwritten by the next, so at most five n x n arrays are
-held before the LU solve. Only the solve and the s squarings stay dense.
-Rounding differs from the dense route in the last bits.
+O(n^2 k) for a border of k indices (`Border`), not O(n^3), and exp(A) is the
+truncated Taylor series T_m(2^-s A) evaluated by Horner's rule,
+M <- I + (2^-s A / j) M for j = m, ..., 1, squared s times (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33(2), 2011, truncate the Taylor series the
+same way). `taylor_degree` picks m <= TAYLOR_MAX and s from a forward bound
+on the truncation error built from the 1-norms of powers of |A|, which
+matrix-vector products with the border parts of |A|' give, so no dense |A|
+is formed. No LU solve is made, and the route holds one n x n array besides
+its input until the squarings, which hold two.
 """
 
 from __future__ import annotations
@@ -38,6 +42,10 @@ UNIT_ROUNDOFF = 2.0**-53
 _ROWS = 64
 # a border of more than n / BORDER_SHARE indices takes the dense route
 BORDER_SHARE = 16
+# highest Taylor degree of the border route. A Horner step costs O(n^2 k), a
+# squaring O(n^3): with 30, 42 of 300 drawn bordered matrices squared more
+# often than on the Pade route; with 40, none of 2700 did
+TAYLOR_MAX = 40
 
 
 def pade_coefficients(m: int) -> list:
@@ -59,8 +67,8 @@ def _ell(abs_t, norm: float, m: int, s: int = 0) -> int:
 
     alpha = |c_(2m+1)| ||(|B|)^(2m+1)||_1 / ||B||_1 for B = 2^-s A, with the
     exact 1-norm of the power of |B|, the largest entry of (|B|')^(2m+1) 1.
-    `abs_t` is |A|' (an array or a `Border`) and `norm` is ||A||_1. Scaling by
-    a power of two is exact, so B itself is never formed.
+    `abs_t` is |A|' and `norm` is ||A||_1. Scaling by a power of two is
+    exact, so B itself is never formed.
     """
     scale = 2.0**-s
     norm = norm * scale
@@ -78,17 +86,13 @@ def _ell(abs_t, norm: float, m: int, s: int = 0) -> int:
     return max(math.ceil(math.log2(alpha / UNIT_ROUNDOFF) / (2 * m)), 0)
 
 
-def pade_degree(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray, head=None) -> tuple:
+def pade_degree(A: np.ndarray, A2: np.ndarray, A4: np.ndarray, A6: np.ndarray) -> tuple:
     """(m, s): Pade degree and number of squarings for exp(A).
 
     Al-Mohy & Higham 2009, Algorithm 5.1, with exact 1-norms of A^2, A^4
-    and A^6 and from them the product bounds on ||A^8|| and ||A^10||. With
-    the border indices `head` of A, the products with |A|' of `_ell` are
-    border products, since |A|' has its border at the same indices.
+    and A^6 and from them the product bounds on ||A^8|| and ||A^10||.
     """
     abs_t = np.abs(A).T
-    if head is not None:
-        abs_t = Border(abs_t, head)
     norm = _onenorm(A)
     n2, n4, n6 = _onenorm(A2), _onenorm(A4), _onenorm(A6)
     d4, d6 = n4 ** 0.25, n6 ** (1 / 6)
@@ -135,18 +139,33 @@ class Border:
     M then costs O(n^2 k) for k head indices.
     """
 
-    def __init__(self, A: np.ndarray, head: np.ndarray):
+    def __init__(self, head: np.ndarray, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray):
         self.head = head
-        self.shape = A.shape
-        self.diag = np.diagonal(A).copy()
-        self.diag[head] = 0.0
-        self.rows = A[head]
-        self.cols = A[:, head]
-        self.cols[head] = 0.0
+        self.diag = diag
+        self.rows = rows
+        self.cols = cols
+        self.shape = (len(diag), len(diag))
 
-    def scale(self, c: float) -> None:
-        for part in (self.diag, self.rows, self.cols):
-            part *= c
+    @classmethod
+    def of(cls, A: np.ndarray, head: np.ndarray) -> "Border":
+        """The parts of A, which must have its border at `head`."""
+        diag = np.diagonal(A).copy()
+        diag[head] = 0.0
+        cols = A[:, head]
+        cols[head] = 0.0
+        return cls(head, diag, A[head], cols)
+
+    def scaled(self, c: float) -> "Border":
+        return Border(self.head, c * self.diag, c * self.rows, c * self.cols)
+
+    def abs_transpose(self) -> "Border":
+        """|A|' from the parts: its head rows are the head columns of |A|, and
+        its head columns the head rows."""
+        full_cols = self.cols.copy()
+        full_cols[self.head] = self.rows[:, self.head]
+        cols_t = np.abs(self.rows.T)
+        cols_t[self.head] = 0.0
+        return Border(self.head, np.abs(self.diag), np.abs(full_cols.T), cols_t)
 
     def __matmul__(self, M: np.ndarray) -> np.ndarray:
         return self.matmul(M)
@@ -225,38 +244,67 @@ def _dense_sums(A: np.ndarray) -> tuple:
     return m, s, inner_u, V
 
 
-def _border_sums(A: np.ndarray, B: Border) -> tuple:
-    """(m, s, inner_u, V) from border products, the identity terms left out.
+def taylor_degree(B: Border) -> tuple:
+    """(m, s): degree m <= TAYLOR_MAX and squarings s for exp(A) = T_m(2^-s A)^(2^s).
 
-    B holds the parts of A and is left scaled by 2^-s. Each even power of
-    2^-s A is added to both sums as it is formed and then overwritten in
-    place by the next one.
+    Since |A^j| <= |A|^j entrywise, ||exp(C) - T_m(C)||_1 <= sum_(j>m)
+    p_j 2^(-sj) / j! for C = 2^-s A, with p_j = || |A|^j ||_1 the largest
+    entry of (|A|')^j 1. The border B of A gives p_1 .. p_J for J =
+    2 TAYLOR_MAX. Past J, p_(J+i) <= p_J p_i and (J+i)! >= (J+1) J! i! bound
+    the remainder R by a (S + R), a = p_J 2^(-sJ) / (J+1)!, with S the sum of
+    the first J terms, so R <= a S / (1 - a) when a < 1. The least s, then
+    the least m, whose bound is at most the unit roundoff is taken. Once
+    2^-s ||A||_1 <= 1, degree 18 meets it, so s never passes log2 ||A||_1.
     """
+    abs_t = B.abs_transpose()
+    terms = 2 * TAYLOR_MAX
+    # log p_j, with v normalized to a largest entry of 1 after each product
+    log_p = np.full(terms, -np.inf)
+    v = np.ones(B.shape[0])
+    acc = 0.0
+    for i in range(terms):
+        v = abs_t @ v
+        top = float(np.max(v))
+        if top == 0.0:
+            break
+        acc += math.log(top)
+        log_p[i] = acc
+        v /= top
+    j = np.arange(1, terms + 1)
+    log_fact = np.cumsum(np.log(j))
+    for s in range(max(math.ceil(log_p[0] / math.log(2)), 0) + 1):
+        log_terms = log_p - s * math.log(2) * j - log_fact
+        log_a = log_terms[-1] - math.log(terms + 1)
+        if log_a >= 0.0:
+            continue
+        a = math.exp(log_a)
+        # a term too large for a double makes its bounds inf (or nan), which fit no m
+        with np.errstate(over="ignore", invalid="ignore"):
+            term = np.exp(log_terms)
+            # bound[m] = sum_(j>m) p_j 2^(-sj) / j!, for m = 0 .. J-1
+            bound = np.cumsum(term[::-1])[::-1] + a * np.sum(term) / (1.0 - a)
+        fits = np.flatnonzero(bound[1 : TAYLOR_MAX + 1] <= UNIT_ROUNDOFF)
+        if len(fits):
+            return int(fits[0]) + 1, s
+    raise AssertionError("unreachable: degree 18 fits once 2^-s ||A||_1 <= 1")
 
-    def times_a2(M, out):
-        return B.matmul(B.matmul(M, out=out), out=out)
 
-    A2 = B @ A
-    A4 = times_a2(A2, out=np.empty_like(A2))
-    A6 = times_a2(A4, out=np.empty_like(A4))
-    m, s = pade_degree(A, A2, A4, A6, head=B.head)
-    b = pade_coefficients(m)
-    if s:
-        B.scale(2.0**-s)
-        A2 *= 2.0 ** (-2 * s)
-        A4 *= 2.0 ** (-4 * s)
-        A6 *= 2.0 ** (-6 * s)
-    terms = m // 2  # the sums run over A^2, A^4, ..., A^(m-1)
-    first = [A2, A4, A6][:terms]
-    inner_u = _combine([(b[2 * k + 3], P) for k, P in enumerate(first)])
-    V = _combine([(b[2 * k + 2], P) for k, P in enumerate(first)], out=A2)
-    del first, A2, A4
-    power = A6
-    for k in range(4, terms + 1):
-        times_a2(power, out=power)
-        _combine([(b[2 * k + 1], power)], out=inner_u, add=True)
-        _combine([(b[2 * k], power)], out=V, add=True)
-    return m, s, inner_u, V
+def _taylor(A: np.ndarray, head: np.ndarray) -> np.ndarray:
+    """exp(A) = T_m(2^-s A)^(2^s) by Horner's rule on the border of A, then s squarings.
+
+    Only the result is n x n until the squarings, each of which holds two.
+    """
+    B = Border.of(A, head)
+    m, s = taylor_degree(B)
+    n = len(A)
+    X = np.eye(n)
+    for j in range(m, 0, -1):
+        B.scaled(2.0**-s / j).matmul(X, out=X)
+        X.flat[:: n + 1] += 1.0
+    del B
+    for _ in range(s):
+        X = X @ X
+    return X
 
 
 def expm(A) -> np.ndarray:
@@ -264,8 +312,8 @@ def expm(A) -> np.ndarray:
 
     A diagonal A gives exp of its diagonal directly; so does 1 x 1. A
     non-finite entry gives an all-nan result, which the caller's finiteness
-    checks report. A matrix with a border (`border_indices`) forms its
-    products from the border.
+    checks report. A matrix with a border (`border_indices`) takes the
+    Taylor route on its border, any other the Pade route.
     """
     A = np.asarray(A, dtype=float)
     n = A.shape[0]
@@ -276,22 +324,16 @@ def expm(A) -> np.ndarray:
     if np.count_nonzero(A) == np.count_nonzero(np.diagonal(A)):
         return np.diag(np.exp(np.diagonal(A)))
     head = border_indices(A)
-    if head is None:
-        m, s, inner_u, V = _dense_sums(A)
-    else:
-        B = Border(A, head)
-        m, s, inner_u, V = _border_sums(A, B)
+    if head is not None:
+        return _taylor(A, head)
+    m, s, inner_u, V = _dense_sums(A)
     b = pade_coefficients(m)
     inner_u.flat[:: n + 1] += b[1]
     V.flat[:: n + 1] += b[0]
-    if head is None:
-        # U = (2^-s A) inner_u; scaling the product instead is exact and copies no A
-        U = A @ inner_u
-        if s:
-            U *= 2.0**-s
-    else:
-        # B is already scaled by 2^-s
-        U = B.matmul(inner_u, out=inner_u)
+    # U = (2^-s A) inner_u; scaling the product instead is exact and copies no A
+    U = A @ inner_u
+    if s:
+        U *= 2.0**-s
     del inner_u
     # r_m = (V - U)^-1 (V + U)
     Q = V - U

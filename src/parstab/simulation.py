@@ -3,15 +3,18 @@
 The simulated plant carries N_sim modes, the observer exactly the N the
 design was built for. Both evolve jointly as one linear time-invariant system
 x' = A x with A = `ClosedLoop.full_matrix`, so x(t + h) = expm(h A) x(t) is
-exact at every output time; `linalg.expm`, an in-repo numpy port of the
-scaling and squaring algorithm of Al-Mohy & Higham (2009), evaluates it.
-A is diagonal except for the rows and columns of the n0 observer-head
-states, and `expm` forms its products from that border. `run` computes
-E = expm(h A) once, fills the first BLOCK output rows by doubling (rows
-[0, k) times (E^k)' give rows [k, 2k)) and advances each later block of rows
-with one matrix product against E^BLOCK, the last of those squares. The
-output spacing h is therefore no accuracy or stability limit, and the
-diagnostics of a block are array operations on its stacked states.
+exact at every output time; the in-repo `linalg.expm` evaluates it. A is
+diagonal except for the rows and columns of the n0 observer-head states, so
+`expm` takes its Taylor route: a polynomial in h A formed from that border,
+squared as often as its truncation bound needs, with no LU solve. `run`
+computes E = expm(h A) once and keeps no copy of it, fills the first BLOCK
+output rows by doubling (rows [0, k) times (E^k)' give rows [k, 2k)),
+squaring into one spare array and E's own in turn, and advances each later
+block of rows with one matrix product against E^BLOCK, the last of those
+squares, into one of two alternating row buffers. Propagation so holds at
+most two arrays of the loop's size. The output spacing h is no accuracy or
+stability limit, and the diagnostics of a block are array operations on its
+stacked states.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
@@ -268,19 +271,22 @@ class ClosedLoop:
 
     # -- integration -------------------------------------------------------
 
-    def propagator(self, h: float) -> np.ndarray:
-        """E = expm(h A), the exact step of length h; the last one is kept."""
+    def exponential(self, h: float) -> np.ndarray:
+        """A fresh E = expm(h A), the exact step of length h; nothing is kept."""
         if h <= 0:
             raise ValueError("step size must be positive")
+        # a fresh A scaled in place, so no second copy of A sits next to
+        # expm's scratch: one more array of this size on the loop's border
+        # route (two while it squares), six on the dense one
+        hA = self._assemble()
+        hA *= h
+        return expm(hA)
+
+    def propagator(self, h: float) -> np.ndarray:
+        """E = expm(h A) for `step`; the last one is kept, and no caller overwrites it."""
         if self._propagator is None or self._propagator[0] != h:
             self._propagator = None  # drop the old E before expm allocates
-            # a fresh A scaled in place: expm's scratch (up to four more
-            # arrays of this size on the loop's border route, six on the
-            # dense one) is the largest allocation of a run, so no second
-            # copy of A sits next to it
-            hA = self._assemble()
-            hA *= h
-            self._propagator = (h, expm(hA))
+            self._propagator = (h, self.exponential(h))
         return self._propagator[1]
 
     def step(self, state: SimState, h: float) -> SimState:
@@ -367,27 +373,39 @@ def _step_count(T: float, h: float) -> tuple:
     return n, T - n * h
 
 
-def _blocks(E: np.ndarray, x0: np.ndarray, n_rows: int):
-    """Yield (start, rows) covering x0, E x0, ..., E^(n_rows-1) x0.
+def _blocks(power: np.ndarray, x0: np.ndarray, n_rows: int):
+    """Yield (start, rows) covering x0, E x0, ..., E^(n_rows-1) x0 for E = `power`.
 
     The first BLOCK rows come by doubling: with rows [0, k) filled, rows
     [k, 2k) are those rows times (E^k)', and E^k is squared to E^2k. The
-    squares end at E^BLOCK, the same products as
-    `np.linalg.matrix_power(E, BLOCK)`; each later block is the previous
-    one times E^BLOCK."""
+    squares go into one spare array and E's own, in turn, so E is
+    overwritten and at most two n x n arrays are held. They end at
+    E^BLOCK, the same products as `np.linalg.matrix_power(E, BLOCK)`; each
+    later block is the previous one times E^BLOCK. A yielded block is
+    overwritten two blocks later, so a caller that keeps one copies it."""
     block = np.empty((min(BLOCK, n_rows), len(x0)))
     block[0] = x0
-    power = E  # E^filled
-    filled = 1
+    spare = None
+    filled = 1  # power is E^filled
     while filled < len(block):
         count = min(filled, len(block) - filled)
         block[filled : filled + count] = block[:count] @ power.T
         filled += count
         if filled < n_rows:
-            power = power @ power
+            if spare is None:
+                spare = np.empty_like(power)
+            np.matmul(power, power, out=spare)
+            power, spare = spare, power
+    spare = None  # the later blocks need E^BLOCK alone
     yield 0, block
+    # later blocks alternate between two buffers: with a fresh array per
+    # block glibc trims its heap and faults the pages back in on every block
+    # (about 90 000 minor faults on the 300-dim pipeline loop)
+    other = np.empty_like(block)
     for start in range(BLOCK, n_rows, BLOCK):
-        block = block[: n_rows - start] @ power.T
+        rows = min(BLOCK, n_rows - start)
+        np.matmul(block[:rows], power.T, out=other[:rows])
+        block, other = other[:rows], block
         yield start, block
 
 
@@ -419,8 +437,8 @@ def run(
     system = ClosedLoop(artifacts, N_sim=N_sim, open_loop=open_loop)
     if h is None:
         h = default_step(system.lams[-1])
-    E = system.propagator(h)
     state = init_state(z0_coeffs, system.N_sim, system.N)
+    x = np.concatenate([state.z, state.zhat])
     n_steps, rest = _step_count(T, h)
     n_rows = n_steps + 1 + (rest > 0)
     times = np.arange(n_rows) * h
@@ -428,7 +446,7 @@ def run(
         times[-1] = T
     cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
     cols["t"] = times
-    states = np.empty((n_rows, len(E))) if keep_states else None
+    states = np.empty((n_rows, len(x))) if keep_states else None
     checking = not open_loop and check_every
     check_max = 0.0
 
@@ -454,12 +472,12 @@ def run(
                 )
 
     with np.errstate(over="ignore", invalid="ignore"):
-        x = np.concatenate([state.z, state.zhat])
-        for start, X in _blocks(E, x, n_steps + 1):
+        # E goes to _blocks unnamed here: its squares overwrite it
+        for start, X in _blocks(system.exponential(h), x, n_steps + 1):
             record(start, X)
             x = X[-1]
         if rest > 0:
-            x = system.propagator(rest) @ x
+            x = system.exponential(rest) @ x
             record(n_rows - 1, x[None])
     state = SimState(t=float(times[-1]), z=x[: system.N_sim], zhat=x[system.N_sim :])
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
@@ -467,6 +485,14 @@ def run(
         rate = estimate_decay_rate(cols["t"], series, t_skip)
     except ValueError:
         rate = float("nan")
+    if not open_loop and rate >= 0.0:
+        log.warning(
+            "the simulated loop grows: fitted rate %+.3g at N = %d, N_sim = %d; "
+            "see README, 'Observation spillover'",
+            rate,
+            system.N,
+            system.N_sim,
+        )
     return SimulationRun(
         times=cols["t"],
         records=cols,

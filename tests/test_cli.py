@@ -1,4 +1,5 @@
 import json
+import logging
 import math
 import os
 import subprocess
@@ -9,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parstab import cli
+from parstab import certification, cli
 from parstab.cli import (
     ConfigError,
     build_plant,
@@ -525,7 +526,7 @@ class RefuseScipy:
         return None
 
 sys.meta_path.insert(0, RefuseScipy())
-from parstab import cli
+from parstab import certification, cli
 
 codes = [cli.main([cmd, "--config", cfg, "--out", out]) for cfg, cmd, out in json.loads(sys.argv[1])]
 print(json.dumps({"codes": codes, "tried": tried}))
@@ -564,3 +565,64 @@ def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path, cfg, code):
         assert proc.returncode == code, proc.stderr
         certs.append((out / "certificate.json").read_bytes())
     assert certs[0] == certs[1]
+
+
+def strict_json(path):
+    """The file parsed as RFC 8259 JSON, which has no NaN or Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not JSON")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+def demo_config(name):
+    with open(os.path.join(ROOT, "demos", name)) as fh:
+        return json.load(fh)
+
+
+def test_undefined_values_are_written_as_null(tmp_path, monkeypatch):
+    # finite values keep their bytes; NaN and infinities at any depth become null
+    path = tmp_path / "values.json"
+    cli._write_json({"x": [0.1, float("nan")], "y": {"z": -math.inf}, "w": (1e-300, math.inf)}, path)
+    want = {"x": [0.1, None], "y": {"z": None}, "w": [1e-300, None]}
+    assert path.read_text() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+    # T = 1 leaves no row after t_skip = 2: the decay rate is undefined
+    cfg = demo_config("quick_certify.json")
+    cfg["simulation"]["T"] = 1.0
+    out = tmp_path / "simulate"
+    assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    assert strict_json(out / "summary.json")["decay_rate"] is None
+    # a round whose Lyapunov solve fails has no bounds
+
+    def fail(F, delta):
+        raise certification.CertificationError("forced failure")
+
+    monkeypatch.setattr(certification, "solve_lyapunov", fail)
+    out = tmp_path / "certify"
+    assert main(["certify", "--config", write_cfg(tmp_path, MILD), "--out", str(out)]) == 3
+    cert = strict_json(out / "certificate.json")
+    assert "lyapunov" in cert["status"]
+    for key in ("S1", "S2", "Sphi", "eta_cert", "theta1_max", "psi_bound", "P_norm"):
+        assert cert[key] is None, key
+
+
+@pytest.mark.parametrize("n_sim, grows", [(70, True), (240, False)])
+def test_simulate_warns_when_the_simulated_loop_grows(tmp_path, caplog, n_sim, grows):
+    # the strong-drift design at N = 60: its simulated loop is unstable at
+    # N_sim = 70 (README, Observation spillover) and decays at 240
+    cfg = demo_config("strong_drift_pipeline.json")
+    cfg["simulation"].update(N_sim=n_sim, h=2e-3, T=20.0)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="parstab"):
+        assert main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]) == 0
+    rate = strict_json(out / "summary.json")["decay_rate"]
+    warnings = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    if not grows:
+        assert rate < 0 and warnings == []
+        return
+    assert rate >= 0 and len(warnings) == 1
+    assert f"rate {rate:+.3g} at N = 60, N_sim = {n_sim}" in warnings[0]
+    assert "'Observation spillover'" in warnings[0]
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        assert "\n### Observation spillover\n" in fh.read()

@@ -290,7 +290,9 @@ def contraction():
 )
 def test_blocks_match_explicit_powers(contraction, n_rows):
     E, x0 = contraction
-    blocks = list(simulation._blocks(E, x0, n_rows))
+    # _blocks squares into E's own buffer, so it gets a copy, and reuses its
+    # block buffers, so each block is copied
+    blocks = [(start, rows.copy()) for start, rows in simulation._blocks(E.copy(), x0, n_rows)]
     assert [start for start, _ in blocks] == list(range(0, n_rows, simulation.BLOCK))
     got = np.concatenate([rows for _, rows in blocks])
     assert got.shape == (n_rows, len(x0))
@@ -305,9 +307,24 @@ def test_blocks_match_explicit_powers(contraction, n_rows):
 
 def test_blocks_advance_by_matrix_power(contraction):
     E, x0 = contraction
-    (_, first), (_, second) = simulation._blocks(E, x0, 2 * simulation.BLOCK)
+    (_, first), (_, second) = simulation._blocks(E.copy(), x0, 2 * simulation.BLOCK)
     E_block = np.linalg.matrix_power(E, simulation.BLOCK)
     assert np.array_equal(second, first @ E_block.T)
+
+
+def test_propagator_is_never_overwritten(example_art30):
+    # _blocks squares into the E it is given; run hands it a fresh E from
+    # `exponential`, so the E that `propagator` keeps for `step` stays intact
+    system = ClosedLoop(example_art30, N_sim=60)
+    kept = system.propagator(1e-3)
+    want = kept.copy()
+    fresh = system.exponential(1e-3)
+    assert fresh is not kept and np.array_equal(fresh, want)
+    x0 = np.ones(len(fresh))
+    for _ in simulation._blocks(fresh, x0, 3 * simulation.BLOCK):
+        pass
+    assert not np.array_equal(fresh, want)
+    assert system.propagator(1e-3) is kept and np.array_equal(kept, want)
 
 
 def test_run_ends_at_T_with_a_partial_step(example_art30):
