@@ -65,8 +65,8 @@ CSV_COLUMNS = (
 )
 # one line of the CSV: every column formatted by repr
 _CSV_LINE = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
-# rows formatted and written at a time by `write_csv`
-CSV_CHUNK_ROWS = 8192
+# rows formatted and written at a time by `write_csv`: about 0.25 MB of text
+CSV_CHUNK_ROWS = 1024
 
 
 class SimulationError(RuntimeError):
@@ -299,13 +299,15 @@ class ClosedLoop:
 
     # -- consistency check -------------------------------------------------
 
-    def projection_check(self, state: SimState) -> float:
-        """Dual-route check of the head lifted projections.
+    def projection_check(self, U: np.ndarray) -> np.ndarray:
+        """Dual-route check of the head lifted projections for each row of U.
 
+        U stacks head controls as rows (n0 columns; closed loop, `zhat[:n0]`).
         Matrix route: -B_k A U. Quadrature route: rebuild u_k on an
         independent face grid (offset panel count), integrate it against each
-        head trace and scale by the head lifting coefficient. Returns the max
-        absolute deviation over k. The grid, the head traces and the per-k
+        head trace and scale by the head lifting coefficient. Returns, per
+        row, the max absolute deviation over k and the head modes. The head
+        traces on the grid, their quadrature-weighted copies and the per-k
         maps applied to U are built on the first call.
         """
         if self._check_ctx is None:
@@ -318,17 +320,20 @@ class ClosedLoop:
                 (m.head_lifts[k] @ A, -np.diag(m.head_lifts[k]), -m.shifted_grams[k] @ A)
                 for k in range(len(m.gammas))
             ]
-            self._check_ctx = (quad, trace_matrix(m.eigs[: self.n0], quad), maps)
-        quad, traces, maps = self._check_ctx
-        U = self.U(state)
-        worst = 0.0
+            traces = trace_matrix(m.eigs[: self.n0], quad)
+            self._check_ctx = (traces, traces * quad.weights, maps)
+        traces, weighted, maps = self._check_ctx
+        worst = np.zeros(len(U))
+        # einsum sums the face products without forming u_k on the grid, so
+        # a block's check rows need no rows x grid-points array (63 MB for
+        # 256 rows on the cube demo's face grid), and it calls no BLAS
         for to_coeff, minus_lift_diag, to_matrix in maps:
-            u_samples = (to_coeff @ U) @ traces
-            # face inner product of u_k with each head trace
-            inner = np.sum(quad.weights * u_samples * traces, axis=1)
-            route_quad = minus_lift_diag * inner
-            route_matrix = to_matrix @ U
-            worst = max(worst, float(np.max(np.abs(route_quad - route_matrix))))
+            coeffs = np.einsum("rj,ij->ri", U, to_coeff)
+            # face inner product of u_k = coeffs @ traces with each head trace
+            inner = np.einsum("rj,jq,iq->ri", coeffs, traces, weighted)
+            route_quad = inner * minus_lift_diag
+            route_matrix = np.einsum("rj,ij->ri", U, to_matrix)
+            np.maximum(worst, np.max(np.abs(route_quad - route_matrix), axis=1), out=worst)
         return worst
 
 
@@ -356,9 +361,13 @@ def estimate_decay_rate(times, values, t_skip: float) -> float:
     mask = times >= t_skip
     if int(mask.sum()) < 10:
         raise ValueError("need at least 10 samples after t_skip")
+    # the closed-form slope on centred data; np.polyfit would build a
+    # Vandermonde matrix and an lstsq workspace for the same number
+    t = times[mask]
+    t -= t.mean()
     logs = np.log(np.maximum(values[mask], 1e-300))
-    slope = np.polyfit(times[mask], logs, 1)[0]
-    return float(slope)
+    logs -= logs.mean()
+    return float(np.sum(t * logs) / np.sum(t * t))
 
 
 def _step_count(T: float, h: float) -> tuple:
@@ -461,15 +470,18 @@ def run(
             states[start:stop] = X
         if not checking:
             return
-        for i in range(max(1, -(-start // check_every)) * check_every, stop, check_every):
-            x = X[i - start]
-            s = SimState(t=times[i], z=x[: system.N_sim], zhat=x[system.N_sim :])
-            dev = system.projection_check(s)
-            check_max = max(check_max, dev)
-            if dev > CHECK_TOL:
-                raise SimulationError(
-                    f"lifted-projection routes disagree by {dev:.3e} at t={s.t:.3f}"
-                )
+        rows = np.arange(max(1, -(-start // check_every)) * check_every, stop, check_every)
+        if not len(rows):
+            return
+        head = slice(system.N_sim, system.N_sim + system.n0)
+        devs = system.projection_check(X[rows - start, head])
+        check_max = max(check_max, float(devs.max()))
+        bad = np.flatnonzero(devs > CHECK_TOL)
+        if len(bad):
+            raise SimulationError(
+                f"lifted-projection routes disagree by {devs[bad[0]]:.3e} "
+                f"at t={times[rows[bad[0]]]:.3f}"
+            )
 
     with np.errstate(over="ignore", invalid="ignore"):
         # E goes to _blocks unnamed here: its squares overwrite it
@@ -563,7 +575,9 @@ def _copy_child(pipe, fh) -> None:
         raise pickle.loads(pipe.read())
     if status != b"\0":
         raise SimulationError("a CSV formatter ended without output")
-    while data := pipe.read(1 << 20):
+    # about one chunk's text at a time, so copying holds no more than
+    # formatting a chunk does
+    while data := pipe.read(1 << 18):
         fh.write(data)
 
 

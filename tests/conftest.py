@@ -6,6 +6,8 @@ designs built on it are not, and the mild-plant context needs ~1900 modes
 for the deepest tail the certification policy can request.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -99,3 +101,13 @@ def mode_index(eigs, multi_index):
     if len(rows):
         return int(rows[0])
     raise KeyError(f"mode {key} not in the first {len(eigs)} eigenpairs")
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Bytes allocated at the peak of fn(*args) beyond what was held before."""
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

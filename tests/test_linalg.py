@@ -2,8 +2,6 @@
 tests import: the Pade route on dense inputs, the Taylor route on bordered
 ones (its degree and squarings, its arithmetic and its memory)."""
 
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -12,11 +10,11 @@ from hypothesis import strategies as st
 
 from parstab import linalg
 from parstab.lifting import LiftingContext
-from parstab.simulation import ClosedLoop, run
+from parstab.simulation import CSV_COLUMNS, ClosedLoop, run
 from parstab.spectral_basis import enumerate_eigenpairs
 from parstab.synthesis import synthesize
 
-from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
+from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
 
 
 def relerr(got, want):
@@ -187,16 +185,6 @@ def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
         linalg.expm(np.random.default_rng(2).standard_normal((64, 64)))
 
 
-def traced_peak(fn, *args, **kwargs) -> int:
-    """Bytes allocated at the peak of fn(*args) beyond what was held before."""
-    tracemalloc.start()
-    try:
-        fn(*args, **kwargs)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_wide_loop_memory(strong_design):
     # the 1020-dim wide_sim loop: expm holds at most two arrays of n^2
     # doubles beyond its input, and run (assembly, expm, doubling squarings
@@ -206,3 +194,12 @@ def test_wide_loop_memory(strong_design):
     assert traced_peak(linalg.expm, hA) <= 2 * n2
     z0 = np.linspace(1.0, 0.5, 5)
     assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 3 * n2
+
+
+def test_pipeline_loop_memory(strong_design):
+    # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
+    # its output columns and at most 4 MB more for propagation, the
+    # diagnostics and checks of a block and the rate fit
+    z0 = np.linspace(1.0, 0.5, 5)
+    columns = len(CSV_COLUMNS) * 100_001 * 8
+    assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 4e6

@@ -38,7 +38,7 @@ from parstab.spectral_basis import (
     trace_matrix,
 )
 
-from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
+from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
 
 
 def test_defaults():
@@ -212,8 +212,39 @@ def test_forcing_is_minus_the_face_inner_product(example_art60, example_ctx):
 
 def test_projection_check_consistency(example_art30):
     system = ClosedLoop(example_art30, N_sim=60)
-    state = SimState(t=0.0, z=np.zeros(60), zhat=np.ones(30))
-    assert system.projection_check(state) < 1e-8
+    U = np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
+    devs = system.projection_check(U)
+    assert devs.shape == (5,)
+    assert np.all(devs < 1e-8) and devs[1] == 0.0
+    # a matrix route off by 1 % is caught in every row but the zero one
+    traces, weighted, maps = system._check_ctx
+    system._check_ctx = (traces, weighted, [(a, b, 1.01 * c) for a, b, c in maps])
+    devs = system.projection_check(U)
+    assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
+
+
+def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
+    check = ClosedLoop.projection_check
+    calls = []
+
+    def counted(self, U):
+        calls.append(len(U))
+        return check(self, U)
+
+    monkeypatch.setattr(ClosedLoop, "projection_check", counted)
+    result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60, check_every=50)
+    # rows 50, 100, ..., 600 in blocks [0, 256), [256, 512) and [512, 601)
+    assert calls == [5, 5, 2]
+    assert 0.0 < result.diagnostics["projection_check_max"] < 1e-8
+
+    def failing_from_second_row(self, U):
+        devs = check(self, U)
+        devs[1:] = 1.0
+        return devs
+
+    monkeypatch.setattr(ClosedLoop, "projection_check", failing_from_second_row)
+    with pytest.raises(SimulationError, match=r"disagree by 1\.000e\+00 at t=0\.100$"):
+        run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60, check_every=50)
 
 
 def test_run_bookkeeping(example_art30):
@@ -374,6 +405,31 @@ def test_estimate_decay_rate_recovers_pure_exponentials(rate):
     assert got == pytest.approx(rate, abs=1e-6)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    rate=st.floats(min_value=-5.0, max_value=5.0),
+    noise=st.floats(min_value=0.0, max_value=1.0),
+    kept=st.integers(min_value=10, max_value=500),
+    skipped=st.integers(min_value=0, max_value=300),
+    zeros=st.integers(min_value=0, max_value=3),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_estimate_decay_rate_matches_polyfit(rate, noise, kept, skipped, zeros, seed):
+    # noisy exponentials at unsorted times, a few exact zeros hitting the
+    # floor, and a t_skip that keeps `kept` samples
+    rng = np.random.default_rng(seed)
+    t = np.sort(rng.uniform(0.0, 20.0, kept + skipped))
+    t_skip = t[skipped]
+    v = np.exp(rate * t + noise * rng.standard_normal(len(t)))
+    v[rng.choice(len(t), zeros, replace=False)] = 0.0
+    order = rng.permutation(len(t))
+    t, v = t[order], v[order]
+    m = t >= t_skip
+    assert int(m.sum()) == kept
+    want = np.polyfit(t[m], np.log(np.maximum(v[m], 1e-300)), 1)[0]
+    assert estimate_decay_rate(t, v, t_skip) == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
 def test_csv_round_trip(tmp_path, example_art30):
     result = run(np.ones(5), 0.05, 1e-3, example_art30, N_sim=60, check_every=0)
     path = tmp_path / "series.csv"
@@ -447,7 +503,18 @@ def _assert_no_children_left() -> None:
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize(
     "n_rows",
-    [1, CSV_CHUNK_ROWS - 1, CSV_CHUNK_ROWS, CSV_CHUNK_ROWS + 1, 3 * CSV_CHUNK_ROWS + 5],
+    # at and around one chunk and eight, and slices of many chunks
+    [
+        1,
+        CSV_CHUNK_ROWS - 1,
+        CSV_CHUNK_ROWS,
+        CSV_CHUNK_ROWS + 1,
+        8 * CSV_CHUNK_ROWS - 1,
+        8 * CSV_CHUNK_ROWS,
+        8 * CSV_CHUNK_ROWS + 1,
+        2 * 5 * CSV_CHUNK_ROWS + 7,
+        24 * CSV_CHUNK_ROWS + 5,
+    ],
 )
 def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_rows, workers):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
@@ -455,6 +522,16 @@ def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_
     _reference_csv(records, tmp_path / "want.csv")
     write_csv(_sim_run(records), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("workers, n_rows", [(1, 20_001), (2, 100_001)], ids=["serial", "fork"])
+def test_csv_writer_holds_about_one_chunk_of_text(tmp_path, monkeypatch, workers, n_rows):
+    # the caller holds one chunk's lines and one read from a child's pipe at
+    # a time, however many rows there are (the pipeline writes 100 001)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    records = _sim_run(_records(n_rows))
+    assert traced_peak(write_csv, records, tmp_path / "big.csv") <= 3e6
     _assert_no_children_left()
 
 
