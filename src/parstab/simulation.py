@@ -2,10 +2,10 @@
 
 The simulated plant carries N_sim modes, the observer exactly the N the
 design was built for. Both evolve jointly as one linear time-invariant system
-x' = A x with A = `ClosedLoop.full_matrix`, so x(t + h) = expm(h A) x(t) is
-exact at every output time; the in-repo `linalg.expm` evaluates it. A is
-diagonal except for the rows and columns of the n0 observer-head states, so
-`expm` takes its Taylor route: a polynomial in h A formed from that border,
+x' = A x, so x(t + h) = expm(h A) x(t) is exact at every output time. A is
+diagonal except for the rows and columns of the n0 observer-head states.
+`ClosedLoop.border` builds those parts directly, with no n x n A, and the
+in-repo `linalg.expm` evaluates a Taylor polynomial in h A from them,
 squared as often as its truncation bound needs, with no LU solve. `run`
 computes E = expm(h A) once and keeps no copy of it, fills the first BLOCK
 output rows by doubling (rows [0, k) times (E^k)' give rows [k, 2k)),
@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lifting import LiftingContext, shift_denominators
-from .linalg import expm
+from .linalg import Border, expm
 from .spectral_basis import ModeTable, axis_rules, face_quadrature, max_wavenumber, trace_matrix
 from .spectral_basis import eval_phi  # noqa: F401  perfbench/spans.py wraps this name
 from .synthesis import SynthesisArtifacts, sensor_rows
@@ -110,8 +110,8 @@ def init_state(z0_coeffs, N_sim: int, N: int) -> SimState:
 class ClosedLoop:
     """Coupled plant + observer matrices for one design at one N_sim.
 
-    With x = (z, zhat), the dynamics are x' = A x with A = `full_matrix`, the
-    open-loop diagonal plus these coupling blocks:
+    With x = (z, zhat), the dynamics are x' = A x with A (`border`, or dense
+    `full_matrix`) the open-loop diagonal plus these coupling blocks:
 
       * plant rows get the control forcing W U with U = zhat[:N0],
       * observer head rows get the gain block plus L(y - yhat),
@@ -166,7 +166,6 @@ class ClosedLoop:
 
         self.C_sim = sensor_rows(ctx.eigs[:N_sim], *m.sensors)
         self.C_N = self.C_sim[:, :N]
-        self._full_matrix = None
         self._propagator = None  # (h, expm(h A)) of the last step size used
 
         w = np.maximum(lams + self.nu, self.nu + lams[0] + 1.0)
@@ -176,37 +175,38 @@ class ClosedLoop:
         self.control_form = K.T @ m.trace_gram @ K
         self._check_ctx = None
 
-    @property
-    def full_matrix(self) -> np.ndarray:
-        """A in x' = A x, assembled on first use."""
-        if self._full_matrix is None:
-            self._full_matrix = self._assemble()
-        return self._full_matrix
-
-    def _assemble(self) -> np.ndarray:
+    def border(self) -> Border:
+        """A in x' = A x as its parts: the diagonal, the n0 observer-head rows
+        and the head columns."""
         m = self.artifacts
         N_sim, N, n0 = self.N_sim, self.N, self.n0
-        L = m.observer_gain
         n_tot = N_sim + N
-        Acl = np.zeros((n_tot, n_tot))
-        diag = np.arange(N_sim)
-        Acl[diag, diag] = -self.lams
-        obs = slice(N_sim, n_tot)
-        head = slice(N_sim, N_sim + n0)
+        head = np.arange(N_sim, N_sim + n0)
+        diag = np.zeros(n_tot)
+        diag[:N_sim] = -self.lams
+        rows = np.zeros((n0, n_tot))
+        cols = np.zeros((n_tot, n0))
         if not self.open_loop:
-            Acl[:N_sim, head] += self.forcing
+            L = m.observer_gain
+            at_head = slice(N_sim, N_sim + n0)
+            cols[:N_sim] += self.forcing
             # head estimate: gain block plus output injection against
-            # yhat = C_N (zhat - lift_head U) + C_sim lift_all U
-            Acl[head, head] += m.gain_block
-            Acl[head, obs] += -L @ self.C_N
-            Acl[head, head] += L @ (self.C_N @ self.lift_all[:N]) - L @ (
+            # yhat = C_N (zhat - lift_head U) + C_sim lift_all U; the
+            # injection -L C_N covers the head columns too
+            rows[:, at_head] += m.gain_block
+            rows[:, N_sim:] += -L @ self.C_N
+            rows[:, at_head] += L @ (self.C_N @ self.lift_all[:N]) - L @ (
                 self.C_sim @ self.lift_all
             )
-            Acl[head, :N_sim] += L @ self.C_sim
-            tail = slice(N_sim + n0, n_tot)
-            Acl[tail, tail] += -np.diag(self.lams[n0:N])
-            Acl[tail, head] += self.forcing[n0:N]
-        return Acl
+            rows[:, :N_sim] += L @ self.C_sim
+            diag[N_sim + n0 :] += -self.lams[n0:N]
+            cols[N_sim + n0 :] += self.forcing[n0:N]
+        return Border(head, diag, rows, cols)
+
+    @property
+    def full_matrix(self) -> np.ndarray:
+        """A in x' = A x as a dense array, for oracles such as scipy's expm."""
+        return self.border().dense()
 
     # -- derived quantities ------------------------------------------------
 
@@ -275,12 +275,7 @@ class ClosedLoop:
         """A fresh E = expm(h A), the exact step of length h; nothing is kept."""
         if h <= 0:
             raise ValueError("step size must be positive")
-        # a fresh A scaled in place, so no second copy of A sits next to
-        # expm's scratch: one more array of this size on the loop's border
-        # route (two while it squares), six on the dense one
-        hA = self._assemble()
-        hA *= h
-        return expm(hA)
+        return expm(self.border().scaled(h))
 
     def propagator(self, h: float) -> np.ndarray:
         """E = expm(h A) for `step`; the last one is kept, and no caller overwrites it."""
@@ -361,13 +356,18 @@ def estimate_decay_rate(times, values, t_skip: float) -> float:
     mask = times >= t_skip
     if int(mask.sum()) < 10:
         raise ValueError("need at least 10 samples after t_skip")
-    # the closed-form slope on centred data; np.polyfit would build a
-    # Vandermonde matrix and an lstsq workspace for the same number
+    # the closed-form slope on centred data, in place, so the fit holds two
+    # arrays of the kept length; np.polyfit would build a Vandermonde matrix
+    # and an lstsq workspace for the same number
     t = times[mask]
     t -= t.mean()
-    logs = np.log(np.maximum(values[mask], 1e-300))
+    logs = values[mask]
+    np.maximum(logs, 1e-300, out=logs)
+    np.log(logs, out=logs)
     logs -= logs.mean()
-    return float(np.sum(t * logs) / np.sum(t * t))
+    logs *= t
+    t *= t
+    return float(np.sum(logs) / np.sum(t))
 
 
 def _step_count(T: float, h: float) -> tuple:
@@ -487,7 +487,9 @@ def run(
         # E goes to _blocks unnamed here: its squares overwrite it
         for start, X in _blocks(system.exponential(h), x, n_steps + 1):
             record(start, X)
-            x = X[-1]
+        # a copy, so the final state keeps no block buffer alive
+        x = X[-1].copy()
+        del X
         if rest > 0:
             x = system.exponential(rest) @ x
             record(n_rows - 1, x[None])

@@ -1,6 +1,14 @@
 """The in-repo matrix exponential against scipy.linalg.expm, which only the
-tests import: the Pade route on dense inputs, the Taylor route on bordered
-ones (its degree and squarings, its arithmetic and its memory)."""
+tests import. Every input is a `Border`: a dense matrix as the border of all
+its indices, an arrowhead at its head, the closed loop from
+`ClosedLoop.border`. The tests check the Taylor route's degree and
+squarings, its arithmetic and its memory. Two oracles live here alone: the
+Pade degree selection of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3),
+2009, Algorithm 5.1, which the Taylor route never squares more often than,
+and the dense assembly of the closed loop, which `ClosedLoop.border` matches
+bit for bit."""
+
+import math
 
 import numpy as np
 import pytest
@@ -16,15 +24,74 @@ from parstab.synthesis import synthesize
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
 
+# largest eta = max(||A^2k||^(1/2k), ...) at which the [m/m] Pade approximant
+# is accurate to unit roundoff in double precision (Al-Mohy & Higham 2009,
+# Table 3.1)
+THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
+         9: 2.097847961257068, 13: 4.25}
+
+
+def _onenorm(M):
+    return float(np.max(np.sum(np.abs(M), axis=0)))
+
+
+def _ell(abs_t, norm, m, s=0):
+    """Extra squarings ell(2^-s A, m) of Al-Mohy & Higham 2009, eq. (5.5).
+
+    alpha = |c_(2m+1)| ||(|B|)^(2m+1)||_1 / ||B||_1 for B = 2^-s A, with the
+    exact 1-norm of the power of |B|, the largest entry of (|B|')^(2m+1) 1.
+    `abs_t` is |A|' and `norm` is ||A||_1.
+    """
+    scale = 2.0**-s
+    norm = norm * scale
+    if norm == 0.0:
+        return 0
+    v = np.ones(abs_t.shape[0])
+    for _ in range(2 * m + 1):
+        v = (abs_t @ v) * scale
+    f = math.factorial
+    # 1/|c_(2m+1)|, the leading backward-error coefficient of r_m
+    c_recip = f(2 * m) * f(2 * m + 1) / f(m) ** 2
+    alpha = float(np.max(v)) / (norm * c_recip)
+    if alpha == 0.0:
+        return 0
+    return max(math.ceil(math.log2(alpha / linalg.UNIT_ROUNDOFF) / (2 * m)), 0)
+
+
+def degree_of(A):
+    """(m, s): the Pade degree and squarings of Al-Mohy & Higham 2009,
+    Algorithm 5.1, with exact 1-norms of A^2, A^4 and A^6 and from them the
+    product bounds on ||A^8|| and ||A^10||."""
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    abs_t = np.abs(A).T
+    norm = _onenorm(A)
+    n2, n4, n6 = _onenorm(A2), _onenorm(A4), _onenorm(A6)
+    d4, d6 = n4 ** 0.25, n6 ** (1 / 6)
+    eta1 = max(d4, d6)
+    for m in (3, 5):
+        if eta1 <= THETA[m] and _ell(abs_t, norm, m) == 0:
+            return m, 0
+    d8 = (n2 * n6) ** 0.125
+    eta3 = max(d6, d8)
+    for m in (7, 9):
+        if eta3 <= THETA[m] and _ell(abs_t, norm, m) == 0:
+            return m, 0
+    d10 = (n4 * n6) ** 0.1
+    eta5 = min(eta3, max(d8, d10))
+    s = 0 if eta5 == 0.0 else max(math.ceil(math.log2(eta5 / THETA[13])), 0)
+    return 13, s + _ell(abs_t, norm, 13, s)
+
 
 def relerr(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
 
-def degree_of(A):
-    A2 = A @ A
-    A4 = A2 @ A2
-    return linalg.pade_degree(A, A2, A4, A4 @ A2)
+def dense(A):
+    """A square matrix as the border of all its indices."""
+    A = np.asarray(A, dtype=float)
+    return linalg.Border.of(A, np.arange(len(A)))
 
 
 @pytest.fixture(scope="module")
@@ -39,39 +106,40 @@ def base():
     [(0.002, 3, 0), (0.1, 5, 0), (0.6, 7, 0), (2.0, 9, 0), (4.0, 13, 0), (40.0, 13, 3)],
 )
 def test_expm_matches_scipy_on_every_degree(base, scale, degree, squarings):
+    # the cases of every Pade degree, as dense borders; the Taylor route
+    # squares as often as the Pade route would
     A = scale * base
     assert degree_of(A) == (degree, squarings)
-    assert relerr(linalg.expm(A), scipy.linalg.expm(A)) < 1e-14
+    assert linalg.taylor_degree(dense(A))[1] == squarings
+    assert relerr(linalg.expm(dense(A)), scipy.linalg.expm(A)) < 1e-14
 
 
 def test_expm_with_many_squarings(base):
     A = 300.0 * base - 60.0 * np.eye(12)
     assert degree_of(A) == (13, 6)
-    assert relerr(linalg.expm(A), scipy.linalg.expm(A)) < 1e-13
-
-
-def test_pade_coefficients_are_highams():
-    assert linalg.pade_coefficients(3) == [120.0, 60.0, 12.0, 1.0]
-    b13 = linalg.pade_coefficients(13)
-    assert b13[0] == 64764752532480000.0 and b13[12] == 182.0 and b13[13] == 1.0
+    assert linalg.taylor_degree(dense(A))[1] == 6
+    assert relerr(linalg.expm(dense(A)), scipy.linalg.expm(A)) < 1e-13
 
 
 def test_expm_of_zero_and_diagonal_inputs():
-    assert np.array_equal(linalg.expm(np.zeros((4, 4))), np.eye(4))
+    assert np.array_equal(linalg.expm(dense(np.zeros((4, 4)))), np.eye(4))
     d = np.array([-3.0, 0.0, 0.5, -200.0])
-    assert np.array_equal(linalg.expm(np.diag(d)), np.diag(np.exp(d)))
-    assert np.array_equal(linalg.expm(np.diag(d)), scipy.linalg.expm(np.diag(d)))
-    assert linalg.expm([[2.0]])[0, 0] == np.exp(2.0)
+    assert np.array_equal(linalg.expm(dense(np.diag(d))), np.diag(np.exp(d)))
+    assert np.array_equal(linalg.expm(dense(np.diag(d))), scipy.linalg.expm(np.diag(d)))
+    # a diagonal matrix held at a border of some of its indices
+    assert np.array_equal(linalg.expm(linalg.Border.of(np.diag(d), [1, 2])), np.diag(np.exp(d)))
+    assert linalg.expm(dense([[2.0]]))[0, 0] == np.exp(2.0)
 
 
 def test_expm_nilpotent_and_nonfinite():
     N = np.diag([1.0, 2.0, 3.0], k=1)
-    assert relerr(linalg.expm(N), scipy.linalg.expm(N)) < 1e-15
+    assert relerr(linalg.expm(dense(N)), scipy.linalg.expm(N)) < 1e-15
     bad = np.eye(3)
     bad[0, 1] = np.inf
-    assert np.all(np.isnan(linalg.expm(bad)))
+    assert np.all(np.isnan(linalg.expm(dense(bad))))
+    assert np.all(np.isnan(linalg.expm(linalg.Border.of(bad, [0]))))
     with pytest.raises(ValueError):
-        linalg.expm(np.zeros((2, 3)))
+        dense(np.zeros((2, 3)))
 
 
 @pytest.fixture(scope="module")
@@ -81,11 +149,53 @@ def strong_design(example_plant):
     return synthesize(ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, 60, 0.5)
 
 
+def assemble(loop):
+    """The closed loop's A as a dense array, += by += as it was assembled
+    before `ClosedLoop.border` built the parts directly."""
+    m = loop.artifacts
+    N_sim, N, n0 = loop.N_sim, loop.N, loop.n0
+    L = m.observer_gain
+    n_tot = N_sim + N
+    Acl = np.zeros((n_tot, n_tot))
+    diag = np.arange(N_sim)
+    Acl[diag, diag] = -loop.lams
+    obs = slice(N_sim, n_tot)
+    head = slice(N_sim, N_sim + n0)
+    if not loop.open_loop:
+        Acl[:N_sim, head] += loop.forcing
+        Acl[head, head] += m.gain_block
+        Acl[head, obs] += -L @ loop.C_N
+        Acl[head, head] += L @ (loop.C_N @ loop.lift_all[:N]) - L @ (loop.C_sim @ loop.lift_all)
+        Acl[head, :N_sim] += L @ loop.C_sim
+        tail = slice(N_sim + n0, n_tot)
+        Acl[tail, tail] += -np.diag(loop.lams[n0:N])
+        Acl[tail, head] += loop.forcing[n0:N]
+    return Acl
+
+
+def test_loop_border_is_the_assembled_matrix(strong_design):
+    for n_sim in (240, 960):
+        for open_loop in (False, True):
+            loop = ClosedLoop(strong_design, N_sim=n_sim, open_loop=open_loop)
+            A = assemble(loop)
+            head = np.arange(n_sim, n_sim + strong_design.n0)
+            got, want = loop.border(), linalg.Border.of(A, head)
+            assert np.array_equal(got.head, head)
+            for part in ("diag", "rows", "cols"):
+                assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+            assert loop.full_matrix.tobytes() == A.tobytes()
+            if open_loop:
+                # diagonal, so expm gives exp of its diagonal exactly
+                E = loop.exponential(1e-3)
+                assert np.array_equal(E, np.diag(np.exp(1e-3 * np.diagonal(A))))
+
+
 @pytest.mark.parametrize("n_sim, h", [(240, 2e-4), (960, 1e-3)])
 def test_expm_matches_scipy_on_the_workload_loops(strong_design, n_sim, h):
-    hA = ClosedLoop(strong_design, N_sim=n_sim).full_matrix * h
+    B = ClosedLoop(strong_design, N_sim=n_sim).border().scaled(h)
+    hA = B.dense()
     assert hA.shape == (n_sim + 60, n_sim + 60)
-    assert relerr(linalg.expm(hA), scipy.linalg.expm(hA)) <= 1e-13
+    assert relerr(linalg.expm(B), scipy.linalg.expm(hA)) <= 1e-13
 
 
 def arrowhead(n, head, seed):
@@ -97,14 +207,11 @@ def arrowhead(n, head, seed):
     return A
 
 
-def taylor_of(A):
-    return linalg.taylor_degree(linalg.Border.of(A, linalg.border_indices(A)))
-
-
 @pytest.mark.parametrize("n, head", [(64, [0, 1, 2]), (200, [5, 17, 120, 199])])
 def test_border_product_equals_the_dense_product(n, head):
     A = arrowhead(n, head, n)
-    B = linalg.Border.of(A, linalg.border_indices(A))
+    B = linalg.Border.of(A, head)
+    assert np.array_equal(B.dense(), A)
     M = np.random.default_rng(1).standard_normal((n, n))
     want = A @ M
     assert np.max(np.abs(B @ M - want)) <= 1e-13 * np.max(np.abs(want))
@@ -117,23 +224,6 @@ def test_border_product_equals_the_dense_product(n, head):
     assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
 
 
-def test_border_detection(strong_design):
-    loop = ClosedLoop(strong_design, N_sim=240)
-    head = np.arange(240, 240 + strong_design.n0)
-    assert np.array_equal(linalg.border_indices(loop.full_matrix), head)
-    assert np.array_equal(linalg.border_indices(arrowhead(64, [3, 9], 0)), [3, 9])
-    # dense, too wide a border, unstructured (tridiagonal), too small to pay
-    dense = np.random.default_rng(2).standard_normal((64, 64))
-    assert linalg.border_indices(dense) is None
-    assert linalg.border_indices(arrowhead(64, list(range(5)), 0)) is None
-    assert linalg.border_indices(np.eye(64) + np.eye(64, k=1) + np.eye(64, k=-1)) is None
-    assert linalg.border_indices(arrowhead(15, [0], 0)) is None
-    # a border that leaves one off-diagonal nonzero outside it
-    stray = arrowhead(64, [3, 9], 0)
-    stray[20, 30] = 1.0
-    assert linalg.border_indices(stray) is None
-
-
 @pytest.mark.parametrize(
     "scale, degree, squarings",
     [(0.001, 3, 0), (0.3, 5, 0), (3.0, 7, 0), (6.0, 9, 0), (14.0, 13, 0), (30.0, 13, 1), (300.0, 13, 4)],
@@ -143,9 +233,10 @@ def test_expm_of_arrowheads_matches_scipy_on_every_degree(scale, degree, squarin
     A *= scale / np.linalg.norm(A, 1)
     # the Pade route would take this degree; the Taylor route squares as often
     assert degree_of(A) == (degree, squarings)
-    m, s = taylor_of(A)
+    B = linalg.Border.of(A, [5, 17, 40])
+    m, s = linalg.taylor_degree(B)
     assert s == squarings and m <= linalg.TAYLOR_MAX
-    assert relerr(linalg.expm(A), scipy.linalg.expm(A)) < 1e-14
+    assert relerr(linalg.expm(B), scipy.linalg.expm(A)) < 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -160,14 +251,14 @@ def test_taylor_route_on_drawn_bordered_matrices(n, k, log_norm, seed):
     head = np.sort(rng.choice(n, k, replace=False))
     A = arrowhead(n, head, seed)
     A *= 10.0**log_norm / np.linalg.norm(A, 1)
-    assert np.array_equal(linalg.border_indices(A), head)
-    m, s = taylor_of(A)
+    B = linalg.Border.of(A, head)
+    m, s = linalg.taylor_degree(B)
     assert 1 <= m <= linalg.TAYLOR_MAX
     # never more squarings than the Pade route, the O(n^3) part of either
     assert s <= degree_of(A)[1]
     # measured: at most 1.6e-13 over 900 such draws, where the Pade route
     # sits 1.5e-13 from scipy too (four squarings at 1-norm 300)
-    assert relerr(linalg.expm(A), scipy.linalg.expm(A)) <= 5e-13
+    assert relerr(linalg.expm(B), scipy.linalg.expm(A)) <= 5e-13
 
 
 def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
@@ -175,23 +266,24 @@ def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
         raise AssertionError("np.linalg.solve called")
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
-    hA = ClosedLoop(strong_design, N_sim=240).full_matrix * 2e-4
-    want = scipy.linalg.expm(hA)
-    assert relerr(linalg.expm(hA), want) <= 1e-13
+    B = ClosedLoop(strong_design, N_sim=240).border().scaled(2e-4)
+    assert relerr(linalg.expm(B), scipy.linalg.expm(B.dense())) <= 1e-13
     A = arrowhead(64, [5, 17, 40], 64)
     A *= 300.0 / np.linalg.norm(A, 1)
-    assert relerr(linalg.expm(A), scipy.linalg.expm(A)) < 1e-14
-    with pytest.raises(AssertionError, match="solve called"):
-        linalg.expm(np.random.default_rng(2).standard_normal((64, 64)))
+    assert relerr(linalg.expm(linalg.Border.of(A, [5, 17, 40])), scipy.linalg.expm(A)) < 1e-14
+    # a dense matrix of 1-norm 62, as the border of all its indices
+    D = np.random.default_rng(2).standard_normal((64, 64))
+    assert relerr(linalg.expm(dense(D)), scipy.linalg.expm(D)) < 1e-14
 
 
 def test_wide_loop_memory(strong_design):
-    # the 1020-dim wide_sim loop: expm holds at most two arrays of n^2
-    # doubles beyond its input, and run (assembly, expm, doubling squarings
-    # and every block's diagnostics) at most three
-    hA = ClosedLoop(strong_design, N_sim=960).full_matrix * 1e-3
-    n2 = hA.size * hA.itemsize
-    assert traced_peak(linalg.expm, hA) <= 2 * n2
+    # the 1020-dim wide_sim loop: the exponential (border parts, Taylor
+    # polynomial) holds little more than its one n^2 result, and run
+    # (expm, doubling squarings and every block's diagnostics) at most three
+    # arrays of n^2 doubles
+    loop = ClosedLoop(strong_design, N_sim=960)
+    n2 = (loop.N_sim + loop.N) ** 2 * 8
+    assert traced_peak(loop.exponential, 1e-3) <= 1.25 * n2
     z0 = np.linspace(1.0, 0.5, 5)
     assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 3 * n2
 

@@ -304,6 +304,10 @@ def test_run_rows_match_matrix_exponential(example_art30):
     for i in (0, 1, 255, 256, 257, 300):
         want = expm(result.times[i] * A) @ x0
         assert np.linalg.norm(result.states[i] - want) <= 1e-10 * np.linalg.norm(want)
+    # the final state is a copy of the last row, not a view into a block buffer
+    final = result.final_state
+    assert final.z.base.size == 60 + 30 and final.zhat.base is final.z.base
+    assert np.array_equal(np.concatenate([final.z, final.zhat]), result.states[-1])
 
 
 @pytest.fixture(scope="module")
@@ -427,7 +431,13 @@ def test_estimate_decay_rate_matches_polyfit(rate, noise, kept, skipped, zeros, 
     m = t >= t_skip
     assert int(m.sum()) == kept
     want = np.polyfit(t[m], np.log(np.maximum(v[m], 1e-300)), 1)[0]
-    assert estimate_decay_rate(t, v, t_skip) == pytest.approx(want, rel=1e-12, abs=1e-12)
+    got = estimate_decay_rate(t, v, t_skip)
+    assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
+    # the out-of-place closed form, to the bit: the same products and sums
+    tc = t[m] - t[m].mean()
+    logs = np.log(np.maximum(v[m], 1e-300))
+    logs -= logs.mean()
+    assert got == float(np.sum(tc * logs) / np.sum(tc * tc))
 
 
 def test_csv_round_trip(tmp_path, example_art30):
