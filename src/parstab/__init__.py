@@ -16,19 +16,10 @@ from .spectral_basis import (
     eval_psi,
     riesz_constants,
 )
-from .lifting import (
-    LiftedProjectionTable,
-    LiftingContext,
-    boundary_inner,
-    build_projection_table,
-    gram_matrix,
-    lambda_gamma,
-    lifted_projection,
-)
+from .lifting import LiftingContext, lambda_gamma
 from .synthesis import (
     SynthesisArtifacts,
     assemble_F,
-    control_trace,
     place_observer_gain,
     select_eta,
     select_gamma_ladder,
@@ -47,10 +38,8 @@ from .certification import (
 )
 from .simulation import (
     ClosedLoop,
-    SimState,
     SimulationRun,
     estimate_decay_rate,
-    init_state,
     run,
     write_csv,
 )
@@ -67,16 +56,10 @@ __all__ = [
     "eval_phi",
     "eval_psi",
     "riesz_constants",
-    "LiftedProjectionTable",
     "LiftingContext",
-    "boundary_inner",
-    "build_projection_table",
-    "gram_matrix",
     "lambda_gamma",
-    "lifted_projection",
     "SynthesisArtifacts",
     "assemble_F",
-    "control_trace",
     "place_observer_gain",
     "select_eta",
     "select_gamma_ladder",
@@ -91,10 +74,8 @@ __all__ = [
     "compute_Sphi",
     "solve_lyapunov",
     "ClosedLoop",
-    "SimState",
     "SimulationRun",
     "estimate_decay_rate",
-    "init_state",
     "run",
     "write_csv",
     "__version__",

@@ -192,17 +192,28 @@ def _validated(raw: dict) -> RunConfig:
     if c["N_max"] < c["N_start"]:
         raise ConfigError("/certification/N_max: below N_start")
     sim = merged["simulation"]
+    # `not x > 0` refuses a NaN too
+    if not sim["T"] > 0:
+        raise ConfigError("/simulation/T: T must be positive")
+    if sim["h"] is not None and not sim["h"] > 0:
+        raise ConfigError("/simulation/h: h must be positive")
     if sim["check_every"] < 0:
         raise ConfigError("/simulation/check_every: must be non-negative")
     z0 = sim["z0"]
+    if z0["bump"] is not None and not z0["bump"]["width"] > 0:
+        raise ConfigError("/simulation/z0/bump/width: width must be positive")
     if z0["modes"] is not None:
         if z0["coeffs"] is None:
             raise ConfigError("/simulation/z0/modes: needs matching coeffs")
         if len(z0["modes"]) != len(z0["coeffs"]):
             raise ConfigError("/simulation/z0: modes and coeffs lengths differ")
+        seen = set()
         for i, m in enumerate(z0["modes"]):
             if len(m) != d:
                 raise ConfigError(f"/simulation/z0/modes/{i}: expected {d} indices")
+            if tuple(m) in seen:
+                raise ConfigError(f"/simulation/z0/modes/{i}: mode {m} given twice")
+            seen.add(tuple(m))
     return RunConfig(**{**merged, "sweep": merged["sweep"] or []})
 
 

@@ -17,24 +17,20 @@ frequency-shifted elliptic problems used on either side of N0.
 `shift_denominators` is the one place that formula and its admissibility
 check live; every lifting map in the package is built from it.
 
-`build_projection_table`, `lifted_projection`, `gram_matrix` and
-`boundary_inner` are per-mode and pairwise forms of what `LiftingContext`
-computes in blocks. They are kept on purpose as the oracles the tests check
-against closed forms and an independent elliptic solve; `gram_matrix` is the
-tensor-grid form of the head Gram. The simulation's projection check sums
-its own face inner products on a separate grid.
+`tests/oracles.py` holds the per-mode and tensor-grid forms of these maps
+that the tests check `LiftingContext` against, beside closed forms and an
+independent elliptic solve. The simulation's projection check sums its own
+face inner products on a separate grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .spectral_basis import (
     ModeTable,
-    Quadrature,
     face_quadrature,
     in_face_axes,
     max_wavenumber,
@@ -136,89 +132,6 @@ def lambda_gamma(gamma: float, eta: float, unstable_lambdas) -> np.ndarray:
     return np.diag(1.0 / shift_denominators(gamma, unstable_lambdas, n0=n0, eta=eta))
 
 
-@dataclass(frozen=True)
-class LiftedProjectionTable:
-    """Per-mode lifting coefficients p_n for one shift gamma.
-
-    coeffs[i] holds p_{i+1}; valid[i] is False where the denominator was too
-    close to zero to trust (the coefficient is set to nan there).
-    """
-
-    gamma: float
-    eta: float
-    n0: int
-    coeffs: np.ndarray
-    valid: np.ndarray
-
-
-def build_projection_table(gamma: float, eta: float, eigs: ModeTable, n0: int) -> LiftedProjectionTable:
-    dens = shift_denominators(gamma, eigs.lams, n0=n0, eta=eta, strict=False)
-    valid = ~np.isnan(dens)
-    return LiftedProjectionTable(gamma=gamma, eta=eta, n0=n0, coeffs=-1.0 / dens, valid=valid)
-
-
-def lifted_projection(table: LiftedProjectionTable, boundary_inner_value: float, n: int) -> float:
-    """Mode-n component p_n * <v, trace_n> of the lifted function; n is 1-based."""
-    if not (1 <= n <= len(table.coeffs)):
-        raise IndexError(f"mode index {n} outside table of size {len(table.coeffs)}")
-    if not table.valid[n - 1]:
-        raise AdmissibilityError(
-            f"table invalid at mode {n}: gamma={table.gamma} too close to the "
-            "shifted eigenvalue"
-        )
-    return float(table.coeffs[n - 1] * boundary_inner_value)
-
-
-def check_gamma_admissible(gamma, eta, lams, n0, n_tail):
-    """Raise unless gamma clears every shifted eigenvalue up to n_tail.
-
-    The exact rule is an infinite family of non-collisions; modes beyond
-    n_tail are covered in practice because the ladder values sit far below
-    lam_{n_tail}. Checked indices are 1-based in the error message.
-    """
-    shift_denominators(gamma, np.asarray(lams)[:n_tail], n0=n0, eta=eta)
-
-
-def boundary_inner(quad: Quadrature, f_samples, g_samples) -> float:
-    """Face inner product of two sample vectors on a shared quadrature rule.
-
-    For d=1 the rule is the single face point with unit weight, so this
-    degenerates to a product of endpoint values.
-    """
-    f = np.asarray(f_samples, dtype=float)
-    g = np.asarray(g_samples, dtype=float)
-    if f.shape != quad.weights.shape or g.shape != quad.weights.shape:
-        raise ValueError("sample vectors do not match the quadrature grid")
-    return float(np.sum(quad.weights * f * g))
-
-
-def _finite_traces(eigs, quad: Quadrature) -> np.ndarray:
-    traces = trace_matrix(eigs, quad)
-    if not np.all(np.isfinite(traces)):
-        raise FloatingPointError("non-finite trace samples on the face grid")
-    return traces
-
-
-def gram_matrix(eigs: ModeTable, n0: int, quad: Quadrature = None) -> np.ndarray:
-    """Head-mode trace Gram B[k][l] = <trace_k, trace_l> on the control face.
-
-    Entries are computed once per unordered pair and mirrored, so the result
-    is symmetric by construction rather than by accident of rounding.
-    """
-    if n0 < 1:
-        raise ValueError("n0 must be at least 1")
-    if quad is None:
-        quad = face_quadrature(eigs.plant, max_wavenumber(eigs[:n0]), rows=n0)
-    traces = _finite_traces(eigs[:n0], quad)
-    out = np.empty((n0, n0))
-    for k in range(n0):
-        for l in range(k, n0):
-            val = boundary_inner(quad, traces[k], traces[l])
-            out[k, l] = val
-            out[l, k] = val
-    return out
-
-
 class LiftingContext:
     """Trace Gram columns and eigenvalues for one mode table.
 
@@ -227,8 +140,8 @@ class LiftingContext:
     against head l, in closed form by `trace_cross_gram` (no face grid, so
     the work is O(M n0) in any dimension), its first n0 rows as the head
     Gram `head_gram`, and the eigenvalues. `quad` and `traces` are the head
-    modes' traces sampled on a face rule sized to the head wavenumbers, for
-    callers that want the control as a function on the face.
+    modes' traces sampled on a face rule sized to the head wavenumbers; a
+    non-finite sample raises FloatingPointError.
     """
 
     def __init__(self, eigs: ModeTable, n0: int):
@@ -239,8 +152,12 @@ class LiftingContext:
         self.plant = eigs.plant
         self.lams = eigs.lams
         head = eigs[:n0]
+        # perfbench/spans.py wraps trace_matrix and face_quadrature and reads
+        # traces.nbytes; no stage of the program reads quad or traces
         self.quad = face_quadrature(self.plant, max_wavenumber(head), rows=n0)
-        self.traces = _finite_traces(head, self.quad)
+        self.traces = trace_matrix(head, self.quad)
+        if not np.all(np.isfinite(self.traces)):
+            raise FloatingPointError("non-finite trace samples on the face grid")
         # (M, n0): row n, column l holds <trace_{n+1}, trace_{l+1}>
         self.cross_cols = trace_cross_gram(self.eigs, head)
         self.head_gram = self.cross_cols[:n0].copy()
@@ -257,15 +174,6 @@ class LiftingContext:
             raise ValueError(f"l={l} is not a head mode index")
         dens = shift_denominators(gamma, self.lams[N:N_tail], first=N + 1)
         return (self.cross_cols[N:N_tail, l - 1] / dens) ** 2
-
-    def residual_norm_sq(self, gamma: float, l: int, N: int, N_tail: int) -> float:
-        """Truncated squared tail norm of the lifted head trace l.
-
-        Summation runs in ascending mode order for bit-stable results. An
-        empty range (N_tail == N) returns exactly 0.
-        """
-        terms = self.residual_terms(gamma, l, N, N_tail)
-        return float(np.add.reduce(terms))
 
 
 def default_tail(N: int) -> int:

@@ -13,8 +13,13 @@ squaring into one spare array and E's own in turn, and advances each later
 block of rows with one matrix product against E^BLOCK, the last of those
 squares, into one of two alternating row buffers. Propagation so holds at
 most two arrays of the loop's size. The output spacing h is no accuracy or
-stability limit, and the diagnostics of a block are array operations on its
-stacked states.
+stability limit.
+
+`ClosedLoop.diagnostics` forms every CSV column from a block of stacked
+states in array operations; it is the one place the outputs, the control
+norm and the energy proxies are formed. The per-state `ClosedLoop.step` and
+`ClosedLoop.w` stay for the benchmark, and the tests keep their
+certificate-energy helpers in `tests/oracles.py`.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
@@ -75,7 +80,10 @@ class SimulationError(RuntimeError):
 
 @dataclass(frozen=True)
 class SimState:
-    """Plant coefficients z (length N_sim) and observer coefficients zhat (length N)."""
+    """Plant coefficients z (length N_sim) and observer coefficients zhat (length N).
+
+    `run` returns the final state as one; perfbench/reference.py builds one
+    for `ClosedLoop.w`."""
 
     t: float
     z: np.ndarray
@@ -166,7 +174,6 @@ class ClosedLoop:
 
         self.C_sim = sensor_rows(ctx.eigs[:N_sim], *m.sensors)
         self.C_N = self.C_sim[:, :N]
-        self._propagator = None  # (h, expm(h A)) of the last step size used
 
         w = np.maximum(lams + self.nu, self.nu + lams[0] + 1.0)
         self.h1_weights = w
@@ -205,45 +212,17 @@ class ClosedLoop:
 
     @property
     def full_matrix(self) -> np.ndarray:
-        """A in x' = A x as a dense array, for oracles such as scipy's expm."""
+        """A in x' = A x as a dense array, for oracles such as scipy's expm
+        (perfbench/reference.py and the tests)."""
         return self.border().dense()
 
     # -- derived quantities ------------------------------------------------
 
-    def U(self, state: SimState) -> np.ndarray:
-        return np.zeros(self.n0) if self.open_loop else state.zhat[: self.n0]
-
-    def lifted_part(self, state: SimState) -> np.ndarray:
-        """sum_k D_{gamma_k} u_k in coefficients, length N_sim."""
-        return self.lift_all @ self.U(state)
-
     def w(self, state: SimState) -> np.ndarray:
-        return state.z - self.lifted_part(state)
-
-    def outputs(self, state: SimState) -> np.ndarray:
-        return self.C_sim @ state.z
-
-    def control_norm(self, state: SimState) -> float:
-        """L2 norm of the boundary control over the face."""
-        U = self.U(state)
-        return float(np.sqrt(max(U @ self.control_form @ U, 0.0)))
-
-    def certificate_energy(self, state: SimState, P: np.ndarray) -> float:
-        """V = X'PX + sum_(N<n<=N_sim) (lam_n+nu) w_n^2 for soundness checks."""
-        X = self.finite_part(state)
-        wn = self.w(state)
-        tail = wn[self.N :]
-        lam_tail = self.lams[self.N :]
-        return float(X @ P @ X + np.add.reduce((lam_tail + self.nu) * tail**2))
-
-    def finite_part(self, state: SimState) -> np.ndarray:
-        """X = (head estimate, head error, scaled tail error), the F coordinates."""
-        n0, N = self.n0, self.N
-        zh = state.zhat
-        err = state.z[:N] - zh
-        return np.concatenate(
-            [zh[:n0], err[:n0], self.lams[n0:N] * err[n0:N]]
-        )
+        """The plant state less its lifted part, w = z - sum_k D_{gamma_k} u_k,
+        for one state; perfbench/reference.py calls it, `diagnostics` is the
+        batched form."""
+        return state.z - (0.0 if self.open_loop else self.lift_all @ state.zhat[: self.n0])
 
     def diagnostics(self, X: np.ndarray) -> dict:
         """Every CSV column but t, for states stacked as the rows of X."""
@@ -277,19 +256,10 @@ class ClosedLoop:
             raise ValueError("step size must be positive")
         return expm(self.border().scaled(h))
 
-    def propagator(self, h: float) -> np.ndarray:
-        """E = expm(h A) for `step`; the last one is kept, and no caller overwrites it."""
-        if self._propagator is None or self._propagator[0] != h:
-            self._propagator = None  # drop the old E before expm allocates
-            self._propagator = (h, self.exponential(h))
-        return self._propagator[1]
-
     def step(self, state: SimState, h: float) -> SimState:
-        """One exact step: x(t + h) = expm(h A) x(t)."""
-        E = self.propagator(h)
-        y = E @ np.concatenate([state.z, state.zhat])
-        if not np.all(np.isfinite(y)):
-            raise SimulationError(f"state non-finite at t={state.t + h:.3f}")
+        """One exact step: x(t + h) = expm(h A) x(t). No command calls it;
+        perfbench/spans.py wraps it, and `run` propagates whole blocks."""
+        y = self.exponential(h) @ np.concatenate([state.z, state.zhat])
         return SimState(t=state.t + h, z=y[: self.N_sim], zhat=y[self.N_sim :])
 
     # -- consistency check -------------------------------------------------
@@ -636,7 +606,7 @@ def project_bump(plant, eigs: ModeTable, center, width: float, amplitude: float,
         <bump, psi_n> = amplitude norm_n prod_i int_0^{l_i} g_i(x) sin(k_i pi x / l_i) dx,
         g_i(x) = exp(-(x - c_i)^2 / (2 width^2)) e^{b_i x / 2},
 
-    each integral on the per-axis rule of `interior_quadrature` (`axis_rules`).
+    each integral on the per-axis rule of `axis_rules`.
     No tensor grid is built.
     """
     center = np.asarray(center, dtype=float)

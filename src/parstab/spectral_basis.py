@@ -152,12 +152,6 @@ class PlantConfig:
         fac = nu - self.reaction
         return fac * (self.mu_min if fac >= 0 else self.mu_max)
 
-    def reaction_shift_max(self, nu: float = None) -> float:
-        """Exact max over the box of (nu - c) mu."""
-        nu = self.nu if nu is None else nu
-        fac = nu - self.reaction
-        return fac * (self.mu_max if fac >= 0 else self.mu_min)
-
     def contains(self, x, tol: float = 0.0) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         lo = x >= -tol
@@ -176,7 +170,8 @@ def nu_default(plant: PlantConfig) -> float:
 
 
 class Mode(NamedTuple):
-    """One row of a ModeTable, as an integer index into it gives."""
+    """One row of a ModeTable, as an integer index into it gives. The stages
+    slice tables; perfbench/reference.py iterates one."""
 
     multi_index: tuple
     lam: float
@@ -375,13 +370,12 @@ def riesz_constants(plant: PlantConfig) -> tuple:
     return 1.0 / plant.mu_max, 1.0 / plant.mu_min
 
 
-def count_unstable(eigs: ModeTable, delta: float, allow_general: bool = False) -> tuple:
+def count_unstable(eigs: ModeTable, delta: float) -> tuple:
     """Number of modes with lam <= delta plus their multiplicity pattern.
 
     The supported shapes are an all-simple prefix or a prefix whose second
-    distinct eigenvalue is double; anything else raises unless
-    `allow_general` is set. The table must be long enough to witness the
-    first eigenvalue beyond delta.
+    distinct eigenvalue is double; anything else raises PatternError. The
+    table must be long enough to witness the first eigenvalue beyond delta.
     """
     n0 = int(np.count_nonzero(eigs.lams <= delta))
     if n0 >= len(eigs):
@@ -389,18 +383,17 @@ def count_unstable(eigs: ModeTable, delta: float, allow_general: bool = False) -
     # group ids rise along the table, so each group is one run
     _, counts = np.unique(eigs.group_ids[:n0], return_counts=True)
     pattern = tuple(counts.tolist())
-    if not allow_general:
-        simple = all(m == 1 for m in pattern)
-        double_second = (
-            len(pattern) >= 2
-            and pattern[1] == 2
-            and all(m == 1 for i, m in enumerate(pattern) if i != 1)
+    simple = all(m == 1 for m in pattern)
+    double_second = (
+        len(pattern) >= 2
+        and pattern[1] == 2
+        and all(m == 1 for i, m in enumerate(pattern) if i != 1)
+    )
+    if not (simple or double_second):
+        raise PatternError(
+            f"multiplicity pattern {pattern} unsupported: only simple unstable "
+            "eigenvalues, or a double second one, are handled"
         )
-        if not (simple or double_second):
-            raise PatternError(
-                f"multiplicity pattern {pattern} unsupported without the "
-                "generalized-pattern flag"
-            )
     return n0, pattern
 
 
@@ -450,33 +443,20 @@ def _check_grid_bytes(plant: PlantConfig, what: str, npts: int, rows: int) -> No
 
 
 def axis_rules(plant: PlantConfig, kmax: int) -> list:
-    """One composite Gauss rule (x, w) per axis; `interior_quadrature` is
-    their tensor product."""
+    """One composite Gauss rule (x, w) per axis, with PANELS_PER_HALFWAVE
+    panels per half-wave of wavenumber kmax."""
     panels = _panel_count(kmax)
     return [gauss_panels(l, panels) for l in plant.lengths]
-
-
-def interior_quadrature(plant: PlantConfig, kmax: int, rows: int = 0) -> Quadrature:
-    """Tensor rule over the box. `rows` is the number of modes the caller
-    will sample on it; GridSizeError is raised before anything is built if
-    the rule and those samples would exceed GRID_BYTES_MAX."""
-    panels = _panel_count(kmax)
-    _check_grid_bytes(plant, "interior", (panels * QUAD_ORDER) ** plant.dim, rows)
-    axes = axis_rules(plant, kmax)
-    grids = np.meshgrid(*[a[0] for a in axes], indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    w = axes[0][1]
-    for a in axes[1:]:
-        w = np.multiply.outer(w, a[1])
-    return Quadrature(points=pts, weights=np.ravel(w))
 
 
 def face_quadrature(
     plant: PlantConfig, kmax: int, extra_panels: int = 0, rows: int = 0
 ) -> Quadrature:
     """Rule over the control face. In one dimension the face is a single
-    point and the measure is counting measure (weight one). `rows` is
-    checked as in `interior_quadrature`."""
+    point and the measure is counting measure (weight one). `rows` is the
+    number of modes the caller will sample on the rule; GridSizeError is
+    raised before anything is built if the rule and those samples would
+    exceed GRID_BYTES_MAX."""
     face = plant.control_face
     coord = 0.0 if face.side == 0 else plant.lengths[face.axis]
     if plant.dim == 1:
@@ -504,22 +484,6 @@ def max_wavenumber(modes: ModeTable) -> int:
     return int(modes.ks.max())
 
 
-def phi_matrix(eigs: ModeTable, points: np.ndarray) -> np.ndarray:
-    """Row n holds phi_n sampled at `points`."""
-    return eval_phi(eigs, points)
-
-
 def trace_matrix(eigs: ModeTable, quad: Quadrature) -> np.ndarray:
     """Row n holds the conormal trace of mode n on the face rule."""
     return conormal_trace(eigs, quad.points)
-
-
-def biorthonormality_defect(eigs: ModeTable, quad: Quadrature = None) -> float:
-    """max |<phi_i, psi_j> - delta_ij| over the supplied modes."""
-    plant = eigs.plant
-    if quad is None:
-        quad = interior_quadrature(plant, max_wavenumber(eigs), rows=len(eigs))
-    vals = phi_matrix(eigs, quad.points)
-    mu = plant.mu(quad.points)
-    gram = (vals * (quad.weights * mu)) @ vals.T
-    return float(np.max(np.abs(gram - np.eye(len(eigs)))))

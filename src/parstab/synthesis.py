@@ -25,7 +25,8 @@ from typing import NamedTuple
 import numpy as np
 
 from . import lifting
-from .spectral_basis import DomainError, ModeTable, conormal_trace, eval_phi
+from .spectral_basis import DomainError, ModeTable, eval_phi
+from .spectral_basis import conormal_trace  # noqa: F401  perfbench/spans.py wraps this name
 
 log = logging.getLogger(__name__)
 
@@ -115,8 +116,10 @@ def select_gamma_ladder(
     while base <= cap:
         gammas = tuple(base * (1.0 + k * rho) for k in range(n0))
         try:
+            # every cached mode; the ladder sits far below the eigenvalues
+            # of the modes beyond them
             for g in gammas:
-                lifting.check_gamma_admissible(g, eta, lams, n0, len(lams))
+                lifting.shift_denominators(g, lams, n0=n0, eta=eta)
         except lifting.AdmissibilityError as err:
             last_diag = str(err)
             base *= 2.0
@@ -446,16 +449,6 @@ def synthesize(
         margins=margins,
         context=context,
     )
-
-
-def control_trace(artifacts: SynthesisArtifacts, U, s):
-    """Boundary control value u(s) = sum_k <Lam_k A U, traces(s)> at s on the face."""
-    U = np.asarray(U, dtype=float)
-    if U.shape != (artifacts.n0,):
-        raise ValueError(f"U must have {artifacts.n0} components")
-    coeff = artifacts.lift_sum() @ artifacts.gram_inverse @ U
-    out = coeff @ conormal_trace(artifacts.eigs[: artifacts.n0], s)
-    return float(out[0]) if np.ndim(s) == 1 else out
 
 
 def report_dict(artifacts: SynthesisArtifacts) -> dict:

@@ -289,6 +289,15 @@ def test_simulate_rejects_negative_check_every(tmp_path, capsys):
         pytest.param("/simulation/z0/modes/0/0", 1.5, id="modes_1.5"),
         pytest.param("/simulation/z0/modes/0/0", "1", id="modes_1"),
         pytest.param("/simulation/z0/modes/0", [1], id="modes_arity"),
+        # values the types allow but a run cannot use
+        pytest.param("/simulation/h", 0, id="h_0"),
+        pytest.param("/simulation/h", -0.01, id="h_negative"),
+        pytest.param("/simulation/T", 0, id="T_0"),
+        pytest.param("/simulation/T", -1.0, id="T_negative"),
+        pytest.param("/simulation/z0/bump/width", 0, id="width_0"),
+        pytest.param("/simulation/z0/bump/width", -0.2, id="width_negative"),
+        # the demo's z0 modes are [[1, 1], [2, 1]]
+        pytest.param("/simulation/z0/modes/1", [1, 1], id="modes_repeated"),
     ],
 )
 def test_pipeline_rejects_mistyped_config(tmp_path, capsys, pointer, value):
@@ -297,7 +306,7 @@ def test_pipeline_rejects_mistyped_config(tmp_path, capsys, pointer, value):
     *path, last = [int(k) if k.isdigit() else k for k in pointer.split("/")[1:]]
     node = cfg
     for key in path:
-        node = node[key]
+        node = node.setdefault(key, {}) if isinstance(node, dict) else node[key]
     node[last] = value
     code = main(["pipeline", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2

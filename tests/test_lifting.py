@@ -8,13 +8,8 @@ import pytest
 from parstab.lifting import (
     AdmissibilityError,
     LiftingContext,
-    boundary_inner,
-    build_projection_table,
-    check_gamma_admissible,
     default_tail,
-    gram_matrix,
     lambda_gamma,
-    lifted_projection,
     shift_denominators,
     tail_cap,
     trace_cross_gram,
@@ -30,6 +25,8 @@ from parstab.spectral_basis import (
     max_wavenumber,
     trace_matrix,
 )
+
+from oracles import boundary_inner, build_projection_table, gram_matrix, lifted_projection
 
 
 def test_shift_denominators_shift_second_head_mode_only():
@@ -84,11 +81,12 @@ def test_projection_table_marks_collisions():
         lifted_projection(table, 1.0, 4)
 
 
-def test_check_gamma_admissible(example_ctx):
-    lams = example_ctx.lams
-    check_gamma_admissible(10.0, 1.0, lams, 3, 100)
+def test_gamma_admissibility_over_the_first_modes(example_ctx):
+    # select_gamma_ladder's check: strict denominators of the cached modes
+    lams = example_ctx.lams[:100]
+    shift_denominators(10.0, lams, n0=3, eta=1.0)
     with pytest.raises(AdmissibilityError):
-        check_gamma_admissible(-lams[50], 1.0, lams, 3, 100)
+        shift_denominators(-lams[50], lams, n0=3, eta=1.0)
 
 
 def test_boundary_inner_values():
@@ -242,31 +240,36 @@ def test_cross_gram_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
+def residual_norm_sq(ctx, gamma, l, N, N_tail):
+    """The tail sum certification forms from `residual_terms`, in mode order."""
+    return float(np.add.reduce(ctx.residual_terms(gamma, l, N, N_tail)))
+
+
 def test_residual_norm_empty_and_monotone(example_ctx):
-    assert example_ctx.residual_norm_sq(50.0, 1, 100, 100) == 0.0
-    r400 = example_ctx.residual_norm_sq(50.0, 1, 100, 400)
-    r480 = example_ctx.residual_norm_sq(50.0, 1, 100, 480)
+    assert residual_norm_sq(example_ctx, 50.0, 1, 100, 100) == 0.0
+    r400 = residual_norm_sq(example_ctx, 50.0, 1, 100, 400)
+    r480 = residual_norm_sq(example_ctx, 50.0, 1, 100, 480)
     assert 0.0 <= r400 <= r480
 
 
 def test_residual_norm_decays_with_truncation(example_ctx):
     # tail terms fall off slowly (roughly n^-1.4 here), so doubling N only
     # roughly halves the sum; strict decrease is the guaranteed part
-    r100 = example_ctx.residual_norm_sq(50.0, 1, 100, 480)
-    r200 = example_ctx.residual_norm_sq(50.0, 1, 200, 480)
+    r100 = residual_norm_sq(example_ctx, 50.0, 1, 100, 480)
+    r200 = residual_norm_sq(example_ctx, 50.0, 1, 200, 480)
     assert r200 < r100
     assert r100 / r200 > 1.5
 
 
 def test_residual_norm_argument_errors(example_ctx):
     with pytest.raises(ValueError):
-        example_ctx.residual_norm_sq(50.0, 1, 100, 99)
+        residual_norm_sq(example_ctx, 50.0, 1, 100, 99)
     with pytest.raises(ValueError):
-        example_ctx.residual_norm_sq(50.0, 1, 100, len(example_ctx.eigs) + 1)
+        residual_norm_sq(example_ctx, 50.0, 1, 100, len(example_ctx.eigs) + 1)
     with pytest.raises(ValueError):
-        example_ctx.residual_norm_sq(50.0, 7, 100, 400)
+        residual_norm_sq(example_ctx, 50.0, 7, 100, 400)
     with pytest.raises(AdmissibilityError):
-        example_ctx.residual_norm_sq(-example_ctx.lams[150], 1, 100, 400)
+        residual_norm_sq(example_ctx, -example_ctx.lams[150], 1, 100, 400)
 
 
 def test_tail_defaults():

@@ -39,6 +39,7 @@ from parstab.spectral_basis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
+from oracles import certificate_energy
 
 
 def test_defaults():
@@ -102,7 +103,7 @@ def _bump_on_tensor_grid(plant, eigs, center, width, amplitude, count, rules):
 )
 def test_bump_projection_matches_the_tensor_grid(plant, center, count, panels):
     eigs = enumerate_eigenpairs(plant, count + 1)
-    if panels is None:  # the 1-D rules whose tensor product is interior_quadrature
+    if panels is None:  # the 1-D rules whose tensor product is the oracles' interior rule
         rules = axis_rules(plant, max_wavenumber(eigs[:count]))
     else:  # 64^3 points; the full-size 3-D rule would not fit in memory
         rules = [gauss_panels(l, panels) for l in plant.lengths]
@@ -149,13 +150,14 @@ def test_open_loop_step_is_exact_modal_decay(example_art30):
 def test_outputs_and_controls_at_start(example_art30):
     system = ClosedLoop(example_art30, N_sim=60)
     state = init_state([1.0], 60, 30)
-    y = system.outputs(state)
+    x = np.concatenate([state.z, state.zhat])
+    diag = system.diagnostics(x[None])
     first = example_art30.eigs[:1]
-    assert y[0] == pytest.approx(float(eval_phi(first, EXAMPLE_SENSOR_1)[0, 0]))
-    assert y[1] == pytest.approx(float(eval_phi(first, EXAMPLE_SENSOR_2)[0, 0]))
+    assert diag["y1"][0] == pytest.approx(float(eval_phi(first, EXAMPLE_SENSOR_1)[0, 0]))
+    assert diag["y2"][0] == pytest.approx(float(eval_phi(first, EXAMPLE_SENSOR_2)[0, 0]))
     # observer starts at zero, so no control authority yet
-    assert system.control_norm(state) == 0.0
-    assert not np.any(system.U(state))
+    assert diag["u_l2_gamma1"][0] == 0.0
+    assert not np.any(x[60 : 60 + system.n0])
 
 
 def test_step_linearity(example_art30):
@@ -187,9 +189,10 @@ def test_tail_error_is_autonomous(example_art30):
     n0, N = 3, 30
     e0 = system.lams[n0:N] * (state.z[n0:N] - state.zhat[n0:N])
     h, t_end = 2e-4, 1.0
-    for _ in range(int(round(t_end / h))):
-        state = system.step(state, h)
-    et = system.lams[n0:N] * (state.z[n0:N] - state.zhat[n0:N])
+    result = run(np.ones(10), t_end, h, example_art30, N_sim=60, keep_states=True)
+    assert len(result.times) == int(round(t_end / h)) + 1
+    x = result.states[-1]
+    et = system.lams[n0:N] * (x[n0:N] - x[60 + n0 : 60 + N])
     want = e0 * np.exp(-system.lams[n0:N] * t_end)
     assert np.max(np.abs(et - want)) < 1e-7
 
@@ -279,10 +282,7 @@ def test_certificate_energy_decays_on_certified_design(mild_art30):
     )
     system = ClosedLoop(mild_art30, N_sim=200)
     decay = math.exp(-2.0 * mild_art30.delta * h)
-    values = np.empty(len(result.times))
-    for i in range(len(result.times)):
-        s = SimState(t=result.times[i], z=result.states[i, :200], zhat=result.states[i, 200:])
-        values[i] = system.certificate_energy(s, P)
+    values = certificate_energy(system, result.states, P)
     ratios = values[1:] / (values[:-1] * decay)
     assert np.max(ratios) < 1.0 + 1e-3
 
@@ -345,21 +345,6 @@ def test_blocks_advance_by_matrix_power(contraction):
     (_, first), (_, second) = simulation._blocks(E.copy(), x0, 2 * simulation.BLOCK)
     E_block = np.linalg.matrix_power(E, simulation.BLOCK)
     assert np.array_equal(second, first @ E_block.T)
-
-
-def test_propagator_is_never_overwritten(example_art30):
-    # _blocks squares into the E it is given; run hands it a fresh E from
-    # `exponential`, so the E that `propagator` keeps for `step` stays intact
-    system = ClosedLoop(example_art30, N_sim=60)
-    kept = system.propagator(1e-3)
-    want = kept.copy()
-    fresh = system.exponential(1e-3)
-    assert fresh is not kept and np.array_equal(fresh, want)
-    x0 = np.ones(len(fresh))
-    for _ in simulation._blocks(fresh, x0, 3 * simulation.BLOCK):
-        pass
-    assert not np.array_equal(fresh, want)
-    assert system.propagator(1e-3) is kept and np.array_equal(kept, want)
 
 
 def test_run_ends_at_T_with_a_partial_step(example_art30):

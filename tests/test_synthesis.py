@@ -21,7 +21,6 @@ from parstab.synthesis import (
     SynthesisError,
     abscissa,
     assemble_F,
-    control_trace,
     eta_shift_matrix,
     place_observer_gain,
     report_dict,
@@ -32,6 +31,7 @@ from parstab.synthesis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
+from oracles import control_trace
 
 
 def test_select_eta_values():
