@@ -126,7 +126,7 @@ def _no_duplicates(pairs):
 
 
 def _typed(kind, value, pointer: str):
-    """`value` checked against a schema kind; a number for a float kind comes back a float."""
+    """`value` checked against a schema kind; a float kind gives a finite float."""
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{pointer}: expected an object")
@@ -136,9 +136,13 @@ def _typed(kind, value, pointer: str):
             raise ConfigError(f"{pointer}: expected an array")
         return [_typed(kind[0], v, f"{pointer}/{i}") for i, v in enumerate(value)]
     if kind is float and type(value) is int:
-        return float(value)
+        # an integer too large for a float counts as infinite
+        value = float(value) if abs(value) <= sys.float_info.max else math.inf
     if type(value) is not kind:  # so a bool is not an int
         raise ConfigError(f"{pointer}: expected {_KIND_NAMES[kind]}")
+    # JSON 1e400 parses to inf, and Python's json reads Infinity and NaN
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(f"{pointer}: expected a finite number")
     return value
 
 
@@ -406,7 +410,8 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         )
     except ValueError as err:
         return _abort("simulation config invalid", err)
-    except simulation.SimulationError as err:
+    except (simulation.SimulationError, MemoryError) as err:
+        # a MemoryError: more output rows (T/h) than memory holds
         print(f"simulation failed: {err}", file=sys.stderr)
         return EXIT_SIMULATION
     os.makedirs(out_dir, exist_ok=True)

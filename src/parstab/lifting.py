@@ -19,8 +19,9 @@ check live; every lifting map in the package is built from it.
 
 `tests/oracles.py` holds the per-mode and tensor-grid forms of these maps
 that the tests check `LiftingContext` against, beside closed forms and an
-independent elliptic solve. The simulation's projection check sums its own
-face inner products on a separate grid.
+independent elliptic solve. The context also samples the head traces on a
+face rule; the simulation's projection check sums their Gram there, against
+the closed-form `head_gram` the design uses.
 """
 
 from __future__ import annotations
@@ -140,8 +141,9 @@ class LiftingContext:
     against head l, in closed form by `trace_cross_gram` (no face grid, so
     the work is O(M n0) in any dimension), its first n0 rows as the head
     Gram `head_gram`, and the eigenvalues. `quad` and `traces` are the head
-    modes' traces sampled on a face rule sized to the head wavenumbers; a
-    non-finite sample raises FloatingPointError.
+    modes' traces sampled on a face rule sized to the head wavenumbers, for
+    the simulation's projection check; a non-finite sample raises
+    FloatingPointError.
     """
 
     def __init__(self, eigs: ModeTable, n0: int):
@@ -152,8 +154,6 @@ class LiftingContext:
         self.plant = eigs.plant
         self.lams = eigs.lams
         head = eigs[:n0]
-        # perfbench/spans.py wraps trace_matrix and face_quadrature and reads
-        # traces.nbytes; no stage of the program reads quad or traces
         self.quad = face_quadrature(self.plant, max_wavenumber(head), rows=n0)
         self.traces = trace_matrix(head, self.quad)
         if not np.all(np.isfinite(self.traces)):

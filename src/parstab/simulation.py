@@ -41,8 +41,9 @@ import numpy as np
 
 from .lifting import LiftingContext, shift_denominators
 from .linalg import Border, expm
-from .spectral_basis import ModeTable, axis_rules, face_quadrature, max_wavenumber, trace_matrix
-from .spectral_basis import eval_phi  # noqa: F401  perfbench/spans.py wraps this name
+from .spectral_basis import ModeTable, axis_rules, max_wavenumber
+# perfbench/spans.py wraps these three names here; no stage of the program calls them
+from .spectral_basis import eval_phi, face_quadrature, trace_matrix  # noqa: F401
 from .synthesis import SynthesisArtifacts, sensor_rows
 
 log = logging.getLogger(__name__)
@@ -125,8 +126,9 @@ class ClosedLoop:
       * observer head rows get the gain block plus L(y - yhat),
       * observer tail rows get rows N0+1..N of the plant forcing W.
 
-    `open_loop` disables the controller entirely (U forced to zero, observer
-    frozen at zero), which reduces the plant to pure modal decay/growth.
+    `open_loop` disables the controller entirely: `border` leaves out every
+    coupling block, so the observer and U stay at zero and the plant reduces
+    to pure modal decay/growth.
     """
 
     def __init__(
@@ -180,7 +182,13 @@ class ClosedLoop:
         # squared face L2 norm of the control as a quadratic form in U
         K = m.lift_sum() @ A
         self.control_form = K.T @ m.trace_gram @ K
-        self._check_ctx = None
+        # (Q_k, M_k) of `projection_check`: -diag(lam_k) G_q Lam_k A, with G_q
+        # the head Gram on the context's face samples (einsum, no BLAS), and -B_k A
+        gram_q = np.einsum("iq,jq,q->ij", ctx.traces, ctx.traces, ctx.quad.weights)
+        self.check_maps = [
+            (np.einsum("i,ij,jl->il", -np.diag(lift), gram_q, lift @ A), -Bk @ A)
+            for lift, Bk in zip(m.head_lifts, m.shifted_grams)
+        ]
 
     def border(self) -> Border:
         """A in x' = A x as its parts: the diagonal, the n0 observer-head rows
@@ -222,13 +230,14 @@ class ClosedLoop:
         """The plant state less its lifted part, w = z - sum_k D_{gamma_k} u_k,
         for one state; perfbench/reference.py calls it, `diagnostics` is the
         batched form."""
-        return state.z - (0.0 if self.open_loop else self.lift_all @ state.zhat[: self.n0])
+        return state.z - self.lift_all @ state.zhat[: self.n0]
 
     def diagnostics(self, X: np.ndarray) -> dict:
-        """Every CSV column but t, for states stacked as the rows of X."""
+        """Every CSV column but t, for states stacked as the rows of X; on
+        the open loop zhat, and so U, stays zero."""
         N_sim, N, n0 = self.N_sim, self.N, self.n0
         z, zhat = X[:, :N_sim], X[:, N_sim:]
-        U = np.zeros((len(X), n0)) if self.open_loop else zhat[:, :n0]
+        U = zhat[:, :n0]
         wn = z - U @ self.lift_all.T
         y = z @ self.C_sim.T
         # sensor contribution of the modes the observer never models
@@ -268,35 +277,15 @@ class ClosedLoop:
         """Dual-route check of the head lifted projections for each row of U.
 
         U stacks head controls as rows (n0 columns; closed loop, `zhat[:n0]`).
-        Matrix route: -B_k A U. Quadrature route: rebuild u_k on an
-        independent face grid (offset panel count), integrate it against each
-        head trace and scale by the head lifting coefficient. Returns, per
-        row, the max absolute deviation over k and the head modes. The head
-        traces on the grid, their quadrature-weighted copies and the per-k
-        maps applied to U are built on the first call.
+        Per shift k, the quadrature route U Q_k' (head Gram summed on the
+        context's face samples) against the matrix route U M_k' (closed-form
+        head Gram), with `check_maps` (Q_k, M_k) built with the loop. Returns,
+        per row, the max absolute deviation over k and the head modes; the
+        products are einsums, so no grid-sized array and no BLAS call.
         """
-        if self._check_ctx is None:
-            m = self.artifacts
-            quad = face_quadrature(
-                m.plant, max_wavenumber(m.eigs[: self.n0]), extra_panels=3, rows=self.n0
-            )
-            A = m.gram_inverse
-            maps = [
-                (m.head_lifts[k] @ A, -np.diag(m.head_lifts[k]), -m.shifted_grams[k] @ A)
-                for k in range(len(m.gammas))
-            ]
-            traces = trace_matrix(m.eigs[: self.n0], quad)
-            self._check_ctx = (traces, traces * quad.weights, maps)
-        traces, weighted, maps = self._check_ctx
         worst = np.zeros(len(U))
-        # einsum sums the face products without forming u_k on the grid, so
-        # a block's check rows need no rows x grid-points array (63 MB for
-        # 256 rows on the cube demo's face grid), and it calls no BLAS
-        for to_coeff, minus_lift_diag, to_matrix in maps:
-            coeffs = np.einsum("rj,ij->ri", U, to_coeff)
-            # face inner product of u_k = coeffs @ traces with each head trace
-            inner = np.einsum("rj,jq,iq->ri", coeffs, traces, weighted)
-            route_quad = inner * minus_lift_diag
+        for to_quad, to_matrix in self.check_maps:
+            route_quad = np.einsum("rj,ij->ri", U, to_quad)
             route_matrix = np.einsum("rj,ij->ri", U, to_matrix)
             np.maximum(worst, np.max(np.abs(route_quad - route_matrix), axis=1), out=worst)
         return worst
@@ -343,8 +332,11 @@ def estimate_decay_rate(times, values, t_skip: float) -> float:
 def _step_count(T: float, h: float) -> tuple:
     """(n, r): n whole steps of h, then a last partial step r < h to reach T.
 
-    r is 0 when T/h lies within STEP_RATIO_TOL of a positive integer n."""
+    r is 0 when T/h lies within STEP_RATIO_TOL of a positive integer n; an
+    infinite T/h raises MemoryError, as `run` allocating too many rows does."""
     ratio = T / h
+    if math.isinf(ratio):
+        raise MemoryError(f"T/h = {ratio} output rows")
     n = round(ratio)
     if n >= 1 and abs(ratio - n) <= STEP_RATIO_TOL:
         return n, 0.0
@@ -403,11 +395,11 @@ def run(
     """Propagate the loop over [0, T] and collect the standard diagnostics.
 
     Rows sit at t = 0, h, 2h, ... and, when T is not a whole number of steps,
-    one last row at t = T. Every `check_every`-th row the lifted-projection
-    identity is re-derived by independent quadrature and must agree with the
-    matrix route to CHECK_TOL; disagreement is a hard failure since it
-    means the simulated forcing is not the designed forcing. A non-finite
-    state raises SimulationError.
+    one last row at t = T. On every `check_every`-th row of a closed-loop
+    run the head lifted projections of the quadrature route must agree with
+    the matrix route to CHECK_TOL (`ClosedLoop.projection_check`);
+    disagreement is a hard failure since it means the simulated forcing is
+    not the designed forcing. A non-finite state raises SimulationError.
     """
     if T <= 0:
         raise ValueError("T must be positive")

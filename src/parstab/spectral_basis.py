@@ -449,9 +449,7 @@ def axis_rules(plant: PlantConfig, kmax: int) -> list:
     return [gauss_panels(l, panels) for l in plant.lengths]
 
 
-def face_quadrature(
-    plant: PlantConfig, kmax: int, extra_panels: int = 0, rows: int = 0
-) -> Quadrature:
+def face_quadrature(plant: PlantConfig, kmax: int, rows: int = 0) -> Quadrature:
     """Rule over the control face. In one dimension the face is a single
     point and the measure is counting measure (weight one). `rows` is the
     number of modes the caller will sample on the rule; GridSizeError is
@@ -463,7 +461,7 @@ def face_quadrature(
         pts = np.array([[coord]])
         return Quadrature(points=pts, weights=np.array([1.0]))
     other = in_face_axes(plant)
-    panels = _panel_count(kmax) + extra_panels
+    panels = _panel_count(kmax)
     _check_grid_bytes(plant, "face", (panels * QUAD_ORDER) ** len(other), rows)
     axes = [gauss_panels(plant.lengths[ax], panels) for ax in other]
     if len(axes) == 1:

@@ -339,9 +339,7 @@ class SynthesisArtifacts:
     gram_inverse: np.ndarray = None  # A
     gain_block: np.ndarray = None  # -sum gamma_k B_k A + Xi
     head_drift: np.ndarray = None  # A0
-    tail_drift: np.ndarray = None  # diag values of A1, length N - N0
     sensor_head: np.ndarray = None  # C0
-    sensor_tail: np.ndarray = None  # C1
     sensor_tail_scaled: np.ndarray = None  # C1 with inverse tail eigenvalue columns
     observer_gain: np.ndarray = None  # L
     closed_loop: np.ndarray = None  # F
@@ -438,9 +436,7 @@ def synthesize(
         gram_inverse=ladder.A,
         gain_block=ladder.gain_block,
         head_drift=A0,
-        tail_drift=tail_lams.copy(),
         sensor_head=C0,
-        sensor_tail=C1,
         sensor_tail_scaled=C1t,
         observer_gain=L,
         closed_loop=F,

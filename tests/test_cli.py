@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parstab import certification, cli
+from parstab import certification, cli, lifting, simulation
 from parstab.cli import (
     ConfigError,
     build_plant,
@@ -298,6 +298,12 @@ def test_simulate_rejects_negative_check_every(tmp_path, capsys):
         pytest.param("/simulation/z0/bump/width", -0.2, id="width_negative"),
         # the demo's z0 modes are [[1, 1], [2, 1]]
         pytest.param("/simulation/z0/modes/1", [1, 1], id="modes_repeated"),
+        # non-finite numbers: json.dumps writes Infinity and NaN, which parse
+        # as a JSON 1e400 does, and no float holds the integer 10**400
+        pytest.param("/simulation/T", math.inf, id="T_inf"),
+        pytest.param("/simulation/h", math.inf, id="h_inf"),
+        pytest.param("/simulation/h", 10**400, id="h_huge_int"),
+        pytest.param("/simulation/z0/coeffs/0", math.nan, id="coeffs_nan"),
     ],
 )
 def test_pipeline_rejects_mistyped_config(tmp_path, capsys, pointer, value):
@@ -314,6 +320,47 @@ def test_pipeline_rejects_mistyped_config(tmp_path, capsys, pointer, value):
     assert err.startswith(f"config error: {pointer}")
     assert "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "T, h, message",
+    [
+        # 1e15 rows of 8 bytes (7.1 PiB) exceed the user address space of a
+        # 64-bit Linux process, so nothing is mapped whatever the overcommit
+        # setting
+        pytest.param(1e12, 1e-3, "Unable to allocate", id="rows_1e15"),
+        pytest.param(1e300, 1e-300, "T/h = inf", id="rows_inf"),
+    ],
+)
+def test_simulate_fails_cleanly_when_the_rows_do_not_fit(tmp_path, capsys, T, h, message):
+    cfg = _quick_with({"T": T, "h": h})
+    code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: ") and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "pipeline"])
+def test_one_face_rule_and_trace_table_per_command(tmp_path, monkeypatch, command):
+    # the context samples the head traces once; the projection check reads
+    # them from it and builds no rule of its own
+    calls = {"face_quadrature": 0, "trace_matrix": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for module in (lifting, simulation):
+        for name in calls:
+            monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    cfg = write_cfg(tmp_path, MILD)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    assert calls == {"face_quadrature": 1, "trace_matrix": 1}
 
 
 @pytest.mark.parametrize("command", ["pipeline", "simulate"])

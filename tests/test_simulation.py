@@ -1,4 +1,6 @@
+import copy
 import csv
+import dataclasses
 import math
 import os
 import tracemalloc
@@ -220,10 +222,22 @@ def test_projection_check_consistency(example_art30):
     assert devs.shape == (5,)
     assert np.all(devs < 1e-8) and devs[1] == 0.0
     # a matrix route off by 1 % is caught in every row but the zero one
-    traces, weighted, maps = system._check_ctx
-    system._check_ctx = (traces, weighted, [(a, b, 1.01 * c) for a, b, c in maps])
+    system.check_maps = [(quad, 1.01 * matrix) for quad, matrix in system.check_maps]
     devs = system.projection_check(U)
     assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
+
+
+def test_projection_check_catches_a_quadrature_route_error(example_art30):
+    # context traces scaled by sqrt(1.01) put the face-rule Gram off by 1 %
+    ctx = copy.copy(example_art30.context)
+    ctx.traces = ctx.traces * math.sqrt(1.01)
+    art = dataclasses.replace(example_art30, context=ctx)
+    U = np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
+    devs = ClosedLoop(art, N_sim=60).projection_check(U)
+    assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
+    # rows 50, 100, ...: the first check row fails the run
+    with pytest.raises(SimulationError, match=r"disagree by .* at t=0\.050$"):
+        run(np.ones(5), 0.6, 1e-3, art, N_sim=60, check_every=50)
 
 
 def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
