@@ -87,7 +87,7 @@ closed = run(z0, 20.0, 2e-4, design, N_sim=240)
 opened = run(z0[:120], 10.0, 1e-3, design, N_sim=120, open_loop=True)
 print(f"closed-loop decay rate : {closed.rate:+.3f}  (target <= -0.5)")
 print(f"open-loop growth rate  : {opened.rate:+.3f}  (dominant eigenvalue 3.5)")
-ratio = closed.column("composite")[-1] / closed.column("composite")[0]
+ratio = closed.records["composite"][-1] / closed.records["composite"][0]
 print(f"composite energy drop over 20s: {ratio:.2e}")
 
 print()

@@ -153,24 +153,29 @@ def eta_cert_rule(S_phi: float, N: int) -> float:
     return float(N) if S_phi == 0.0 else 1.0 / math.sqrt(S_phi)
 
 
-def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> np.ndarray:
-    """The bordered certificate matrix Theta1, symmetric.
+def _young_weight(n0: int) -> float:
+    """eps = 2*N0^2, the one Young weight of the certificate (S1, S2, `check_psi`)."""
+    return 2.0 * n0**2
+
+
+def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndarray:
+    """The bordered certificate matrix Theta1, symmetric; eps = 2*N0^2.
 
     Layout: state block of size n_F = 2*N0 + (N - N0) bordered by the two
-    output channels. E1 picks the observer head out of the state; E2 stacks
-    the head rows of the full loop including the input channel.
+    output channels. E1 picks the observer head out of the state; E2 is the
+    head rows of the full loop including the input channel, the first N0
+    rows of F beside those of G: [gain block, L C0, L C1t, L].
     """
     m = artifacts
     F, G, P = m.closed_loop, m.stacked_gain, np.asarray(P, dtype=float)
     n_F = F.shape[0]
     n0 = m.n0
+    eps = _young_weight(n0)
     if P.shape != F.shape:
         raise ValueError("P and F dimensions differ")
     E1 = np.zeros((n0, n_F))
     E1[:, :n0] = np.eye(n0)
-    LC0 = m.observer_gain @ m.sensor_head
-    LC1t = m.observer_gain @ m.sensor_tail_scaled
-    E2 = np.hstack([m.gain_block, LC0, LC1t, m.observer_gain])
+    E2 = np.hstack([F[:n0], G[:n0]])
     # P @ F from F's blocks (dense head of h = 2*N0 rows, diagonal tail):
     # every sum runs over the h head rows only, so its bytes do not depend
     # on how BLAS splits the work; F'P is its transpose, P being symmetric
@@ -188,26 +193,25 @@ def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> np
     return 0.5 * (theta + theta.T)
 
 
-def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eps, eta_cert) -> float:
+def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> float:
     """Largest eigenvalue of the bordered certificate matrix `theta1_matrix`."""
-    theta = theta1_matrix(P, artifacts, S1, S2, eps, eta_cert)
+    theta = theta1_matrix(P, artifacts, S1, S2, eta_cert)
     return float(np.max(np.linalg.eigvalsh(theta)))
 
 
-def check_psi(lambda_next, nu, delta, eps, eta_cert, S_phi, n0: int) -> float:
+def check_psi(lambda_next, nu, delta, eta_cert, S_phi) -> float:
     """Tail decay bound Theta2 = -lambda_{N+1}/2 + 3*nu/2 + 2*delta.
 
     Before returning, the per-mode slope -2*(1 - N0^2/eps) + eta_cert*S_phi
-    must clear -1/2, which under eps = 2*N0^2 reduces to
-    eta_cert*S_phi <= 1/2. Violation means N is not yet large enough.
+    must clear -1/2. With the certificate's eps = 2*N0^2 the slope is
+    eta_cert*S_phi - 1, so the check is eta_cert*S_phi <= 1/2. Violation
+    means N is not yet large enough.
     """
     if lambda_next <= 0:
         raise NotYetCertifiable(
             f"lambda_(N+1) = {lambda_next} not positive; N below the unstable range"
         )
-    if eps != 2 * n0**2:
-        raise ValueError(f"eps must equal 2*N0^2, got {eps}")
-    slope = -2.0 * (1.0 - n0**2 / eps) + eta_cert * S_phi
+    slope = eta_cert * S_phi - 1.0
     if slope > -0.5 + NEG_SLACK:
         raise NotYetCertifiable(
             f"tail slope {slope:.4f} exceeds -1/2 (eta_cert*S_phi = "
@@ -312,7 +316,6 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     """Run every certificate check at the size the artifacts were built for."""
     m = artifacts
     N, nu = m.N, m.plant.nu
-    eps = 2.0 * m.n0**2
     blocking = None
     P = None
     S1 = S2 = S_phi = float("nan")
@@ -336,10 +339,10 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
             blocking = "tail: no eigenvalue beyond N available"
         else:
             try:
-                psi = check_psi(lam_next, nu, m.delta, eps, eta_cert, S_phi, n0=m.n0)
+                psi = check_psi(lam_next, nu, m.delta, eta_cert, S_phi)
             except NotYetCertifiable as err:
                 blocking = f"psi precondition: {err}"
-            theta1 = check_theta1(P, m, S1, S2, eps, eta_cert)
+            theta1 = check_theta1(P, m, S1, S2, eta_cert)
             if blocking is None:
                 if theta1 > NEG_SLACK:
                     blocking = f"theta1: largest eigenvalue {theta1:.4e} > 0"
@@ -350,7 +353,7 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
         N=N,
         nu=nu,
         delta=m.delta,
-        epsilon=eps,
+        epsilon=_young_weight(m.n0),
         eta_cert=eta_cert,
         S1=S1,
         S2=S2,
@@ -365,8 +368,18 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     )
 
 
+def round_sizes(N_start: int, N_max: int) -> list:
+    """The truncation sizes N_start * 2^k <= N_max that `certify` tries, in order."""
+    if not 1 <= N_start <= N_max:
+        raise ValueError(f"need 1 <= N_start <= N_max, got N_start={N_start}, N_max={N_max}")
+    sizes = [N_start]
+    while 2 * sizes[-1] <= N_max:
+        sizes.append(2 * sizes[-1])
+    return sizes
+
+
 def certify(artifacts_builder, N_start: int, N_max: int) -> Certificate:
-    """Search N in {N_start, 2*N_start, ...} <= N_max for a valid certificate.
+    """Search N in `round_sizes(N_start, N_max)` for a valid certificate.
 
     `artifacts_builder` maps N to SynthesisArtifacts (rebuilding the
     N-dependent blocks each round). Returns the first certified round, or the
@@ -375,13 +388,9 @@ def certify(artifacts_builder, N_start: int, N_max: int) -> Certificate:
     doubling is logged since the decay argument quietly assumes it stays
     bounded.
     """
-    if N_max < N_start:
-        raise ValueError(f"N_max={N_max} < N_start={N_start}")
     rounds = []
     prev_norm = None
-    cert = None
-    N = N_start
-    while N <= N_max:
+    for N in round_sizes(N_start, N_max):
         cert = certify_round(artifacts_builder(N))
         rounds.extend(cert.rounds)
         if prev_norm is not None and np.isfinite(cert.P_norm) and cert.P_norm > 2.0 * prev_norm:
@@ -393,5 +402,4 @@ def certify(artifacts_builder, N_start: int, N_max: int) -> Certificate:
         prev_norm = cert.P_norm if np.isfinite(cert.P_norm) else prev_norm
         if cert.certified:
             break
-        N *= 2
     return dataclasses.replace(cert, rounds=tuple(rounds))

@@ -5,8 +5,8 @@ takes --config pointing at a JSON file; reports are JSON, time series CSV.
 All outputs are deterministic for a fixed config (fixed summation orders,
 repr float formatting, sorted JSON keys), so reruns are byte-identical.
 
-Exit codes: 0 success, 2 synthesis or configuration failure, 3 certification
-failure, 4 simulation failure.
+Exit codes: 0 success, 2 synthesis or configuration failure (a design too
+large for memory included), 3 certification failure, 4 simulation failure.
 """
 
 from __future__ import annotations
@@ -47,8 +47,9 @@ class ConfigError(ValueError):
 
 # what building a design can raise: config, domain, pattern, sensor
 # placement and admissibility errors are all ValueErrors; trace integrals
-# that overflow under strong in-face drift raise FloatingPointError
-DESIGN_ERRORS = (ValueError, SearchRadiusError, synthesis.SynthesisError, FloatingPointError)
+# that overflow under strong in-face drift raise FloatingPointError, and a
+# design too large for memory (F is dense, (N + N0)^2) raises MemoryError
+DESIGN_ERRORS = (ValueError, SearchRadiusError, synthesis.SynthesisError, FloatingPointError, MemoryError)
 
 
 def _abort(what: str, err: Exception) -> int:
@@ -304,14 +305,6 @@ def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
     return out
 
 
-def _certify_rounds_max(cfg: RunConfig) -> int:
-    n = top = cfg.certification["N_start"]
-    while n <= cfg.certification["N_max"]:
-        top = n
-        n *= 2
-    return top
-
-
 def _n_sim(cfg: RunConfig) -> int:
     n_sim = cfg.simulation["N_sim"]
     return simulation.default_n_sim(cfg.synthesis["N"]) if n_sim is None else n_sim
@@ -331,9 +324,10 @@ def _design_source(cfg: RunConfig):
     @functools.cache
     def context() -> lifting.LiftingContext:
         plant = build_plant(cfg)
+        c = cfg.certification
         count = max(
             lifting.default_tail(cfg.synthesis["N"]),
-            lifting.tail_cap(_certify_rounds_max(cfg)),
+            lifting.tail_cap(certification.round_sizes(c["N_start"], c["N_max"])[-1]),
             _n_sim(cfg),
         )
         eigs = enumerate_eigenpairs(plant, count)
@@ -425,9 +419,9 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         "N": N,
         "N_sim": n_sim,
         "open_loop": sim["open_loop"],
-        "initial_composite": float(result.column("composite")[0]),
-        "terminal_composite": float(result.column("composite")[-1]),
-        "terminal_h1": float(result.column("h1_proxy")[-1]),
+        "initial_composite": float(result.records["composite"][0]),
+        "terminal_composite": float(result.records["composite"][-1]),
+        "terminal_h1": float(result.records["h1_proxy"][-1]),
         "projection_check_max": result.diagnostics["projection_check_max"],
     }
     _write_json(summary, os.path.join(out_dir, "summary.json"))

@@ -48,13 +48,12 @@ class AdmissibilityError(ValueError):
 ADMISSIBLE_TOL = 1e-9
 
 
-def shift_denominators(gamma, lams, *, n0=0, eta=0.0, first=1, strict=True):
+def shift_denominators(gamma, lams, *, n0=0, eta=0.0, first=1):
     """Lifting denominators of modes first, first+1, ... with eigenvalues lams.
 
     Head modes n <= n0 get gamma - lam_n - eta*[n == 2], tail modes
     gamma + lam_n. A denominator within ADMISSIBLE_TOL of zero raises
-    AdmissibilityError naming the first such 1-based mode index, or with
-    `strict=False` comes back as nan.
+    AdmissibilityError naming the first such 1-based mode index.
     """
     lams = np.asarray(lams, dtype=float)
     n = np.arange(first, first + len(lams))
@@ -62,13 +61,12 @@ def shift_denominators(gamma, lams, *, n0=0, eta=0.0, first=1, strict=True):
     if n0 >= 2:
         dens[n == 2] -= eta
     bad = np.abs(dens) <= ADMISSIBLE_TOL
-    if strict and bad.any():
+    if bad.any():
         i = int(np.argmax(bad))
         raise AdmissibilityError(
             f"gamma={gamma} hits eigenvalue index {first + i} "
             f"(denominator {dens[i]:.3e})"
         )
-    dens[bad] = np.nan
     return dens
 
 

@@ -300,9 +300,6 @@ class SimulationRun:
     diagnostics: dict = field(default_factory=dict)
     states: np.ndarray = field(default=None, repr=False)
 
-    def column(self, name: str) -> np.ndarray:
-        return self.records[name]
-
 
 def estimate_decay_rate(times, values, t_skip: float) -> float:
     """Least-squares slope of log(values) vs time on [t_skip, end].

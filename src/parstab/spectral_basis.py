@@ -146,10 +146,9 @@ class PlantConfig:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.exp(x @ np.asarray(self.drift))
 
-    def reaction_shift_margin(self, nu: float = None) -> float:
+    def reaction_shift_margin(self) -> float:
         """Exact min over the box of (-c mu + nu mu) = (nu - c) mu."""
-        nu = self.nu if nu is None else nu
-        fac = nu - self.reaction
+        fac = self.nu - self.reaction
         return fac * (self.mu_min if fac >= 0 else self.mu_max)
 
     def contains(self, x, tol: float = 0.0) -> np.ndarray:
@@ -413,8 +412,9 @@ class Quadrature:
     weights: np.ndarray
 
 
-def gauss_panels(length: float, panels: int, order: int = QUAD_ORDER):
-    nodes, wts = leggauss(order)
+def gauss_panels(length: float, panels: int):
+    """Composite QUAD_ORDER-point Gauss-Legendre rule (x, w) on [0, length]."""
+    nodes, wts = leggauss(QUAD_ORDER)
     edges = np.linspace(0.0, length, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])

@@ -333,7 +333,7 @@ class SynthesisArtifacts:
     delta: float = 0.0
     eta: float = 0.0
     gammas: tuple = ()
-    head_lifts: list = field(default_factory=list, repr=False)  # Lam_k diagonals
+    head_lifts: list = field(default_factory=list, repr=False)  # Lam_k, n0 x n0 diagonal
     trace_gram: np.ndarray = None  # B
     shifted_grams: list = field(default_factory=list, repr=False)  # B_k
     gram_inverse: np.ndarray = None  # A

@@ -8,9 +8,15 @@ from parstab.lifting import AdmissibilityError, shift_denominators
 
 
 def build_projection_table(gamma, eta, eigs, n0) -> np.ndarray:
-    """Lifting coefficients p_n = -1/denominator of every mode, nan where
-    the denominator is too close to zero to trust."""
-    return -1.0 / shift_denominators(gamma, eigs.lams, n0=n0, eta=eta, strict=False)
+    """Lifting coefficients p_n = -1/denominator of every mode, one mode at
+    a time, nan where the denominator is too close to zero to trust."""
+    table = np.empty(len(eigs))
+    for i, lam in enumerate(eigs.lams):
+        try:
+            table[i] = -1.0 / shift_denominators(gamma, [lam], n0=n0, eta=eta, first=i + 1)[0]
+        except AdmissibilityError:
+            table[i] = np.nan
+    return table
 
 
 def lifted_projection(table, boundary_inner_value: float, n: int) -> float:

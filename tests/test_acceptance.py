@@ -190,7 +190,7 @@ def test_certificate_closes_and_tail_sums_shrink(mild_ctx):
 
 def test_closed_loop_decay(decay_run):
     result, elapsed = decay_run
-    composite = result.column("composite")
+    composite = result.records["composite"]
     assert result.rate <= -0.5
     assert composite[-1] < 1e-3 * composite[0]
     assert elapsed < 30.0
@@ -247,7 +247,7 @@ def test_terminal_energy_insensitive_to_resolution_doubling(mild_ctx, mild_art30
         result = run(z0, DECAY_T, DECAY_H, mild_art30, N_sim=n_sim)
         elapsed = time.perf_counter() - t0
         assert elapsed < 60.0
-        h1[n_sim] = result.column("h1_proxy")[-1]
+        h1[n_sim] = result.records["h1_proxy"][-1]
         exact = exact_terminal_h1(mild_art30, z0, DECAY_T, n_sim)
         assert abs(h1[n_sim] - exact) / exact < 1e-3
     h1_base = h1[DECAY_N_SIM]

@@ -22,7 +22,9 @@ from parstab.certification import (
     compute_Sphi,
     eta_cert_rule,
     head_size,
+    round_sizes,
     solve_lyapunov,
+    theta1_matrix,
 )
 from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
 
@@ -133,32 +135,41 @@ def test_eta_cert_rule():
 
 
 def test_check_psi_values():
-    assert check_psi(10.0, 1.0, 0.5, 2, 1.0, 0.0, n0=1) == pytest.approx(-2.5)
-    assert check_psi(5.0, 1.0, 0.5, 2, 1.0, 0.0, n0=1) == pytest.approx(0.0)
+    assert check_psi(10.0, 1.0, 0.5, 1.0, 0.0) == pytest.approx(-2.5)
+    assert check_psi(5.0, 1.0, 0.5, 1.0, 0.0) == pytest.approx(0.0)
 
 
 def test_check_psi_rejections():
     with pytest.raises(NotYetCertifiable):
-        check_psi(-1.0, 1.0, 0.5, 2, 1.0, 0.0, n0=1)
+        check_psi(-1.0, 1.0, 0.5, 1.0, 0.0)
     with pytest.raises(NotYetCertifiable):
-        check_psi(10.0, 1.0, 0.5, 2, 100.0, 1.0, n0=1)
-    with pytest.raises(ValueError):
-        check_psi(10.0, 1.0, 0.5, 4, 1.0, 0.0, n0=1)
+        check_psi(10.0, 1.0, 0.5, 100.0, 1.0)
 
 
 def test_theta1_border_threshold(mild_art30):
     m = mild_art30
     P = solve_lyapunov(m.closed_loop, m.delta)
     threshold = np.linalg.norm(P @ m.stacked_gain, 2) ** 2
-    eps = 2 * m.n0**2
-    assert check_theta1(P, m, 0.0, 0.0, eps, 1.1 * threshold) < 0
-    assert check_theta1(P, m, 0.0, 0.0, eps, 0.9 * threshold) > 0
-    assert check_theta1(P, m, 0.0, 0.0, eps, 0.0) >= 0
+    assert check_theta1(P, m, 0.0, 0.0, 1.1 * threshold) < 0
+    assert check_theta1(P, m, 0.0, 0.0, 0.9 * threshold) > 0
+    assert check_theta1(P, m, 0.0, 0.0, 0.0) >= 0
 
 
 def test_theta1_dimension_guard(mild_art30):
     with pytest.raises(ValueError):
-        check_theta1(np.eye(3), mild_art30, 0.0, 0.0, 2, 1.0)
+        check_theta1(np.eye(3), mild_art30, 0.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("design", ["example_art30", "mild_art30"])
+def test_theta1_E2_is_the_head_rows_of_F_and_G(design, request):
+    m = request.getfixturevalue(design)
+    L = m.observer_gain
+    E2 = np.hstack([m.gain_block, L @ m.sensor_head, L @ m.sensor_tail_scaled, L])
+    assert np.array_equal(np.hstack([m.closed_loop[: m.n0], m.stacked_gain[: m.n0]]), E2)
+    # with P, S1 and eta_cert zero and S2 one, Theta1 is eps E2'E2, symmetrised
+    gram = 2.0 * m.n0**2 * (E2.T @ E2)
+    theta = theta1_matrix(np.zeros_like(m.closed_loop), m, 0.0, 1.0, 0.0)
+    assert np.array_equal(theta, 0.5 * (gram + gram.T))
 
 
 def test_choose_tail_hits_cap(example_art30, mild_art30):
@@ -213,6 +224,15 @@ def test_certify_argument_order(mild_ctx):
         certify(lambda n: conftest.mild_synthesize(mild_ctx, n), 60, 30)
 
 
+def test_round_sizes_double_from_N_start():
+    assert round_sizes(30, 60) == [30, 60]
+    assert round_sizes(8, 63) == [8, 16, 32]
+    assert round_sizes(30, 30) == [30]
+    # N_start = 0 would double to 0 forever
+    with pytest.raises(ValueError):
+        round_sizes(0, 30)
+
+
 def test_certificate_json_shape(mild_art30):
     cert = certify_round(mild_art30)
     payload = cert.to_json_dict()
@@ -254,7 +274,7 @@ ctx = LiftingContext(enumerate_eigenpairs(plant, 960), 3)
 for N in (120, 240):
     m = synthesize(ctx, (0.53, 1.05), (1.05, 0.53), N, 0.5)
     P = solve_lyapunov(m.closed_loop, m.delta)
-    theta = theta1_matrix(P, m, 1.0, 1.0, 18.0, 10.0)
+    theta = theta1_matrix(P, m, 1.0, 1.0, 10.0)
     print(hashlib.sha256(P.tobytes() + theta.tobytes()).hexdigest())
 """
 

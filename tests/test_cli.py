@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from parstab import certification, cli, lifting, simulation
+from parstab import certification, cli, lifting, simulation, synthesis
 from parstab.cli import (
     ConfigError,
     build_plant,
@@ -227,6 +227,22 @@ def test_overflowing_trace_integrals_exit_code(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert "non-finite" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["synthesize", "certify", "simulate", "pipeline"])
+def test_design_too_large_for_memory_exit_code(tmp_path, capsys, monkeypatch, command):
+    # F is dense, (N + N0)^2; a real N = 100 000 asks numpy for 74.5 GiB
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+
+    monkeypatch.setattr(synthesis, "assemble_F", no_memory)
+    out = tmp_path / "o"
+    code = main([command, "--config", write_cfg(tmp_path, MILD), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "synthesis" in err and "74.5 GiB" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_block_frac_is_not_a_config_key(tmp_path, capsys):

@@ -42,8 +42,6 @@ def test_shift_denominators_tail_rule_and_first_bad_index():
     assert np.array_equal(dens, [11.0, 12.0, 13.0])
     with pytest.raises(AdmissibilityError, match="index 4 "):
         shift_denominators(-2.0, (1.0, 2.0, 3.0, 2.0), first=3)
-    loose = shift_denominators(-2.0, (1.0, 2.0, 3.0), first=3, strict=False)
-    assert np.isnan(loose[1]) and loose[0] == -1.0 and loose[2] == 1.0
 
 
 def test_lambda_gamma_values():
@@ -79,6 +77,10 @@ def test_projection_table_marks_collisions():
     assert lifted_projection(table, 1.0, 2) == pytest.approx(-1.0 / 3.0)
     with pytest.raises(IndexError):
         lifted_projection(table, 1.0, 4)
+    # a collision inside the table leaves the coefficients around it finite
+    middle = build_projection_table(-4.0, 0.0, eigs, n0=0)  # gamma + lam_2 = 0
+    assert np.isnan(middle[1])
+    assert middle[0] == pytest.approx(1.0 / 3.0) and middle[2] == pytest.approx(-0.2)
 
 
 def test_gamma_admissibility_over_the_first_modes(example_ctx):

@@ -180,7 +180,7 @@ def test_zero_state_stays_zero(example_art30):
     for name in CSV_COLUMNS:
         if name == "t":
             continue
-        assert not np.any(result.column(name))
+        assert not np.any(result.records[name])
 
 
 def test_tail_error_is_autonomous(example_art30):
@@ -284,8 +284,8 @@ def test_composite_column_definition(example_art30):
     wn = system.w(last)
     h1 = math.sqrt(float(np.add.reduce(system.h1_weights * wn**2)))
     head = float(np.add.reduce(np.abs(last.zhat[:3])))
-    assert result.column("composite")[-1] == pytest.approx(h1 + head, rel=1e-12)
-    assert result.column("h1_proxy")[-1] == pytest.approx(h1, rel=1e-12)
+    assert result.records["composite"][-1] == pytest.approx(h1 + head, rel=1e-12)
+    assert result.records["h1_proxy"][-1] == pytest.approx(h1, rel=1e-12)
 
 
 def test_certificate_energy_decays_on_certified_design(mild_art30):
@@ -448,7 +448,7 @@ def test_csv_round_trip(tmp_path, example_art30):
     assert rows[0] == list(CSV_COLUMNS)
     assert len(rows) == len(result.times) + 1
     for j, name in enumerate(CSV_COLUMNS):
-        col = result.column(name)
+        col = result.records[name]
         for i, row in enumerate(rows[1:]):
             assert float(row[j]) == col[i]
 
