@@ -43,38 +43,27 @@ class NotYetCertifiable(CertificationError):
     """Precondition tied to N failed; a larger N may fix it."""
 
 
-def head_size(F: np.ndarray) -> int:
-    """Rows before F's diagonal tail: F[h:] is zero off the diagonal.
-
-    `assemble_F` gives h = 2*N0; a matrix without that structure has h = n,
-    or n - 1 when only its last row is diagonal.
-    """
-    off = np.array(F, dtype=float)
-    np.fill_diagonal(off, 0.0)
-    rows = np.flatnonzero(np.any(off != 0.0, axis=1))
-    return int(rows[-1]) + 1 if len(rows) else 0
-
-
-def solve_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
+def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     """P solving F'P + PF + 2*delta*P = -I, symmetric positive definite.
 
-    F is block upper triangular with a dense head of h = `head_size(F)` rows
-    and a diagonal tail D, so with F_s = F + delta*I = [[H, B], [0, D]] the
-    equation splits by block back-substitution (Bartels & Stewart, Comm. ACM
-    15(9), 1972, with the triangular form given):
+    F is block upper triangular with a dense head of h rows (`assemble_F`
+    gives h = 2*N0) and a diagonal tail D, so with F_s = F + delta*I =
+    [[H, B], [0, D]] the equation splits by block back-substitution
+    (Bartels & Stewart, Comm. ACM 15(9), 1972, with the triangular form given):
     - H'P11 + P11 H = -I, solved in its Kronecker form;
     - (H' + d_j I) P12[:, j] = -(P11 B)[:, j], one h x h solve per tail column;
     - P22 = -(I + B'P12 + P12'B) / (d_i + d_j), elementwise.
-    The Kronecker system has h^2 unknowns; `assemble_F` gives h = 2*N0.
+    The Kronecker system has h^2 unknowns; an h below F's head fails the
+    residual check.
     """
     F = np.asarray(F, dtype=float)
-    if abscissa(F) >= -delta:
+    spectral = abscissa(F)
+    if spectral >= -delta:
         raise CertificationError(
-            f"F + {delta}*I is not Hurwitz (abscissa {abscissa(F):.4f}), "
+            f"F + {delta}*I is not Hurwitz (abscissa {spectral:.4f}), "
             "no certificate exists"
         )
     n = F.shape[0]
-    h = head_size(F)
     shifted = F + delta * np.eye(n)
     H, B, d = shifted[:h, :h], shifted[:h, h:], np.diagonal(shifted)[h:]
     eye_h = np.eye(h)
@@ -96,38 +85,39 @@ def solve_lyapunov(F: np.ndarray, delta: float) -> np.ndarray:
     return P
 
 
-def _tail_sum_terms(artifacts: SynthesisArtifacts, N: int, N_tail: int, gamma_sq: bool):
-    """(coef, per-mode terms) of each (k, l) pair in the S1/S2 tail sums.
-
-    Pairs come in order k, then l. Sum over pairs of coef * sum(terms) is
-    S1 (with the gamma_k^2 weights) or S2 (without) divided by c1.
-    """
-    m = artifacts
-    A = m.gram_inverse
+def _pair_terms(artifacts: SynthesisArtifacts, N: int, N_tail: int):
+    """(gamma_k, lift_kl^2 |A_l|^2, per-mode terms (<trace_l, trace_n>/(gamma_k +
+    lam_n))^2 over n = N+1..N_tail) of each (k, l) pair of the S1/S2 sums, in
+    order k, then l; every term is formed on its own element."""
+    m, ctx = artifacts, artifacts.context
+    if N_tail < N:
+        raise ValueError(f"N_tail={N_tail} must be at least N={N}")
+    if N_tail > len(ctx.eigs):
+        raise ValueError(f"context holds {len(ctx.eigs)} modes, N_tail={N_tail} requested")
+    cols, A = ctx.cross_cols[N:N_tail], m.gram_inverse
     for k, gamma in enumerate(m.gammas):
         lift_diag = np.diag(m.head_lifts[k])
-        for l in range(1, m.n0 + 1):
-            coef = lift_diag[l - 1] ** 2 * float(A[l - 1] @ A[l - 1])
-            if gamma_sq:
-                coef *= gamma**2
-            yield coef, m.context.residual_terms(gamma, l, N, N_tail)
+        dens = lifting.shift_denominators(gamma, ctx.lams[N:N_tail], first=N + 1)
+        for l in range(m.n0):
+            yield gamma, lift_diag[l] ** 2 * float(A[l] @ A[l]), (cols[:, l] / dens) ** 2
 
 
-def _s_total(artifacts: SynthesisArtifacts, N: int, N_tail: int, gamma_sq: bool) -> float:
+def tail_pair_sums(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> list:
+    """(gamma_k, weight, sum over n = N+1..N_tail in that order) of each pair."""
+    pairs = _pair_terms(artifacts, N, N_tail)
+    return [(gamma, w, float(np.add.reduce(terms))) for gamma, w, terms in pairs]
+
+
+def compute_S1(artifacts: SynthesisArtifacts, pair_sums: list) -> float:
+    """Tail coupling sum: c1 times the `tail_pair_sums`, each weighted with gamma_k^2."""
     c1, _ = riesz_constants(artifacts.plant)
-    pairs = _tail_sum_terms(artifacts, N, N_tail, gamma_sq)
-    # ascending mode order within a pair, pair order across pairs
-    return c1 * sum(coef * float(np.add.reduce(terms)) for coef, terms in pairs)
+    return c1 * sum(w * gamma**2 * s for gamma, w, s in pair_sums)
 
 
-def compute_S1(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> float:
-    """Tail coupling sum with the gamma_k^2 weights."""
-    return _s_total(artifacts, N, N_tail, gamma_sq=True)
-
-
-def compute_S2(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> float:
+def compute_S2(artifacts: SynthesisArtifacts, pair_sums: list) -> float:
     """Same sum as compute_S1 without the gamma_k^2 factor."""
-    return _s_total(artifacts, N, N_tail, gamma_sq=False)
+    c1, _ = riesz_constants(artifacts.plant)
+    return c1 * sum(w * s for _, w, s in pair_sums)
 
 
 def sphi_terms(eigs: ModeTable, xi1, xi2, N: int, N_tail: int, nu: float) -> np.ndarray:
@@ -144,8 +134,9 @@ def sphi_terms(eigs: ModeTable, xi1, xi2, N: int, N_tail: int, nu: float) -> np.
     return (vals[:, 0] ** 2 + vals[:, 1] ** 2) / (lams + nu) ** 2
 
 
-def compute_Sphi(eigs: ModeTable, xi1, xi2, N: int, N_tail: int, nu: float) -> float:
-    return float(np.add.reduce(sphi_terms(eigs, xi1, xi2, N, N_tail, nu)))
+def compute_Sphi(phi: np.ndarray) -> float:
+    """Sensor tail sum: the sum of the per-mode terms `choose_tail` returns."""
+    return float(np.add.reduce(phi))
 
 
 def eta_cert_rule(S_phi: float, N: int) -> float:
@@ -234,11 +225,11 @@ class Certificate:
     psi_bound: float
     P_norm: float
     status: str
-    P: np.ndarray = field(default=None, repr=False, compare=False)
-    N_tail: int = 0
+    P: np.ndarray = field(repr=False, compare=False)
+    N_tail: int
     # (N, N_tail, status) of every round run, in order; a failed status
     # names the check that blocked the round
-    rounds: tuple = ()
+    rounds: tuple
 
     @property
     def certified(self) -> bool:
@@ -267,13 +258,15 @@ class Certificate:
         }
 
 
-def choose_tail(artifacts: SynthesisArtifacts, N: int) -> int:
-    """Tail length for the certificate sums.
+def choose_tail(artifacts: SynthesisArtifacts, N: int) -> tuple:
+    """(N_tail, the `sphi_terms` over N+1..N_tail) for the certificate sums.
 
-    Starts at max(4N, 400). The contribution of the last half-block to the
-    S1 and Sphi sums must stay below TAIL_BLOCK_FRAC of each total, else the
-    tail doubles up to the cap max(16N, start). Available modes bound
-    everything; hitting that bound logs a warning instead of failing.
+    Starts at max(4N, 400). The last half-block must hold less than
+    TAIL_BLOCK_FRAC of the S1 and of the Sphi sum, else the tail doubles up to
+    the cap max(16N, start); the modes held bound every length, and a start
+    beyond them logs a warning. Both term vectors are formed once, at the
+    longest length, and each length reads their prefix: every term is formed
+    on its own element, so a prefix has the bits of a shorter tail's terms.
     """
     m = artifacts
     start = lifting.default_tail(N)
@@ -282,16 +275,16 @@ def choose_tail(artifacts: SynthesisArtifacts, N: int) -> int:
     n_tail = min(start, have)
     if n_tail < start:
         log.warning("tail truncated to %d available modes (wanted %d)", have, start)
-    xi1, xi2 = m.sensors
+    longest = min(cap, have)
+    # S1's per-mode terms up to the factor c1, which cancels in the ratio
+    s1_terms = sum(w * gamma**2 * terms for gamma, w, terms in _pair_terms(m, N, longest))
+    phi = sphi_terms(m.eigs, *m.sensors, N, longest, m.plant.nu)
     while True:
-        half = (n_tail - N) // 2
-        # S1's per-mode terms up to the factor c1, which cancels in the ratio
-        s1_terms = sum(coef * terms for coef, terms in _tail_sum_terms(m, N, n_tail, True))
-        if _tail_block_small(s1_terms, half) and _tail_block_small(
-            sphi_terms(m.eigs, xi1, xi2, N, n_tail, m.plant.nu), half
-        ):
-            return n_tail
-        nxt = min(2 * n_tail, cap, have)
+        n = n_tail - N
+        half = n // 2
+        if _tail_block_small(s1_terms[:n], half) and _tail_block_small(phi[:n], half):
+            return n_tail, phi[:n]
+        nxt = min(2 * n_tail, longest)
         if nxt <= n_tail:
             log.info(
                 "tail block heuristic saturated at N_tail=%d (cap %d, available %d)",
@@ -299,7 +292,7 @@ def choose_tail(artifacts: SynthesisArtifacts, N: int) -> int:
                 cap,
                 have,
             )
-            return n_tail
+            return n_tail, phi[:n]
         n_tail = nxt
 
 
@@ -324,15 +317,15 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     psi = float("nan")
     n_tail = 0
     try:
-        P = solve_lyapunov(m.closed_loop, m.delta)
+        P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
     except CertificationError as err:
         blocking = f"lyapunov: {err}"
     if P is not None:
-        n_tail = choose_tail(m, N)
-        S1 = compute_S1(m, N, n_tail)
-        S2 = compute_S2(m, N, n_tail)
-        xi1, xi2 = m.sensors
-        S_phi = compute_Sphi(m.eigs, xi1, xi2, N, n_tail, nu)
+        n_tail, phi = choose_tail(m, N)
+        sums = tail_pair_sums(m, N, n_tail)
+        S1 = compute_S1(m, sums)
+        S2 = compute_S2(m, sums)
+        S_phi = compute_Sphi(phi)
         eta_cert = eta_cert_rule(S_phi, N)
         lam_next = m.context.lams[N] if N < len(m.context.lams) else None
         if lam_next is None:

@@ -191,6 +191,8 @@ def _validated(raw: dict) -> RunConfig:
             raise ConfigError(f"/sensors/{key}: expected {d} coordinates")
         if not all(0.0 < v < l for v, l in zip(xi, lengths)):
             raise ConfigError(f"/sensors/{key}: sensor must be an interior point")
+    if not merged["synthesis"]["gamma_base"] > 0:
+        raise ConfigError("/synthesis/gamma_base: must be positive")
     c = merged["certification"]
     if c["N_start"] < 1:
         raise ConfigError("/certification/N_start: must be at least 1")

@@ -160,19 +160,6 @@ class LiftingContext:
         self.cross_cols = trace_cross_gram(self.eigs, head)
         self.head_gram = self.cross_cols[:n0].copy()
 
-    def residual_terms(self, gamma: float, l: int, N: int, N_tail: int) -> np.ndarray:
-        """Per-mode squared terms (<trace_l, trace_n>/(gamma+lam_n))^2, n=N+1..N_tail."""
-        if N_tail < N:
-            raise ValueError(f"N_tail={N_tail} must be at least N={N}")
-        if N_tail > len(self.eigs):
-            raise ValueError(
-                f"context holds {len(self.eigs)} modes, N_tail={N_tail} requested"
-            )
-        if not (1 <= l <= self.n0):
-            raise ValueError(f"l={l} is not a head mode index")
-        dens = shift_denominators(gamma, self.lams[N:N_tail], first=N + 1)
-        return (self.cross_cols[N:N_tail, l - 1] / dens) ** 2
-
 
 def default_tail(N: int) -> int:
     return max(4 * N, 400)

@@ -297,8 +297,8 @@ class SimulationRun:
     records: dict
     rate: float
     final_state: SimState
-    diagnostics: dict = field(default_factory=dict)
-    states: np.ndarray = field(default=None, repr=False)
+    diagnostics: dict
+    states: np.ndarray = field(repr=False)
 
 
 def estimate_decay_rate(times, values, t_skip: float) -> float:

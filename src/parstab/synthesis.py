@@ -106,6 +106,9 @@ def select_gamma_ladder(
     """
     if c_ratio <= 1.0:
         raise ValueError("c_ratio must exceed 1")
+    # `not x > 0` refuses a NaN too; a base of 0 would double to 0 forever
+    if not gamma_base > 0:
+        raise ValueError("gamma_base must be positive")
     n0 = context.n0
     lams = context.lams
     xi = eta_shift_matrix(n0, eta)
@@ -328,25 +331,23 @@ class SynthesisArtifacts:
 
     plant: object
     eigs: ModeTable = field(repr=False)
-    n0: int = 0
-    N: int = 0
-    delta: float = 0.0
-    eta: float = 0.0
-    gammas: tuple = ()
-    head_lifts: list = field(default_factory=list, repr=False)  # Lam_k, n0 x n0 diagonal
-    trace_gram: np.ndarray = None  # B
-    shifted_grams: list = field(default_factory=list, repr=False)  # B_k
-    gram_inverse: np.ndarray = None  # A
-    gain_block: np.ndarray = None  # -sum gamma_k B_k A + Xi
-    head_drift: np.ndarray = None  # A0
-    sensor_head: np.ndarray = None  # C0
-    sensor_tail_scaled: np.ndarray = None  # C1 with inverse tail eigenvalue columns
-    observer_gain: np.ndarray = None  # L
-    closed_loop: np.ndarray = None  # F
-    stacked_gain: np.ndarray = None  # G
-    sensors: tuple = ()
-    margins: dict = field(default_factory=dict)
-    context: lifting.LiftingContext = field(default=None, repr=False, compare=False)
+    n0: int
+    N: int
+    delta: float
+    eta: float
+    gammas: tuple
+    head_lifts: list = field(repr=False)  # Lam_k, n0 x n0 diagonal
+    trace_gram: np.ndarray  # B
+    shifted_grams: list = field(repr=False)  # B_k
+    gram_inverse: np.ndarray  # A
+    gain_block: np.ndarray  # -sum gamma_k B_k A + Xi
+    sensor_head: np.ndarray  # C0
+    observer_gain: np.ndarray  # L
+    closed_loop: np.ndarray  # F
+    stacked_gain: np.ndarray  # G
+    sensors: tuple
+    margins: dict
+    context: lifting.LiftingContext = field(repr=False, compare=False)
 
     def lift_sum(self) -> np.ndarray:
         """sum_k Lam_{gamma_k}, the combined head lifting diagonal."""
@@ -435,9 +436,7 @@ def synthesize(
         shifted_grams=ladder.shifted_grams,
         gram_inverse=ladder.A,
         gain_block=ladder.gain_block,
-        head_drift=A0,
         sensor_head=C0,
-        sensor_tail_scaled=C1t,
         observer_gain=L,
         closed_loop=F,
         stacked_gain=G,

@@ -3,6 +3,7 @@
 
 import numpy as np
 
+from parstab import certification, lifting, synthesis
 from parstab import spectral_basis as sb
 from parstab.lifting import AdmissibilityError, shift_denominators
 
@@ -78,6 +79,18 @@ def control_trace(artifacts, U, s):
     return coeff @ sb.conormal_trace(artifacts.eigs[: artifacts.n0], s)
 
 
+def head_drift(artifacts) -> np.ndarray:
+    """A0 = -diag(lam_1..lam_N0) of a design, as `synthesize` forms it."""
+    return -np.diag(artifacts.eigs.lams[: artifacts.n0])
+
+
+def sensor_tail_scaled(artifacts) -> np.ndarray:
+    """C1t of a design: the tail sensor rows over the tail eigenvalues, as
+    `synthesize` forms them."""
+    m = artifacts
+    return synthesis.sensor_rows(m.eigs[m.n0 : m.N], *m.sensors) / m.eigs.lams[m.n0 : m.N][None, :]
+
+
 def finite_part(loop, X: np.ndarray) -> np.ndarray:
     """F coordinates (head estimate, head error, scaled tail error) of the
     loop states (z, zhat) stacked as the rows of X."""
@@ -93,3 +106,69 @@ def certificate_energy(loop, X: np.ndarray, P: np.ndarray) -> np.ndarray:
     w = X[:, : loop.N_sim] - X[:, loop.N_sim : loop.N_sim + loop.n0] @ loop.lift_all.T
     weights = loop.lams[loop.N :] + loop.nu
     return np.sum((F @ P) * F, axis=1) + np.add.reduce(weights * w[:, loop.N :] ** 2, axis=1)
+
+
+def residual_terms(ctx, gamma, l: int, N: int, N_tail: int) -> np.ndarray:
+    """Per-mode terms (<trace_l, trace_n>/(gamma+lam_n))^2, n = N+1..N_tail,
+    of head mode l (1-based), for one shift at a time."""
+    if N_tail < N or N_tail > len(ctx.eigs):
+        raise ValueError(f"N_tail={N_tail} outside N={N}..{len(ctx.eigs)}")
+    dens = shift_denominators(gamma, ctx.lams[N:N_tail], first=N + 1)
+    return (ctx.cross_cols[N:N_tail, l - 1] / dens) ** 2
+
+
+def _pair_terms(artifacts, N: int, N_tail: int, gamma_sq: bool):
+    """(weight, `residual_terms`) of each (k, l) pair of S1 (`gamma_sq`) or
+    S2, k then l."""
+    m = artifacts
+    A = m.gram_inverse
+    for k, gamma in enumerate(m.gammas):
+        lift_diag = np.diag(m.head_lifts[k])
+        for l in range(1, m.n0 + 1):
+            coef = lift_diag[l - 1] ** 2 * float(A[l - 1] @ A[l - 1])
+            if gamma_sq:
+                coef *= gamma**2
+            yield coef, residual_terms(m.context, gamma, l, N, N_tail)
+
+
+def tail_sum(artifacts, N: int, N_tail: int, gamma_sq: bool) -> float:
+    """S1 (`gamma_sq`) or S2 over modes N+1..N_tail, each pair's terms formed
+    for this sum alone."""
+    c1, _ = sb.riesz_constants(artifacts.plant)
+    pairs = _pair_terms(artifacts, N, N_tail, gamma_sq)
+    return c1 * sum(coef * float(np.add.reduce(terms)) for coef, terms in pairs)
+
+
+def sphi_sum(artifacts, N: int, N_tail: int) -> float:
+    """Sphi over modes N+1..N_tail, the sensor values evaluated for this sum alone."""
+    xi1, xi2 = artifacts.sensors
+    terms = certification.sphi_terms(artifacts.eigs, xi1, xi2, N, N_tail, artifacts.plant.nu)
+    return float(np.add.reduce(terms))
+
+
+def _block_small(terms, half: int) -> bool:
+    total = float(np.add.reduce(terms))
+    if total <= 0.0:
+        return True
+    block = float(np.add.reduce(terms[len(terms) - half :])) if half else 0.0
+    return block < certification.TAIL_BLOCK_FRAC * total
+
+
+def tail_length(artifacts, N: int) -> int:
+    """`certification.choose_tail`'s N_tail, with every candidate's S1 and
+    Sphi terms formed anew for that candidate."""
+    m = artifacts
+    start, cap, have = lifting.default_tail(N), lifting.tail_cap(N), len(m.context.eigs)
+    n_tail = min(start, have)
+    xi1, xi2 = m.sensors
+    while True:
+        half = (n_tail - N) // 2
+        s1_terms = sum(coef * terms for coef, terms in _pair_terms(m, N, n_tail, True))
+        if _block_small(s1_terms, half) and _block_small(
+            certification.sphi_terms(m.eigs, xi1, xi2, N, n_tail, m.plant.nu), half
+        ):
+            return n_tail
+        nxt = min(2 * n_tail, cap, have)
+        if nxt <= n_tail:
+            return n_tail
+        n_tail = nxt

@@ -1,7 +1,9 @@
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +11,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from parstab import certification, lifting
 from parstab.certification import (
     CertificationError,
     NotYetCertifiable,
@@ -21,25 +24,28 @@ from parstab.certification import (
     compute_S2,
     compute_Sphi,
     eta_cert_rule,
-    head_size,
     round_sizes,
     solve_lyapunov,
+    sphi_terms,
+    tail_pair_sums,
     theta1_matrix,
 )
+from parstab.lifting import AdmissibilityError
 from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, MILD_SENSOR_1, MILD_SENSOR_2
 import conftest
+import oracles
 
 
 def test_solve_lyapunov_scalars():
-    assert solve_lyapunov(np.array([[-1.0]]), 0.0)[0, 0] == pytest.approx(0.5)
-    assert solve_lyapunov(np.array([[-2.0]]), 1.0)[0, 0] == pytest.approx(0.5)
+    assert solve_lyapunov(np.array([[-1.0]]), 0.0, 1)[0, 0] == pytest.approx(0.5)
+    assert solve_lyapunov(np.array([[-2.0]]), 1.0, 1)[0, 0] == pytest.approx(0.5)
 
 
 def test_solve_lyapunov_rejects_shifted_unstable():
     with pytest.raises(CertificationError):
-        solve_lyapunov(np.array([[-0.5]]), 1.0)
+        solve_lyapunov(np.array([[-0.5]]), 1.0, 1)
 
 
 def block_loop(rng, n0, n_tail, margin):
@@ -64,66 +70,104 @@ def block_loop(rng, n0, n_tail, margin):
 )
 def test_block_lyapunov_solve_is_scipys(n0, n_tail, seed, margin):
     F = block_loop(np.random.default_rng(seed), n0, n_tail, margin)
-    assert head_size(F) <= 2 * n0
     delta = 0.5 * margin
-    P = solve_lyapunov(F, delta)
+    P = solve_lyapunov(F, delta, 2 * n0)
     want = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(len(F))).T, -np.eye(len(F)))
     assert np.array_equal(P, P.T)
     assert np.max(np.abs(P - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_head_size_reads_the_zero_pattern(example_art30):
-    m = example_art30
-    assert head_size(m.closed_loop) == 2 * m.n0
-    assert head_size(np.diag([-1.0, -2.0])) == 0
-    dense = -np.eye(4) + np.triu(np.ones((4, 4)), 1)
-    assert head_size(dense) == 3  # the last row is diagonal
-    assert head_size(dense.T) == 4
-
-
 def test_solve_lyapunov_example_loop(example_art30):
     F = example_art30.closed_loop
-    P = solve_lyapunov(F, 0.5)
+    P = solve_lyapunov(F, 0.5, 2 * example_art30.n0)
     residual = F.T @ P + P @ F + 2 * 0.5 * P + np.eye(F.shape[0])
     assert np.max(np.abs(residual)) < 1e-8
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert np.array_equal(P, P.T)
 
 
+def test_solve_lyapunov_refuses_a_head_below_Fs(example_art30):
+    # rows h..2*N0 of F are not diagonal, so the back-substitution solves
+    # another equation, which the residual check refuses
+    m = example_art30
+    with pytest.raises(CertificationError, match="residual"):
+        solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0 - 1)
+
+
+def s_sums(m, N, N_tail):
+    sums = tail_pair_sums(m, N, N_tail)
+    return compute_S1(m, sums), compute_S2(m, sums)
+
+
 def test_s_sums_empty_tail(example_art60):
-    assert compute_S1(example_art60, 60, 60) == 0.0
-    assert compute_S2(example_art60, 60, 60) == 0.0
+    assert s_sums(example_art60, 60, 60) == (0.0, 0.0)
 
 
 def test_s_sums_scale_with_gamma_ladder(example_art60):
-    S1 = compute_S1(example_art60, 60, 400)
-    S2 = compute_S2(example_art60, 60, 400)
+    S1, S2 = s_sums(example_art60, 60, 400)
     assert S1 > 0 and S2 > 0
     gmin, gmax = min(example_art60.gammas), max(example_art60.gammas)
     assert gmin**2 * S2 <= S1 <= gmax**2 * S2
 
 
 def test_s_sums_shrink_when_truncation_grows(example_art60):
-    assert compute_S1(example_art60, 60, 400) < compute_S1(example_art60, 30, 400)
-    assert compute_S2(example_art60, 60, 400) < compute_S2(example_art60, 30, 400)
+    at60, at30 = s_sums(example_art60, 60, 400), s_sums(example_art60, 30, 400)
+    assert at60[0] < at30[0]
+    assert at60[1] < at30[1]
+
+
+def pair_sums(m, N, N_tail):
+    return np.array([s for _, _, s in tail_pair_sums(m, N, N_tail)])
+
+
+def test_pair_sums_empty_and_monotone(example_art30):
+    m = example_art30
+    assert pair_sums(m, 100, 100).tolist() == [0.0] * m.n0**2
+    r400 = pair_sums(m, 100, 400)
+    r480 = pair_sums(m, 100, 480)
+    assert np.all(r400 >= 0.0) and np.all(r400 <= r480)
+
+
+def test_pair_sums_decay_with_truncation(example_art30):
+    # tail terms fall off slowly (roughly n^-1.4 here), so doubling N only
+    # roughly halves each pair's sum; strict decrease is the guaranteed part
+    r100 = pair_sums(example_art30, 100, 480)
+    r200 = pair_sums(example_art30, 200, 480)
+    assert np.all(r200 < r100)
+    assert np.all(r100 / r200 > 1.5)
+
+
+def test_pair_sums_argument_errors(example_art30):
+    m = example_art30
+    with pytest.raises(ValueError):
+        tail_pair_sums(m, 100, 99)
+    with pytest.raises(ValueError):
+        tail_pair_sums(m, 100, len(m.context.eigs) + 1)
+    hit = dataclasses.replace(m, gammas=(-m.context.lams[150],) + m.gammas[1:])
+    with pytest.raises(AdmissibilityError):
+        tail_pair_sums(hit, 100, 400)
+
+
+def sphi(eigs, xi1, xi2, N, N_tail, nu):
+    return compute_Sphi(sphi_terms(eigs, xi1, xi2, N, N_tail, nu))
 
 
 def test_sphi_monotone_and_blocks_flatten(example_eigs):
     args = (example_eigs, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2)
-    assert compute_Sphi(*args, 100, 100, 11.0) == 0.0
-    full = compute_Sphi(*args, 100, 400, 11.0)
-    tail = compute_Sphi(*args, 200, 400, 11.0)
+    assert sphi(*args, 100, 100, 11.0) == 0.0
+    full = sphi(*args, 100, 400, 11.0)
+    tail = sphi(*args, 200, 400, 11.0)
     assert 0 < tail < full
     # Cauchy blocks of the sensor series shrink as the window doubles
-    b1 = compute_Sphi(*args, 100, 200, 11.0)
-    b2 = compute_Sphi(*args, 200, 400, 11.0)
+    b1 = sphi(*args, 100, 200, 11.0)
+    b2 = sphi(*args, 200, 400, 11.0)
     assert b2 < b1
 
 
 def test_sphi_line_bound():
     plant = PlantConfig(dim=1, nu=1.0, delta=0.5)
     eigs = enumerate_eigenpairs(plant, 200)
-    got = compute_Sphi(eigs, (1.0,), (2.0,), 50, 200, 1.0)
+    got = sphi(eigs, (1.0,), (2.0,), 50, 200, 1.0)
     # |phi_n|^2 <= 2/pi per sensor
     bound = (4 / np.pi) * sum(1.0 / (n**2 + 1.0) ** 2 for n in range(51, 201))
     assert 0 < got <= bound
@@ -148,7 +192,7 @@ def test_check_psi_rejections():
 
 def test_theta1_border_threshold(mild_art30):
     m = mild_art30
-    P = solve_lyapunov(m.closed_loop, m.delta)
+    P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
     threshold = np.linalg.norm(P @ m.stacked_gain, 2) ** 2
     assert check_theta1(P, m, 0.0, 0.0, 1.1 * threshold) < 0
     assert check_theta1(P, m, 0.0, 0.0, 0.9 * threshold) > 0
@@ -164,7 +208,7 @@ def test_theta1_dimension_guard(mild_art30):
 def test_theta1_E2_is_the_head_rows_of_F_and_G(design, request):
     m = request.getfixturevalue(design)
     L = m.observer_gain
-    E2 = np.hstack([m.gain_block, L @ m.sensor_head, L @ m.sensor_tail_scaled, L])
+    E2 = np.hstack([m.gain_block, L @ m.sensor_head, L @ oracles.sensor_tail_scaled(m), L])
     assert np.array_equal(np.hstack([m.closed_loop[: m.n0], m.stacked_gain[: m.n0]]), E2)
     # with P, S1 and eta_cert zero and S2 one, Theta1 is eps E2'E2, symmetrised
     gram = 2.0 * m.n0**2 * (E2.T @ E2)
@@ -173,8 +217,70 @@ def test_theta1_E2_is_the_head_rows_of_F_and_G(design, request):
 
 
 def test_choose_tail_hits_cap(example_art30, mild_art30):
-    assert choose_tail(example_art30, 30) == 480
-    assert choose_tail(mild_art30, 30) == 480
+    assert choose_tail(example_art30, 30)[0] == 480
+    assert choose_tail(mild_art30, 30)[0] == 480
+
+
+@pytest.mark.parametrize("design", ["example_art30", "example_art60", "mild_art30"])
+def test_round_tail_is_the_per_pair_forms(design, request):
+    m = request.getfixturevalue(design)
+    cert = certify_round(m)
+    assert cert.N_tail == oracles.tail_length(m, m.N)
+    assert cert.S1 == oracles.tail_sum(m, m.N, cert.N_tail, True)
+    assert cert.S2 == oracles.tail_sum(m, m.N, cert.N_tail, False)
+    assert cert.Sphi == oracles.sphi_sum(m, m.N, cert.N_tail)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    mild=st.booleans(),
+    N=st.integers(min_value=3, max_value=480),
+    start_over=st.integers(min_value=0, max_value=600),
+    cap_over=st.integers(min_value=0, max_value=2000),
+    frac=st.sampled_from([0.01, 0.1, 0.165, 0.3, 0.5]),
+)
+def test_tail_is_the_per_pair_forms_at_drawn_sizes(
+    example_art30, mild_art30, mild, N, start_over, cap_over, frac
+):
+    # the start, the cap and the block share are drawn too, so that every
+    # branch of the doubling runs; the modes held bound both forms alike
+    m = mild_art30 if mild else example_art30
+    start = N + start_over
+    with mock.patch.multiple(
+        lifting, default_tail=lambda n: start, tail_cap=lambda n: start + cap_over
+    ), mock.patch.object(certification, "TAIL_BLOCK_FRAC", frac):
+        n_tail, phi = choose_tail(m, N)
+        assert n_tail == oracles.tail_length(m, N)
+    sums = tail_pair_sums(m, N, n_tail)
+    assert compute_S1(m, sums) == oracles.tail_sum(m, N, n_tail, True)
+    assert compute_S2(m, sums) == oracles.tail_sum(m, N, n_tail, False)
+    assert compute_Sphi(phi) == oracles.sphi_sum(m, N, n_tail)
+
+
+def test_a_round_forms_its_tail_terms_once(example_art30, monkeypatch):
+    # with this block share the S1 test fails at the start (400 modes) and
+    # passes at the cap (480), so the round doubles once and reaches the Sphi
+    # test. The Sphi terms come from one eval_phi call. The pair terms are
+    # formed twice, for the length search and for the sums at N_tail, each
+    # time with one shift_denominators call per shift
+    monkeypatch.setattr(certification, "TAIL_BLOCK_FRAC", 0.165)
+    calls = {"eval_phi": 0, "shift_denominators": 0}
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(certification, "eval_phi")
+    counted(lifting, "shift_denominators")
+    cert = certify_round(example_art30)
+    assert cert.N_tail == 480 > lifting.default_tail(30)
+    assert calls["eval_phi"] == 1
+    assert calls["shift_denominators"] == 2 * len(example_art30.gammas)
 
 
 def test_certify_round_mild_design(mild_art30):
@@ -273,7 +379,7 @@ plant = PlantConfig(dim=2, drift=(3.0, 3.0), reaction=10.0, delta=0.5)
 ctx = LiftingContext(enumerate_eigenpairs(plant, 960), 3)
 for N in (120, 240):
     m = synthesize(ctx, (0.53, 1.05), (1.05, 0.53), N, 0.5)
-    P = solve_lyapunov(m.closed_loop, m.delta)
+    P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
     theta = theta1_matrix(P, m, 1.0, 1.0, 10.0)
     print(hashlib.sha256(P.tobytes() + theta.tobytes()).hexdigest())
 """

@@ -539,6 +539,31 @@ def test_sweep_demo_finishes_and_matches_standalone_pipelines(tmp_path):
             assert sum(1 for _ in fh) - 1 > CSV_CHUNK_ROWS
 
 
+@pytest.mark.parametrize("base", [0, -2])
+def test_non_positive_gamma_base_is_refused(tmp_path, base):
+    # a base of 0 used to double to 0 forever, so the run has a timeout
+    cfg = demo_config("quick_certify.json")
+    cfg["synthesis"]["gamma_base"] = base
+    out = tmp_path / "o"
+    args = ["-m", "parstab", "synthesize", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    proc = run_python(args, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: /synthesis/gamma_base")
+    assert not out.exists()
+
+
+def test_sweep_entry_with_gamma_base_0_exits_2(tmp_path):
+    cfg = {**MILD, "sweep": [{"synthesis": {"gamma_base": 0}}]}
+    out = tmp_path / "sweep"
+    args = ["-m", "parstab", "sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
+    proc = run_python(args, timeout=60)
+    assert proc.returncode == 2
+    assert "sweep entry 0: /synthesis/gamma_base" in proc.stderr
+    index = json.loads((out / "sweep_index.json").read_text())
+    assert index["runs"] == [{"index": 0, "out": "sweep_000", "exit_code": 2}]
+    assert not (out / "sweep_000").exists()
+
+
 def test_sweep_without_entries_fails(tmp_path, capsys):
     code = main(["sweep", "--config", write_cfg(tmp_path, MILD), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -667,7 +692,7 @@ def test_undefined_values_are_written_as_null(tmp_path, monkeypatch):
     assert strict_json(out / "summary.json")["decay_rate"] is None
     # a round whose Lyapunov solve fails has no bounds
 
-    def fail(F, delta):
+    def fail(F, delta, h):
         raise certification.CertificationError("forced failure")
 
     monkeypatch.setattr(certification, "solve_lyapunov", fail)

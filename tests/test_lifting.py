@@ -242,38 +242,6 @@ def test_cross_gram_bytes_do_not_depend_on_blas_threads():
     assert len(digests) == 1
 
 
-def residual_norm_sq(ctx, gamma, l, N, N_tail):
-    """The tail sum certification forms from `residual_terms`, in mode order."""
-    return float(np.add.reduce(ctx.residual_terms(gamma, l, N, N_tail)))
-
-
-def test_residual_norm_empty_and_monotone(example_ctx):
-    assert residual_norm_sq(example_ctx, 50.0, 1, 100, 100) == 0.0
-    r400 = residual_norm_sq(example_ctx, 50.0, 1, 100, 400)
-    r480 = residual_norm_sq(example_ctx, 50.0, 1, 100, 480)
-    assert 0.0 <= r400 <= r480
-
-
-def test_residual_norm_decays_with_truncation(example_ctx):
-    # tail terms fall off slowly (roughly n^-1.4 here), so doubling N only
-    # roughly halves the sum; strict decrease is the guaranteed part
-    r100 = residual_norm_sq(example_ctx, 50.0, 1, 100, 480)
-    r200 = residual_norm_sq(example_ctx, 50.0, 1, 200, 480)
-    assert r200 < r100
-    assert r100 / r200 > 1.5
-
-
-def test_residual_norm_argument_errors(example_ctx):
-    with pytest.raises(ValueError):
-        residual_norm_sq(example_ctx, 50.0, 1, 100, 99)
-    with pytest.raises(ValueError):
-        residual_norm_sq(example_ctx, 50.0, 1, 100, len(example_ctx.eigs) + 1)
-    with pytest.raises(ValueError):
-        residual_norm_sq(example_ctx, 50.0, 7, 100, 400)
-    with pytest.raises(AdmissibilityError):
-        residual_norm_sq(example_ctx, -example_ctx.lams[150], 1, 100, 400)
-
-
 def test_tail_defaults():
     assert default_tail(30) == 400
     assert default_tail(200) == 800

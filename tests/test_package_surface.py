@@ -9,6 +9,7 @@ classes' `__init__`, is passed, by keyword or by position, in some call of
 that name in the same places; a parameter only the tests set goes."""
 
 import ast
+import functools
 import os
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -28,11 +29,63 @@ ALLOWED_PARAMS = {
 }
 
 
-def _trees(directory):
+class _Index:
+    """One walk of a syntax tree: the positions of its `Name` and `Attribute`
+    references by name, of its calls by called name (`name(...)` or
+    `*.name(...)`), and its string constants."""
+
+    def __init__(self, tree):
+        self.refs, self.calls, self.strings = {}, {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                self.refs.setdefault(node.id, []).append(_position(node))
+            elif isinstance(node, ast.Attribute):
+                self.refs.setdefault(node.attr, []).append(_position(node))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                self.strings.add(node.value)
+            elif isinstance(node, ast.Call):
+                called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if called is not None:
+                    self.calls.setdefault(called, []).append((_position(node), node))
+
+
+def _position(node):
+    return node.lineno, node.col_offset
+
+
+def _outside(span, position) -> bool:
+    """`position` is not within `span`, a definition's (first, end) positions."""
+    first, end = span
+    return not first <= position < end
+
+
+def _span(node):
+    """(first, end) positions of a definition, its decorators included."""
+    first = min([_position(d) for d in node.decorator_list] + [_position(node)])
+    return first, (node.end_lineno, node.end_col_offset)
+
+
+@functools.cache
+def _indexed(directory) -> dict:
+    """File name -> (tree, `_Index`) of each .py file in `directory`."""
+    out = {}
     for name in sorted(os.listdir(directory)):
         if name.endswith(".py"):
             with open(os.path.join(directory, name)) as fh:
-                yield name, ast.parse(fh.read())
+                tree = ast.parse(fh.read())
+            out[name] = tree, _Index(tree)
+    return out
+
+
+def _package() -> dict:
+    modules = dict(_indexed(PACKAGE))
+    del modules["__init__.py"]
+    return modules
+
+
+def _outside_indexes() -> list:
+    dirs = [os.path.join(ROOT, d) for d in ("perfbench", "demos")]
+    return [index for d in dirs for _, index in _indexed(d).values()]
 
 
 def _public(node) -> bool:
@@ -49,38 +102,21 @@ def _definitions(tree):
                 yield f"{node.name}.{item.name}", item
 
 
-def _references(tree, skip=None, strings=False) -> set:
-    skipped = {id(n) for n in ast.walk(skip)} if skip else set()
-    out = set()
-    for node in ast.walk(tree):
-        if id(node) in skipped:
-            continue
-        if isinstance(node, ast.Name):
-            out.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            out.add(node.attr)
-        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
-            out.add(node.value)
-    return out
-
-
 def unreferenced_names() -> list:
-    modules = dict(_trees(PACKAGE))
-    del modules["__init__.py"]
+    modules = _package()
     outside = set()
-    for directory in ("perfbench", "demos"):
-        for _, tree in _trees(os.path.join(ROOT, directory)):
-            outside |= _references(tree, strings=True)
+    for index in _outside_indexes():
+        outside |= index.refs.keys() | index.strings
     found = []
-    for module, tree in modules.items():
+    for module, (tree, own) in modules.items():
         for qualified, node in _definitions(tree):
             name = node.name
             if qualified in ALLOWED or name in outside:
                 continue
+            span = _span(node)
             if not any(
-                name in _references(other, skip=node if other is tree else None)
-                for other in modules.values()
-            ):
+                name in index.refs for other, (_, index) in modules.items() if other != module
+            ) and not any(_outside(span, p) for p in own.refs.get(name, ())):
                 found.append(f"{module[:-3]}.{qualified}")
     return found
 
@@ -94,17 +130,6 @@ def _defaulted(fn) -> list:
     out = [(arg.arg, i) for i, arg in enumerate(positional) if i >= first]
     out += [(arg.arg, None) for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
     return out
-
-
-def _calls(tree, name, skip=None):
-    """Calls of `name` or `*.name` in `tree` outside `skip`."""
-    skipped = {id(n) for n in ast.walk(skip)} if skip else set()
-    for node in ast.walk(tree):
-        if id(node) in skipped or not isinstance(node, ast.Call):
-            continue
-        f = node.func
-        if getattr(f, "id", None) == name or getattr(f, "attr", None) == name:
-            yield node
 
 
 def _callables(tree):
@@ -121,17 +146,15 @@ def _callables(tree):
 
 
 def unpassed_parameters() -> list:
-    modules = dict(_trees(PACKAGE))
-    del modules["__init__.py"]
-    outside = [tree for d in ("perfbench", "demos") for _, tree in _trees(os.path.join(ROOT, d))]
+    modules = _package()
+    outside = _outside_indexes()
     found = []
-    for module, tree in modules.items():
+    for module, (tree, own) in modules.items():
+        others = [index for other, (_, index) in modules.items() if other != module] + outside
         for label, name, fn, implicit, node in _callables(tree):
-            calls = [
-                call
-                for other in [*modules.values(), *outside]
-                for call in _calls(other, name, skip=node if other is tree else None)
-            ]
+            span = _span(node)
+            calls = [call for index in others for _, call in index.calls.get(name, ())]
+            calls += [call for p, call in own.calls.get(name, ()) if _outside(span, p)]
             for param, position in _defaulted(fn):
                 passed = any(
                     any(k.arg == param for k in call.keywords)
@@ -149,7 +172,7 @@ def test_every_public_name_is_used_by_the_program():
 
 
 def test_the_allowlist_names_only_defined_names():
-    defined = {q for _, tree in _trees(PACKAGE) for q, _ in _definitions(tree)}
+    defined = {q for tree, _ in _indexed(PACKAGE).values() for q, _ in _definitions(tree)}
     assert set(ALLOWED) <= defined
 
 
@@ -160,7 +183,7 @@ def test_every_defaulted_parameter_is_passed_by_the_program():
 def test_the_parameter_allowlist_names_only_defaulted_parameters():
     defaulted = {
         f"{module[:-3]}.{label}({param})"
-        for module, tree in _trees(PACKAGE)
+        for module, (tree, _) in _indexed(PACKAGE).items()
         for label, _, fn, _, _ in _callables(tree)
         for param, _ in _defaulted(fn)
     }

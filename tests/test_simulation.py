@@ -289,7 +289,7 @@ def test_composite_column_definition(example_art30):
 
 
 def test_certificate_energy_decays_on_certified_design(mild_art30):
-    P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta)
+    P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
     h = 1e-3
     result = run(
         np.ones(8), 3.0, h, mild_art30, N_sim=200, check_every=200, keep_states=True
@@ -475,7 +475,9 @@ def _records(n_rows: int) -> dict:
 
 
 def _sim_run(records: dict) -> SimulationRun:
-    return SimulationRun(times=records["t"], records=records, rate=0.0, final_state=None)
+    return SimulationRun(
+        times=records["t"], records=records, rate=0.0, final_state=None, diagnostics={}, states=None
+    )
 
 
 def _pid_rows(chunk) -> str:

@@ -31,7 +31,7 @@ from parstab.synthesis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
-from oracles import control_trace
+from oracles import control_trace, head_drift, sensor_tail_scaled
 
 
 def test_select_eta_values():
@@ -75,6 +75,13 @@ def test_gamma_ladder_doubles_until_margin(example_ctx):
     ladder = select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 100.0)
     assert ladder.gammas[0] > 10.0
     assert ladder.margin < -100.0
+
+
+@pytest.mark.parametrize("base", [0.0, -2.0])
+def test_gamma_ladder_refuses_a_non_positive_base(example_ctx, base):
+    # doubling a base of 0 leaves it at 0, and the search never ended
+    with pytest.raises(ValueError, match="gamma_base"):
+        select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 0.5, gamma_base=base)
 
 
 def test_gamma_ladder_gives_up(example_ctx):
@@ -148,7 +155,7 @@ def test_example_design_numbers(example_art60):
     assert m.margins["observer_abscissa"] == pytest.approx(-0.75, abs=1e-6)
     assert m.margins["F_abscissa"] == pytest.approx(-0.75, abs=1e-6)
     assert np.linalg.norm(m.observer_gain, 2) == pytest.approx(182.621, abs=1e-2)
-    poles = np.sort(np.linalg.eigvals(m.head_drift - m.observer_gain @ m.sensor_head).real)
+    poles = np.sort(np.linalg.eigvals(head_drift(m) - m.observer_gain @ m.sensor_head).real)
     assert poles == pytest.approx([-1.25, -1.0, -0.75], abs=1e-6)
 
 
@@ -164,7 +171,7 @@ def test_closed_loop_spectrum_is_block_union(example_art60):
     parts = np.concatenate(
         [
             np.linalg.eigvals(m.gain_block),
-            np.linalg.eigvals(m.head_drift - m.observer_gain @ m.sensor_head),
+            np.linalg.eigvals(head_drift(m) - m.observer_gain @ m.sensor_head),
             -tail,
         ]
     )
@@ -185,10 +192,10 @@ def test_assemble_F_rejects_nothing_but_builds_shape(example_art60):
     m = example_art60
     F, G = assemble_F(
         m.gain_block,
-        m.head_drift,
+        head_drift(m),
         m.observer_gain @ m.sensor_head,
         m.observer_gain,
-        m.sensor_tail_scaled,
+        sensor_tail_scaled(m),
         m.eigs.lams[m.n0 : m.N],
     )
     assert np.array_equal(F, m.closed_loop)
@@ -251,7 +258,7 @@ def scipy_gain(A0, C0, targets):
 def test_observer_gain_is_scipys_on_the_strong_drift_head(example_art60):
     m = example_art60
     targets = [-0.5 - 0.25 * (k + 1) for k in range(3)]
-    assert np.array_equal(m.observer_gain, scipy_gain(m.head_drift, m.sensor_head, targets))
+    assert np.array_equal(m.observer_gain, scipy_gain(head_drift(m), m.sensor_head, targets))
 
 
 def test_observer_gain_is_scipys_when_two_sensors_see_two_modes(d1_eigs):
