@@ -31,8 +31,6 @@ log = logging.getLogger(__name__)
 
 NEG_SLACK = 1e-9  # absolute slack on "<= 0" checks
 LYAP_RESIDUAL_TOL = 1e-8
-# share of a tail sum its last half-block may hold before the tail doubles
-TAIL_BLOCK_FRAC = 0.01
 
 
 class CertificationError(RuntimeError):
@@ -85,27 +83,24 @@ def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     return P
 
 
-def _pair_terms(artifacts: SynthesisArtifacts, N: int, N_tail: int):
-    """(gamma_k, lift_kl^2 |A_l|^2, per-mode terms (<trace_l, trace_n>/(gamma_k +
-    lam_n))^2 over n = N+1..N_tail) of each (k, l) pair of the S1/S2 sums, in
-    order k, then l; every term is formed on its own element."""
+def tail_pair_sums(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> list:
+    """(gamma_k, lift_kl^2 |A_l|^2, sum over n = N+1..N_tail in that order of
+    (<trace_l, trace_n>/(gamma_k + lam_n))^2) of each (k, l) pair of the S1/S2
+    sums, in order k, then l; every term is formed on its own element."""
     m, ctx = artifacts, artifacts.context
     if N_tail < N:
         raise ValueError(f"N_tail={N_tail} must be at least N={N}")
     if N_tail > len(ctx.eigs):
         raise ValueError(f"context holds {len(ctx.eigs)} modes, N_tail={N_tail} requested")
     cols, A = ctx.cross_cols[N:N_tail], m.gram_inverse
+    sums = []
     for k, gamma in enumerate(m.gammas):
         lift_diag = np.diag(m.head_lifts[k])
         dens = lifting.shift_denominators(gamma, ctx.lams[N:N_tail], first=N + 1)
         for l in range(m.n0):
-            yield gamma, lift_diag[l] ** 2 * float(A[l] @ A[l]), (cols[:, l] / dens) ** 2
-
-
-def tail_pair_sums(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> list:
-    """(gamma_k, weight, sum over n = N+1..N_tail in that order) of each pair."""
-    pairs = _pair_terms(artifacts, N, N_tail)
-    return [(gamma, w, float(np.add.reduce(terms))) for gamma, w, terms in pairs]
+            weight = lift_diag[l] ** 2 * float(A[l] @ A[l])
+            sums.append((gamma, weight, float(np.add.reduce((cols[:, l] / dens) ** 2))))
+    return sums
 
 
 def compute_S1(artifacts: SynthesisArtifacts, pair_sums: list) -> float:
@@ -236,73 +231,27 @@ class Certificate:
         return self.status == "certified"
 
     def to_json_dict(self) -> dict:
-        return {
-            "schema_version": 1,
-            "N": self.N,
-            "nu": self.nu,
-            "delta": self.delta,
-            "epsilon": self.epsilon,
-            "eta_cert": self.eta_cert,
-            "S1": self.S1,
-            "S2": self.S2,
-            "Sphi": self.Sphi,
-            "theta1_max": self.theta1_max,
-            "psi_bound": self.psi_bound,
-            "P_norm": self.P_norm,
-            "status": self.status,
-            "N_tail": self.N_tail,
-            "rounds": [
-                {"N": n, "N_tail": n_tail, "status": status}
-                for n, n_tail, status in self.rounds
-            ],
-        }
+        """Every field but P, with `rounds` as dicts and a `schema_version`."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "P"}
+        out["rounds"] = [
+            {"N": n, "N_tail": n_tail, "status": status} for n, n_tail, status in self.rounds
+        ]
+        return {"schema_version": 1, **out}
 
 
 def choose_tail(artifacts: SynthesisArtifacts, N: int) -> tuple:
     """(N_tail, the `sphi_terms` over N+1..N_tail) for the certificate sums.
 
-    Starts at max(4N, 400). The last half-block must hold less than
-    TAIL_BLOCK_FRAC of the S1 and of the Sphi sum, else the tail doubles up to
-    the cap max(16N, start); the modes held bound every length, and a start
-    beyond them logs a warning. Both term vectors are formed once, at the
-    longest length, and each length reads their prefix: every term is formed
-    on its own element, so a prefix has the bits of a shorter tail's terms.
+    N_tail is `lifting.tail_cap(N)`, or the modes held when fewer, which
+    logs a warning.
     """
     m = artifacts
-    start = lifting.default_tail(N)
     cap = lifting.tail_cap(N)
     have = len(m.context.eigs)
-    n_tail = min(start, have)
-    if n_tail < start:
-        log.warning("tail truncated to %d available modes (wanted %d)", have, start)
-    longest = min(cap, have)
-    # S1's per-mode terms up to the factor c1, which cancels in the ratio
-    s1_terms = sum(w * gamma**2 * terms for gamma, w, terms in _pair_terms(m, N, longest))
-    phi = sphi_terms(m.eigs, *m.sensors, N, longest, m.plant.nu)
-    while True:
-        n = n_tail - N
-        half = n // 2
-        if _tail_block_small(s1_terms[:n], half) and _tail_block_small(phi[:n], half):
-            return n_tail, phi[:n]
-        nxt = min(2 * n_tail, longest)
-        if nxt <= n_tail:
-            log.info(
-                "tail block heuristic saturated at N_tail=%d (cap %d, available %d)",
-                n_tail,
-                cap,
-                have,
-            )
-            return n_tail, phi[:n]
-        n_tail = nxt
-
-
-def _tail_block_small(terms: np.ndarray, half: int) -> bool:
-    """The last `half` terms hold less than TAIL_BLOCK_FRAC of a positive sum."""
-    total = float(np.add.reduce(terms))
-    if total <= 0.0:
-        return True
-    block = float(np.add.reduce(terms[len(terms) - half :])) if half else 0.0
-    return block < TAIL_BLOCK_FRAC * total
+    n_tail = min(cap, have)
+    if n_tail < cap:
+        log.warning("tail truncated to %d available modes (wanted %d)", have, cap)
+    return n_tail, sphi_terms(m.eigs, *m.sensors, N, n_tail, m.plant.nu)
 
 
 def certify_round(artifacts: SynthesisArtifacts) -> Certificate:

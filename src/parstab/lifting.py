@@ -166,4 +166,6 @@ def default_tail(N: int) -> int:
 
 
 def tail_cap(N: int) -> int:
+    """The certificate's tail length at truncation size N: its S1, S2 and
+    Sphi sums run over modes N+1..tail_cap(N), or to the modes held when fewer."""
     return max(16 * N, default_tail(N))

@@ -134,15 +134,13 @@ class ClosedLoop:
     def __init__(
         self,
         artifacts: SynthesisArtifacts,
-        N_sim: int = None,
+        N_sim: int,
         open_loop: bool = False,
     ):
         m = artifacts
         ctx: LiftingContext = m.context
         N = m.N
         n0 = m.n0
-        if N_sim is None:
-            N_sim = default_n_sim(N)
         if N_sim < N:
             raise ValueError(f"N_sim={N_sim} below design size N={N}")
         if N_sim > len(ctx.eigs):
@@ -383,7 +381,7 @@ def run(
     h: float,
     artifacts: SynthesisArtifacts,
     *,
-    N_sim: int = None,
+    N_sim: int,
     open_loop: bool = False,
     t_skip: float = 2.0,
     check_every: int = 100,

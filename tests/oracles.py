@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from parstab import certification, lifting, synthesis
+from parstab import certification, synthesis
 from parstab import spectral_basis as sb
 from parstab.lifting import AdmissibilityError, shift_denominators
 
@@ -117,7 +117,7 @@ def residual_terms(ctx, gamma, l: int, N: int, N_tail: int) -> np.ndarray:
     return (ctx.cross_cols[N:N_tail, l - 1] / dens) ** 2
 
 
-def _pair_terms(artifacts, N: int, N_tail: int, gamma_sq: bool):
+def _pair_residuals(artifacts, N: int, N_tail: int, gamma_sq: bool):
     """(weight, `residual_terms`) of each (k, l) pair of S1 (`gamma_sq`) or
     S2, k then l."""
     m = artifacts
@@ -135,7 +135,7 @@ def tail_sum(artifacts, N: int, N_tail: int, gamma_sq: bool) -> float:
     """S1 (`gamma_sq`) or S2 over modes N+1..N_tail, each pair's terms formed
     for this sum alone."""
     c1, _ = sb.riesz_constants(artifacts.plant)
-    pairs = _pair_terms(artifacts, N, N_tail, gamma_sq)
+    pairs = _pair_residuals(artifacts, N, N_tail, gamma_sq)
     return c1 * sum(coef * float(np.add.reduce(terms)) for coef, terms in pairs)
 
 
@@ -144,31 +144,3 @@ def sphi_sum(artifacts, N: int, N_tail: int) -> float:
     xi1, xi2 = artifacts.sensors
     terms = certification.sphi_terms(artifacts.eigs, xi1, xi2, N, N_tail, artifacts.plant.nu)
     return float(np.add.reduce(terms))
-
-
-def _block_small(terms, half: int) -> bool:
-    total = float(np.add.reduce(terms))
-    if total <= 0.0:
-        return True
-    block = float(np.add.reduce(terms[len(terms) - half :])) if half else 0.0
-    return block < certification.TAIL_BLOCK_FRAC * total
-
-
-def tail_length(artifacts, N: int) -> int:
-    """`certification.choose_tail`'s N_tail, with every candidate's S1 and
-    Sphi terms formed anew for that candidate."""
-    m = artifacts
-    start, cap, have = lifting.default_tail(N), lifting.tail_cap(N), len(m.context.eigs)
-    n_tail = min(start, have)
-    xi1, xi2 = m.sensors
-    while True:
-        half = (n_tail - N) // 2
-        s1_terms = sum(coef * terms for coef, terms in _pair_terms(m, N, n_tail, True))
-        if _block_small(s1_terms, half) and _block_small(
-            certification.sphi_terms(m.eigs, xi1, xi2, N, n_tail, m.plant.nu), half
-        ):
-            return n_tail
-        nxt = min(2 * n_tail, cap, have)
-        if nxt <= n_tail:
-            return n_tail
-        n_tail = nxt

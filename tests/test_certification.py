@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -225,7 +226,7 @@ def test_choose_tail_hits_cap(example_art30, mild_art30):
 def test_round_tail_is_the_per_pair_forms(design, request):
     m = request.getfixturevalue(design)
     cert = certify_round(m)
-    assert cert.N_tail == oracles.tail_length(m, m.N)
+    assert cert.N_tail == min(lifting.tail_cap(m.N), len(m.context.eigs))
     assert cert.S1 == oracles.tail_sum(m, m.N, cert.N_tail, True)
     assert cert.S2 == oracles.tail_sum(m, m.N, cert.N_tail, False)
     assert cert.Sphi == oracles.sphi_sum(m, m.N, cert.N_tail)
@@ -235,22 +236,15 @@ def test_round_tail_is_the_per_pair_forms(design, request):
 @given(
     mild=st.booleans(),
     N=st.integers(min_value=3, max_value=480),
-    start_over=st.integers(min_value=0, max_value=600),
     cap_over=st.integers(min_value=0, max_value=2000),
-    frac=st.sampled_from([0.01, 0.1, 0.165, 0.3, 0.5]),
 )
-def test_tail_is_the_per_pair_forms_at_drawn_sizes(
-    example_art30, mild_art30, mild, N, start_over, cap_over, frac
-):
-    # the start, the cap and the block share are drawn too, so that every
-    # branch of the doubling runs; the modes held bound both forms alike
+def test_tail_is_the_per_pair_forms_at_drawn_sizes(example_art30, mild_art30, mild, N, cap_over):
+    # the cap is drawn too, so that it falls both below and beyond the modes held
     m = mild_art30 if mild else example_art30
-    start = N + start_over
-    with mock.patch.multiple(
-        lifting, default_tail=lambda n: start, tail_cap=lambda n: start + cap_over
-    ), mock.patch.object(certification, "TAIL_BLOCK_FRAC", frac):
+    cap = N + cap_over
+    with mock.patch.object(lifting, "tail_cap", lambda n: cap):
         n_tail, phi = choose_tail(m, N)
-        assert n_tail == oracles.tail_length(m, N)
+    assert n_tail == min(cap, len(m.context.eigs))
     sums = tail_pair_sums(m, N, n_tail)
     assert compute_S1(m, sums) == oracles.tail_sum(m, N, n_tail, True)
     assert compute_S2(m, sums) == oracles.tail_sum(m, N, n_tail, False)
@@ -258,12 +252,8 @@ def test_tail_is_the_per_pair_forms_at_drawn_sizes(
 
 
 def test_a_round_forms_its_tail_terms_once(example_art30, monkeypatch):
-    # with this block share the S1 test fails at the start (400 modes) and
-    # passes at the cap (480), so the round doubles once and reaches the Sphi
-    # test. The Sphi terms come from one eval_phi call. The pair terms are
-    # formed twice, for the length search and for the sums at N_tail, each
-    # time with one shift_denominators call per shift
-    monkeypatch.setattr(certification, "TAIL_BLOCK_FRAC", 0.165)
+    # the Sphi terms come from one eval_phi call and the pair terms from one
+    # shift_denominators call per shift
     calls = {"eval_phi": 0, "shift_denominators": 0}
 
     def counted(owner, name):
@@ -278,9 +268,20 @@ def test_a_round_forms_its_tail_terms_once(example_art30, monkeypatch):
     counted(certification, "eval_phi")
     counted(lifting, "shift_denominators")
     cert = certify_round(example_art30)
-    assert cert.N_tail == 480 > lifting.default_tail(30)
+    assert cert.N_tail == 480
     assert calls["eval_phi"] == 1
-    assert calls["shift_denominators"] == 2 * len(example_art30.gammas)
+    assert calls["shift_denominators"] == len(example_art30.gammas)
+
+
+def test_a_round_short_of_modes_warns_and_sums_what_is_held(example_art60, caplog):
+    # the example context holds 481 modes, below the N = 60 cap of 960
+    assert len(example_art60.context.eigs) == 481 < lifting.tail_cap(60) == 960
+    with caplog.at_level(logging.WARNING, logger="parstab.certification"):
+        cert = certify_round(example_art60)
+    assert cert.N_tail == 481
+    warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warnings) == 1
+    assert "tail truncated to 481 available modes (wanted 960)" in warnings[0].getMessage()
 
 
 def test_certify_round_mild_design(mild_art30):
