@@ -102,7 +102,6 @@ SCHEMA = {
         "h": (float, None),
         "N_sim": (int, None),
         "t_skip": (float, 2.0),
-        "check_every": (int, 100),
         "open_loop": (bool, False),
     },
     "sweep": ([dict], None),
@@ -204,8 +203,8 @@ def _validated(raw: dict) -> RunConfig:
         raise ConfigError("/simulation/T: T must be positive")
     if sim["h"] is not None and not sim["h"] > 0:
         raise ConfigError("/simulation/h: h must be positive")
-    if sim["check_every"] < 0:
-        raise ConfigError("/simulation/check_every: must be non-negative")
+    if sim["N_sim"] is not None and sim["N_sim"] < merged["synthesis"]["N"]:
+        raise ConfigError("/simulation/N_sim: below synthesis.N")
     z0 = sim["z0"]
     if z0["bump"] is not None and not z0["bump"]["width"] > 0:
         raise ConfigError("/simulation/z0/bump/width: width must be positive")
@@ -402,7 +401,6 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
             N_sim=n_sim,
             open_loop=sim["open_loop"],
             t_skip=sim["t_skip"],
-            check_every=sim["check_every"],
         )
     except ValueError as err:
         return _abort("simulation config invalid", err)

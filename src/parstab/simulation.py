@@ -56,6 +56,8 @@ BLOCK = 256
 STEP_RATIO_TOL = 1e-9
 # largest deviation projection_check may find during a run
 CHECK_TOL = 1e-8
+# a closed-loop run checks rows CHECK_EVERY, 2*CHECK_EVERY, ...
+CHECK_EVERY = 100
 CSV_COLUMNS = (
     "t",
     "l2_proxy",
@@ -164,7 +166,7 @@ class ClosedLoop:
         for k, g in enumerate(m.gammas):
             Mk = np.zeros((N_sim, n0))
             Mk[:n0] = -m.shifted_grams[k] @ A
-            den = shift_denominators(g, lams[n0:], n0=n0, first=n0 + 1)
+            den = shift_denominators(g, lams[n0:], first=n0 + 1)
             Mk[n0:] = -(cross[n0:] @ m.head_lifts[k] @ A) / den[:, None]
             lift_all = lift_all + Mk
         self.lift_all = lift_all
@@ -384,22 +386,20 @@ def run(
     N_sim: int,
     open_loop: bool = False,
     t_skip: float = 2.0,
-    check_every: int = 100,
     keep_states: bool = False,
 ) -> SimulationRun:
     """Propagate the loop over [0, T] and collect the standard diagnostics.
 
     Rows sit at t = 0, h, 2h, ... and, when T is not a whole number of steps,
-    one last row at t = T. On every `check_every`-th row of a closed-loop
-    run the head lifted projections of the quadrature route must agree with
-    the matrix route to CHECK_TOL (`ClosedLoop.projection_check`);
-    disagreement is a hard failure since it means the simulated forcing is
-    not the designed forcing. A non-finite state raises SimulationError.
+    one last row at t = T. On every CHECK_EVERY-th row of a closed-loop run
+    the head lifted projections of the quadrature route must agree with the
+    matrix route to CHECK_TOL (`ClosedLoop.projection_check`); disagreement
+    is a hard failure since it means the simulated forcing is not the
+    designed forcing. No option turns the check off. A non-finite state
+    raises SimulationError.
     """
     if T <= 0:
         raise ValueError("T must be positive")
-    if check_every < 0:
-        raise ValueError("check_every must be non-negative")
     system = ClosedLoop(artifacts, N_sim=N_sim, open_loop=open_loop)
     if h is None:
         h = default_step(system.lams[-1])
@@ -413,7 +413,6 @@ def run(
     cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
     cols["t"] = times
     states = np.empty((n_rows, len(x))) if keep_states else None
-    checking = not open_loop and check_every
     check_max = 0.0
 
     def record(start: int, X: np.ndarray) -> None:
@@ -425,9 +424,9 @@ def run(
             cols[name][start:stop] = col
         if keep_states:
             states[start:stop] = X
-        if not checking:
+        if open_loop:
             return
-        rows = np.arange(max(1, -(-start // check_every)) * check_every, stop, check_every)
+        rows = np.arange(max(1, -(-start // CHECK_EVERY)) * CHECK_EVERY, stop, CHECK_EVERY)
         if not len(rows):
             return
         head = slice(system.N_sim, system.N_sim + system.n0)

@@ -90,7 +90,6 @@ class GammaLadder(NamedTuple):
 
 def select_gamma_ladder(
     context: lifting.LiftingContext,
-    B: np.ndarray,
     eta: float,
     delta: float,
     c_ratio: float = 2.0,
@@ -99,10 +98,14 @@ def select_gamma_ladder(
 ) -> GammaLadder:
     """Pick shifts gamma_k = base*(1 + (k-1)*rho), rho = (c_ratio-1)/(N0-1).
 
-    The base doubles until (i) every shift clears the eigenvalue
-    admissibility rule over the cached mode range, (ii) sum B_k is invertible
-    with condition below `cond_max`, and (iii) the gain block
-    -sum gamma_k B_k A + Xi has spectral abscissa below -delta.
+    B is the context's head Gram. The base doubles until (i) every shift
+    clears the head denominators gamma_k - lam_n - eta*[n == 2] of
+    `lifting.lambda_gamma`, (ii) sum B_k is invertible with condition below
+    `cond_max`, and (iii) the gain block -sum gamma_k B_k A + Xi has
+    spectral abscissa below -delta. The tail denominators gamma_k + lam_n
+    need no test here: gamma_k > 0 and `synthesize` refuses tail
+    eigenvalues at or below delta, so they exceed delta; the maps that use
+    them check them where they are formed.
     """
     if c_ratio <= 1.0:
         raise ValueError("c_ratio must exceed 1")
@@ -110,7 +113,7 @@ def select_gamma_ladder(
     if not gamma_base > 0:
         raise ValueError("gamma_base must be positive")
     n0 = context.n0
-    lams = context.lams
+    B = context.head_gram
     xi = eta_shift_matrix(n0, eta)
     rho = 0.0 if n0 == 1 else (c_ratio - 1.0) / (n0 - 1)
     base = float(gamma_base)
@@ -119,15 +122,11 @@ def select_gamma_ladder(
     while base <= cap:
         gammas = tuple(base * (1.0 + k * rho) for k in range(n0))
         try:
-            # every cached mode; the ladder sits far below the eigenvalues
-            # of the modes beyond them
-            for g in gammas:
-                lifting.shift_denominators(g, lams, n0=n0, eta=eta)
+            lam_mats = [lifting.lambda_gamma(g, eta, context.lams[:n0]) for g in gammas]
         except lifting.AdmissibilityError as err:
             last_diag = str(err)
             base *= 2.0
             continue
-        lam_mats = [lifting.lambda_gamma(g, eta, lams[:n0]) for g in gammas]
         Bks = [L @ B @ L for L in lam_mats]
         S = sum(Bks)
         cond = np.linalg.cond(S)
@@ -161,8 +160,9 @@ def validate_sensors(xi1, xi2, eigs: ModeTable, n0: int, tol: float = 1e-3) -> n
     Simple head modes need |phi_i(xi1)| + |phi_i(xi2)| > tol. A double pair
     (positions 2 and 3) needs the 2x2 determinant of its values at the two
     sensors to clear tol, which is the separability condition on sensor
-    placement. The (A0, C0) pair must then be observable at full numerical
-    rank.
+    placement. A0 = -diag(lam) is diagonal, so these per-eigenvalue tests
+    are the PBH (Hautus) test of (A0, C0) observability, with tol as the
+    margin; `count_unstable` refuses a head group of more than two modes.
     """
     plant = eigs.plant
     xi1 = np.asarray(xi1, dtype=float)
@@ -196,11 +196,6 @@ def validate_sensors(xi1, xi2, eigs: ModeTable, n0: int, tol: float = 1e-3) -> n
             raise SensorPlacementError(
                 f"multiplicity {len(members)} head group unsupported"
             )
-    A0 = -np.diag(head.lams)
-    obs = np.vstack([C0 @ np.linalg.matrix_power(A0, k) for k in range(n0)])
-    rank = np.linalg.matrix_rank(obs, tol=1e-10 * max(1.0, np.linalg.norm(obs)))
-    if rank < n0:
-        raise SensorPlacementError(f"observability rank {rank} < {n0}")
     return C0
 
 
@@ -402,9 +397,8 @@ def synthesize(
     if np.any(tail_lams <= delta):
         raise SynthesisError("tail eigenvalues must clear the decay target")
     eta = select_eta(head_lams)
-    B = context.head_gram
     ladder = select_gamma_ladder(
-        context, B, eta, delta, c_ratio=c_ratio, gamma_base=gamma_base, cond_max=cond_max
+        context, eta, delta, c_ratio=c_ratio, gamma_base=gamma_base, cond_max=cond_max
     )
     C0 = validate_sensors(xi1, xi2, eigs, n0, tol=sensor_tol)
     C1 = sensor_rows(eigs[n0:N], xi1, xi2)
@@ -432,7 +426,7 @@ def synthesize(
         eta=eta,
         gammas=ladder.gammas,
         head_lifts=ladder.head_lifts,
-        trace_gram=B,
+        trace_gram=context.head_gram,
         shifted_grams=ladder.shifted_grams,
         gram_inverse=ladder.A,
         gain_block=ladder.gain_block,

@@ -277,14 +277,23 @@ def _quick_with(simulation_overrides):
     return cfg
 
 
-def test_simulate_rejects_negative_check_every(tmp_path, capsys):
-    # a negative stride would leave the projection check range empty and
-    # report projection_check_max 0.0 for a run that checked nothing
-    cfg = _quick_with({"check_every": -5})
+def test_check_every_is_not_a_config_key(tmp_path, capsys):
+    # every closed-loop run checks every simulation.CHECK_EVERY-th row; no
+    # config key can thin the check out or turn it off
+    cfg = _quick_with({"check_every": 100})
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "/simulation/check_every" in capsys.readouterr().err
+    assert "/simulation/check_every: unknown key" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_pipeline_refuses_n_sim_below_n_before_writing(tmp_path, capsys):
+    out = tmp_path / "o"
+    cfg = _quick_with({"N_sim": 4})
+    code = main(["pipeline", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    assert "/simulation/N_sim: below synthesis.N" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

@@ -6,7 +6,10 @@ since `perfbench/spans.py` patches by name. Test-only code goes in
 
 Every parameter with a default of those functions and methods, and of those
 classes' `__init__`, is passed, by keyword or by position, in some call of
-that name in the same places; a parameter only the tests set goes."""
+that name in the same places; a parameter only the tests set goes.
+
+Every leaf key of `cli.SCHEMA` is read by a string subscript in `cli.py`
+outside `SCHEMA`, so a config key that nothing reads fails here."""
 
 import ast
 import functools
@@ -188,3 +191,39 @@ def test_the_parameter_allowlist_names_only_defaulted_parameters():
         for param, _ in _defaulted(fn)
     }
     assert set(ALLOWED_PARAMS) <= defaulted
+
+
+def _schema_leaves(node):
+    """Keys of the leaves (kind, default) of a SCHEMA dict node, with the
+    leaves of the object schemas nested in their kinds."""
+    for key, value in zip(node.keys, node.values):
+        if isinstance(value, ast.Dict):
+            yield from _schema_leaves(value)
+        else:
+            yield key.value
+            for inner in ast.walk(value):
+                if isinstance(inner, ast.Dict):
+                    yield from _schema_leaves(inner)
+
+
+def unread_config_keys() -> list:
+    tree, _ = _indexed(PACKAGE)["cli.py"]
+    (schema,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SCHEMA"]
+    ]
+    span = _position(schema), (schema.end_lineno, schema.end_col_offset)
+    read = {
+        node.slice.value
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.ctx, ast.Load)
+        and isinstance(node.slice, ast.Constant)
+        and _outside(span, _position(node))
+    }
+    return sorted(set(_schema_leaves(schema.value)) - read)
+
+
+def test_every_config_key_is_read_by_the_cli():
+    assert unread_config_keys() == []

@@ -176,7 +176,7 @@ def test_step_linearity(example_art30):
 
 
 def test_zero_state_stays_zero(example_art30):
-    result = run(np.zeros(5), 0.2, 1e-3, example_art30, N_sim=60, check_every=50)
+    result = run(np.zeros(5), 0.2, 1e-3, example_art30, N_sim=60)
     for name in CSV_COLUMNS:
         if name == "t":
             continue
@@ -235,9 +235,9 @@ def test_projection_check_catches_a_quadrature_route_error(example_art30):
     U = np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
     devs = ClosedLoop(art, N_sim=60).projection_check(U)
     assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
-    # rows 50, 100, ...: the first check row fails the run
-    with pytest.raises(SimulationError, match=r"disagree by .* at t=0\.050$"):
-        run(np.ones(5), 0.6, 1e-3, art, N_sim=60, check_every=50)
+    # rows 100, 200, ...: the first check row fails the run
+    with pytest.raises(SimulationError, match=r"disagree by .* at t=0\.100$"):
+        run(np.ones(5), 0.6, 1e-3, art, N_sim=60)
 
 
 def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
@@ -249,9 +249,9 @@ def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
         return check(self, U)
 
     monkeypatch.setattr(ClosedLoop, "projection_check", counted)
-    result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60, check_every=50)
-    # rows 50, 100, ..., 600 in blocks [0, 256), [256, 512) and [512, 601)
-    assert calls == [5, 5, 2]
+    result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
+    # rows 100, 200, ..., 600 in blocks [0, 256), [256, 512) and [512, 601)
+    assert calls == [2, 3, 1]
     assert 0.0 < result.diagnostics["projection_check_max"] < 1e-8
 
     def failing_from_second_row(self, U):
@@ -260,12 +260,12 @@ def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
         return devs
 
     monkeypatch.setattr(ClosedLoop, "projection_check", failing_from_second_row)
-    with pytest.raises(SimulationError, match=r"disagree by 1\.000e\+00 at t=0\.100$"):
-        run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60, check_every=50)
+    with pytest.raises(SimulationError, match=r"disagree by 1\.000e\+00 at t=0\.200$"):
+        run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
 
 
 def test_run_bookkeeping(example_art30):
-    result = run(np.ones(5), 0.25, 1e-3, example_art30, N_sim=60, check_every=50)
+    result = run(np.ones(5), 0.25, 1e-3, example_art30, N_sim=60)
     assert len(result.times) == 251
     assert result.times[0] == 0.0
     assert np.allclose(np.diff(result.times), 1e-3)
@@ -276,9 +276,7 @@ def test_run_bookkeeping(example_art30):
 
 
 def test_composite_column_definition(example_art30):
-    result = run(
-        np.ones(5), 0.1, 1e-3, example_art30, N_sim=60, check_every=0, keep_states=True
-    )
+    result = run(np.ones(5), 0.1, 1e-3, example_art30, N_sim=60, keep_states=True)
     system = ClosedLoop(example_art30, N_sim=60)
     last = SimState(t=result.times[-1], z=result.states[-1, :60], zhat=result.states[-1, 60:])
     wn = system.w(last)
@@ -291,9 +289,7 @@ def test_composite_column_definition(example_art30):
 def test_certificate_energy_decays_on_certified_design(mild_art30):
     P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
     h = 1e-3
-    result = run(
-        np.ones(8), 3.0, h, mild_art30, N_sim=200, check_every=200, keep_states=True
-    )
+    result = run(np.ones(8), 3.0, h, mild_art30, N_sim=200, keep_states=True)
     system = ClosedLoop(mild_art30, N_sim=200)
     decay = math.exp(-2.0 * mild_art30.delta * h)
     values = certificate_energy(system, result.states, P)
@@ -363,7 +359,7 @@ def test_blocks_advance_by_matrix_power(contraction):
 
 def test_run_ends_at_T_with_a_partial_step(example_art30):
     z0 = np.ones(5)
-    result = run(z0, 0.25, 0.1, example_art30, N_sim=60, check_every=1, keep_states=True)
+    result = run(z0, 0.25, 0.1, example_art30, N_sim=60, keep_states=True)
     assert np.allclose(result.times, [0.0, 0.1, 0.2, 0.25], rtol=0, atol=1e-15)
     assert result.times[-1] == 0.25
     assert result.final_state.t == 0.25
@@ -440,7 +436,7 @@ def test_estimate_decay_rate_matches_polyfit(rate, noise, kept, skipped, zeros, 
 
 
 def test_csv_round_trip(tmp_path, example_art30):
-    result = run(np.ones(5), 0.05, 1e-3, example_art30, N_sim=60, check_every=0)
+    result = run(np.ones(5), 0.05, 1e-3, example_art30, N_sim=60)
     path = tmp_path / "series.csv"
     write_csv(result, path)
     with open(path) as fh:

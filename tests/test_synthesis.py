@@ -1,4 +1,6 @@
 import json
+import math
+import os
 import warnings
 from collections import Counter
 
@@ -7,10 +9,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from parstab import synthesis
+from parstab import cli, lifting, synthesis
 from parstab.spectral_basis import (
     DomainError,
     PlantConfig,
+    count_unstable,
     enumerate_eigenpairs,
     face_quadrature,
     max_wavenumber,
@@ -32,6 +35,8 @@ from parstab.synthesis import (
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
 from oracles import control_trace, head_drift, sensor_tail_scaled
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_select_eta_values():
@@ -56,7 +61,7 @@ def test_eta_shift_matrix():
 
 
 def test_gamma_ladder_example(example_ctx):
-    ladder = select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 0.5)
+    ladder = select_gamma_ladder(example_ctx, 1.0, 0.5)
     gammas, A = ladder.gammas, ladder.A
     assert gammas == pytest.approx((10.0, 15.0, 20.0))
     assert gammas[-1] == pytest.approx(2.0 * gammas[0])
@@ -65,14 +70,14 @@ def test_gamma_ladder_example(example_ctx):
 
 
 def test_gamma_ladder_single_mode(mild_ctx):
-    ladder = select_gamma_ladder(mild_ctx, mild_ctx.head_gram, 0.1, 1.5, gamma_base=2.0)
+    ladder = select_gamma_ladder(mild_ctx, 0.1, 1.5, gamma_base=2.0)
     assert ladder.gammas == pytest.approx((2.0,))
     # with one mode the gain block is exactly -gamma
     assert ladder.margin == pytest.approx(-2.0, abs=1e-12)
 
 
 def test_gamma_ladder_doubles_until_margin(example_ctx):
-    ladder = select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 100.0)
+    ladder = select_gamma_ladder(example_ctx, 1.0, 100.0)
     assert ladder.gammas[0] > 10.0
     assert ladder.margin < -100.0
 
@@ -81,14 +86,51 @@ def test_gamma_ladder_doubles_until_margin(example_ctx):
 def test_gamma_ladder_refuses_a_non_positive_base(example_ctx, base):
     # doubling a base of 0 leaves it at 0, and the search never ended
     with pytest.raises(ValueError, match="gamma_base"):
-        select_gamma_ladder(example_ctx, example_ctx.head_gram, 1.0, 0.5, gamma_base=base)
+        select_gamma_ladder(example_ctx, 1.0, 0.5, gamma_base=base)
 
 
 def test_gamma_ladder_gives_up(example_ctx):
     with pytest.raises(SynthesisError):
-        select_gamma_ladder(
-            example_ctx, example_ctx.head_gram, 1.0, 0.5, cond_max=1.0
-        )
+        select_gamma_ladder(example_ctx, 1.0, 0.5, cond_max=1.0)
+
+
+def test_gamma_ladder_doubles_past_a_head_eigenvalue(mild_ctx):
+    # gamma = 1.5 hits lam_1 = 1.5: the head denominator vanishes and the
+    # base doubles
+    assert mild_ctx.lams[0] == 1.5
+    ladder = select_gamma_ladder(mild_ctx, 0.1, 1.5, gamma_base=1.5)
+    assert ladder.gammas == (3.0,)
+    assert ladder.margin == -3.0
+
+
+@pytest.mark.parametrize("demo", ["quick_certify", "strong_drift_pipeline", "cube_3d", "sweep_quick"])
+def test_tail_denominators_of_the_demo_designs_exceed_delta(demo):
+    # why the ladder tests only the head denominators: gamma_k > 0 and every
+    # tail eigenvalue exceeds delta, over all the modes the command holds
+    cfg = cli.parse_config(os.path.join(ROOT, "demos", demo + ".json"))
+    art = cli._design_source(cfg)(cfg.synthesis["N"])
+    ctx = art.context
+    assert len(ctx.lams) >= lifting.tail_cap(cfg.certification["N_max"])
+    for g in art.gammas:
+        dens = lifting.shift_denominators(g, ctx.lams[ctx.n0 :], first=ctx.n0 + 1)
+        assert np.all(dens > art.delta)
+
+
+@pytest.mark.parametrize("reaction, n0", [(42.0, 10), (60.0, 14)])
+def test_a_head_of_ten_or_more_simple_modes_synthesizes(reaction, n0):
+    # on the diagonal head the per-eigenvalue sensor tests are the
+    # observability test at any head size; a Krylov rank test of (A0, C0)
+    # loses rank in floating point here
+    lengths = (math.pi, 0.4 * math.pi)
+    plant = PlantConfig(dim=2, lengths=lengths, reaction=reaction, delta=0.5)
+    eigs = enumerate_eigenpairs(plant, 40)
+    assert count_unstable(eigs, 0.5)[0] == n0
+    ctx = lifting.LiftingContext(eigs, n0)
+    xi1 = tuple(0.37 * l for l in lengths)
+    xi2 = tuple(0.61 * l for l in lengths)
+    art = synthesize(ctx, xi1, xi2, 20, 0.5, gamma_base=2.0)
+    assert art.n0 == n0
+    assert art.margins["F_abscissa"] < -0.5
 
 
 def test_validate_sensors_returns_head_values(example_eigs):
