@@ -5,16 +5,24 @@ rows and the columns of the same indices, its head. The closed loop of
 `parstab.simulation` is one: off its diagonal, only the rows and columns of
 the observer head are nonzero, and `ClosedLoop.border` builds those parts
 directly. Any square matrix is a border of all its indices
-(`Border.of(A, np.arange(n))`). Each product A @ M is formed from the
-diagonal, the border rows and the border columns in O(n^2 k) for a border of
-k indices, not O(n^3), and exp(A) is the truncated Taylor series T_m(2^-s A)
-evaluated by Horner's rule, M <- I + (2^-s A / j) M for j = m, ..., 1,
-squared s times (Al-Mohy & Higham, SIAM J. Sci. Comput. 33(2), 2011,
-truncate the Taylor series the same way). `taylor_degree` picks
-m <= TAYLOR_MAX and s from a forward bound on the truncation error built
-from the 1-norms of powers of |A|, which matrix-vector products with the
-border parts of |A|' give, so no dense |A| is formed. No LU factorization
-is made, and `expm` holds one n x n array until the squarings, which hold two.
+(`Border.of(A, np.arange(n))`). A product with a block of j columns is
+formed from the diagonal, the border rows and the border columns in
+O(n k j) for a border of k indices.
+
+exp(A) is the truncated Taylor series T_m(2^-s A) squared s times (Al-Mohy &
+Higham, SIAM J. Sci. Comput. 33(2), 2011, truncate the Taylor series the same
+way). `taylor_degree` picks m <= TAYLOR_MAX and s from a forward bound on the
+truncation error built from the 1-norms of powers of |A|, which
+matrix-vector products with the border parts of |A|' give, so no dense |A| is
+formed. `expm` returns a `Factored`, diag(lam) + U V' with thin factors:
+T_m(2^-s A) minus T_m of its diagonal telescopes into factors of width
+k(m+1) made from 2m - 2 border products with n x k blocks, which are cut to
+their numerical rank by QR and an SVD of the small core; each squaring keeps
+the form and is cut again. On the closed loops the rank stays far below n
+(9 for E and 23 for E^256 on the 300-dim strong-drift loop), so no n x n
+array is formed. Once a rank reaches n/4, factored products cost more than
+dense ones and the plain matrix is held and squared instead. No LU
+factorization is made.
 """
 
 from __future__ import annotations
@@ -24,9 +32,8 @@ import math
 import numpy as np
 
 UNIT_ROUNDOFF = 2.0**-53
-# rows per slice of a border product
-_ROWS = 64
-# highest Taylor degree. A Horner step costs O(n^2 k), a squaring O(n^3):
+# highest Taylor degree. A degree costs two border products with n x k
+# blocks, a squaring a product of factors and its QR, or O(n^3) once plain:
 # with 30, 42 of 300 drawn bordered matrices squared more often than the
 # rational scaling and squaring of Al-Mohy & Higham (SIAM J. Matrix Anal.
 # Appl. 31(3), 2009) would; with 40, none of 2700 did
@@ -37,8 +44,8 @@ class Border:
     """A square matrix whose off-diagonal nonzeros lie in the rows and columns `head`.
 
     It is held as three parts: the diagonal off the head, the full head rows
-    and the head columns without their head entries. A product with an n x n
-    M then costs O(n^2 k) for k head indices.
+    and the head columns without their head entries. A product with an n x j
+    block then costs O(n k j) for k head indices.
     """
 
     def __init__(self, head: np.ndarray, diag: np.ndarray, rows: np.ndarray, cols: np.ndarray):
@@ -80,26 +87,10 @@ class Border:
         return Border(self.head, np.abs(self.diag), np.abs(full_cols.T), cols_t)
 
     def __matmul__(self, M: np.ndarray) -> np.ndarray:
-        return self.matmul(M)
-
-    def matmul(self, M: np.ndarray, out=None) -> np.ndarray:
-        """The product with a vector or a matrix M, written to `out`, which may be M.
-
-        A matrix goes one slice of rows at a time, so no full-size temporary
-        is made.
-        """
-        top = self.rows @ M
-        at_head = M[self.head]
-        diag = self.diag if M.ndim == 1 else self.diag[:, None]
-        if out is None:
-            out = np.empty_like(M)
-        step = _ROWS if M.ndim == 2 else len(M)
-        for i in range(0, len(M), step):
-            part = slice(i, i + step)
-            acc = self.cols[part] @ at_head
-            acc += diag[part] * M[part]
-            out[part] = acc
-        out[self.head] = top
+        """The product with a vector or an n x k block M."""
+        out = self.cols @ M[self.head]
+        out += (self.diag if M.ndim == 1 else self.diag[:, None]) * M
+        out[self.head] = self.rows @ M
         return out
 
 
@@ -148,29 +139,118 @@ def taylor_degree(B: Border) -> tuple:
     raise AssertionError("unreachable: degree 18 fits once 2^-s ||A||_1 <= 1")
 
 
-def expm(B: Border) -> np.ndarray:
-    """exp(A) of the matrix A whose parts B holds.
+class Factored:
+    """diag(lam) + U V' with thin n x r factors U and V, or a plain n x n matrix.
+
+    Once 4r >= n, a product with the factors costs more than a dense one,
+    and the matrix itself is held as `plain`, with lam, U and V None. `rank`
+    is r, or n for a plain matrix.
+    """
+
+    def __init__(self, lam, U, V, plain=None):
+        self.lam, self.U, self.V, self.plain = lam, U, V, plain
+        self.rank = len(plain) if plain is not None else U.shape[1]
+
+    def advance(self, X: np.ndarray, out=None) -> np.ndarray:
+        """X @ M', written to `out` (not X): each row of X, or a vector X,
+        times the matrix M."""
+        if self.plain is not None:
+            return np.matmul(X, self.plain.T, out=out)
+        out = np.multiply(X, self.lam, out=out)
+        out += (X @ self.V) @ self.U.T
+        return out
+
+    def squared(self) -> "Factored":
+        """M @ M: (L + U V')^2 = L^2 + [L U | U] [V | L V + V (U' V)]', compressed."""
+        if self.plain is not None:
+            return Factored(None, None, None, plain=self.plain @ self.plain)
+        lam, U, V = self.lam, self.U, self.V
+        right = lam[:, None] * V + V @ (U.T @ V)
+        return _compressed(lam * lam, np.hstack([lam[:, None] * U, U]), np.hstack([V, right]))
+
+
+def _all_nan(n: int) -> Factored:
+    return Factored(np.full(n, np.nan), np.full((n, 1), np.nan), np.full((n, 1), np.nan))
+
+
+def _compressed(lam: np.ndarray, U: np.ndarray, V: np.ndarray) -> Factored:
+    """diag(lam) + U V' with the factors cut to its numerical rank r.
+
+    U = Qu Ru and V = Qv Rv by QR, then the SVD of the small core Ru Rv';
+    singular values at most the unit roundoff times max(max |lam|, the
+    largest) are dropped. Once 4r >= n the plain matrix is formed from the
+    uncut factors. Non-finite factors give an all-nan result, and empty
+    ones are kept.
+    """
+    n = len(lam)
+    if not U.shape[1]:
+        return Factored(lam, U, V)
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V)) and np.all(np.isfinite(lam))):
+        return _all_nan(n)
+    Qu, Ru = np.linalg.qr(U)
+    Qv, Rv = np.linalg.qr(V)
+    P, sig, Wt = np.linalg.svd(Ru @ Rv.T)
+    r = int(np.count_nonzero(sig > UNIT_ROUNDOFF * max(np.max(np.abs(lam)), sig[0])))
+    if 4 * r >= n:
+        M = U @ V.T
+        M.flat[:: n + 1] += lam
+        return Factored(None, None, None, plain=M)
+    return Factored(lam, Qu @ (P[:, :r] * sig[:r]), Qv @ Wt[:r].T)
+
+
+def _taylor_factors(C: Border, m: int) -> tuple:
+    """(lam, U, V) with T_m(C) = diag(lam) + U V', U and V of width k(m+1).
+
+    C = D + E R + K E' for its diagonal D (zero at the head), border rows R,
+    head columns K and the identity columns E at the head. Since E' D = 0,
+    telescoping C^j - D^j gives
+
+        T_m(C) = T_m(D) + sum_(i<m) (C^i E)(R g_i(D)) + (sum_(i<m) C^i K / (i+1)!) E',
+
+    g_i(x) = sum_(j=i+1..m) x^(j-1-i) / j!, so g_(m-1) = 1/m!, g_i = 1/(i+1)!
+    + x g_(i+1) and T_m(x) = 1 + x g_0(x). The factors take 2m - 2 border
+    products with n x k blocks.
+    """
+    n, k = C.shape[0], len(C.head)
+    U = np.empty((n, k * (m + 1)))
+    V = np.empty_like(U)
+    head = np.zeros((n, k))
+    head[C.head, np.arange(k)] = 1.0
+    U[:, :k] = head
+    for i in range(1, m):
+        U[:, i * k : (i + 1) * k] = C @ U[:, (i - 1) * k : i * k]
+    g = np.full(n, 1.0 / math.factorial(m))
+    # Horner for sum_(i<m) C^i K / (i+1)!, beside g_i from i = m-1 down
+    W = C.cols / math.factorial(m)
+    for i in range(m - 1, -1, -1):
+        V[:, i * k : (i + 1) * k] = C.rows.T * g[:, None]
+        if i:
+            g = 1.0 / math.factorial(i) + C.diag * g
+            W = C.cols / math.factorial(i) + C @ W
+    U[:, m * k :] = W
+    V[:, m * k :] = head
+    return 1.0 + C.diag * g, U, V
+
+
+def expm(B: Border) -> Factored:
+    """exp(A) of the matrix A whose parts B holds, as diag(lam) + U V'.
 
     When the parts hold no off-diagonal nonzero (1 x 1 included), exp of the
-    diagonal is returned directly. A non-finite entry gives an all-nan
-    result, which the caller's finiteness checks report. Otherwise
-    exp(A) = T_m(2^-s A)^(2^s) by Horner's rule on the border, then s
-    squarings; only the result is n x n until the squarings, each of which
-    holds two.
+    diagonal is returned with empty factors. A non-finite entry gives an
+    all-nan result, which the caller's finiteness checks report. Otherwise
+    exp(A) = T_m(2^-s A)^(2^s): the Taylor polynomial from its factors
+    (`_taylor_factors`), compressed, then s squarings, each compressed.
     """
     n = B.shape[0]
     if not all(np.all(np.isfinite(part)) for part in (B.diag, B.rows, B.cols)):
-        return np.full((n, n), np.nan)
+        return _all_nan(n)
     at_head = B.rows[np.arange(len(B.head)), B.head]
     if not np.any(B.cols) and np.count_nonzero(B.rows) == np.count_nonzero(at_head):
         diag = B.diag.copy()
         diag[B.head] = at_head
-        return np.diag(np.exp(diag))
+        return Factored(np.exp(diag), np.zeros((n, 0)), np.zeros((n, 0)))
     m, s = taylor_degree(B)
-    X = np.eye(n)
-    for j in range(m, 0, -1):
-        B.scaled(2.0**-s / j).matmul(X, out=X)
-        X.flat[:: n + 1] += 1.0
+    E = _compressed(*_taylor_factors(B.scaled(2.0**-s), m))
     for _ in range(s):
-        X = X @ X
-    return X
+        E = E.squared()
+    return E

@@ -6,14 +6,15 @@ x' = A x, so x(t + h) = expm(h A) x(t) is exact at every output time. A is
 diagonal except for the rows and columns of the n0 observer-head states.
 `ClosedLoop.border` builds those parts directly, with no n x n A, and the
 in-repo `linalg.expm` evaluates a Taylor polynomial in h A from them,
-squared as often as its truncation bound needs, with no LU solve. `run`
-computes E = expm(h A) once and keeps no copy of it, fills the first BLOCK
-output rows by doubling (rows [0, k) times (E^k)' give rows [k, 2k)),
-squaring into one spare array and E's own in turn, and advances each later
-block of rows with one matrix product against E^BLOCK, the last of those
-squares, into one of two alternating row buffers. Propagation so holds at
-most two arrays of the loop's size. The output spacing h is no accuracy or
-stability limit.
+squared as often as its truncation bound needs, with no LU solve. It returns
+E = expm(h A) as its diagonal plus thin factors (`linalg.Factored`), of rank
+9 on the 300-dim strong-drift loop. `run` fills the first BLOCK output rows
+by doubling (rows [0, k) times (E^k)' give rows [k, 2k), then E^k is squared
+in factored form), and advances each later block of rows by E^BLOCK, the
+last of those squares, as X * lam + (X V) U' into one of two alternating row
+buffers: about 4 rows n r flops a block for rank r, against 2 rows n^2 for a
+dense E^BLOCK. Propagation forms no n x n array. The output spacing h is
+no accuracy or stability limit.
 
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
 states in array operations; it is the one place the outputs, the control
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lifting import LiftingContext, shift_denominators
-from .linalg import Border, expm
+from .linalg import Border, Factored, expm
 from .spectral_basis import ModeTable, axis_rules, max_wavenumber
 # perfbench/spans.py wraps these three names here; no stage of the program calls them
 from .spectral_basis import eval_phi, face_quadrature, trace_matrix  # noqa: F401
@@ -259,8 +260,9 @@ class ClosedLoop:
 
     # -- integration -------------------------------------------------------
 
-    def exponential(self, h: float) -> np.ndarray:
-        """A fresh E = expm(h A), the exact step of length h; nothing is kept."""
+    def exponential(self, h: float) -> Factored:
+        """A fresh E = expm(h A), the exact step of length h, as the diagonal
+        plus thin factors; nothing is kept."""
         if h <= 0:
             raise ValueError("step size must be positive")
         return expm(self.border().scaled(h))
@@ -268,7 +270,7 @@ class ClosedLoop:
     def step(self, state: SimState, h: float) -> SimState:
         """One exact step: x(t + h) = expm(h A) x(t). No command calls it;
         perfbench/spans.py wraps it, and `run` propagates whole blocks."""
-        y = self.exponential(h) @ np.concatenate([state.z, state.zhat])
+        y = self.exponential(h).advance(np.concatenate([state.z, state.zhat]))
         return SimState(t=state.t + h, z=y[: self.N_sim], zhat=y[self.N_sim :])
 
     # -- consistency check -------------------------------------------------
@@ -341,30 +343,26 @@ def _step_count(T: float, h: float) -> tuple:
     return n, T - n * h
 
 
-def _blocks(power: np.ndarray, x0: np.ndarray, n_rows: int):
+def _blocks(power: Factored, x0: np.ndarray, n_rows: int):
     """Yield (start, rows) covering x0, E x0, ..., E^(n_rows-1) x0 for E = `power`.
 
     The first BLOCK rows come by doubling: with rows [0, k) filled, rows
     [k, 2k) are those rows times (E^k)', and E^k is squared to E^2k. The
-    squares go into one spare array and E's own, in turn, so E is
-    overwritten and at most two n x n arrays are held. They end at
-    E^BLOCK, the same products as `np.linalg.matrix_power(E, BLOCK)`; each
-    later block is the previous one times E^BLOCK. A yielded block is
-    overwritten two blocks later, so a caller that keeps one copies it."""
+    squares end at E^BLOCK, the same products as
+    `np.linalg.matrix_power(E, BLOCK)` for a plain E; each later block is
+    the previous one times E^BLOCK. A yielded block is overwritten two
+    blocks later, so a caller that keeps one copies it."""
     block = np.empty((min(BLOCK, n_rows), len(x0)))
     block[0] = x0
-    spare = None
     filled = 1  # power is E^filled
     while filled < len(block):
         count = min(filled, len(block) - filled)
-        block[filled : filled + count] = block[:count] @ power.T
+        power.advance(block[:count], out=block[filled : filled + count])
         filled += count
         if filled < n_rows:
-            if spare is None:
-                spare = np.empty_like(power)
-            np.matmul(power, power, out=spare)
-            power, spare = spare, power
-    spare = None  # the later blocks need E^BLOCK alone
+            power = power.squared()
+    if n_rows > BLOCK:
+        log.info("E^%d is diagonal plus rank %d", BLOCK, power.rank)
     yield 0, block
     # later blocks alternate between two buffers: with a fresh array per
     # block glibc trims its heap and faults the pages back in on every block
@@ -372,7 +370,7 @@ def _blocks(power: np.ndarray, x0: np.ndarray, n_rows: int):
     other = np.empty_like(block)
     for start in range(BLOCK, n_rows, BLOCK):
         rows = min(BLOCK, n_rows - start)
-        np.matmul(block[:rows], power.T, out=other[:rows])
+        power.advance(block[:rows], out=other[:rows])
         block, other = other[:rows], block
         yield start, block
 
@@ -440,14 +438,15 @@ def run(
             )
 
     with np.errstate(over="ignore", invalid="ignore"):
-        # E goes to _blocks unnamed here: its squares overwrite it
-        for start, X in _blocks(system.exponential(h), x, n_steps + 1):
+        E = system.exponential(h)
+        log.info("E = expm(h A) of the %d-dim loop is diagonal plus rank %d", len(x), E.rank)
+        for start, X in _blocks(E, x, n_steps + 1):
             record(start, X)
         # a copy, so the final state keeps no block buffer alive
         x = X[-1].copy()
         del X
         if rest > 0:
-            x = system.exponential(rest) @ x
+            x = system.exponential(rest).advance(x)
             record(n_rows - 1, x[None])
     state = SimState(t=float(times[-1]), z=x[: system.N_sim], zhat=x[system.N_sim :])
     series = cols["composite"] if not open_loop else cols["l2_proxy"]

@@ -144,3 +144,12 @@ def sphi_sum(artifacts, N: int, N_tail: int) -> float:
     xi1, xi2 = artifacts.sensors
     terms = certification.sphi_terms(artifacts.eigs, xi1, xi2, N, N_tail, artifacts.plant.nu)
     return float(np.add.reduce(terms))
+
+
+def factored_array(F) -> np.ndarray:
+    """The n x n matrix diag(lam) + U V' that a `linalg.Factored` holds."""
+    if F.plain is not None:
+        return F.plain
+    M = F.U @ F.V.T
+    M.flat[:: len(M) + 1] += F.lam
+    return M

@@ -677,6 +677,19 @@ def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path, cfg, code):
     assert [r["N_tail"] for r in rounds] == [lifting.tail_cap(r["N"]) for r in rounds]
 
 
+def test_quick_simulation_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # on the quick demo's 40-dim loop every BLAS call of the propagation is
+    # small enough to run on one thread at either count
+    demo = os.path.join(ROOT, "demos", "quick_certify.json")
+    outputs = []
+    for threads in (1, 2):
+        out = tmp_path / f"threads{threads}"
+        proc = run_python(["-m", "parstab", "simulate", "--config", demo, "--out", str(out)], threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append([(out / name).read_bytes() for name in ("summary.json", "simulation.csv")])
+    assert outputs[0] == outputs[1]
+
+
 def strict_json(path):
     """The file parsed as RFC 8259 JSON, which has no NaN or Infinity."""
 

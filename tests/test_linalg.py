@@ -2,7 +2,8 @@
 tests import. Every input is a `Border`: a dense matrix as the border of all
 its indices, an arrowhead at its head, the closed loop from
 `ClosedLoop.border`. The tests check the Taylor route's degree and
-squarings, its arithmetic and its memory. Two oracles live here alone: the
+squarings, its arithmetic, the rank and accuracy of the factored powers that
+the simulation propagates by, and its memory. Two oracles live here alone: the
 Pade degree selection of Al-Mohy & Higham, SIAM J. Matrix Anal. Appl. 31(3),
 2009, Algorithm 5.1, which the Taylor route never squares more often than,
 and the dense assembly of the closed loop, which `ClosedLoop.border` matches
@@ -22,7 +23,9 @@ from parstab.simulation import CSV_COLUMNS, ClosedLoop, run
 from parstab.spectral_basis import enumerate_eigenpairs
 from parstab.synthesis import synthesize
 
+import conftest
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
+from oracles import factored_array
 
 # largest eta = max(||A^2k||^(1/2k), ...) at which the [m/m] Pade approximant
 # is accurate to unit roundoff in double precision (Al-Mohy & Higham 2009,
@@ -84,6 +87,11 @@ def degree_of(A):
     return 13, s + _ell(abs_t, norm, 13, s)
 
 
+def expm_array(B):
+    """`linalg.expm` of the border B as an n x n array."""
+    return factored_array(linalg.expm(B))
+
+
 def relerr(got, want):
     return float(np.max(np.abs(got - want)) / np.max(np.abs(want)))
 
@@ -111,33 +119,33 @@ def test_expm_matches_scipy_on_every_degree(base, scale, degree, squarings):
     A = scale * base
     assert degree_of(A) == (degree, squarings)
     assert linalg.taylor_degree(dense(A))[1] == squarings
-    assert relerr(linalg.expm(dense(A)), scipy.linalg.expm(A)) < 1e-14
+    assert relerr(expm_array(dense(A)), scipy.linalg.expm(A)) < 1e-14
 
 
 def test_expm_with_many_squarings(base):
     A = 300.0 * base - 60.0 * np.eye(12)
     assert degree_of(A) == (13, 6)
     assert linalg.taylor_degree(dense(A))[1] == 6
-    assert relerr(linalg.expm(dense(A)), scipy.linalg.expm(A)) < 1e-13
+    assert relerr(expm_array(dense(A)), scipy.linalg.expm(A)) < 1e-13
 
 
 def test_expm_of_zero_and_diagonal_inputs():
-    assert np.array_equal(linalg.expm(dense(np.zeros((4, 4)))), np.eye(4))
+    assert np.array_equal(expm_array(dense(np.zeros((4, 4)))), np.eye(4))
     d = np.array([-3.0, 0.0, 0.5, -200.0])
-    assert np.array_equal(linalg.expm(dense(np.diag(d))), np.diag(np.exp(d)))
-    assert np.array_equal(linalg.expm(dense(np.diag(d))), scipy.linalg.expm(np.diag(d)))
+    assert np.array_equal(expm_array(dense(np.diag(d))), np.diag(np.exp(d)))
+    assert np.array_equal(expm_array(dense(np.diag(d))), scipy.linalg.expm(np.diag(d)))
     # a diagonal matrix held at a border of some of its indices
-    assert np.array_equal(linalg.expm(linalg.Border.of(np.diag(d), [1, 2])), np.diag(np.exp(d)))
-    assert linalg.expm(dense([[2.0]]))[0, 0] == np.exp(2.0)
+    assert np.array_equal(expm_array(linalg.Border.of(np.diag(d), [1, 2])), np.diag(np.exp(d)))
+    assert expm_array(dense([[2.0]]))[0, 0] == np.exp(2.0)
 
 
 def test_expm_nilpotent_and_nonfinite():
     N = np.diag([1.0, 2.0, 3.0], k=1)
-    assert relerr(linalg.expm(dense(N)), scipy.linalg.expm(N)) < 1e-15
+    assert relerr(expm_array(dense(N)), scipy.linalg.expm(N)) < 1e-15
     bad = np.eye(3)
     bad[0, 1] = np.inf
-    assert np.all(np.isnan(linalg.expm(dense(bad))))
-    assert np.all(np.isnan(linalg.expm(linalg.Border.of(bad, [0]))))
+    assert np.all(np.isnan(expm_array(dense(bad))))
+    assert np.all(np.isnan(expm_array(linalg.Border.of(bad, [0]))))
     with pytest.raises(ValueError):
         dense(np.zeros((2, 3)))
 
@@ -186,7 +194,7 @@ def test_loop_border_is_the_assembled_matrix(strong_design):
             assert loop.full_matrix.tobytes() == A.tobytes()
             if open_loop:
                 # diagonal, so expm gives exp of its diagonal exactly
-                E = loop.exponential(1e-3)
+                E = factored_array(loop.exponential(1e-3))
                 assert np.array_equal(E, np.diag(np.exp(1e-3 * np.diagonal(A))))
 
 
@@ -195,7 +203,29 @@ def test_expm_matches_scipy_on_the_workload_loops(strong_design, n_sim, h):
     B = ClosedLoop(strong_design, N_sim=n_sim).border().scaled(h)
     hA = B.dense()
     assert hA.shape == (n_sim + 60, n_sim + 60)
-    assert relerr(linalg.expm(B), scipy.linalg.expm(hA)) <= 1e-13
+    assert relerr(expm_array(B), scipy.linalg.expm(hA)) <= 1e-13
+
+
+@pytest.fixture(scope="module")
+def quick_design(mild_ctx):
+    # the design of demos/quick_certify.json: the mild plant at N = 8
+    return conftest.mild_synthesize(mild_ctx, 8)
+
+
+@pytest.mark.parametrize(
+    "design, n_sim, h", [("strong_design", 240, 2e-4), ("strong_design", 960, 1e-3), ("quick_design", 32, 1e-3)]
+)
+def test_factored_powers_match_scipy_on_the_demo_loops(request, design, n_sim, h):
+    # the pipeline's, wide_sim's and the quick demo's loops: E and the
+    # squares that `run` propagates by, up to E^256, stay diagonal plus
+    # factors of rank below n/4 and match scipy's exponential of 2^p h A
+    B = ClosedLoop(request.getfixturevalue(design), N_sim=n_sim).border().scaled(h)
+    hA = B.dense()
+    E = linalg.expm(B)
+    for p in range(9):
+        assert E.plain is None and 4 * E.rank < len(hA)
+        assert relerr(factored_array(E), scipy.linalg.expm(2**p * hA)) <= 1e-12
+        E = E.squared()
 
 
 def arrowhead(n, head, seed):
@@ -219,9 +249,6 @@ def test_border_product_equals_the_dense_product(n, head):
     # |A|' from the parts alone, as the Taylor bound uses it
     abs_want = np.abs(A).T @ M
     assert np.max(np.abs(B.abs_transpose() @ M - abs_want)) <= 1e-13 * np.max(np.abs(abs_want))
-    # in place, as Horner's rule uses it
-    B.matmul(M, out=M)
-    assert np.max(np.abs(M - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize(
@@ -236,7 +263,7 @@ def test_expm_of_arrowheads_matches_scipy_on_every_degree(scale, degree, squarin
     B = linalg.Border.of(A, [5, 17, 40])
     m, s = linalg.taylor_degree(B)
     assert s == squarings and m <= linalg.TAYLOR_MAX
-    assert relerr(linalg.expm(B), scipy.linalg.expm(A)) < 1e-14
+    assert relerr(expm_array(B), scipy.linalg.expm(A)) < 1e-14
 
 
 @settings(max_examples=40, deadline=None)
@@ -256,9 +283,10 @@ def test_taylor_route_on_drawn_bordered_matrices(n, k, log_norm, seed):
     assert 1 <= m <= linalg.TAYLOR_MAX
     # never more squarings than the Pade route, the O(n^3) part of either
     assert s <= degree_of(A)[1]
-    # measured: at most 1.6e-13 over 900 such draws, where the Pade route
-    # sits 1.5e-13 from scipy too (four squarings at 1-norm 300)
-    assert relerr(linalg.expm(B), scipy.linalg.expm(A)) <= 5e-13
+    # measured: at most 2.7e-14 over 900 such draws (1.6e-13 with the dense
+    # Horner route before, where the Pade route sits 1.5e-13 from scipy too:
+    # four squarings at 1-norm 300)
+    assert relerr(expm_array(B), scipy.linalg.expm(A)) <= 5e-13
 
 
 def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
@@ -267,31 +295,31 @@ def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
 
     monkeypatch.setattr(np.linalg, "solve", refuse)
     B = ClosedLoop(strong_design, N_sim=240).border().scaled(2e-4)
-    assert relerr(linalg.expm(B), scipy.linalg.expm(B.dense())) <= 1e-13
+    assert relerr(expm_array(B), scipy.linalg.expm(B.dense())) <= 1e-13
     A = arrowhead(64, [5, 17, 40], 64)
     A *= 300.0 / np.linalg.norm(A, 1)
-    assert relerr(linalg.expm(linalg.Border.of(A, [5, 17, 40])), scipy.linalg.expm(A)) < 1e-14
+    assert relerr(expm_array(linalg.Border.of(A, [5, 17, 40])), scipy.linalg.expm(A)) < 1e-14
     # a dense matrix of 1-norm 62, as the border of all its indices
     D = np.random.default_rng(2).standard_normal((64, 64))
-    assert relerr(linalg.expm(dense(D)), scipy.linalg.expm(D)) < 1e-14
+    assert relerr(expm_array(dense(D)), scipy.linalg.expm(D)) < 1e-14
 
 
 def test_wide_loop_memory(strong_design):
-    # the 1020-dim wide_sim loop: the exponential (border parts, Taylor
-    # polynomial) holds little more than its one n^2 result, and run
-    # (expm, doubling squarings and every block's diagnostics) at most three
-    # arrays of n^2 doubles
+    # the 1020-dim wide_sim loop: the exponential holds its border parts, its
+    # width-72 Taylor factors and their QR copies, and run (expm, the
+    # squarings and every block's diagnostics) less than one array of n^2
+    # doubles, so no n x n array is formed
     loop = ClosedLoop(strong_design, N_sim=960)
     n2 = (loop.N_sim + loop.N) ** 2 * 8
-    assert traced_peak(loop.exponential, 1e-3) <= 1.25 * n2
+    assert traced_peak(loop.exponential, 1e-3) <= 0.4 * n2
     z0 = np.linspace(1.0, 0.5, 5)
-    assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 3 * n2
+    assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 1.0 * n2
 
 
 def test_pipeline_loop_memory(strong_design):
     # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
-    # its output columns and at most 4 MB more for propagation, the
+    # its output columns and at most 3 MB more for propagation, the
     # diagnostics and checks of a block and the rate fit
     z0 = np.linspace(1.0, 0.5, 5)
     columns = len(CSV_COLUMNS) * 100_001 * 8
-    assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 4e6
+    assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 3e6

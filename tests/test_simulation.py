@@ -14,6 +14,8 @@ from scipy.linalg import expm
 
 from parstab import simulation
 from parstab.certification import solve_lyapunov
+from parstab.linalg import Border, Factored
+from parstab.linalg import expm as expm_border
 from parstab.simulation import (
     CSV_CHUNK_ROWS,
     CSV_COLUMNS,
@@ -41,7 +43,7 @@ from parstab.spectral_basis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
-from oracles import certificate_energy
+from oracles import certificate_energy, factored_array
 
 
 def test_defaults():
@@ -329,32 +331,65 @@ def contraction():
     return E, rng.standard_normal(7)
 
 
+def explicit_rows(E, x0, n_rows):
+    """x0, E x0, ..., E^(n_rows-1) x0, one product at a time."""
+    want = np.empty((n_rows, len(x0)))
+    want[0] = x0
+    for k in range(1, n_rows):
+        want[k] = E @ want[k - 1]
+    return want
+
+
+def blocks_of(power, x0, n_rows):
+    # _blocks reuses its block buffers, so each block is copied
+    blocks = [(start, rows.copy()) for start, rows in simulation._blocks(power, x0, n_rows)]
+    assert [start for start, _ in blocks] == list(range(0, n_rows, simulation.BLOCK))
+    return np.concatenate([rows for _, rows in blocks])
+
+
 @pytest.mark.parametrize(
     "n_rows",
     [1, 2, 3, simulation.BLOCK - 1, simulation.BLOCK, simulation.BLOCK + 1, 3 * simulation.BLOCK + 5],
 )
 def test_blocks_match_explicit_powers(contraction, n_rows):
     E, x0 = contraction
-    # _blocks squares into E's own buffer, so it gets a copy, and reuses its
-    # block buffers, so each block is copied
-    blocks = [(start, rows.copy()) for start, rows in simulation._blocks(E.copy(), x0, n_rows)]
-    assert [start for start, _ in blocks] == list(range(0, n_rows, simulation.BLOCK))
-    got = np.concatenate([rows for _, rows in blocks])
+    got = blocks_of(Factored(None, None, None, plain=E), x0, n_rows)
     assert got.shape == (n_rows, len(x0))
     assert np.array_equal(got[0], x0)
-    want = np.empty_like(got)
-    want[0] = x0
-    for k in range(1, n_rows):
-        want[k] = E @ want[k - 1]
+    want = explicit_rows(E, x0, n_rows)
     scale = np.linalg.norm(want, axis=1)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * scale)
 
 
 def test_blocks_advance_by_matrix_power(contraction):
     E, x0 = contraction
-    (_, first), (_, second) = simulation._blocks(E.copy(), x0, 2 * simulation.BLOCK)
+    (_, first), (_, second) = simulation._blocks(Factored(None, None, None, plain=E), x0, 2 * simulation.BLOCK)
     E_block = np.linalg.matrix_power(E, simulation.BLOCK)
     assert np.array_equal(second, first @ E_block.T)
+
+
+def test_blocks_of_a_factored_power():
+    # E = exp of a 48-dim arrowhead with one border index, a small loop in
+    # miniature: E^BLOCK stays below the n/4 rank at which squaring turns plain
+    rng = np.random.default_rng(48)
+    n = 48
+    A = np.diag(-rng.uniform(0.0, 3.0, n) - np.linspace(0.0, 40.0, n))
+    A[0] = rng.standard_normal(n)
+    A[:, 0] = rng.standard_normal(n)
+    power = expm_border(Border.of(0.05 * A / np.linalg.norm(A, 1), [0]))
+    E = factored_array(power)
+    x0 = rng.standard_normal(n)
+    n_rows = 3 * simulation.BLOCK + 5
+    got = blocks_of(power, x0, n_rows)
+    want = explicit_rows(E, x0, n_rows)
+    assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
+    E_block = power
+    for _ in range(8):
+        E_block = E_block.squared()
+    assert E_block.plain is None and 4 * E_block.rank < n
+    want_block = np.linalg.matrix_power(E, simulation.BLOCK)
+    got_block = factored_array(E_block)
+    assert np.max(np.abs(got_block - want_block)) <= 1e-12 * np.max(np.abs(want_block))
 
 
 def test_run_ends_at_T_with_a_partial_step(example_art30):
