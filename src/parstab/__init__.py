@@ -16,7 +16,7 @@ from .spectral_basis import (
     eval_psi,
     riesz_constants,
 )
-from .lifting import LiftingContext, lambda_gamma
+from .lifting import LiftingContext
 from .synthesis import (
     SynthesisArtifacts,
     assemble_F,
@@ -57,7 +57,6 @@ __all__ = [
     "eval_psi",
     "riesz_constants",
     "LiftingContext",
-    "lambda_gamma",
     "SynthesisArtifacts",
     "assemble_F",
     "place_observer_gain",

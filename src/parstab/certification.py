@@ -95,10 +95,10 @@ def tail_pair_sums(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> list:
     cols, A = ctx.cross_cols[N:N_tail], m.gram_inverse
     sums = []
     for k, gamma in enumerate(m.gammas):
-        lift_diag = np.diag(m.head_lifts[k])
+        lift = m.head_lifts[k]
         dens = lifting.shift_denominators(gamma, ctx.lams[N:N_tail], first=N + 1)
         for l in range(m.n0):
-            weight = lift_diag[l] ** 2 * float(A[l] @ A[l])
+            weight = lift[l] ** 2 * float(A[l] @ A[l])
             sums.append((gamma, weight, float(np.add.reduce((cols[:, l] / dens) ** 2))))
     return sums
 

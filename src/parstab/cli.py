@@ -206,8 +206,11 @@ def _validated(raw: dict) -> RunConfig:
     if sim["N_sim"] is not None and sim["N_sim"] < merged["synthesis"]["N"]:
         raise ConfigError("/simulation/N_sim: below synthesis.N")
     z0 = sim["z0"]
-    if z0["bump"] is not None and not z0["bump"]["width"] > 0:
-        raise ConfigError("/simulation/z0/bump/width: width must be positive")
+    if z0["bump"] is not None:
+        if not z0["bump"]["width"] > 0:
+            raise ConfigError("/simulation/z0/bump/width: width must be positive")
+        if z0["bump"]["center"] is not None and len(z0["bump"]["center"]) != d:
+            raise ConfigError(f"/simulation/z0/bump/center: expected {d} coordinates")
     if z0["modes"] is not None:
         if z0["coeffs"] is None:
             raise ConfigError("/simulation/z0/modes: needs matching coeffs")
@@ -217,6 +220,9 @@ def _validated(raw: dict) -> RunConfig:
         for i, m in enumerate(z0["modes"]):
             if len(m) != d:
                 raise ConfigError(f"/simulation/z0/modes/{i}: expected {d} indices")
+            for j, k in enumerate(m):
+                if k < 1:
+                    raise ConfigError(f"/simulation/z0/modes/{i}/{j}: mode indices start at 1")
             if tuple(m) in seen:
                 raise ConfigError(f"/simulation/z0/modes/{i}: mode {m} given twice")
             seen.add(tuple(m))
@@ -272,36 +278,33 @@ def _write_json(obj: dict, path) -> None:
         fh.write("\n")
 
 
-def _z0_missing(cfg: RunConfig) -> bool:
-    """True, with the config error printed, when simulation.z0 gives neither
-    coeffs nor bump. `simulate` and `pipeline` check it once their design
-    exists and before they write anything, so synthesis errors still come
-    first; `_validated` cannot refuse it, since synthesize and certify need
-    no z0."""
-    z0 = cfg.simulation["z0"]
-    if z0["coeffs"] is None and z0["bump"] is None:
-        _abort("config error", ConfigError("/simulation/z0: give coeffs (optionally with modes) or bump"))
-        return True
-    return False
+def _z0(cfg: RunConfig, art: synthesis.SynthesisArtifacts) -> np.ndarray:
+    """simulation.z0 as the N_sim plant coefficients of the design `art`.
 
-
-def _resolve_z0(cfg: RunConfig, plant, eigs, n_sim: int) -> np.ndarray:
-    z0 = cfg.simulation["z0"]
+    Raises ConfigError at its pointer when z0 gives neither coeffs nor bump,
+    or lists a mode that is not among the N_sim modes. `simulate` and
+    `pipeline` resolve it once their design exists and before they write
+    anything, so synthesis errors still come first. `_validated` cannot
+    refuse these: synthesize and certify need no z0, and which modes lie
+    within N_sim only the design's mode table tells."""
+    z0, n_sim = cfg.simulation["z0"], _n_sim(cfg)
     bump, coeffs = z0["bump"], z0["coeffs"]
     if bump is not None:
         center = bump["center"]
         if center is None:
-            center = [0.5 * l for l in plant.lengths]
-        return simulation.project_bump(plant, eigs, center, bump["width"], bump["amplitude"], n_sim)
+            center = [0.5 * l for l in art.plant.lengths]
+        return simulation.project_bump(art.plant, art.eigs, center, bump["width"], bump["amplitude"], n_sim)
+    if coeffs is None:
+        raise ConfigError("/simulation/z0: give coeffs (optionally with modes) or bump")
     out = np.zeros(n_sim)
     if z0["modes"] is None:
         out[: min(len(coeffs), n_sim)] = coeffs[:n_sim]
         return out
-    ks = eigs.ks[:n_sim]
-    for m, cval in zip(z0["modes"], coeffs):
+    ks = art.eigs.ks[:n_sim]
+    for i, (m, cval) in enumerate(zip(z0["modes"], coeffs)):
         rows = np.flatnonzero(np.all(ks == m, axis=1))
         if not len(rows):
-            raise ConfigError(f"/simulation/z0/modes: mode {list(m)} not within N_sim")
+            raise ConfigError(f"/simulation/z0/modes/{i}: mode {list(m)} not within N_sim")
         out[rows[0]] = cval
     return out
 
@@ -315,22 +318,20 @@ def _design_source(cfg: RunConfig):
     """N -> SynthesisArtifacts for one command, each N synthesized once.
 
     One LiftingContext, built on first use so that its errors reach the
-    calling stage, serves every stage: it holds the synthesis tail, the top
-    certificate round's tail cap and the simulated modes. Enumeration is
-    prefix-stable and context rows do not depend on the context's length,
-    so each stage reads what a context sized for it alone would give. The
-    stages only read a design, so one object serves them all.
+    calling stage, serves every stage: it holds the top certificate round's
+    tail cap and the simulated modes, and with them the N modes of every
+    design. Enumeration is prefix-stable and context rows do not depend on
+    the context's length, so each stage reads what a context sized for it
+    alone would give. The stages only read a design, so one object serves
+    them all.
     """
 
     @functools.cache
     def context() -> lifting.LiftingContext:
         plant = build_plant(cfg)
         c = cfg.certification
-        count = max(
-            lifting.default_tail(cfg.synthesis["N"]),
-            lifting.tail_cap(certification.round_sizes(c["N_start"], c["N_max"])[-1]),
-            _n_sim(cfg),
-        )
+        top = certification.round_sizes(c["N_start"], c["N_max"])[-1]
+        count = max(lifting.tail_cap(top), _n_sim(cfg))
         eigs = enumerate_eigenpairs(plant, count)
         n0, _ = count_unstable(eigs, plant.delta)
         return lifting.LiftingContext(eigs, n0)
@@ -356,13 +357,16 @@ def _design_source(cfg: RunConfig):
 
 def cmd_synthesize(cfg: RunConfig, designs, out_dir: str, needs_z0: bool = False) -> int:
     """Write synthesis.json; with `needs_z0` (the first stage of a pipeline)
-    a missing simulation.z0 is refused before the write."""
+    a simulation.z0 that `_z0` refuses is refused before the write."""
     try:
         art = designs(cfg.synthesis["N"])
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
-    if needs_z0 and _z0_missing(cfg):
-        return EXIT_SYNTHESIS
+    if needs_z0:
+        try:
+            _z0(cfg, art)
+        except ConfigError as err:
+            return _abort("config error", err)
     _write_json(synthesis.report_dict(art), os.path.join(out_dir, "synthesis.json"))
     return EXIT_OK
 
@@ -387,12 +391,13 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         art = designs(N)
     except DESIGN_ERRORS as err:
         return _abort("synthesis failed", err)
-    if _z0_missing(cfg):
-        return EXIT_SYNTHESIS
+    try:
+        z0 = _z0(cfg, art)
+    except ConfigError as err:
+        return _abort("config error", err)
     n_sim = _n_sim(cfg)
     plant = art.plant
     try:
-        z0 = _resolve_z0(cfg, plant, art.eigs, n_sim)
         result = simulation.run(
             z0,
             sim["T"],
@@ -415,14 +420,14 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         "decay_rate": result.rate,
         "delta": plant.delta,
         "T": sim["T"],
-        "h": result.diagnostics["h"],
+        "h": result.h,
         "N": N,
         "N_sim": n_sim,
         "open_loop": sim["open_loop"],
         "initial_composite": float(result.records["composite"][0]),
         "terminal_composite": float(result.records["composite"][-1]),
         "terminal_h1": float(result.records["h1_proxy"][-1]),
-        "projection_check_max": result.diagnostics["projection_check_max"],
+        "projection_check_max": result.projection_check_max,
     }
     _write_json(summary, os.path.join(out_dir, "summary.json"))
     return EXIT_OK

@@ -122,15 +122,6 @@ def trace_cross_gram(rows: ModeTable, cols: ModeTable) -> np.ndarray:
     return out
 
 
-def lambda_gamma(gamma: float, eta: float, unstable_lambdas) -> np.ndarray:
-    """Diagonal head-mode lifting matrix diag(1/(gamma - lam_n - eta*[n==2])).
-
-    Raises AdmissibilityError when gamma hits a shifted head eigenvalue.
-    """
-    n0 = len(unstable_lambdas)
-    return np.diag(1.0 / shift_denominators(gamma, unstable_lambdas, n0=n0, eta=eta))
-
-
 class LiftingContext:
     """Trace Gram columns and eigenvalues for one mode table.
 

@@ -18,9 +18,11 @@ no accuracy or stability limit.
 
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
 states in array operations; it is the one place the outputs, the control
-norm and the energy proxies are formed. The per-state `ClosedLoop.step` and
-`ClosedLoop.w` stay for the benchmark, and the tests keep their
-certificate-energy helpers in `tests/oracles.py`.
+norm and the energy proxies are formed. `run` keeps no state: it returns
+those columns, the output spacing h and the largest projection-check
+deviation. The per-state `ClosedLoop.step` and `ClosedLoop.w` stay for the
+benchmark, and the tests keep their certificate-energy helpers in
+`tests/oracles.py`.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
@@ -36,7 +38,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -86,8 +88,8 @@ class SimulationError(RuntimeError):
 class SimState:
     """Plant coefficients z (length N_sim) and observer coefficients zhat (length N).
 
-    `run` returns the final state as one; perfbench/reference.py builds one
-    for `ClosedLoop.w`."""
+    `init_state` builds one and `ClosedLoop.step` maps one to the next;
+    perfbench/reference.py builds one for `ClosedLoop.w`."""
 
     t: float
     z: np.ndarray
@@ -162,18 +164,20 @@ class ClosedLoop:
         cross = ctx.cross_cols[:N_sim]  # <trace_n, trace_l>, n <= N_sim
 
         # lifted projection maps: column l of the k-th term is d(gamma_k)_n
-        # per unit U_l; head rows are -B_k A
+        # per unit U_l; head rows are -B_k A. A lift is the diagonal of
+        # Lam_k, so scaling the columns of cross by it is cross @ Lam_k
         lift_all = 0
         for k, g in enumerate(m.gammas):
             Mk = np.zeros((N_sim, n0))
             Mk[:n0] = -m.shifted_grams[k] @ A
             den = shift_denominators(g, lams[n0:], first=n0 + 1)
-            Mk[n0:] = -(cross[n0:] @ m.head_lifts[k] @ A) / den[:, None]
+            Mk[n0:] = -((cross[n0:] * m.head_lifts[k]) @ A) / den[:, None]
             lift_all = lift_all + Mk
         self.lift_all = lift_all
 
         # plant forcing -<u, trace_n> per unit U, u = sum_k <Lam_k A U, traces>
-        self.forcing = -cross @ m.lift_sum() @ A
+        lift_sum = m.lift_sum()
+        self.forcing = (-cross * lift_sum) @ A
 
         self.C_sim = sensor_rows(ctx.eigs[:N_sim], *m.sensors)
         self.C_N = self.C_sim[:, :N]
@@ -181,13 +185,13 @@ class ClosedLoop:
         w = np.maximum(lams + self.nu, self.nu + lams[0] + 1.0)
         self.h1_weights = w
         # squared face L2 norm of the control as a quadratic form in U
-        K = m.lift_sum() @ A
+        K = lift_sum[:, None] * A
         self.control_form = K.T @ m.trace_gram @ K
         # (Q_k, M_k) of `projection_check`: -diag(lam_k) G_q Lam_k A, with G_q
         # the head Gram on the context's face samples (einsum, no BLAS), and -B_k A
         gram_q = np.einsum("iq,jq,q->ij", ctx.traces, ctx.traces, ctx.quad.weights)
         self.check_maps = [
-            (np.einsum("i,ij,jl->il", -np.diag(lift), gram_q, lift @ A), -Bk @ A)
+            (np.einsum("i,ij,jl->il", -lift, gram_q, lift[:, None] * A), -Bk @ A)
             for lift, Bk in zip(m.head_lifts, m.shifted_grams)
         ]
 
@@ -295,12 +299,15 @@ class ClosedLoop:
 
 @dataclass(frozen=True)
 class SimulationRun:
+    """What `run` gives its readers: the CSV columns (`records`, with t also
+    as `times`), the fitted decay rate, the output spacing h and the largest
+    projection-check deviation (0 on the open loop)."""
+
     times: np.ndarray
     records: dict
     rate: float
-    final_state: SimState
-    diagnostics: dict
-    states: np.ndarray = field(repr=False)
+    h: float
+    projection_check_max: float
 
 
 def estimate_decay_rate(times, values, t_skip: float) -> float:
@@ -384,7 +391,6 @@ def run(
     N_sim: int,
     open_loop: bool = False,
     t_skip: float = 2.0,
-    keep_states: bool = False,
 ) -> SimulationRun:
     """Propagate the loop over [0, T] and collect the standard diagnostics.
 
@@ -410,7 +416,6 @@ def run(
         times[-1] = T
     cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
     cols["t"] = times
-    states = np.empty((n_rows, len(x))) if keep_states else None
     check_max = 0.0
 
     def record(start: int, X: np.ndarray) -> None:
@@ -420,8 +425,6 @@ def run(
             raise SimulationError(f"state non-finite by t={times[stop - 1]:.3f}")
         for name, col in system.diagnostics(X).items():
             cols[name][start:stop] = col
-        if keep_states:
-            states[start:stop] = X
         if open_loop:
             return
         rows = np.arange(max(1, -(-start // CHECK_EVERY)) * CHECK_EVERY, stop, CHECK_EVERY)
@@ -442,13 +445,12 @@ def run(
         log.info("E = expm(h A) of the %d-dim loop is diagonal plus rank %d", len(x), E.rank)
         for start, X in _blocks(E, x, n_steps + 1):
             record(start, X)
-        # a copy, so the final state keeps no block buffer alive
+        # the last row alone, so no block buffer stays alive through the
+        # partial step and the rate fit
         x = X[-1].copy()
         del X
         if rest > 0:
-            x = system.exponential(rest).advance(x)
-            record(n_rows - 1, x[None])
-    state = SimState(t=float(times[-1]), z=x[: system.N_sim], zhat=x[system.N_sim :])
+            record(n_rows - 1, system.exponential(rest).advance(x)[None])
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
     try:
         rate = estimate_decay_rate(cols["t"], series, t_skip)
@@ -462,19 +464,7 @@ def run(
             system.N,
             system.N_sim,
         )
-    return SimulationRun(
-        times=cols["t"],
-        records=cols,
-        rate=rate,
-        final_state=state,
-        diagnostics={
-            "projection_check_max": check_max,
-            "h": h,
-            "N_sim": system.N_sim,
-            "open_loop": open_loop,
-        },
-        states=states,
-    )
+    return SimulationRun(times=cols["t"], records=cols, rate=rate, h=h, projection_check_max=check_max)
 
 
 def _usable_cpus() -> int:

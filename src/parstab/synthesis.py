@@ -81,7 +81,7 @@ class GammaLadder(NamedTuple):
     """The accepted shift ladder and the head-block matrices built from it."""
 
     gammas: tuple
-    head_lifts: list  # Lam_k
+    head_lifts: list  # diagonal of Lam_k, 1/(gamma_k - lam_n - eta*[n == 2])
     shifted_grams: list  # B_k = Lam_k B Lam_k
     A: np.ndarray  # (sum B_k)^-1
     gain_block: np.ndarray  # -sum gamma_k B_k A + Xi
@@ -98,10 +98,11 @@ def select_gamma_ladder(
 ) -> GammaLadder:
     """Pick shifts gamma_k = base*(1 + (k-1)*rho), rho = (c_ratio-1)/(N0-1).
 
-    B is the context's head Gram. The base doubles until (i) every shift
-    clears the head denominators gamma_k - lam_n - eta*[n == 2] of
-    `lifting.lambda_gamma`, (ii) sum B_k is invertible with condition below
-    `cond_max`, and (iii) the gain block -sum gamma_k B_k A + Xi has
+    B is the context's head Gram; Lam_k is kept as its diagonal, the
+    inverses of the head denominators gamma_k - lam_n - eta*[n == 2] of
+    `lifting.shift_denominators`. The base doubles until (i) every shift
+    clears those denominators, (ii) sum B_k is invertible with condition
+    below `cond_max`, and (iii) the gain block -sum gamma_k B_k A + Xi has
     spectral abscissa below -delta. The tail denominators gamma_k + lam_n
     need no test here: gamma_k > 0 and `synthesize` refuses tail
     eigenvalues at or below delta, so they exceed delta; the maps that use
@@ -122,12 +123,15 @@ def select_gamma_ladder(
     while base <= cap:
         gammas = tuple(base * (1.0 + k * rho) for k in range(n0))
         try:
-            lam_mats = [lifting.lambda_gamma(g, eta, context.lams[:n0]) for g in gammas]
+            lifts = [
+                1.0 / lifting.shift_denominators(g, context.lams[:n0], n0=n0, eta=eta)
+                for g in gammas
+            ]
         except lifting.AdmissibilityError as err:
             last_diag = str(err)
             base *= 2.0
             continue
-        Bks = [L @ B @ L for L in lam_mats]
+        Bks = [lift[:, None] * B * lift for lift in lifts]
         S = sum(Bks)
         cond = np.linalg.cond(S)
         if not np.isfinite(cond) or cond >= cond_max:
@@ -139,7 +143,7 @@ def select_gamma_ladder(
         margin = abscissa(gain_block)
         if margin < -delta:
             log.debug("gamma ladder accepted at base %.6g (margin %.4f)", base, margin)
-            return GammaLadder(gammas, lam_mats, Bks, A, gain_block, margin)
+            return GammaLadder(gammas, lifts, Bks, A, gain_block, margin)
         last_diag = f"gain-block abscissa {margin:.4f} >= {-delta} at base {base}"
         base *= 2.0
     raise SynthesisError(
@@ -256,11 +260,14 @@ def _place_yt(A, B, poles) -> np.ndarray:
     scipy's, so K is bit-equal to scipy's, and so are its defaults: at most 30
     sweeps, stopping once |det X| moves by less than 1e-3 relative. A loop
     that has not converged keeps its last transfer matrix, as scipy does.
+    A zero B, which scipy refuses, raises SynthesisError.
     """
     poles = np.sort(np.asarray(poles, dtype=float))
     n = A.shape[0]
     u, z = _qr(B)
     rank = np.linalg.matrix_rank(B)
+    if rank == 0:
+        raise SynthesisError("pole placement failed: no sensor sees the head")
     if n == rank:
         return np.real(-np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0])
     ker, cols = [], []
@@ -293,25 +300,17 @@ def _place_yt(A, B, poles) -> np.ndarray:
 def place_observer_gain(A0: np.ndarray, C0: np.ndarray, delta: float, spread: float) -> np.ndarray:
     """Gain L (N0 x 2) putting the spectrum of A0 - L C0 below -delta.
 
-    Targets are the distinct reals -delta - spread*k. For a single head mode
-    the minimum-norm row solving the scalar placement is used directly;
-    otherwise the in-repo YT placement `_place_yt` runs on the transposed
-    pair (two sensors, distinct real targets, bit-equal to
-    `scipy.signal.place_poles`). Only the abscissa requirement is the
-    contract, checked with a 1e-6 allowance.
+    Targets are the distinct reals -delta - spread*k. The in-repo YT
+    placement `_place_yt` runs on the transposed pair (two sensors, distinct
+    real targets, bit-equal to `scipy.signal.place_poles`) at every head
+    size. Only the abscissa requirement is the contract, checked with a
+    1e-6 allowance.
     """
     A0 = np.atleast_2d(np.asarray(A0, dtype=float))
     C0 = np.atleast_2d(np.asarray(C0, dtype=float))
     n0 = A0.shape[0]
     targets = [-delta - spread * (k + 1) for k in range(n0)]
-    if n0 == 1:
-        ct = C0[:, 0]
-        denom = float(ct @ ct)
-        if denom <= 1e-14:
-            raise SynthesisError("head mode invisible, cannot place observer pole")
-        L = ((A0[0, 0] - targets[0]) / denom) * ct[None, :]
-    else:
-        L = _place_yt(A0.T, C0.T, targets).T
+    L = _place_yt(A0.T, C0.T, targets).T
     got = abscissa(A0 - L @ C0)
     if got >= -delta + 1e-6:
         raise SynthesisError(
@@ -331,7 +330,7 @@ class SynthesisArtifacts:
     delta: float
     eta: float
     gammas: tuple
-    head_lifts: list = field(repr=False)  # Lam_k, n0 x n0 diagonal
+    head_lifts: list = field(repr=False)  # diagonal of Lam_k, length n0
     trace_gram: np.ndarray  # B
     shifted_grams: list = field(repr=False)  # B_k
     gram_inverse: np.ndarray  # A
@@ -345,7 +344,7 @@ class SynthesisArtifacts:
     context: lifting.LiftingContext = field(repr=False, compare=False)
 
     def lift_sum(self) -> np.ndarray:
-        """sum_k Lam_{gamma_k}, the combined head lifting diagonal."""
+        """The diagonal of sum_k Lam_{gamma_k}, the combined head lifting map."""
         return sum(self.head_lifts)
 
 

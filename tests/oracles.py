@@ -3,7 +3,7 @@
 
 import numpy as np
 
-from parstab import certification, synthesis
+from parstab import certification, simulation, synthesis
 from parstab import spectral_basis as sb
 from parstab.lifting import AdmissibilityError, shift_denominators
 
@@ -75,7 +75,7 @@ def control_trace(artifacts, U, s):
     U = np.asarray(U, dtype=float)
     if U.shape != (artifacts.n0,):
         raise ValueError(f"U must have {artifacts.n0} components")
-    coeff = artifacts.lift_sum() @ artifacts.gram_inverse @ U
+    coeff = artifacts.lift_sum() * (artifacts.gram_inverse @ U)
     return coeff @ sb.conormal_trace(artifacts.eigs[: artifacts.n0], s)
 
 
@@ -98,6 +98,15 @@ def finite_part(loop, X: np.ndarray) -> np.ndarray:
     zhat = X[:, loop.N_sim :]
     err = X[:, :N] - zhat
     return np.hstack([zhat[:, :n0], err[:, :n0], loop.lams[n0:N] * err[:, n0:N]])
+
+
+def loop_states(loop, x0: np.ndarray, h: float, n_rows: int) -> np.ndarray:
+    """x0, E x0, ..., E^(n_rows-1) x0 for the exact step E = expm(h A) of
+    `loop`, stacked as rows: the states `simulation.run` propagates and
+    forms its columns from, kept."""
+    blocks = simulation._blocks(loop.exponential(h), x0, n_rows)
+    # a yielded block is a buffer that later blocks overwrite
+    return np.concatenate([rows.copy() for _, rows in blocks])
 
 
 def certificate_energy(loop, X: np.ndarray, P: np.ndarray) -> np.ndarray:
@@ -123,9 +132,9 @@ def _pair_residuals(artifacts, N: int, N_tail: int, gamma_sq: bool):
     m = artifacts
     A = m.gram_inverse
     for k, gamma in enumerate(m.gammas):
-        lift_diag = np.diag(m.head_lifts[k])
+        lift = m.head_lifts[k]
         for l in range(1, m.n0 + 1):
-            coef = lift_diag[l - 1] ** 2 * float(A[l - 1] @ A[l - 1])
+            coef = lift[l - 1] ** 2 * float(A[l - 1] @ A[l - 1])
             if gamma_sq:
                 coef *= gamma**2
             yield coef, residual_terms(m.context, gamma, l, N, N_tail)

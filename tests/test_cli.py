@@ -403,6 +403,50 @@ def test_simulating_commands_refuse_an_empty_z0_before_writing(tmp_path, capsys,
     assert main(["synthesize", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "s")]) == 0
 
 
+@pytest.mark.parametrize(
+    "z0, pointer",
+    [
+        pytest.param({"bump": {"center": [1.0]}}, "/simulation/z0/bump/center", id="bump_center"),
+        # mode [9, 9] is not among the demo's N_sim = 32 modes
+        pytest.param({"modes": [[1, 1], [9, 9]], "coeffs": [1.0, 0.5]}, "/simulation/z0/modes/1", id="beyond_n_sim"),
+        pytest.param({"modes": [[1, 1], [2, 0]], "coeffs": [1.0, 0.5]}, "/simulation/z0/modes/1/1", id="index_0"),
+    ],
+)
+def test_pipeline_refuses_an_unusable_z0_before_writing(tmp_path, capsys, z0, pointer):
+    cfg = _quick_with({"z0": z0})
+    out = tmp_path / "o"
+    code = main(["pipeline", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {pointer}: ")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_the_mode_table_holds_the_top_certificate_tail_and_n_sim(monkeypatch):
+    # synthesis reads only the N modes of its design, so N = 200 adds no
+    # tail of its own: the top round N = 40 caps its tail at 640 modes,
+    # more than N_sim = 200
+    cfg = cli._validated(
+        {
+            **EXAMPLE,
+            "synthesis": {"N": 200},
+            "certification": {"N_start": 10, "N_max": 40},
+            "simulation": {"T": 2.0, "h": 1e-3, "N_sim": 200},
+        }
+    )
+    counts = []
+
+    def counted(plant, count):
+        counts.append(count)
+        return enumerate_eigenpairs(plant, count)
+
+    monkeypatch.setattr(cli, "enumerate_eigenpairs", counted)
+    art = cli._design_source(cfg)(200)
+    assert counts == [640]
+    assert len(art.context.eigs) == 640
+
+
 def test_importing_the_cli_loads_no_multiprocessing():
     code = "import sys, parstab.cli; print('multiprocessing' in sys.modules)"
     out = run_python(["-c", code])

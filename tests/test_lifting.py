@@ -9,7 +9,6 @@ from parstab.lifting import (
     AdmissibilityError,
     LiftingContext,
     default_tail,
-    lambda_gamma,
     shift_denominators,
     tail_cap,
     trace_cross_gram,
@@ -44,18 +43,19 @@ def test_shift_denominators_tail_rule_and_first_bad_index():
         shift_denominators(-2.0, (1.0, 2.0, 3.0, 2.0), first=3)
 
 
-def test_lambda_gamma_values():
-    single = lambda_gamma(1.0, 0.0, (0.0,))
-    assert single.shape == (1, 1)
-    assert single[0, 0] == pytest.approx(1.0)
+def test_shift_lifts_are_inverse_head_denominators():
+    # the diagonal of Lam_gamma, as `select_gamma_ladder` forms it
+    single = 1.0 / shift_denominators(1.0, (0.0,), n0=1, eta=0.0)
+    assert single.shape == (1,)
+    assert single[0] == pytest.approx(1.0)
 
-    lifted = lambda_gamma(10.0, 0.25, (-3.5, -0.5, -0.5))
-    assert np.allclose(lifted, np.diag([1 / 13.5, 1 / 10.25, 1 / 10.5]))
+    lifted = 1.0 / shift_denominators(10.0, (-3.5, -0.5, -0.5), n0=3, eta=0.25)
+    assert np.allclose(lifted, [1 / 13.5, 1 / 10.25, 1 / 10.5])
 
 
-def test_lambda_gamma_rejects_eigenvalue_hit():
-    with pytest.raises(AdmissibilityError, match="1"):
-        lambda_gamma(-3.5, 0.0, (-3.5, -0.5, -0.5))
+def test_shift_denominators_reject_a_head_eigenvalue_hit():
+    with pytest.raises(AdmissibilityError, match="index 1 "):
+        shift_denominators(-3.5, (-3.5, -0.5, -0.5), n0=3, eta=0.0)
 
 
 def test_projection_table_head_and_tail_signs():

@@ -9,7 +9,12 @@ classes' `__init__`, is passed, by keyword or by position, in some call of
 that name in the same places; a parameter only the tests set goes.
 
 Every leaf key of `cli.SCHEMA` is read by a string subscript in `cli.py`
-outside `SCHEMA`, so a config key that nothing reads fails here."""
+outside `SCHEMA`, so a config key that nothing reads fails here.
+
+Every field of a `@dataclass` of `src/parstab` is read, as an attribute or
+as a string constant, by the package outside its class, or by `perfbench/`
+or `demos/`: a field only the tests read goes. A class that serializes
+itself through `dataclasses.fields(self)` reads all its fields."""
 
 import ast
 import functools
@@ -28,24 +33,26 @@ ALLOWED = {
 # defaulted parameters that no call in the package, perfbench/ or demos/ passes
 ALLOWED_PARAMS = {
     "cli.main(argv)": "the argparse entry: perfbench/op.py and the tests call it through a variable",
-    "simulation.run(keep_states)": "the tests read the propagated states of `run` itself through it",
 }
 
 
 class _Index:
     """One walk of a syntax tree: the positions of its `Name` and `Attribute`
-    references by name, of its calls by called name (`name(...)` or
-    `*.name(...)`), and its string constants."""
+    references by name, of its attribute reads (`Attribute` loads) by
+    attribute, of its calls by called name (`name(...)` or `*.name(...)`),
+    and of its string constants by value."""
 
     def __init__(self, tree):
-        self.refs, self.calls, self.strings = {}, {}, set()
+        self.refs, self.reads, self.calls, self.strings = {}, {}, {}, {}
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 self.refs.setdefault(node.id, []).append(_position(node))
             elif isinstance(node, ast.Attribute):
                 self.refs.setdefault(node.attr, []).append(_position(node))
+                if isinstance(node.ctx, ast.Load):
+                    self.reads.setdefault(node.attr, []).append(_position(node))
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                self.strings.add(node.value)
+                self.strings.setdefault(node.value, []).append(_position(node))
             elif isinstance(node, ast.Call):
                 called = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
                 if called is not None:
@@ -227,3 +234,50 @@ def unread_config_keys() -> list:
 
 def test_every_config_key_is_read_by_the_cli():
     assert unread_config_keys() == []
+
+
+def _dataclasses(tree):
+    """Top-level classes decorated with `dataclass`, called or not."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for d in node.decorator_list:
+                d = d.func if isinstance(d, ast.Call) else d
+                if "dataclass" in (getattr(d, "id", None), getattr(d, "attr", None)):
+                    yield node
+                    break
+
+
+def _reads_every_field(cls) -> bool:
+    """`cls` calls `fields(self)` (as `dataclasses.fields` or imported)."""
+    return any(
+        isinstance(node, ast.Call)
+        and "fields" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+        and [getattr(a, "id", None) for a in node.args] == ["self"]
+        for node in ast.walk(cls)
+    )
+
+
+def unread_fields() -> list:
+    modules = _package()
+    outside = _outside_indexes()
+    found = []
+    for module, (tree, own) in modules.items():
+        others = [index for other, (_, index) in modules.items() if other != module] + outside
+        for cls in _dataclasses(tree):
+            if _reads_every_field(cls):
+                continue
+            span = _span(cls)
+            for item in cls.body:
+                if not isinstance(item, ast.AnnAssign):
+                    continue
+                name = item.target.id
+                own_reads = own.reads.get(name, []) + own.strings.get(name, [])
+                if not any(name in index.reads or name in index.strings for index in others) and not any(
+                    _outside(span, p) for p in own_reads
+                ):
+                    found.append(f"{module[:-3]}.{cls.name}.{name}")
+    return found
+
+
+def test_every_dataclass_field_is_read_by_the_program():
+    assert unread_fields() == []

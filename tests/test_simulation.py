@@ -43,7 +43,7 @@ from parstab.spectral_basis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
-from oracles import certificate_energy, factored_array
+from oracles import certificate_energy, factored_array, loop_states
 
 
 def test_defaults():
@@ -193,9 +193,9 @@ def test_tail_error_is_autonomous(example_art30):
     n0, N = 3, 30
     e0 = system.lams[n0:N] * (state.z[n0:N] - state.zhat[n0:N])
     h, t_end = 2e-4, 1.0
-    result = run(np.ones(10), t_end, h, example_art30, N_sim=60, keep_states=True)
-    assert len(result.times) == int(round(t_end / h)) + 1
-    x = result.states[-1]
+    n_rows = int(round(t_end / h)) + 1
+    assert len(run(np.ones(10), t_end, h, example_art30, N_sim=60).times) == n_rows
+    x = loop_states(system, np.concatenate([state.z, state.zhat]), h, n_rows)[-1]
     et = system.lams[n0:N] * (x[n0:N] - x[60 + n0 : 60 + N])
     want = e0 * np.exp(-system.lams[n0:N] * t_end)
     assert np.max(np.abs(et - want)) < 1e-7
@@ -208,7 +208,7 @@ def test_forcing_is_minus_the_face_inner_product(example_art60, example_ctx):
     # a rule sized to all 240 modes; the context's own covers the head only
     quad = face_quadrature(m.plant, max_wavenumber(example_ctx.eigs[:240]))
     traces = trace_matrix(example_ctx.eigs[:240], quad)
-    u = (m.lift_sum() @ m.gram_inverse @ U) @ traces[: m.n0]
+    u = (m.lift_sum() * (m.gram_inverse @ U)) @ traces[: m.n0]
     want = -traces @ (quad.weights * u)
     got = system.forcing @ U
     assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(got))
@@ -254,7 +254,7 @@ def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
     result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
     # rows 100, 200, ..., 600 in blocks [0, 256), [256, 512) and [512, 601)
     assert calls == [2, 3, 1]
-    assert 0.0 < result.diagnostics["projection_check_max"] < 1e-8
+    assert 0.0 < result.projection_check_max < 1e-8
 
     def failing_from_second_row(self, U):
         devs = check(self, U)
@@ -272,29 +272,32 @@ def test_run_bookkeeping(example_art30):
     assert result.times[0] == 0.0
     assert np.allclose(np.diff(result.times), 1e-3)
     assert math.isnan(result.rate)  # nothing survives the default 2 s skip
-    assert result.diagnostics["N_sim"] == 60
-    assert result.diagnostics["open_loop"] is False
-    assert 0.0 <= result.diagnostics["projection_check_max"] < 1e-8
+    assert result.h == 1e-3
+    assert 0.0 <= result.projection_check_max < 1e-8
+    assert run(np.ones(5), 0.25, None, example_art30, N_sim=60).h == default_step(example_art30.eigs.lams[59])
 
 
 def test_composite_column_definition(example_art30):
-    result = run(np.ones(5), 0.1, 1e-3, example_art30, N_sim=60, keep_states=True)
     system = ClosedLoop(example_art30, N_sim=60)
-    last = SimState(t=result.times[-1], z=result.states[-1, :60], zhat=result.states[-1, 60:])
+    s0 = init_state(np.ones(5), 60, 30)
+    x = expm(0.1 * system.full_matrix) @ np.concatenate([s0.z, s0.zhat])
+    last = SimState(t=0.1, z=x[:60], zhat=x[60:])
     wn = system.w(last)
     h1 = math.sqrt(float(np.add.reduce(system.h1_weights * wn**2)))
     head = float(np.add.reduce(np.abs(last.zhat[:3])))
-    assert result.records["composite"][-1] == pytest.approx(h1 + head, rel=1e-12)
-    assert result.records["h1_proxy"][-1] == pytest.approx(h1, rel=1e-12)
+    cols = system.diagnostics(x[None])
+    assert cols["composite"][0] == pytest.approx(h1 + head, rel=1e-12)
+    assert cols["h1_proxy"][0] == pytest.approx(h1, rel=1e-12)
 
 
 def test_certificate_energy_decays_on_certified_design(mild_art30):
     P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
     h = 1e-3
-    result = run(np.ones(8), 3.0, h, mild_art30, N_sim=200, keep_states=True)
     system = ClosedLoop(mild_art30, N_sim=200)
+    s0 = init_state(np.ones(8), 200, 30)
+    states = loop_states(system, np.concatenate([s0.z, s0.zhat]), h, 3001)
     decay = math.exp(-2.0 * mild_art30.delta * h)
-    values = certificate_energy(system, result.states, P)
+    values = certificate_energy(system, states, P)
     ratios = values[1:] / (values[:-1] * decay)
     assert np.max(ratios) < 1.0 + 1e-3
 
@@ -304,22 +307,26 @@ def test_run_gives_up_on_non_finite(example_art30):
         run(np.full(5, 1e308), 0.5, 1e-3, example_art30, N_sim=60)
 
 
+def assert_rows_are_exact(result, rows, system, z0):
+    """Each CSV column of `result` at `rows` within 1e-10 of its largest
+    magnitude there from `ClosedLoop.diagnostics` of the exact states
+    expm(t A) x0 at those rows' times."""
+    s0 = init_state(z0, system.N_sim, system.N)
+    x0 = np.concatenate([s0.z, s0.zhat])
+    A = system.full_matrix
+    want = system.diagnostics(np.stack([expm(result.times[i] * A) @ x0 for i in rows]))
+    for name, col in want.items():
+        got = result.records[name][list(rows)]
+        assert np.max(np.abs(got - col)) <= 1e-10 * np.max(np.abs(col)), name
+
+
 def test_run_rows_match_matrix_exponential(example_art30):
     # rows on both sides of the first block boundary and the last row
     h = 1e-3
     z0 = np.linspace(1.0, -1.0, 8)
-    result = run(z0, 0.3, h, example_art30, N_sim=60, keep_states=True)
+    result = run(z0, 0.3, h, example_art30, N_sim=60)
     assert len(result.times) == 301
-    A = ClosedLoop(example_art30, N_sim=60).full_matrix
-    s0 = init_state(z0, 60, 30)
-    x0 = np.concatenate([s0.z, s0.zhat])
-    for i in (0, 1, 255, 256, 257, 300):
-        want = expm(result.times[i] * A) @ x0
-        assert np.linalg.norm(result.states[i] - want) <= 1e-10 * np.linalg.norm(want)
-    # the final state is a copy of the last row, not a view into a block buffer
-    final = result.final_state
-    assert final.z.base.size == 60 + 30 and final.zhat.base is final.z.base
-    assert np.array_equal(np.concatenate([final.z, final.zhat]), result.states[-1])
+    assert_rows_are_exact(result, (0, 1, 255, 256, 257, 300), ClosedLoop(example_art30, N_sim=60), z0)
 
 
 @pytest.fixture(scope="module")
@@ -394,16 +401,10 @@ def test_blocks_of_a_factored_power():
 
 def test_run_ends_at_T_with_a_partial_step(example_art30):
     z0 = np.ones(5)
-    result = run(z0, 0.25, 0.1, example_art30, N_sim=60, keep_states=True)
+    result = run(z0, 0.25, 0.1, example_art30, N_sim=60)
     assert np.allclose(result.times, [0.0, 0.1, 0.2, 0.25], rtol=0, atol=1e-15)
     assert result.times[-1] == 0.25
-    assert result.final_state.t == 0.25
-    A = ClosedLoop(example_art30, N_sim=60).full_matrix
-    s0 = init_state(z0, 60, 30)
-    want = expm(0.25 * A) @ np.concatenate([s0.z, s0.zhat])
-    got = np.concatenate([result.final_state.z, result.final_state.zhat])
-    assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
-    assert np.array_equal(result.states[-1], got)
+    assert_rows_are_exact(result, (3,), ClosedLoop(example_art30, N_sim=60), z0)
     # 0.3 / 0.1 is 2.9999999999999996 in floating point: three whole steps
     assert len(run(z0, 0.3, 0.1, example_art30, N_sim=60).times) == 4
 
@@ -506,9 +507,7 @@ def _records(n_rows: int) -> dict:
 
 
 def _sim_run(records: dict) -> SimulationRun:
-    return SimulationRun(
-        times=records["t"], records=records, rate=0.0, final_state=None, diagnostics={}, states=None
-    )
+    return SimulationRun(times=records["t"], records=records, rate=0.0, h=1.0, projection_check_max=0.0)
 
 
 def _pid_rows(chunk) -> str:

@@ -205,6 +205,10 @@ def test_shifted_gram_identity(example_art60):
     m = example_art60
     total = sum(m.shifted_grams) @ m.gram_inverse
     assert np.max(np.abs(total - np.eye(3))) < 1e-10
+    # a head lift is the diagonal of Lam_k, and B_k = Lam_k B Lam_k to the bit
+    for lift, Bk in zip(m.head_lifts, m.shifted_grams):
+        assert lift.shape == (3,)
+        assert np.array_equal(Bk, np.diag(lift) @ m.trace_gram @ np.diag(lift))
 
 
 def test_closed_loop_spectrum_is_block_union(example_art60):
@@ -253,7 +257,7 @@ def test_control_trace_zero_and_quadrature_consistency(example_art60, example_ct
 
     U = np.array([0.4, -1.1, 0.7])
     u = control_trace(m, U, pts)
-    coeff = m.lift_sum() @ m.gram_inverse @ U
+    coeff = m.lift_sum() * (m.gram_inverse @ U)
     for n in (1, 5, 40):
         trace_n = trace_matrix(example_ctx.eigs[n - 1 : n], quad)[0]
         inner = float(np.dot(quad.weights * u, trace_n))
@@ -300,6 +304,14 @@ def scipy_gain(A0, C0, targets):
 def test_observer_gain_is_scipys_on_the_strong_drift_head(example_art60):
     m = example_art60
     targets = [-0.5 - 0.25 * (k + 1) for k in range(3)]
+    assert np.array_equal(m.observer_gain, scipy_gain(head_drift(m), m.sensor_head, targets))
+
+
+def test_observer_gain_is_scipys_on_a_single_mode_head(mild_art30):
+    # N0 = 1, the quick demo's plant: rank(C0) = n0, scipy's least-squares branch
+    m = mild_art30
+    assert m.n0 == 1
+    targets = [-m.delta - 0.5 * m.delta]
     assert np.array_equal(m.observer_gain, scipy_gain(head_drift(m), m.sensor_head, targets))
 
 
