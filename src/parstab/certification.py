@@ -11,7 +11,8 @@ runs out, returning an honest failure record in the latter case.
 P comes from a block back-substitution on F's structure (a dense head of
 2*N0 rows over a diagonal tail), in numpy alone. Every sum in P, and in the
 P F product of Theta1, runs over the head rows only, so those bytes do not
-depend on the BLAS thread count.
+depend on the BLAS thread count. A `Certificate` keeps P's 2-norm, not P;
+`solve_lyapunov` gives P again from the design.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,7 +221,6 @@ class Certificate:
     psi_bound: float
     P_norm: float
     status: str
-    P: np.ndarray = field(repr=False, compare=False)
     N_tail: int
     # (N, N_tail, status) of every round run, in order; a failed status
     # names the check that blocked the round
@@ -231,8 +231,8 @@ class Certificate:
         return self.status == "certified"
 
     def to_json_dict(self) -> dict:
-        """Every field but P, with `rounds` as dicts and a `schema_version`."""
-        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self) if f.name != "P"}
+        """Every field, with `rounds` as dicts and a `schema_version`."""
+        out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         out["rounds"] = [
             {"N": n, "N_tail": n_tail, "status": status} for n, n_tail, status in self.rounds
         ]
@@ -304,7 +304,6 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
         psi_bound=psi,
         P_norm=float(np.linalg.norm(P, 2)) if P is not None else float("nan"),
         status=status,
-        P=P,
         N_tail=n_tail,
         rounds=((N, n_tail, status),),
     )

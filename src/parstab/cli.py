@@ -182,6 +182,9 @@ def _validated(raw: dict) -> RunConfig:
     lengths = p["lengths"] or [math.pi] * d
     if len(lengths) != d:
         raise ConfigError("/plant/lengths: wrong number of entries")
+    for i, length in enumerate(lengths):
+        if not length > 0:
+            raise ConfigError(f"/plant/lengths/{i}: must be positive")
     if p["face"]["side"] not in ("low", "high"):
         raise ConfigError("/plant/face/side: must be 'low' or 'high'")
     for key in ("xi1", "xi2"):
@@ -190,8 +193,9 @@ def _validated(raw: dict) -> RunConfig:
             raise ConfigError(f"/sensors/{key}: expected {d} coordinates")
         if not all(0.0 < v < l for v, l in zip(xi, lengths)):
             raise ConfigError(f"/sensors/{key}: sensor must be an interior point")
-    if not merged["synthesis"]["gamma_base"] > 0:
-        raise ConfigError("/synthesis/gamma_base: must be positive")
+    for key in ("gamma_base", "sensor_tol"):
+        if not merged["synthesis"][key] > 0:
+            raise ConfigError(f"/synthesis/{key}: must be positive")
     c = merged["certification"]
     if c["N_start"] < 1:
         raise ConfigError("/certification/N_start: must be at least 1")

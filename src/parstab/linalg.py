@@ -21,8 +21,12 @@ their numerical rank by QR and an SVD of the small core; each squaring keeps
 the form and is cut again. On the closed loops the rank stays far below n
 (9 for E and 23 for E^256 on the 300-dim strong-drift loop), so no n x n
 array is formed. Once a rank reaches n/4, factored products cost more than
-dense ones and the plain matrix is held and squared instead. No LU
-factorization is made.
+dense ones and the plain matrix is held and squared instead. The plain form
+is an accuracy path too, not only a cost switch: with every index in the
+head, as for a dense input, lam is all ones and U V' holds E - I, which
+cancels against it. Kept factored there, `expm` of a dense matrix with
+many squarings (n = 12, six squarings) is 4.1e-7 from `scipy.linalg.expm`,
+against 2.6e-14 plain. No LU factorization is made.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ bit equal to evaluating the modes one at a time.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -450,32 +451,22 @@ def axis_rules(plant: PlantConfig, kmax: int) -> list:
 
 
 def face_quadrature(plant: PlantConfig, kmax: int, rows: int = 0) -> Quadrature:
-    """Rule over the control face. In one dimension the face is a single
-    point and the measure is counting measure (weight one). `rows` is the
-    number of modes the caller will sample on the rule; GridSizeError is
-    raised before anything is built if the rule and those samples would
-    exceed GRID_BYTES_MAX."""
+    """Tensor rule over the control face: one composite Gauss rule per
+    in-face axis, the face axis pinned to the face value. In one dimension
+    there is no in-face axis, so the face is a single point and the measure
+    is counting measure (weight one). `rows` is the number of modes the
+    caller will sample on the rule; GridSizeError is raised before anything
+    is built if the rule and those samples would exceed GRID_BYTES_MAX."""
     face = plant.control_face
-    coord = 0.0 if face.side == 0 else plant.lengths[face.axis]
-    if plant.dim == 1:
-        pts = np.array([[coord]])
-        return Quadrature(points=pts, weights=np.array([1.0]))
     other = in_face_axes(plant)
     panels = _panel_count(kmax)
     _check_grid_bytes(plant, "face", (panels * QUAD_ORDER) ** len(other), rows)
     axes = [gauss_panels(plant.lengths[ax], panels) for ax in other]
-    if len(axes) == 1:
-        loc = axes[0][0][:, None]
-        w = axes[0][1]
-    else:
-        g = np.meshgrid(axes[0][0], axes[1][0], indexing="ij")
-        loc = np.column_stack([v.ravel() for v in g])
-        w = np.multiply.outer(axes[0][1], axes[1][1]).ravel()
-    pts = np.empty((loc.shape[0], plant.dim))
-    pts[:, face.axis] = coord
-    for j, ax in enumerate(other):
-        pts[:, ax] = loc[:, j]
-    return Quadrature(points=pts, weights=w)
+    weights = np.ravel(functools.reduce(np.multiply.outer, [w for _, w in axes], 1.0))
+    pts = np.full((len(weights), plant.dim), 0.0 if face.side == 0 else plant.lengths[face.axis])
+    for ax, grid in zip(other, np.meshgrid(*[x for x, _ in axes], indexing="ij")):
+        pts[:, ax] = grid.ravel()
+    return Quadrature(points=pts, weights=weights)
 
 
 def max_wavenumber(modes: ModeTable) -> int:

@@ -109,6 +109,25 @@ def loop_states(loop, x0: np.ndarray, h: float, n_rows: int) -> np.ndarray:
     return np.concatenate([rows.copy() for _, rows in blocks])
 
 
+def projection_defects(artifacts) -> list:
+    """Q_k - M_k per shift k: the quadrature route -diag(lam_k) G_q Lam_k A,
+    G_q the head Gram summed on the context's face samples, less the matrix
+    route -B_k A, formed as `ClosedLoop` forms them."""
+    m, ctx = artifacts, artifacts.context
+    A = m.gram_inverse
+    gram_q = np.einsum("iq,jq,q->ij", ctx.traces, ctx.traces, ctx.quad.weights)
+    return [
+        np.einsum("i,ij,jl->il", -lift, gram_q, lift[:, None] * A) - (-Bk @ A)
+        for lift, Bk in zip(m.head_lifts, m.shifted_grams)
+    ]
+
+
+def projection_deviations(artifacts, U: np.ndarray) -> np.ndarray:
+    """Per row of U, the largest |U (Q_k - M_k)'| over the shifts k and the
+    head modes: how far the two routes apply different forcing to that row."""
+    return np.max([np.max(np.abs(U @ D.T), axis=1) for D in projection_defects(artifacts)], axis=0)
+
+
 def certificate_energy(loop, X: np.ndarray, P: np.ndarray) -> np.ndarray:
     """V = X'PX + sum_(N<n<=N_sim) (lam_n+nu) w_n^2 per row of X."""
     F = finite_part(loop, X)

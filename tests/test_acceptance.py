@@ -174,14 +174,11 @@ def test_certificate_closes_and_tail_sums_shrink(mild_ctx):
     assert cert.certified
     assert cert.N <= 200
     art = conftest.mild_synthesize(mild_ctx, cert.N)
-    residual = (
-        art.closed_loop.T @ cert.P
-        + cert.P @ art.closed_loop
-        + 2 * art.delta * cert.P
-        + np.eye(art.closed_loop.shape[0])
-    )
+    P = solve_lyapunov(art.closed_loop, art.delta, 2 * art.n0)
+    assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
+    residual = art.closed_loop.T @ P + P @ art.closed_loop + 2 * art.delta * P + np.eye(art.closed_loop.shape[0])
     assert np.max(np.abs(residual)) < 1e-8
-    assert np.min(np.linalg.eigvalsh(cert.P)) > 0
+    assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.theta1_max <= 0.0
     assert cert.psi_bound < 0
 

@@ -300,7 +300,9 @@ def test_certify_round_mild_design(mild_art30):
     assert cert.P_norm == pytest.approx(1.748, abs=1e-2)
     assert cert.theta1_max <= 1e-9
     assert cert.psi_bound < 0
-    assert np.min(np.linalg.eigvalsh(cert.P)) > 0
+    P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
+    assert np.min(np.linalg.eigvalsh(P)) > 0
+    assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 
 
 def test_certify_stops_at_first_passing_round(mild_ctx):

@@ -278,8 +278,8 @@ def _quick_with(simulation_overrides):
 
 
 def test_check_every_is_not_a_config_key(tmp_path, capsys):
-    # every closed-loop run checks every simulation.CHECK_EVERY-th row; no
-    # config key can thin the check out or turn it off
+    # every closed-loop run checks every row; no config key can thin the
+    # check out or turn it off
     cfg = _quick_with({"check_every": 100})
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
@@ -321,6 +321,11 @@ def test_pipeline_refuses_n_sim_below_n_before_writing(tmp_path, capsys):
         pytest.param("/simulation/T", -1.0, id="T_negative"),
         pytest.param("/simulation/z0/bump/width", 0, id="width_0"),
         pytest.param("/simulation/z0/bump/width", -0.2, id="width_negative"),
+        pytest.param("/synthesis/sensor_tol", 0, id="sensor_tol_0"),
+        pytest.param("/synthesis/sensor_tol", -1.0, id="sensor_tol_negative"),
+        # reported at the entry, /plant/lengths/1, not as an exterior sensor
+        pytest.param("/plant/lengths", [math.pi, 0.0], id="lengths_0"),
+        pytest.param("/plant/lengths", [-1.0, math.pi], id="lengths_negative"),
         # the demo's z0 modes are [[1, 1], [2, 1]]
         pytest.param("/simulation/z0/modes/1", [1, 1], id="modes_repeated"),
         # non-finite numbers: json.dumps writes Infinity and NaN, which parse

@@ -12,8 +12,9 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from parstab import simulation
+from parstab import lifting, simulation
 from parstab.certification import solve_lyapunov
+from parstab.cli import main
 from parstab.linalg import Border, Factored
 from parstab.linalg import expm as expm_border
 from parstab.simulation import (
@@ -43,7 +44,15 @@ from parstab.spectral_basis import (
 )
 
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
-from oracles import certificate_energy, factored_array, loop_states
+from oracles import (
+    certificate_energy,
+    factored_array,
+    loop_states,
+    projection_defects,
+    projection_deviations,
+)
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_defaults():
@@ -217,53 +226,108 @@ def test_forcing_is_minus_the_face_inner_product(example_art60, example_ctx):
     assert np.array_equal(obs_tail, system.forcing[m.n0 : m.N])
 
 
+def _head_controls():
+    """Five rows of head controls U, the second one zero."""
+    return np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
+
+
+def _with_scaled_traces(art, factor):
+    """`art` on a copy of its context whose head trace samples are scaled
+    by `factor`, so that the face-rule Gram is off by factor^2."""
+    ctx = copy.copy(art.context)
+    ctx.traces = ctx.traces * factor
+    return dataclasses.replace(art, context=ctx)
+
+
 def test_projection_check_consistency(example_art30):
     system = ClosedLoop(example_art30, N_sim=60)
-    U = np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
+    U = _head_controls()
     devs = system.projection_check(U)
     assert devs.shape == (5,)
     assert np.all(devs < 1e-8) and devs[1] == 0.0
     # a matrix route off by 1 % is caught in every row but the zero one
-    system.check_maps = [(quad, 1.01 * matrix) for quad, matrix in system.check_maps]
-    devs = system.projection_check(U)
-    assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
-
-
-def test_projection_check_catches_a_quadrature_route_error(example_art30):
-    # context traces scaled by sqrt(1.01) put the face-rule Gram off by 1 %
-    ctx = copy.copy(example_art30.context)
-    ctx.traces = ctx.traces * math.sqrt(1.01)
-    art = dataclasses.replace(example_art30, context=ctx)
-    U = np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
+    art = dataclasses.replace(example_art30, shifted_grams=[1.01 * Bk for Bk in example_art30.shifted_grams])
     devs = ClosedLoop(art, N_sim=60).projection_check(U)
     assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
-    # rows 100, 200, ...: the first check row fails the run
-    with pytest.raises(SimulationError, match=r"disagree by .* at t=0\.100$"):
+
+
+@pytest.mark.parametrize("factor", [1.0, math.sqrt(1.01)], ids=["design", "gram_off_1pc"])
+def test_projection_check_bounds_each_rows_deviation(example_art30, factor):
+    art = _with_scaled_traces(example_art30, factor)
+    system = ClosedLoop(art, N_sim=60)
+    # random rows, and rows with the signs of each row of each Q_k - M_k,
+    # on which the bound max|U| * (largest row sum) is attained
+    defects = projection_defects(art)
+    tight = np.vstack([np.sign(D) for D in defects])
+    U = np.vstack([np.random.default_rng(5).standard_normal((40, 3)), tight])
+    devs = system.projection_check(U)
+    want = projection_deviations(art, U)
+    assert np.all(want > 0)
+    assert np.all(devs >= want * (1 - 1e-12))
+    assert np.max(want[40:] / devs[40:]) == pytest.approx(1.0, rel=1e-12)
+
+
+def test_projection_check_catches_a_quadrature_route_error(example_art30, tmp_path, monkeypatch, capsys):
+    # context traces scaled by sqrt(1.01) put the face-rule Gram off by 1 %
+    art = _with_scaled_traces(example_art30, math.sqrt(1.01))
+    U = _head_controls()
+    devs = ClosedLoop(art, N_sim=60).projection_check(U)
+    assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
+    # the observer starts at zero, so row 0 passes and row 1 fails the run
+    with pytest.raises(SimulationError, match=r"disagree by up to .* at t=0\.001$"):
         run(np.ones(5), 0.6, 1e-3, art, N_sim=60)
+    # through the CLI: exit 4 and nothing written
+    exact = lifting.trace_matrix
+
+    def off_by_one_percent(eigs, quad):
+        return exact(eigs, quad) * math.sqrt(1.01)
+
+    monkeypatch.setattr(lifting, "trace_matrix", off_by_one_percent)
+    config = os.path.join(ROOT, "demos", "quick_certify.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    assert "lifted-projection routes disagree" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
-def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
-    check = ClosedLoop.projection_check
+_PROJECTION_CHECK = ClosedLoop.projection_check
+
+
+def _counted_checks(monkeypatch, fail_in_call=None, fail_from_row=0):
+    """Record the row count of each projection_check call; in call number
+    `fail_in_call` (from 1) report 1.0 from row `fail_from_row` on."""
     calls = []
 
     def counted(self, U):
         calls.append(len(U))
-        return check(self, U)
-
-    monkeypatch.setattr(ClosedLoop, "projection_check", counted)
-    result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
-    # rows 100, 200, ..., 600 in blocks [0, 256), [256, 512) and [512, 601)
-    assert calls == [2, 3, 1]
-    assert 0.0 < result.projection_check_max < 1e-8
-
-    def failing_from_second_row(self, U):
-        devs = check(self, U)
-        devs[1:] = 1.0
+        devs = _PROJECTION_CHECK(self, U)
+        if len(calls) == fail_in_call:
+            devs[fail_from_row:] = 1.0
         return devs
 
-    monkeypatch.setattr(ClosedLoop, "projection_check", failing_from_second_row)
-    with pytest.raises(SimulationError, match=r"disagree by 1\.000e\+00 at t=0\.200$"):
+    monkeypatch.setattr(ClosedLoop, "projection_check", counted)
+    return calls
+
+
+def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
+    calls = _counted_checks(monkeypatch)
+    result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
+    # every one of the 601 rows, in blocks [0, 256), [256, 512) and [512, 601)
+    assert calls == [256, 256, 89]
+    assert 0.0 < result.projection_check_max < 1e-8
+    # the failing row is named by its own t: row 256 + 7
+    _counted_checks(monkeypatch, fail_in_call=2, fail_from_row=7)
+    with pytest.raises(SimulationError, match=r"disagree by up to 1\.000e\+00 at t=0\.263$"):
         run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
+
+
+def test_the_partial_last_row_is_checked(example_art30, monkeypatch):
+    # T = 250.7 h: rows at 0, h, ..., 250 h in one block, then the row at T
+    calls = _counted_checks(monkeypatch)
+    run(np.ones(5), 0.2507, 1e-3, example_art30, N_sim=60)
+    assert calls == [251, 1]
+    _counted_checks(monkeypatch, fail_in_call=2)
+    with pytest.raises(SimulationError, match=r"disagree by up to 1\.000e\+00 at t=0\.251$"):
+        run(np.ones(5), 0.2507, 1e-3, example_art30, N_sim=60)
 
 
 def test_run_bookkeeping(example_art30):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from parstab import spectral_basis
 from parstab.spectral_basis import (
     DomainError,
     GRID_BYTES_MAX,
@@ -218,6 +219,29 @@ def test_face_quadrature_line_is_counting_measure(d1_plant):
     assert quad.points.shape == (1, 1)
     assert quad.points[0, 0] == pytest.approx(0.0)
     assert quad.weights[0] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("side", [0, 1])
+@pytest.mark.parametrize("kmax", [1, 3])
+def test_face_quadrature_is_the_tensor_product_of_the_axis_rules(dim, side, kmax):
+    # one Gauss rule per in-face axis, combined point by point in row-major
+    # order; in 1-D the empty product is the face point with weight one
+    lengths = tuple(1.0 + 0.4 * ax for ax in range(dim))
+    for axis in range(dim):
+        plant = PlantConfig(dim=dim, lengths=lengths, control_face=FaceId(axis, side))
+        other = [ax for ax in range(dim) if ax != axis]
+        rules = [gauss_panels(lengths[ax], spectral_basis._panel_count(kmax)) for ax in other]
+        points, weights = [], []
+        for picks in itertools.product(*[range(len(x)) for x, _ in rules]):
+            point = [0.0 if side == 0 else lengths[axis]] * dim
+            for ax, (x, _), i in zip(other, rules, picks):
+                point[ax] = x[i]
+            points.append(point)
+            weights.append(math.prod(w[i] for (_, w), i in zip(rules, picks)))
+        quad = face_quadrature(plant, kmax)
+        assert np.array_equal(quad.points, np.array(points))
+        assert np.array_equal(quad.weights, np.array(weights))
 
 
 def test_interior_quadrature_integrates_mu(example_plant):
