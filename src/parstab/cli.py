@@ -193,9 +193,18 @@ def _validated(raw: dict) -> RunConfig:
             raise ConfigError(f"/sensors/{key}: expected {d} coordinates")
         if not all(0.0 < v < l for v, l in zip(xi, lengths)):
             raise ConfigError(f"/sensors/{key}: sensor must be an interior point")
+    syn = merged["synthesis"]
     for key in ("gamma_base", "sensor_tol"):
-        if not merged["synthesis"][key] > 0:
+        if not syn[key] > 0:
             raise ConfigError(f"/synthesis/{key}: must be positive")
+    # a condition number is at least 1, and the shifts gamma_base (1 + (k-1)
+    # rho), rho = (c_ratio - 1) / (N0 - 1), are distinct only for c_ratio > 1
+    for key in ("cond_max", "c_ratio"):
+        if not syn[key] > 1:
+            raise ConfigError(f"/synthesis/{key}: must exceed 1")
+    # spread <= 0 would place the observer poles at or right of -delta
+    if syn["spread"] is not None and not syn["spread"] > 0:
+        raise ConfigError("/synthesis/spread: must be positive")
     c = merged["certification"]
     if c["N_start"] < 1:
         raise ConfigError("/certification/N_start: must be at least 1")

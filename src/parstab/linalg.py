@@ -14,19 +14,23 @@ Higham, SIAM J. Sci. Comput. 33(2), 2011, truncate the Taylor series the same
 way). `taylor_degree` picks m <= TAYLOR_MAX and s from a forward bound on the
 truncation error built from the 1-norms of powers of |A|, which
 matrix-vector products with the border parts of |A|' give, so no dense |A| is
-formed. `expm` returns a `Factored`, diag(lam) + U V' with thin factors:
-T_m(2^-s A) minus T_m of its diagonal telescopes into factors of width
-k(m+1) made from 2m - 2 border products with n x k blocks, which are cut to
-their numerical rank by QR and an SVD of the small core; each squaring keeps
-the form and is cut again. On the closed loops the rank stays far below n
-(9 for E and 23 for E^256 on the 300-dim strong-drift loop), so no n x n
-array is formed. Once a rank reaches n/4, factored products cost more than
-dense ones and the plain matrix is held and squared instead. The plain form
-is an accuracy path too, not only a cost switch: with every index in the
-head, as for a dense input, lam is all ones and U V' holds E - I, which
-cancels against it. Kept factored there, `expm` of a dense matrix with
-many squarings (n = 12, six squarings) is 4.1e-7 from `scipy.linalg.expm`,
-against 2.6e-14 plain. No LU factorization is made.
+formed. `expm` returns a `Factored`, diag(lam) + Q diag(sig) W' with thin
+orthonormal bases Q and W: T_m(2^-s A) minus T_m of its diagonal telescopes
+into factors of width k(m+1) made from 2m - 2 border products with n x k
+blocks, which are cut to their numerical rank by QR and an SVD of the small
+core. Each squaring keeps the form and carries the bases: only the r new
+directions diag(lam) Q and diag(lam) W are orthogonalized against Q and W,
+by block Gram-Schmidt run twice, so the QRs are of n x r blocks, not of the
+n x 2r stacked factors, and an SVD of the core, at most 2r x 2r, cuts the
+square again. On the closed loops the rank stays far below n (9 for E and 23 for
+E^256 on the 300-dim strong-drift loop, 13 and 35 on the 1020-dim one), so
+no n x n array is formed. Once a rank reaches n/4, factored products cost
+more than dense ones and the plain matrix is held and squared instead. The
+plain form is an accuracy path too, not only a cost switch: with every
+index in the head, as for a dense input, lam is all ones and the low-rank
+part holds E - I, which cancels against it. Kept factored there, `expm` of
+a dense matrix with many squarings (n = 12, six squarings) is 4.1e-7 from
+`scipy.linalg.expm`, against 2.6e-14 plain. No LU factorization is made.
 """
 
 from __future__ import annotations
@@ -42,6 +46,10 @@ UNIT_ROUNDOFF = 2.0**-53
 # rational scaling and squaring of Al-Mohy & Higham (SIAM J. Matrix Anal.
 # Appl. 31(3), 2009) would; with 40, none of 2700 did
 TAYLOR_MAX = 40
+# Gram eigenvalues of unit vectors at most this are rounding error: the
+# eigenvalues of a Gram matrix of columns of norm at most 1 carry an
+# absolute error of a few unit roundoffs
+GRAM_TOL = 32 * UNIT_ROUNDOFF
 
 
 class Border:
@@ -144,16 +152,20 @@ def taylor_degree(B: Border) -> tuple:
 
 
 class Factored:
-    """diag(lam) + U V' with thin n x r factors U and V, or a plain n x n matrix.
+    """diag(lam) + Q diag(sig) W' with orthonormal n x r bases Q and W, or a
+    plain n x n matrix.
 
-    Once 4r >= n, a product with the factors costs more than a dense one,
-    and the matrix itself is held as `plain`, with lam, U and V None. `rank`
-    is r, or n for a plain matrix.
+    Q'Q = W'W = I is an invariant: `_cut` makes both bases from orthonormal
+    ones, and `squared` extends them by block Gram-Schmidt. sig holds the
+    singular values of the low-rank part, largest first. Once 4r >= n, a
+    product with the factors costs more than a dense one, and the matrix
+    itself is held as `plain`, with lam, Q, sig and W None. `rank` is r, or
+    n for a plain matrix.
     """
 
-    def __init__(self, lam, U, V, plain=None):
-        self.lam, self.U, self.V, self.plain = lam, U, V, plain
-        self.rank = len(plain) if plain is not None else U.shape[1]
+    def __init__(self, lam, Q, sig, W, plain=None):
+        self.lam, self.Q, self.sig, self.W, self.plain = lam, Q, sig, W, plain
+        self.rank = len(plain) if plain is not None else len(sig)
 
     def advance(self, X: np.ndarray, out=None) -> np.ndarray:
         """X @ M', written to `out` (not X): each row of X, or a vector X,
@@ -161,45 +173,107 @@ class Factored:
         if self.plain is not None:
             return np.matmul(X, self.plain.T, out=out)
         out = np.multiply(X, self.lam, out=out)
-        out += (X @ self.V) @ self.U.T
+        out += ((X @ self.W) * self.sig) @ self.Q.T
         return out
 
     def squared(self) -> "Factored":
-        """M @ M: (L + U V')^2 = L^2 + [L U | U] [V | L V + V (U' V)]', compressed."""
+        """M @ M in the carried bases.
+
+        With L = diag(lam) and S = diag(sig),
+
+            (L + Q S W')^2 = L^2 + [Q | L Q] C [W | L W]',  C = [[S (W'Q) S, S], [S, 0]].
+
+        Only the new directions L Q and L W are orthogonalized, against Q and
+        W (`_extended`), so each QR is of an n x r block; an SVD of the core,
+        at most 2r x 2r, then cuts the result (`_cut`)."""
         if self.plain is not None:
-            return Factored(None, None, None, plain=self.plain @ self.plain)
-        lam, U, V = self.lam, self.U, self.V
-        right = lam[:, None] * V + V @ (U.T @ V)
-        return _compressed(lam * lam, np.hstack([lam[:, None] * U, U]), np.hstack([V, right]))
+            return Factored(None, None, None, None, plain=self.plain @ self.plain)
+        lam, Q, sig, W = self.lam, self.Q, self.sig, self.W
+        r = len(sig)
+        if not r:
+            return Factored(lam * lam, Q, sig, W)
+        core = np.zeros((2 * r, 2 * r))
+        core[:r, :r] = sig[:, None] * (W.T @ Q) * sig
+        core[:r, r:] = core[r:, :r] = np.diag(sig)
+        LQ, LW = lam[:, None] * Q, lam[:, None] * W
+        Qx, Ru = _extended(Q, LQ)
+        Wx, Rw = _extended(W, LW)
+
+        def uncut():
+            return np.hstack([Q, LQ]) @ core @ np.hstack([W, LW]).T
+
+        return _cut(lam * lam, Qx, Ru @ core @ Rw.T, Wx, uncut)
+
+
+def _extended(Q: np.ndarray, B: np.ndarray) -> tuple:
+    """(X, R) with [Q | B] = X R and X = [Q | Q2] orthonormal, for orthonormal Q.
+
+    Block Gram-Schmidt run twice ("twice is enough": Giraud, Langou &
+    Rozloznik, Comput. Math. Appl. 50, 2005). B less its part Q Y in Q is
+    factored by a QR of its r columns, Q2 R2. Where that remainder is
+    nearly rank deficient, as it is once the span of Q holds directions
+    that diag(lam) almost maps into itself, the columns of Q2 that carry
+    its rounding error are not orthogonal to Q: overlaps reach 0.999 on the
+    1020-dim `wide_sim` loop. So Q2 loses its part in Q too, and is made
+    orthonormal again from the eigendecomposition of its r x r Gram matrix;
+    a second pass follows when a kept eigenvalue is below 1/2, as Cholesky
+    QR is repeated. A direction whose Gram eigenvalue is at rounding level
+    lies inside Q, and R2 gives it weight at rounding level only; it is
+    dropped, so Q2 may have fewer than r columns.
+    """
+    r = Q.shape[1]
+    Y = Q.T @ B
+    Q2, R2 = np.linalg.qr(B - Q @ Y)
+    Z = Q.T @ Q2
+    Q2 -= Q @ Z
+    Y += Z @ R2
+    for _ in range(2):
+        d, V = np.linalg.eigh(Q2.T @ Q2)
+        keep = d > GRAM_TOL
+        root = np.sqrt(d[keep])
+        Q2 = Q2 @ (V[:, keep] / root)
+        R2 = (root[:, None] * V[:, keep].T) @ R2
+        # one pass leaves an error of about the unit roundoff over the least
+        # kept eigenvalue
+        if np.all(d[keep] > 0.5):
+            break
+    R = np.zeros((r + len(R2), 2 * r))
+    R[:r, :r] = np.eye(r)
+    R[:r, r:] = Y
+    R[r:, r:] = R2
+    return np.hstack([Q, Q2]), R
 
 
 def _all_nan(n: int) -> Factored:
-    return Factored(np.full(n, np.nan), np.full((n, 1), np.nan), np.full((n, 1), np.nan))
+    return Factored(np.full(n, np.nan), np.full((n, 1), np.nan), np.full(1, np.nan), np.full((n, 1), np.nan))
+
+
+def _cut(lam: np.ndarray, Qu: np.ndarray, core: np.ndarray, Qv: np.ndarray, uncut) -> Factored:
+    """diag(lam) + Qu core Qv' for orthonormal Qu and Qv, cut to its numerical rank r.
+
+    The SVD of the small core gives the singular values; those at most the
+    unit roundoff times max(max |lam|, the largest) are dropped. Once 4r >= n
+    the plain matrix is formed from the uncut factors, whose product `uncut`
+    returns. A non-finite core or lam gives an all-nan result.
+    """
+    n = len(lam)
+    if not (np.all(np.isfinite(core)) and np.all(np.isfinite(lam))):
+        return _all_nan(n)
+    P, sig, Zt = np.linalg.svd(core)
+    r = int(np.count_nonzero(sig > UNIT_ROUNDOFF * max(np.max(np.abs(lam)), sig[0])))
+    if 4 * r >= n:
+        M = uncut()
+        M.flat[:: n + 1] += lam
+        return Factored(None, None, None, None, plain=M)
+    return Factored(lam, Qu @ P[:, :r], sig[:r], Qv @ Zt[:r].T)
 
 
 def _compressed(lam: np.ndarray, U: np.ndarray, V: np.ndarray) -> Factored:
-    """diag(lam) + U V' with the factors cut to its numerical rank r.
-
-    U = Qu Ru and V = Qv Rv by QR, then the SVD of the small core Ru Rv';
-    singular values at most the unit roundoff times max(max |lam|, the
-    largest) are dropped. Once 4r >= n the plain matrix is formed from the
-    uncut factors. Non-finite factors give an all-nan result, and empty
-    ones are kept.
-    """
-    n = len(lam)
-    if not U.shape[1]:
-        return Factored(lam, U, V)
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V)) and np.all(np.isfinite(lam))):
-        return _all_nan(n)
+    """diag(lam) + U V' in orthonormal bases, cut to its numerical rank:
+    U = Qu Ru and V = Qv Rv by QR, then `_cut` of the core Ru Rv'."""
     Qu, Ru = np.linalg.qr(U)
     Qv, Rv = np.linalg.qr(V)
-    P, sig, Wt = np.linalg.svd(Ru @ Rv.T)
-    r = int(np.count_nonzero(sig > UNIT_ROUNDOFF * max(np.max(np.abs(lam)), sig[0])))
-    if 4 * r >= n:
-        M = U @ V.T
-        M.flat[:: n + 1] += lam
-        return Factored(None, None, None, plain=M)
-    return Factored(lam, Qu @ (P[:, :r] * sig[:r]), Qv @ Wt[:r].T)
+    return _cut(lam, Qu, Ru @ Rv.T, Qv, lambda: U @ V.T)
 
 
 def _taylor_factors(C: Border, m: int) -> tuple:
@@ -252,7 +326,7 @@ def expm(B: Border) -> Factored:
     if not np.any(B.cols) and np.count_nonzero(B.rows) == np.count_nonzero(at_head):
         diag = B.diag.copy()
         diag[B.head] = at_head
-        return Factored(np.exp(diag), np.zeros((n, 0)), np.zeros((n, 0)))
+        return Factored(np.exp(diag), np.zeros((n, 0)), np.zeros(0), np.zeros((n, 0)))
     m, s = taylor_degree(B)
     E = _compressed(*_taylor_factors(B.scaled(2.0**-s), m))
     for _ in range(s):

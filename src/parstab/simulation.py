@@ -7,17 +7,19 @@ diagonal except for the rows and columns of the n0 observer-head states.
 `ClosedLoop.border` builds those parts directly, with no n x n A, and the
 in-repo `linalg.expm` evaluates a Taylor polynomial in h A from them,
 squared as often as its truncation bound needs, with no LU solve. It returns
-E = expm(h A) as its diagonal plus thin factors (`linalg.Factored`), of rank
-9 on the 300-dim strong-drift loop. `run` fills the first BLOCK output rows
-by doubling (rows [0, k) times (E^k)' give rows [k, 2k), then E^k is squared
-in factored form), and advances each later block of rows by E^BLOCK, the
-last of those squares, as X * lam + (X V) U' into one of two alternating row
-buffers: about 4 rows n r flops a block for rank r, against 2 rows n^2 for a
-dense E^BLOCK. Propagation forms no n x n array. The output spacing h is
-no accuracy or stability limit.
+E = expm(h A) as its diagonal plus a low-rank part in orthonormal bases
+(`linalg.Factored`), of rank 9 on the 300-dim strong-drift loop. `run` fills
+the first BLOCK output rows by doubling (rows [0, k) times (E^k)' give rows
+[k, 2k), then E^k is squared in factored form, in the bases it carries), and
+advances each later block of rows by E^BLOCK, the last of those squares, as
+X * lam + ((X W) * sig) Q' into one of two alternating row buffers: about 4
+rows n r flops a block for rank r, against 2 rows n^2 for a dense E^BLOCK.
+Propagation forms no n x n array. The output spacing h is no accuracy or
+stability limit.
 
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
-states in array operations; it is the one place the outputs, the control
+states in array operations, each norm over a row in one einsum pass that
+forms no block-sized square; it is the one place the outputs, the control
 norm and the energy proxies are formed. `ClosedLoop.projection_check`
 bounds, for every row, how far the forcing the loop simulates departs from
 the forcing the design built; the defect it multiplies is formed once per
@@ -241,7 +243,16 @@ class ClosedLoop:
 
     def diagnostics(self, X: np.ndarray) -> dict:
         """Every CSV column but t, for states stacked as the rows of X; on
-        the open loop zhat, and so U, stays zero."""
+        the open loop zhat, and so U, stays zero.
+
+        Each norm over a row is one einsum pass, which forms no block-sized
+        square and makes no BLAS call: h1 sums the weights times wn*wn, and
+        the sums of z*z over the modes the observer models and over the rest
+        give err_residual and, together, l2_proxy. h1 is summed from wn
+        itself, not expanded as a quadratic form in z and U: wn = z - lift U
+        cancels as the loop decays (h1 near 4e-5 at the end of the
+        strong-drift pipeline, against 7.9 at t = 0), and the expanded form
+        loses those digits."""
         N_sim, N, n0 = self.N_sim, self.N, self.n0
         z, zhat = X[:, :N_sim], X[:, N_sim:]
         U = zhat[:, :n0]
@@ -249,19 +260,25 @@ class ClosedLoop:
         y = z @ self.C_sim.T
         # sensor contribution of the modes the observer never models
         zeta = wn[:, N:] @ self.C_sim[:, N:].T
-        h1 = np.sqrt(wn**2 @ self.h1_weights)
+        h1 = np.sqrt(np.einsum("ij,ij,j->i", wn, wn, self.h1_weights))
+        head_sq = np.einsum("ij,ij->i", z[:, :N], z[:, :N])
+        tail_sq = np.einsum("ij,ij->i", z[:, N:], z[:, N:])
+        err = z[:, :N] - zhat
+        # the control form is singular to rounding (eigenvalues 1e-14, 2.3
+        # and 23 on the strong-drift design), so u^2 cancels terms up to 1e5
+        # times its size; any other summation order moves it by 1e-11
         u_sq = np.sum((U @ self.control_form) * U, axis=1)
         return {
-            "l2_proxy": np.linalg.norm(z, axis=1),
+            "l2_proxy": np.sqrt(head_sq + tail_sq),
             "h1_proxy": h1,
             "y1": y[:, 0],
             "y2": y[:, 1],
             "u_l2_gamma1": np.sqrt(np.maximum(u_sq, 0.0)),
-            "err_finite": np.linalg.norm(z[:, :N] - zhat, axis=1),
-            "err_residual": np.linalg.norm(z[:, N:], axis=1),
+            "err_finite": np.sqrt(np.einsum("ij,ij->i", err, err)),
+            "err_residual": np.sqrt(tail_sq),
             "zeta1": zeta[:, 0],
             "zeta2": zeta[:, 1],
-            "composite": h1 + np.sum(np.abs(zhat[:, :n0]), axis=1),
+            "composite": h1 + np.sum(np.abs(U), axis=1),
         }
 
     # -- integration -------------------------------------------------------

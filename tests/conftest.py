@@ -78,6 +78,20 @@ def mild_art30(mild_ctx):
 
 
 @pytest.fixture(scope="session")
+def quick_design(mild_ctx):
+    # the design of demos/quick_certify.json: the mild plant at N = 8
+    return mild_synthesize(mild_ctx, 8)
+
+
+@pytest.fixture(scope="session")
+def strong_design(example_plant):
+    # the strong-drift demo's design (N = 60) on enough modes for N_sim = 960,
+    # the loop of the wide_sim benchmark workload
+    ctx = LiftingContext(enumerate_eigenpairs(example_plant, 960), 3)
+    return synthesis.synthesize(ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, 60, 0.5)
+
+
+@pytest.fixture(scope="session")
 def d1_plant():
     return PlantConfig(dim=1, drift=(3.0,), reaction=10.0, delta=0.5)
 

@@ -109,6 +109,31 @@ def loop_states(loop, x0: np.ndarray, h: float, n_rows: int) -> np.ndarray:
     return np.concatenate([rows.copy() for _, rows in blocks])
 
 
+def diagnostics_reference(loop, X: np.ndarray) -> dict:
+    """`ClosedLoop.diagnostics` of the rows of X by whole-array norms: the
+    block-sized wn and wn**2 formed, each norm by `np.linalg.norm`."""
+    N_sim, N, n0 = loop.N_sim, loop.N, loop.n0
+    z, zhat = X[:, :N_sim], X[:, N_sim:]
+    U = zhat[:, :n0]
+    wn = z - U @ loop.lift_all.T
+    y = z @ loop.C_sim.T
+    zeta = wn[:, N:] @ loop.C_sim[:, N:].T
+    h1 = np.sqrt(wn**2 @ loop.h1_weights)
+    u_sq = np.sum((U @ loop.control_form) * U, axis=1)
+    return {
+        "l2_proxy": np.linalg.norm(z, axis=1),
+        "h1_proxy": h1,
+        "y1": y[:, 0],
+        "y2": y[:, 1],
+        "u_l2_gamma1": np.sqrt(np.maximum(u_sq, 0.0)),
+        "err_finite": np.linalg.norm(z[:, :N] - zhat, axis=1),
+        "err_residual": np.linalg.norm(z[:, N:], axis=1),
+        "zeta1": zeta[:, 0],
+        "zeta2": zeta[:, 1],
+        "composite": h1 + np.sum(np.abs(U), axis=1),
+    }
+
+
 def projection_defects(artifacts) -> list:
     """Q_k - M_k per shift k: the quadrature route -diag(lam_k) G_q Lam_k A,
     G_q the head Gram summed on the context's face samples, less the matrix
@@ -175,9 +200,9 @@ def sphi_sum(artifacts, N: int, N_tail: int) -> float:
 
 
 def factored_array(F) -> np.ndarray:
-    """The n x n matrix diag(lam) + U V' that a `linalg.Factored` holds."""
+    """The n x n matrix diag(lam) + Q diag(sig) W' that a `linalg.Factored` holds."""
     if F.plain is not None:
         return F.plain
-    M = F.U @ F.V.T
+    M = (F.Q * F.sig) @ F.W.T
     M.flat[:: len(M) + 1] += F.lam
     return M

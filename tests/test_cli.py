@@ -323,6 +323,13 @@ def test_pipeline_refuses_n_sim_below_n_before_writing(tmp_path, capsys):
         pytest.param("/simulation/z0/bump/width", -0.2, id="width_negative"),
         pytest.param("/synthesis/sensor_tol", 0, id="sensor_tol_0"),
         pytest.param("/synthesis/sensor_tol", -1.0, id="sensor_tol_negative"),
+        # no sum of Gram blocks has a condition number below 1
+        pytest.param("/synthesis/cond_max", 0, id="cond_max_0"),
+        pytest.param("/synthesis/cond_max", 1.0, id="cond_max_1"),
+        pytest.param("/synthesis/spread", 0, id="spread_0"),
+        pytest.param("/synthesis/spread", -0.5, id="spread_negative"),
+        pytest.param("/synthesis/c_ratio", 1.0, id="c_ratio_1"),
+        pytest.param("/synthesis/c_ratio", 0.5, id="c_ratio_below_1"),
         # reported at the entry, /plant/lengths/1, not as an exterior sensor
         pytest.param("/plant/lengths", [math.pi, 0.0], id="lengths_0"),
         pytest.param("/plant/lengths", [-1.0, math.pi], id="lengths_negative"),
@@ -727,16 +734,18 @@ def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path, cfg, code):
 
 
 def test_quick_simulation_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # on the quick demo's 40-dim loop every BLAS call of the propagation is
-    # small enough to run on one thread at either count
-    demo = os.path.join(ROOT, "demos", "quick_certify.json")
-    outputs = []
-    for threads in (1, 2):
-        out = tmp_path / f"threads{threads}"
-        proc = run_python(["-m", "parstab", "simulate", "--config", demo, "--out", str(out)], threads)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append([(out / name).read_bytes() for name in ("summary.json", "simulation.csv")])
-    assert outputs[0] == outputs[1]
+    # on the quick demo's 40-dim loop and the cube demo's 100-dim one every
+    # BLAS call of the propagation is small enough to run on one thread at
+    # either count, and the diagnostics make no BLAS call but small products
+    for name in ("quick_certify.json", "cube_3d.json"):
+        demo = os.path.join(ROOT, "demos", name)
+        outputs = []
+        for threads in (1, 2):
+            out = tmp_path / f"{name}-threads{threads}"
+            proc = run_python(["-m", "parstab", "simulate", "--config", demo, "--out", str(out)], threads)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append([(out / f).read_bytes() for f in ("summary.json", "simulation.csv")])
+        assert outputs[0] == outputs[1], name
 
 
 def strict_json(path):

@@ -46,6 +46,7 @@ from parstab.spectral_basis import (
 from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, traced_peak
 from oracles import (
     certificate_energy,
+    diagnostics_reference,
     factored_array,
     loop_states,
     projection_defects,
@@ -354,6 +355,28 @@ def test_composite_column_definition(example_art30):
     assert cols["h1_proxy"][0] == pytest.approx(h1, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "design, n_sim, h",
+    [("quick_design", 32, 1e-3), ("strong_design", 240, 2e-4), ("strong_design", 960, 1e-3)],
+)
+def test_diagnostics_match_the_whole_array_norms(request, design, n_sim, h):
+    # the quick demo's, the pipeline's and wide_sim's loops: a block of rows
+    # as `run` propagates them, and the exact states at t = 5 and 20; at 20,
+    # h1 has decayed to about 1e-5 (the strong-drift loops) or below, and
+    # wn = z - lift U cancels most of z
+    system = ClosedLoop(request.getfixturevalue(design), N_sim=n_sim)
+    x0 = np.zeros(n_sim + system.N)
+    x0[:5] = np.linspace(1.0, 0.5, 5)
+    A = system.full_matrix
+    X = np.vstack([loop_states(system, x0, h, simulation.BLOCK)] + [expm(t * A) @ x0 for t in (5.0, 20.0)])
+    want = diagnostics_reference(system, X)
+    assert np.min(want["h1_proxy"]) < 1e-4
+    got = system.diagnostics(X)
+    assert got.keys() == want.keys()
+    for name in want:
+        np.testing.assert_allclose(got[name], want[name], rtol=1e-13, atol=0.0, err_msg=name)
+
+
 def test_certificate_energy_decays_on_certified_design(mild_art30):
     P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
     h = 1e-3
@@ -424,7 +447,7 @@ def blocks_of(power, x0, n_rows):
 )
 def test_blocks_match_explicit_powers(contraction, n_rows):
     E, x0 = contraction
-    got = blocks_of(Factored(None, None, None, plain=E), x0, n_rows)
+    got = blocks_of(Factored(None, None, None, None, plain=E), x0, n_rows)
     assert got.shape == (n_rows, len(x0))
     assert np.array_equal(got[0], x0)
     want = explicit_rows(E, x0, n_rows)
@@ -434,7 +457,7 @@ def test_blocks_match_explicit_powers(contraction, n_rows):
 
 def test_blocks_advance_by_matrix_power(contraction):
     E, x0 = contraction
-    (_, first), (_, second) = simulation._blocks(Factored(None, None, None, plain=E), x0, 2 * simulation.BLOCK)
+    (_, first), (_, second) = simulation._blocks(Factored(None, None, None, None, plain=E), x0, 2 * simulation.BLOCK)
     E_block = np.linalg.matrix_power(E, simulation.BLOCK)
     assert np.array_equal(second, first @ E_block.T)
 
