@@ -11,7 +11,10 @@ runs out, returning an honest failure record in the latter case.
 P comes from a block back-substitution on F's structure (a dense head of
 2*N0 rows over a diagonal tail), in numpy alone. Every sum in P, and in the
 P F product of Theta1, runs over the head rows only, so those bytes do not
-depend on the BLAS thread count. A `Certificate` keeps P's 2-norm, not P;
+depend on the BLAS thread count. The two dense LAPACK steps, the
+eigenvalues of Theta1 and the 2-norm of P, run on one BLAS thread
+(`linalg.one_blas_thread`), so `certificate.json` does not depend on it
+either. A `Certificate` keeps P's 2-norm, not P;
 `solve_lyapunov` gives P again from the design.
 """
 
@@ -25,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lifting
+from .linalg import one_blas_thread
 from .spectral_basis import ModeTable, eval_phi, riesz_constants
 from .synthesis import SynthesisArtifacts, abscissa
 
@@ -183,7 +187,9 @@ def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndar
 def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> float:
     """Largest eigenvalue of the bordered certificate matrix `theta1_matrix`."""
     theta = theta1_matrix(P, artifacts, S1, S2, eta_cert)
-    return float(np.max(np.linalg.eigvalsh(theta)))
+    # on two threads the eigenvalues of a 245-dim Theta1 differ in the last bit
+    with one_blas_thread():
+        return float(np.max(np.linalg.eigvalsh(theta)))
 
 
 def check_psi(lambda_next, nu, delta, eta_cert, S_phi) -> float:
@@ -291,6 +297,11 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
                 elif psi > NEG_SLACK:
                     blocking = f"psi: Theta2 = {psi:.4e} > 0"
     status = "certified" if blocking is None else f"failed: {blocking}"
+    P_norm = float("nan")
+    if P is not None:
+        # an SVD, whose last bit depends on the BLAS thread count at N = 240
+        with one_blas_thread():
+            P_norm = float(np.linalg.norm(P, 2))
     return Certificate(
         N=N,
         nu=nu,
@@ -302,7 +313,7 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
         Sphi=S_phi,
         theta1_max=theta1,
         psi_bound=psi,
-        P_norm=float(np.linalg.norm(P, 2)) if P is not None else float("nan"),
+        P_norm=P_norm,
         status=status,
         N_tail=n_tail,
         rounds=((N, n_tail, status),),

@@ -31,11 +31,22 @@ index in the head, as for a dense input, lam is all ones and the low-rank
 part holds E - I, which cancels against it. Kept factored there, `expm` of
 a dense matrix with many squarings (n = 12, six squarings) is 4.1e-7 from
 `scipy.linalg.expm`, against 2.6e-14 plain. No LU factorization is made.
+
+`one_blas_thread` runs a block of code with BLAS on one thread, so that its
+products and LAPACK calls give the same bytes at every thread count. It
+covers the OpenBLAS that numpy's wheels bundle: `scipy_openblas` (numpy 2),
+`openblas64_` (numpy 1.22-1.26) and a plain `openblas` build in the same
+place. Under any other BLAS (a distribution's numpy, MKL, Accelerate) it
+does nothing, and results may depend on the thread count there.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import glob
 import math
+import os
 
 import numpy as np
 
@@ -50,6 +61,59 @@ TAYLOR_MAX = 40
 # eigenvalues of a Gram matrix of columns of norm at most 1 carry an
 # absolute error of a few unit roundoffs
 GRAM_TOL = 32 * UNIT_ROUNDOFF
+# (set, get) thread-count calls of the OpenBLAS builds numpy's wheels bundle
+BLAS_THREAD_CALLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_calls():
+    """(set, get) of the OpenBLAS bundled with numpy, or None when there is none.
+
+    numpy's wheels keep their OpenBLAS in `numpy.libs` beside the package
+    (Linux, Windows) or in `numpy/.dylibs` (macOS); opening the library numpy
+    has loaded gives the same handle, so the calls act on numpy's BLAS."""
+    import ctypes
+
+    root = os.path.dirname(np.__file__)
+    paths = glob.glob(os.path.join(root, os.pardir, "numpy.libs", "*openblas*"))
+    paths += glob.glob(os.path.join(root, ".dylibs", "*openblas*"))
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for set_name, get_name in BLAS_THREAD_CALLS:
+            setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+            if setter is not None and getter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with numpy's OpenBLAS on one thread, then restore its count.
+
+    A product or LAPACK call split over threads sums in an order that
+    depends on the thread count; on one thread its bytes do not. Does
+    nothing when no OpenBLAS thread call is found. The count is global to
+    the process, so no other thread may call BLAS meanwhile."""
+    calls = _blas_thread_calls()
+    if calls is None:
+        yield
+        return
+    setter, getter = calls
+    old = getter()
+    setter(1)
+    try:
+        yield
+    finally:
+        setter(old)
 
 
 class Border:

@@ -17,6 +17,18 @@ rows n r flops a block for rank r, against 2 rows n^2 for a dense E^BLOCK.
 Propagation forms no n x n array. The output spacing h is no accuracy or
 stability limit.
 
+The blocks after the first are split into SEGMENTS = 2 contiguous time
+segments, a constant rather than the CPU count. A later segment starts from
+x0 advanced by E^BLOCK one block at a time, a vector product each, and fills
+its first block by single-row steps of E; it then advances as above. With
+`os.fork` and two or more usable CPUs a forked child propagates each later
+segment, forms its columns and checks, and streams their raw bytes back
+while this process propagates segment 0; otherwise this process propagates
+every segment with the same arithmetic. All of `run` runs on one BLAS
+thread (`linalg.one_blas_thread`): its products are too small to gain from
+a second one. So the columns depend on SEGMENTS and the row count, not on
+the machine's BLAS thread or CPU count.
+
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
 states in array operations, each norm over a row in one einsum pass that
 forms no block-sized square; it is the one place the outputs, the control
@@ -37,6 +49,8 @@ autonomous. These sign conventions are the load-bearing part of this module.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import logging
 import math
 import os
@@ -47,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lifting import LiftingContext, shift_denominators
-from .linalg import Border, Factored, expm
+from .linalg import Border, Factored, expm, one_blas_thread
 from .spectral_basis import ModeTable, axis_rules, max_wavenumber
 # perfbench/spans.py wraps these three names here; no stage of the program calls them
 from .spectral_basis import eval_phi, face_quadrature, trace_matrix  # noqa: F401
@@ -59,6 +73,13 @@ log = logging.getLogger(__name__)
 # times E^BLOCK, one matrix product per block; a power of two, since the
 # first block is filled by doubling
 BLOCK = 256
+# contiguous time segments the blocks after the first are split into; a
+# forked child propagates each but the first. A constant, not the CPU count,
+# so that the bytes of a run depend on the row count alone
+SEGMENTS = 2
+# fewest blocks a later segment holds: its first block costs about one
+# block's work in single-row steps, besides the fork
+SEGMENT_MIN_BLOCKS = 4
 # T/h within this of an integer counts as an integer number of steps
 STEP_RATIO_TOL = 1e-9
 # largest deviation bound projection_check may give a row of a run
@@ -78,8 +99,8 @@ CSV_COLUMNS = (
 )
 # one line of the CSV: every column formatted by repr
 _CSV_LINE = ",".join(["%r"] * len(CSV_COLUMNS)) + "\n"
-# rows formatted and written at a time by `write_csv`: about 0.25 MB of text
-CSV_CHUNK_ROWS = 1024
+# rows formatted and written at a time by `write_csv`: about 0.12 MB of text
+CSV_CHUNK_ROWS = 512
 
 
 class SimulationError(RuntimeError):
@@ -365,36 +386,72 @@ def _step_count(T: float, h: float) -> tuple:
     return n, T - n * h
 
 
-def _blocks(power: Factored, x0: np.ndarray, n_rows: int):
-    """Yield (start, rows) covering x0, E x0, ..., E^(n_rows-1) x0 for E = `power`.
+def _first_block(E: Factored, x0: np.ndarray, n_rows: int) -> tuple:
+    """(rows, power): x0, E x0, ..., the first min(BLOCK, n_rows) of them, by
+    doubling, and power = E^BLOCK when n_rows > BLOCK.
 
-    The first BLOCK rows come by doubling: with rows [0, k) filled, rows
-    [k, 2k) are those rows times (E^k)', and E^k is squared to E^2k. The
-    squares end at E^BLOCK, the same products as
-    `np.linalg.matrix_power(E, BLOCK)` for a plain E; each later block is
-    the previous one times E^BLOCK. A yielded block is overwritten two
-    blocks later, so a caller that keeps one copies it."""
+    With rows [0, k) filled, rows [k, 2k) are those rows times (E^k)', and
+    E^k is squared to E^2k. The squares end at E^BLOCK, the same products as
+    `np.linalg.matrix_power(E, BLOCK)` for a plain E; none but the last is
+    kept."""
     block = np.empty((min(BLOCK, n_rows), len(x0)))
     block[0] = x0
     filled = 1  # power is E^filled
+    power = E
     while filled < len(block):
         count = min(filled, len(block) - filled)
         power.advance(block[:count], out=block[filled : filled + count])
         filled += count
         if filled < n_rows:
             power = power.squared()
-    if n_rows > BLOCK:
-        log.info("E^%d is diagonal plus rank %d", BLOCK, power.rank)
-    yield 0, block
+    return block, power
+
+
+def _stepped(E: Factored, power: Factored, x0: np.ndarray, start: int, rows: int) -> np.ndarray:
+    """Rows start, ..., start + rows - 1 of x0, E x0, E^2 x0, ..., for start a
+    multiple of BLOCK and power = E^BLOCK: x0 advanced by power start/BLOCK
+    times, one vector at a time, then each row the one before times E'.
+
+    A vector advance costs n r flops for rank r. A further square of E^BLOCK
+    would reach the row in fewer products, but squares keep only absolute
+    accuracy, which is lost once a power decays far below 1."""
+    block = np.empty((rows, len(x0)))
+    v = x0
+    for _ in range(start // BLOCK):
+        v = power.advance(v)
+    block[0] = v
+    for j in range(1, rows):
+        E.advance(block[j - 1], out=block[j])
+    return block
+
+
+def _blocks(power: Factored, block: np.ndarray, start: int, stop: int):
+    """Yield (s, rows) covering rows [start, stop): `block`, the rows from
+    start, then each next block of up to BLOCK rows, the one before times
+    power'. A yielded block is overwritten two blocks later, so a caller
+    that keeps one copies it."""
+    yield start, block
     # later blocks alternate between two buffers: with a fresh array per
     # block glibc trims its heap and faults the pages back in on every block
     # (about 90 000 minor faults on the 300-dim pipeline loop)
     other = np.empty_like(block)
-    for start in range(BLOCK, n_rows, BLOCK):
-        rows = min(BLOCK, n_rows - start)
+    for s in range(start + len(block), stop, BLOCK):
+        rows = min(BLOCK, stop - s)
         power.advance(block[:rows], out=other[:rows])
         block, other = other[:rows], block
-        yield start, block
+        yield s, block
+
+
+def _segment_bounds(n_rows: int) -> list:
+    """Row bounds [0, ..., n_rows] of the time segments of n_rows propagated rows.
+
+    Segment 0 holds the first block. The blocks after it are split into at
+    most SEGMENTS contiguous segments, as evenly as whole blocks allow, of
+    at least SEGMENT_MIN_BLOCKS blocks each; a run with fewer later blocks
+    stays one segment. The bounds depend on n_rows alone."""
+    later = -(-n_rows // BLOCK) - 1
+    count = max(1, min(SEGMENTS, later // SEGMENT_MIN_BLOCKS))
+    return [0] + [BLOCK * (1 + later * i // count) for i in range(1, count)] + [n_rows]
 
 
 def run(
@@ -417,6 +474,18 @@ def run(
     first such row, since the simulated forcing may then not be the designed
     forcing. No option turns the check off. A non-finite state raises
     SimulationError.
+
+    The rows are propagated in the time segments of `_segment_bounds`. This
+    process fills the first block by doubling and propagates segment 0. With
+    `os.fork` and more than one usable CPU, a forked child propagates each
+    later segment from its own first block (`_stepped`), forms its columns
+    and checks, and sends back its largest check bound, its last state and
+    its columns' rows; otherwise this process propagates every segment the
+    same way. The columns are the same bytes on every path, and all of
+    `run` runs on one BLAS thread (`linalg.one_blas_thread`), so they do not
+    depend on the thread count either. A failure in a segment is raised
+    here after every earlier segment passed, so the first failing row names
+    the error.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -424,7 +493,7 @@ def run(
     if h is None:
         h = default_step(system.lams[-1])
     state = init_state(z0_coeffs, system.N_sim, system.N)
-    x = np.concatenate([state.z, state.zhat])
+    x0 = np.concatenate([state.z, state.zhat])
     n_steps, rest = _step_count(T, h)
     n_rows = n_steps + 1 + (rest > 0)
     times = np.arange(n_rows) * h
@@ -432,37 +501,72 @@ def run(
         times[-1] = T
     cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
     cols["t"] = times
-    check_max = 0.0
 
-    def record(start: int, X: np.ndarray) -> None:
-        nonlocal check_max
+    def record(start: int, X: np.ndarray) -> float:
+        """Fill the columns of the rows from `start` with those of the states
+        X; return their largest projection-check bound."""
         stop = start + len(X)
         if not np.all(np.isfinite(X)):
             raise SimulationError(f"state non-finite by t={times[stop - 1]:.3f}")
         for name, col in system.diagnostics(X).items():
             cols[name][start:stop] = col
         if open_loop:
-            return
+            return 0.0
         devs = system.projection_check(X[:, system.N_sim : system.N_sim + system.n0])
-        check_max = max(check_max, float(devs.max()))
         bad = np.flatnonzero(devs > CHECK_TOL)
         if len(bad):
             raise SimulationError(
                 f"lifted-projection routes disagree by up to {devs[bad[0]]:.3e} "
                 f"at t={times[start + bad[0]]:.3f}"
             )
+        return float(devs.max())
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         E = system.exponential(h)
-        log.info("E = expm(h A) of the %d-dim loop is diagonal plus rank %d", len(x), E.rank)
-        for start, X in _blocks(E, x, n_steps + 1):
-            record(start, X)
-        # the last row alone, so no block buffer stays alive through the
-        # partial step and the rate fit
-        x = X[-1].copy()
-        del X
+        log.info("E = expm(h A) of the %d-dim loop is diagonal plus rank %d", len(x0), E.rank)
+        first, power = _first_block(E, x0, n_steps + 1)
+        if n_steps + 1 > BLOCK:
+            log.info("E^%d is diagonal plus rank %d", BLOCK, power.rank)
+        bounds = _segment_bounds(n_steps + 1)
+        later = range(1, len(bounds) - 1)
+
+        def segment(i: int, block=None) -> tuple:
+            """(largest check bound, last state) of segment i, its rows
+            recorded; its first block is `_stepped` unless given."""
+            start, stop = bounds[i], bounds[i + 1]
+            if block is None:
+                block = _stepped(E, power, x0, start, min(BLOCK, stop - start))
+            check = 0.0
+            for s, X in _blocks(power, block, start, stop):
+                check = max(check, record(s, X))
+            return check, X[-1].copy()
+
+        def sent(i: int, check: np.ndarray, last: np.ndarray) -> list:
+            """What a child sends of segment i, in order: its check bound, its
+            last state and the rows of its columns."""
+            return [check, last] + [cols[name][bounds[i] : bounds[i + 1]] for name in CSV_COLUMNS[1:]]
+
+        def child(i: int) -> list:
+            check, last = segment(i)
+            return sent(i, np.array([check]), last)
+
+        forking = hasattr(os, "fork") and _usable_cpus() > 1
+        with _forked([functools.partial(child, i) for i in later] if forking else []) as pipes:
+            check_max, last = segment(0, first)
+            del first
+            for i in later:
+                if not forking:
+                    check, last = segment(i)
+                else:
+                    pipe = pipes[i - 1]
+                    _received(pipe)
+                    check, last = np.empty(1), np.empty(len(x0))
+                    for buf in sent(i, check, last):
+                        _read_into(pipe, buf)
+                    check = float(check[0])
+                check_max = max(check_max, check)
         if rest > 0:
-            record(n_rows - 1, system.exponential(rest).advance(x)[None])
+            check_max = max(check_max, record(n_rows - 1, system.exponential(rest).advance(last)[None]))
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
     try:
         rate = estimate_decay_rate(cols["t"], series, t_skip)
@@ -480,10 +584,86 @@ def run(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on; `write_csv` splits its rows into as many slices."""
+    """CPUs this process may run on. `write_csv` splits its rows into as
+    many slices, and `run` forks for its later segments when there are two
+    or more."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+@contextlib.contextmanager
+def _forked(jobs):
+    """Fork one child per job; yield one pipe from each, in order; reap them all.
+
+    A child calls its job, which returns the bytes-like buffers to send,
+    before it writes any, so it never waits on its pipe while the caller is
+    still working. It then sends a zero byte and the buffers, or a one byte
+    and its pickled exception, and exits without running any cleanup of the
+    process it was forked from; a child that can send neither exits with
+    status 1 and sends nothing. `_received` reads the status byte. If the
+    body raises, every child is killed. Every child is reaped before this
+    returns or raises, and a child that ended with a nonzero wait status
+    fails the caller. Forking is safe only while no other thread of this
+    process is inside a BLAS call: OpenBLAS stops its thread pool around
+    fork, and a sweep that ran its entries on threads hung in most runs (a
+    thread spinning, the BLAS worker gone)."""
+    children = []
+    statuses = []
+    try:
+        for job in jobs:
+            read_fd, write_fd = os.pipe()
+            pid = os.fork()
+            if not pid:
+                _send(job, read_fd, write_fd)
+            os.close(write_fd)
+            children.append((pid, os.fdopen(read_fd, "rb")))
+        yield [pipe for _, pipe in children]
+    except BaseException:
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    if any(statuses):
+        raise SimulationError(f"forked children ended with wait statuses {statuses}")
+
+
+def _send(job, read_fd: int, write_fd: int) -> None:
+    """The body of a `_forked` child: run `job` and send its buffers or its
+    exception; never returns."""
+    code = 1
+    try:
+        os.close(read_fd)
+        with os.fdopen(write_fd, "wb") as pipe:
+            try:
+                buffers = job()
+            except BaseException as err:  # noqa: BLE001  raised again by the caller
+                pipe.write(b"\1" + pickle.dumps(err))
+            else:
+                pipe.write(b"\0")
+                pipe.writelines(buffers)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _received(pipe) -> None:
+    """Read the status byte of a `_forked` child from its pipe; raise the
+    child's exception when it sent one."""
+    status = pipe.read(1)
+    if status == b"\1":
+        raise pickle.loads(pipe.read())
+    if status != b"\0":
+        raise SimulationError("a forked child ended without output")
+
+
+def _read_into(pipe, buf: np.ndarray) -> None:
+    """Fill `buf` with its size in bytes from `pipe`."""
+    if pipe.readinto(buf) != buf.nbytes:
+        raise SimulationError("a forked child ended before the end of its output")
 
 
 def _format_rows(chunk: np.ndarray) -> str:
@@ -498,64 +678,18 @@ def _formatted(cols, start: int, stop: int):
         yield _format_rows(chunk).encode()
 
 
-def _fork_formatter(cols, start: int, stop: int) -> tuple:
-    """(pid, pipe) of a forked child that formats rows [start, stop).
-
-    The child formats all its rows before it writes any, so it never waits
-    on the pipe while the caller is still formatting. It then sends a zero
-    byte and the lines, or a one byte and its pickled exception, and exits
-    without running any cleanup of the process it was forked from. A child
-    that cannot send either exits with status 1 and sends nothing."""
-    read_fd, write_fd = os.pipe()
-    pid = os.fork()
-    if pid:
-        os.close(write_fd)
-        return pid, os.fdopen(read_fd, "rb")
-    code = 1
-    try:
-        os.close(read_fd)
-        with os.fdopen(write_fd, "wb") as pipe:
-            try:
-                lines = list(_formatted(cols, start, stop))
-            except BaseException as err:  # noqa: BLE001  raised again by the caller
-                pipe.write(b"\1" + pickle.dumps(err))
-            else:
-                pipe.write(b"\0")
-                pipe.writelines(lines)
-        code = 0
-    finally:
-        os._exit(code)
-
-
-def _copy_child(pipe, fh) -> None:
-    """Append the lines a `_fork_formatter` child sends to `fh`, or raise its exception."""
-    status = pipe.read(1)
-    if status == b"\1":
-        raise pickle.loads(pipe.read())
-    if status != b"\0":
-        raise SimulationError("a CSV formatter ended without output")
-    # about one chunk's text at a time, so copying holds no more than
-    # formatting a chunk does
-    while data := pipe.read(1 << 18):
-        fh.write(data)
-
-
 def write_csv(run_result: SimulationRun, path) -> None:
     """Header, then one line per record in CSV_COLUMNS order.
 
     The rows are split into one contiguous slice per usable CPU, at most one
     per CSV_CHUNK_ROWS chunk, since the repr of each float is most of the
     cost. This process formats slice 0 and writes it one chunk at a time;
-    a child forked by `_fork_formatter` formats each other slice and streams
-    it back over a pipe, and the slices are written in order. Without
-    `os.fork` this process formats every slice. The bytes are the same
-    either way. An exception raised in a child is raised here, and every
-    child is reaped before this returns or raises. Children only format
-    strings and never call BLAS. Forking is safe only while no other thread
-    of this process is inside a BLAS call: OpenBLAS stops its thread pool
-    around fork, and a sweep that ran its entries on threads hung in most
-    runs once its CSVs spanned several chunks (a thread spinning, the BLAS
-    worker gone).
+    a `_forked` child formats each other slice, all of it before it sends
+    any, and the slices are written in order. Without `os.fork` this
+    process formats every slice. The bytes are the same either way. An
+    exception raised in a child is raised here, and every child is reaped
+    before this returns or raises. Children only format strings and never
+    call BLAS.
     """
     cols = [run_result.records[name] for name in CSV_COLUMNS]
     n_rows = len(cols[0])
@@ -563,26 +697,20 @@ def write_csv(run_result: SimulationRun, path) -> None:
     if hasattr(os, "fork"):
         slices = max(1, min(_usable_cpus(), -(-n_rows // CSV_CHUNK_ROWS)))
     bounds = [n_rows * i // slices for i in range(slices + 1)]
-    children = []
-    statuses = []
+
+    def lines(i: int) -> list:
+        return list(_formatted(cols, bounds[i], bounds[i + 1]))
+
     with open(path, "wb") as fh:
         fh.write((",".join(CSV_COLUMNS) + "\n").encode())
-        try:
-            for i in range(1, slices):
-                children.append(_fork_formatter(cols, bounds[i], bounds[i + 1]))
+        with _forked([functools.partial(lines, i) for i in range(1, slices)]) as pipes:
             fh.writelines(_formatted(cols, 0, bounds[1]))
-            for _, pipe in children:
-                _copy_child(pipe, fh)
-        except BaseException:
-            for pid, _ in children:
-                os.kill(pid, signal.SIGKILL)
-            raise
-        finally:
-            for pid, pipe in children:
-                pipe.close()
-                statuses.append(os.waitpid(pid, 0)[1])
-    if any(statuses):
-        raise SimulationError(f"CSV formatters ended with wait statuses {statuses}")
+            for pipe in pipes:
+                _received(pipe)
+                # about one chunk's text at a time, so copying holds no more
+                # than formatting a chunk does
+                while data := pipe.read(1 << 17):
+                    fh.write(data)
 
 
 def project_bump(plant, eigs: ModeTable, center, width: float, amplitude: float, count: int) -> np.ndarray:

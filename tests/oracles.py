@@ -104,7 +104,8 @@ def loop_states(loop, x0: np.ndarray, h: float, n_rows: int) -> np.ndarray:
     """x0, E x0, ..., E^(n_rows-1) x0 for the exact step E = expm(h A) of
     `loop`, stacked as rows: the states `simulation.run` propagates and
     forms its columns from, kept."""
-    blocks = simulation._blocks(loop.exponential(h), x0, n_rows)
+    first, power = simulation._first_block(loop.exponential(h), x0, n_rows)
+    blocks = simulation._blocks(power, first, 0, n_rows)
     # a yielded block is a buffer that later blocks overwrite
     return np.concatenate([rows.copy() for _, rows in blocks])
 

@@ -389,7 +389,9 @@ for N in (120, 240):
 
 
 def test_lyapunov_and_theta1_bytes_do_not_depend_on_blas_threads():
-    # the eigenvalues of a 245-dim Theta1 still may (README, thread counts)
+    # the eigenvalues of a 245-dim Theta1 and the 2-norm of P would not
+    # without the one-thread pin; tests/test_cli.py holds those certificate
+    # bytes at N = 240
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     digests = set()
     for threads in ("1", "2"):

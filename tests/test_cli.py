@@ -716,6 +716,22 @@ def test_cli_runs_without_scipy(tmp_path):
         (dict(MILD, certification={"N_start": 120, "N_max": 120}), 0),
         # n0 = 3, rounds at N = 30, 60 and 120, all failing theta1
         (dict(EXAMPLE, synthesis={"N": 60}, certification={"N_start": 30, "N_max": 120}), 3),
+        # the certify_search workload's strong certify at benchmark seed 1:
+        # rounds up to N = 240, where the eigenvalues of the 245-dim Theta1
+        # and the 2-norm of P differ in the last bit between thread counts
+        # unless they run on one thread
+        (
+            dict(
+                EXAMPLE,
+                sensors={
+                    "xi1": [0.5080618546467441, 1.070846024216234],
+                    "xi2": [1.0658264771385968, 0.5153041415443653],
+                },
+                synthesis={"N": 60},
+                certification={"N_start": 30, "N_max": 240},
+            ),
+            3,
+        ),
     ],
 )
 def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path, cfg, code):
@@ -734,11 +750,15 @@ def test_certificate_bytes_do_not_depend_on_blas_threads(tmp_path, cfg, code):
 
 
 def test_quick_simulation_bytes_do_not_depend_on_blas_threads(tmp_path):
-    # on the quick demo's 40-dim loop and the cube demo's 100-dim one every
-    # BLAS call of the propagation is small enough to run on one thread at
-    # either count, and the diagnostics make no BLAS call but small products
-    for name in ("quick_certify.json", "cube_3d.json"):
-        demo = os.path.join(ROOT, "demos", name)
+    # `run` propagates on one BLAS thread at every thread count: the quick
+    # demo's 40-dim loop, the cube demo's 100-dim one and the strong demo's
+    # 300-dim one, shortened to 2501 rows, which still make two segments
+    strong = demo_config("strong_drift_pipeline.json")
+    strong["simulation"]["T"] = 0.5
+    assert len(simulation._segment_bounds(2501)) == 3
+    demos = [os.path.join(ROOT, "demos", name) for name in ("quick_certify.json", "cube_3d.json")]
+    for demo in demos + [write_cfg(tmp_path, strong, "strong.json")]:
+        name = os.path.basename(demo)
         outputs = []
         for threads in (1, 2):
             out = tmp_path / f"{name}-threads{threads}"

@@ -17,7 +17,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parstab import linalg
+from parstab import linalg, simulation
 from parstab.simulation import CSV_COLUMNS, ClosedLoop, run
 
 from conftest import traced_peak
@@ -360,11 +360,13 @@ def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
     assert relerr(expm_array(dense(D)), scipy.linalg.expm(D)) < 1e-14
 
 
-def test_wide_loop_memory(strong_design):
+def test_wide_loop_memory(strong_design, monkeypatch):
     # the 1020-dim wide_sim loop: the exponential holds its border parts, its
     # width-72 Taylor factors and their QR copies (0.37 n^2 doubles), and run
     # (expm, the squarings and every block's diagnostics; 0.84 n^2) less than
-    # one array of n^2 doubles, so no n x n array is formed
+    # one array of n^2 doubles, so no n x n array is formed. On one usable
+    # CPU no segment is forked, so tracemalloc sees all of run's work
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     loop = ClosedLoop(strong_design, N_sim=960)
     n2 = (loop.N_sim + loop.N) ** 2 * 8
     assert traced_peak(loop.exponential, 1e-3) <= 0.4 * n2
@@ -372,10 +374,36 @@ def test_wide_loop_memory(strong_design):
     assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 0.9 * n2
 
 
-def test_pipeline_loop_memory(strong_design):
+def test_pipeline_loop_memory(strong_design, monkeypatch):
     # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
-    # its output columns and at most 2.7 MB more (2.47 MB measured) for
-    # propagation, the diagnostics and checks of a block and the rate fit
+    # its output columns and at most 2.7 MB more for propagation, the
+    # diagnostics and checks of a block and the rate fit. On one usable CPU
+    # this process propagates both segments, one after the other
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     z0 = np.linspace(1.0, 0.5, 5)
     columns = len(CSV_COLUMNS) * 100_001 * 8
     assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 2.7e6
+
+
+def test_one_blas_thread_sets_one_thread_and_restores_the_count(monkeypatch):
+    calls = linalg._blas_thread_calls()
+    if calls is None:
+        pytest.skip("numpy bundles no OpenBLAS here")
+    setter, getter = calls
+    before = getter()
+    setter(2)
+    # 2, or fewer where OpenBLAS caps the count at the CPUs it found
+    count = getter()
+    try:
+        with linalg.one_blas_thread():
+            assert getter() == 1
+        assert getter() == count
+        with pytest.raises(ValueError), linalg.one_blas_thread():
+            raise ValueError
+        assert getter() == count
+    finally:
+        setter(before)
+    # no OpenBLAS found: the body runs as it is
+    monkeypatch.setattr(linalg, "_blas_thread_calls", lambda: None)
+    with linalg.one_blas_thread():
+        assert getter() == before

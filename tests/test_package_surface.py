@@ -14,7 +14,11 @@ outside `SCHEMA`, so a config key that nothing reads fails here.
 Every field of a `@dataclass` of `src/parstab` is read, as an attribute or
 as a string constant, by the package outside its class, or by `perfbench/`
 or `demos/`: a field only the tests read goes. A class that serializes
-itself through `dataclasses.fields(self)` reads all its fields."""
+itself through `dataclasses.fields(self)` reads all its fields.
+
+At most one function of `src/parstab` calls `os.fork`: every fork goes
+through one helper, which reaps its children and forks only while no other
+thread is inside BLAS."""
 
 import ast
 import functools
@@ -281,3 +285,29 @@ def unread_fields() -> list:
 
 def test_every_dataclass_field_is_read_by_the_program():
     assert unread_fields() == []
+
+
+def fork_callers() -> list:
+    """`module.function` of the innermost function around each call of a
+    name `fork`, such as `os.fork()`, in the package (`module` alone for a
+    call at module level)."""
+    found = []
+
+    def visit(node, module, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, f"{module}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                called = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
+                if called == "fork":
+                    found.append(owner)
+            visit(child, module, owner)
+
+    for name, (tree, _) in _indexed(PACKAGE).items():
+        visit(tree, name[:-3], name[:-3])
+    return found
+
+
+def test_one_function_forks():
+    assert len(set(fork_callers())) <= 1, fork_callers()

@@ -434,9 +434,10 @@ def explicit_rows(E, x0, n_rows):
     return want
 
 
-def blocks_of(power, x0, n_rows):
+def blocks_of(E, x0, n_rows):
     # _blocks reuses its block buffers, so each block is copied
-    blocks = [(start, rows.copy()) for start, rows in simulation._blocks(power, x0, n_rows)]
+    first, power = simulation._first_block(E, x0, n_rows)
+    blocks = [(start, rows.copy()) for start, rows in simulation._blocks(power, first, 0, n_rows)]
     assert [start for start, _ in blocks] == list(range(0, n_rows, simulation.BLOCK))
     return np.concatenate([rows for _, rows in blocks])
 
@@ -457,7 +458,8 @@ def test_blocks_match_explicit_powers(contraction, n_rows):
 
 def test_blocks_advance_by_matrix_power(contraction):
     E, x0 = contraction
-    (_, first), (_, second) = simulation._blocks(Factored(None, None, None, None, plain=E), x0, 2 * simulation.BLOCK)
+    block, power = simulation._first_block(Factored(None, None, None, None, plain=E), x0, 2 * simulation.BLOCK)
+    (_, first), (_, second) = simulation._blocks(power, block, 0, 2 * simulation.BLOCK)
     E_block = np.linalg.matrix_power(E, simulation.BLOCK)
     assert np.array_equal(second, first @ E_block.T)
 
@@ -631,17 +633,20 @@ def _assert_no_children_left() -> None:
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize(
     "n_rows",
-    # at and around one chunk and eight, and slices of many chunks
+    # at and around one chunk, two and sixteen, and slices of many chunks
     [
         1,
         CSV_CHUNK_ROWS - 1,
         CSV_CHUNK_ROWS,
         CSV_CHUNK_ROWS + 1,
-        8 * CSV_CHUNK_ROWS - 1,
-        8 * CSV_CHUNK_ROWS,
-        8 * CSV_CHUNK_ROWS + 1,
-        2 * 5 * CSV_CHUNK_ROWS + 7,
-        24 * CSV_CHUNK_ROWS + 5,
+        2 * CSV_CHUNK_ROWS - 1,
+        2 * CSV_CHUNK_ROWS,
+        2 * CSV_CHUNK_ROWS + 1,
+        16 * CSV_CHUNK_ROWS - 1,
+        16 * CSV_CHUNK_ROWS,
+        16 * CSV_CHUNK_ROWS + 1,
+        4 * 5 * CSV_CHUNK_ROWS + 7,
+        48 * CSV_CHUNK_ROWS + 5,
     ],
 )
 def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_rows, workers):
@@ -709,3 +714,158 @@ def test_csv_without_fork_formats_every_slice_in_the_caller(tmp_path, monkeypatc
     monkeypatch.delattr(os, "fork")
     write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS)), tmp_path / "pids.csv")
     assert (tmp_path / "pids.csv").read_text().splitlines()[1:] == [str(os.getpid())] * 2
+
+
+# 2501 rows at h = 1e-3: the first block, then segments of blocks [1, 5) and
+# [5, 10), the last one 197 rows long
+SEGMENTED_T = 2.5
+
+
+def _counted_forks(monkeypatch) -> list:
+    forks = []
+    fork = os.fork
+
+    def counted():
+        forks.append(1)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return forks
+
+
+def test_segments_split_the_later_blocks_by_the_row_count_alone():
+    B = simulation.BLOCK
+    assert simulation._segment_bounds(1) == [0, 1]
+    assert simulation._segment_bounds(B + 1) == [0, B + 1]
+    # fewer than SEGMENT_MIN_BLOCKS later blocks per segment: one segment
+    short = simulation.SEGMENTS * simulation.SEGMENT_MIN_BLOCKS * B
+    assert simulation._segment_bounds(short) == [0, short]
+    assert simulation._segment_bounds(short + 1) == [0, 5 * B, short + 1]
+    assert simulation._segment_bounds(2501) == [0, 5 * B, 2501]
+    # the pipeline's 100 001 rows: 390 later blocks, 195 in each segment
+    assert simulation._segment_bounds(100_001) == [0, 196 * B, 100_001]
+
+
+def test_stepped_rows_are_the_powers_from_any_block_start(contraction):
+    E, x0 = contraction
+    plain = Factored(None, None, None, None, plain=E)
+    power = Factored(None, None, None, None, plain=np.linalg.matrix_power(E, simulation.BLOCK))
+    want = explicit_rows(E, x0, 3 * simulation.BLOCK + 5)
+    for start in (0, simulation.BLOCK, 3 * simulation.BLOCK):
+        got = simulation._stepped(plain, power, x0, start, 5)
+        scale = np.linalg.norm(want[start : start + 5], axis=1)
+        assert np.all(np.linalg.norm(got - want[start : start + 5], axis=1) <= 1e-12 * scale)
+
+
+def test_run_columns_do_not_depend_on_the_usable_cpus(example_art30, monkeypatch):
+    forks = _counted_forks(monkeypatch)
+    results = []
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+        results.append(run(np.ones(5), SEGMENTED_T + 5e-4, 1e-3, example_art30, N_sim=60))
+        _assert_no_children_left()
+    # one child for the one later segment, whatever the CPU count past one
+    assert len(forks) == 2
+    first = results[0]
+    assert len(first.times) == 2502
+    for other in results[1:]:
+        for name in CSV_COLUMNS:
+            assert first.records[name].tobytes() == other.records[name].tobytes(), name
+        assert other.projection_check_max == first.projection_check_max
+        assert other.rate == first.rate
+    # the rows of each segment, its start included, are exact
+    rows = (0, 255, 256, 1279, 1280, 1281, 1535, 1536, 2500, 2501)
+    assert_rows_are_exact(first, rows, ClosedLoop(example_art30, N_sim=60), np.ones(5))
+
+
+def _checks_fail_in_later_segments(monkeypatch, from_row: int) -> None:
+    """projection_check reports 1.0 from row `from_row` of a block on, in
+    every block propagated after a segment's first block was stepped in
+    this process: in a forked child, or in the caller past segment 0."""
+    stepped = []
+    real = simulation._stepped
+
+    def marking(*args):
+        stepped.append(1)
+        return real(*args)
+
+    def failing(self, U):
+        devs = _PROJECTION_CHECK(self, U)
+        if stepped:
+            devs[from_row:] = 1.0
+        return devs
+
+    monkeypatch.setattr(simulation, "_stepped", marking)
+    monkeypatch.setattr(ClosedLoop, "projection_check", failing)
+
+
+@pytest.mark.parametrize("segments, later_starts", [(2, [2048]), (3, [1536, 2816])])
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_check_failing_in_a_later_segment_names_its_first_row(
+    example_art30, monkeypatch, cpus, segments, later_starts
+):
+    # 4001 rows: with three segments both later ones fail, and the error
+    # names row 7 of the first of them
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulation, "SEGMENTS", segments)
+    assert simulation._segment_bounds(4001)[1:-1] == later_starts
+    forks = _counted_forks(monkeypatch)
+    _checks_fail_in_later_segments(monkeypatch, from_row=7)
+    t = (later_starts[0] + 7) * 1e-3
+    with pytest.raises(SimulationError, match=rf"disagree by up to 1\.000e\+00 at t={t:.3f}$"):
+        run(np.ones(5), 4.0, 1e-3, example_art30, N_sim=60)
+    assert len(forks) == (segments - 1 if cpus > 1 else 0)
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_a_state_non_finite_in_a_later_segment_fails_the_run(example_art30, monkeypatch, cpus):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    real = simulation._stepped
+
+    def overflowing(*args):
+        block = real(*args)
+        block[3, 0] = np.inf
+        return block
+
+    monkeypatch.setattr(simulation, "_stepped", overflowing)
+    # reported at the last row of the segment's first block, row 1280 + 255
+    with pytest.raises(SimulationError, match=r"state non-finite by t=1\.535$"):
+        run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+    _assert_no_children_left()
+
+
+def test_a_check_failing_in_segment_zero_kills_and_reaps_the_child(example_art30, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    forks = _counted_forks(monkeypatch)
+    _counted_checks(monkeypatch, fail_in_call=2, fail_from_row=7)
+    with pytest.raises(SimulationError, match=r"at t=0\.263$"):
+        run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+    assert len(forks) == 1
+    _assert_no_children_left()
+
+
+def test_a_segment_child_that_dies_fails_the_run(example_art30, monkeypatch):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def exiting(self, U):
+        if os.getpid() != caller:
+            os._exit(3)
+        return _PROJECTION_CHECK(self, U)
+
+    monkeypatch.setattr(ClosedLoop, "projection_check", exiting)
+    with pytest.raises(SimulationError, match="without output"):
+        run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+    _assert_no_children_left()
+
+
+def test_a_later_segment_failure_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
+    # the quick demo: 4001 rows, segments [256, 2048) and [2048, 4001)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    _checks_fail_in_later_segments(monkeypatch, from_row=0)
+    config = os.path.join(ROOT, "demos", "quick_certify.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    assert "lifted-projection routes disagree by up to 1.000e+00 at t=2.048" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    _assert_no_children_left()
