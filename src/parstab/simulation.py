@@ -8,26 +8,29 @@ diagonal except for the rows and columns of the n0 observer-head states.
 in-repo `linalg.expm` evaluates a Taylor polynomial in h A from them,
 squared as often as its truncation bound needs, with no LU solve. It returns
 E = expm(h A) as its diagonal plus a low-rank part in orthonormal bases
-(`linalg.Factored`), of rank 9 on the 300-dim strong-drift loop. `run` fills
-the first BLOCK output rows by doubling (rows [0, k) times (E^k)' give rows
-[k, 2k), then E^k is squared in factored form, in the bases it carries), and
-advances each later block of rows by E^BLOCK, the last of those squares, as
-X * lam + ((X W) * sig) Q' into one of two alternating row buffers: about 4
-rows n r flops a block for rank r, against 2 rows n^2 for a dense E^BLOCK.
-Propagation forms no n x n array. The output spacing h is no accuracy or
-stability limit.
+(`linalg.Factored`), of rank 9 on the 300-dim strong-drift loop. `run`
+squares E to E^BLOCK in factored form, in the bases it carries, when there
+are more than BLOCK output rows.
 
-The blocks after the first are split into SEGMENTS = 2 contiguous time
-segments, a constant rather than the CPU count. A later segment starts from
-x0 advanced by E^BLOCK one block at a time, a vector product each, and fills
-its first block by single-row steps of E; it then advances as above. With
-`os.fork` and two or more usable CPUs a forked child propagates each later
-segment, forms its columns and checks, and streams their raw bytes back
-while this process propagates segment 0; otherwise this process propagates
-every segment with the same arithmetic. All of `run` runs on one BLAS
-thread (`linalg.one_blas_thread`): its products are too small to gain from
-a second one. So the columns depend on SEGMENTS and the row count, not on
-the machine's BLAS thread or CPU count.
+The blocks of rows are split into SEGMENTS = 2 contiguous time segments, a
+constant rather than the CPU count, and one generator, `_rows`, gives every
+segment its rows: x0 advanced to the segment's start by E^BLOCK, a vector
+product per block, then the segment's first block by single-row steps of
+E, then each later block as the one before times E^BLOCK', X * lam +
+((X W) * sig) Q' into one of two alternating row buffers: about 4 rows n r
+flops a block for rank r, against 2 rows n^2 for a dense E^BLOCK.
+Propagation forms no n x n array. The output spacing h is no accuracy or
+stability limit, but E^BLOCK may be: the first row of a segment's second
+block, made by E^BLOCK, must lie within POWER_TOL of one step of E from the
+row before it, or the run fails.
+With `os.fork` and two or more usable CPUs, once E and E^BLOCK exist, a
+forked child propagates each segment after the first, forms its columns and
+checks, and streams their raw bytes back while this process propagates
+segment 0; otherwise this process propagates every segment with the same
+arithmetic. All of `run` runs on one BLAS thread (`linalg.one_blas_thread`):
+its products are too small to gain from a second one. So the columns depend
+on SEGMENTS and the row count, not on the machine's BLAS thread or CPU
+count.
 
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
 states in array operations, each norm over a row in one einsum pass that
@@ -70,16 +73,20 @@ from .synthesis import SynthesisArtifacts, sensor_rows
 log = logging.getLogger(__name__)
 
 # output rows per propagation block: rows of block b+1 are rows of block b
-# times E^BLOCK, one matrix product per block; a power of two, since the
-# first block is filled by doubling
+# times E^BLOCK, one matrix product per block; a power of two, since E^BLOCK
+# is E squared BLOCK.bit_length() - 1 times
 BLOCK = 256
-# contiguous time segments the blocks after the first are split into; a
-# forked child propagates each but the first. A constant, not the CPU count,
-# so that the bytes of a run depend on the row count alone
+# contiguous time segments the blocks are split into; a forked child
+# propagates each but the first. A constant, not the CPU count, so that the
+# bytes of a run depend on the row count alone
 SEGMENTS = 2
-# fewest blocks a later segment holds: its first block costs about one
-# block's work in single-row steps, besides the fork
+# fewest blocks a segment holds: its first block costs about one block's
+# work in single-row steps, besides the fork
 SEGMENT_MIN_BLOCKS = 4
+# largest gap, in 2-norm relative to the stepped row, between the first row
+# a segment advances by E^BLOCK and one step of E from the row before it
+# (README, "Observation spillover", gives the gaps measured)
+POWER_TOL = 1e-10
 # T/h within this of an integer counts as an integer number of steps
 STEP_RATIO_TOL = 1e-9
 # largest deviation bound projection_check may give a row of a run
@@ -126,8 +133,10 @@ def default_n_sim(N: int) -> int:
 def default_step(lam_top: float) -> float:
     """Default output spacing min(0.5/lam_{N_sim}, 1e-2).
 
-    The propagator is exact for every h, so h sets only how finely the
-    output rows resolve the fastest simulated mode; it bounds no error."""
+    The propagator is exact for every h, so h sets how finely the output
+    rows resolve the fastest simulated mode and bounds no error; `run`
+    refuses an h whose E^BLOCK has lost accuracy (POWER_TOL), and the
+    gaps measured at h <= 1e-2 stay below 4e-13."""
     return min(0.5 / max(lam_top, 1e-12), 1e-2)
 
 
@@ -386,50 +395,25 @@ def _step_count(T: float, h: float) -> tuple:
     return n, T - n * h
 
 
-def _first_block(E: Factored, x0: np.ndarray, n_rows: int) -> tuple:
-    """(rows, power): x0, E x0, ..., the first min(BLOCK, n_rows) of them, by
-    doubling, and power = E^BLOCK when n_rows > BLOCK.
+def _rows(E: Factored, power: Factored, x0: np.ndarray, start: int, stop: int):
+    """Yield (s, rows) covering rows [start, stop) of x0, E x0, E^2 x0, ...,
+    for start a multiple of BLOCK and power = E^BLOCK, which rows [0, stop)
+    with stop <= BLOCK do not read.
 
-    With rows [0, k) filled, rows [k, 2k) are those rows times (E^k)', and
-    E^k is squared to E^2k. The squares end at E^BLOCK, the same products as
-    `np.linalg.matrix_power(E, BLOCK)` for a plain E; none but the last is
-    kept."""
-    block = np.empty((min(BLOCK, n_rows), len(x0)))
-    block[0] = x0
-    filled = 1  # power is E^filled
-    power = E
-    while filled < len(block):
-        count = min(filled, len(block) - filled)
-        power.advance(block[:count], out=block[filled : filled + count])
-        filled += count
-        if filled < n_rows:
-            power = power.squared()
-    return block, power
-
-
-def _stepped(E: Factored, power: Factored, x0: np.ndarray, start: int, rows: int) -> np.ndarray:
-    """Rows start, ..., start + rows - 1 of x0, E x0, E^2 x0, ..., for start a
-    multiple of BLOCK and power = E^BLOCK: x0 advanced by power start/BLOCK
-    times, one vector at a time, then each row the one before times E'.
-
-    A vector advance costs n r flops for rank r. A further square of E^BLOCK
-    would reach the row in fewer products, but squares keep only absolute
-    accuracy, which is lost once a power decays far below 1."""
-    block = np.empty((rows, len(x0)))
+    x0 advanced by power start/BLOCK times, one vector at a time, then each
+    row the one before times E', fill the first block; each later block of
+    up to BLOCK rows is the one before times power'. A vector advance costs
+    n r flops for rank r. A further square of E^BLOCK would reach the start
+    in fewer products, but squares keep only absolute accuracy, which is
+    lost once a power decays far below 1. A yielded block is overwritten two
+    blocks later, so a caller that keeps one copies it."""
     v = x0
     for _ in range(start // BLOCK):
         v = power.advance(v)
+    block = np.empty((min(BLOCK, stop - start), len(x0)))
     block[0] = v
-    for j in range(1, rows):
+    for j in range(1, len(block)):
         E.advance(block[j - 1], out=block[j])
-    return block
-
-
-def _blocks(power: Factored, block: np.ndarray, start: int, stop: int):
-    """Yield (s, rows) covering rows [start, stop): `block`, the rows from
-    start, then each next block of up to BLOCK rows, the one before times
-    power'. A yielded block is overwritten two blocks later, so a caller
-    that keeps one copies it."""
     yield start, block
     # later blocks alternate between two buffers: with a fresh array per
     # block glibc trims its heap and faults the pages back in on every block
@@ -445,13 +429,13 @@ def _blocks(power: Factored, block: np.ndarray, start: int, stop: int):
 def _segment_bounds(n_rows: int) -> list:
     """Row bounds [0, ..., n_rows] of the time segments of n_rows propagated rows.
 
-    Segment 0 holds the first block. The blocks after it are split into at
-    most SEGMENTS contiguous segments, as evenly as whole blocks allow, of
-    at least SEGMENT_MIN_BLOCKS blocks each; a run with fewer later blocks
-    stays one segment. The bounds depend on n_rows alone."""
-    later = -(-n_rows // BLOCK) - 1
-    count = max(1, min(SEGMENTS, later // SEGMENT_MIN_BLOCKS))
-    return [0] + [BLOCK * (1 + later * i // count) for i in range(1, count)] + [n_rows]
+    The blocks are split into at most SEGMENTS contiguous segments, as
+    evenly as whole blocks allow, of at least SEGMENT_MIN_BLOCKS blocks
+    each; a run with fewer blocks stays one segment. The bounds depend on
+    n_rows alone."""
+    blocks = -(-n_rows // BLOCK)
+    count = max(1, min(SEGMENTS, blocks // SEGMENT_MIN_BLOCKS))
+    return [BLOCK * (blocks * i // count) for i in range(count)] + [n_rows]
 
 
 def run(
@@ -475,15 +459,17 @@ def run(
     forcing. No option turns the check off. A non-finite state raises
     SimulationError.
 
-    The rows are propagated in the time segments of `_segment_bounds`. This
-    process fills the first block by doubling and propagates segment 0. With
-    `os.fork` and more than one usable CPU, a forked child propagates each
-    later segment from its own first block (`_stepped`), forms its columns
-    and checks, and sends back its largest check bound, its last state and
-    its columns' rows; otherwise this process propagates every segment the
-    same way. The columns are the same bytes on every path, and all of
-    `run` runs on one BLAS thread (`linalg.one_blas_thread`), so they do not
-    depend on the thread count either. A failure in a segment is raised
+    The rows are propagated in the time segments of `_segment_bounds`, each
+    by `_rows`, and a segment whose second block's first row departs from
+    one step of E by more than POWER_TOL raises SimulationError naming h and
+    the t of that row: E^BLOCK has lost accuracy. This process propagates
+    segment 0. With `os.fork` and more than one usable CPU, a forked child
+    propagates each later segment, forms its columns and checks, and sends
+    back its largest check bound, its last state and its columns' rows;
+    otherwise this process propagates every segment the same way. The
+    columns are the same bytes on every path, and all of `run` runs on one
+    BLAS thread (`linalg.one_blas_thread`), so they do not depend on the
+    thread count either. A failure in a segment is raised
     here after every earlier segment passed, so the first failing row names
     the error.
     """
@@ -524,21 +510,31 @@ def run(
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         E = system.exponential(h)
         log.info("E = expm(h A) of the %d-dim loop is diagonal plus rank %d", len(x0), E.rank)
-        first, power = _first_block(E, x0, n_steps + 1)
+        power = E
         if n_steps + 1 > BLOCK:
+            for _ in range(BLOCK.bit_length() - 1):
+                power = power.squared()
             log.info("E^%d is diagonal plus rank %d", BLOCK, power.rank)
         bounds = _segment_bounds(n_steps + 1)
         later = range(1, len(bounds) - 1)
 
-        def segment(i: int, block=None) -> tuple:
+        def segment(i: int) -> tuple:
             """(largest check bound, last state) of segment i, its rows
-            recorded; its first block is `_stepped` unless given."""
+            recorded and its first power-made row checked against a step of
+            E from the row before, still in the first block's buffer."""
             start, stop = bounds[i], bounds[i + 1]
-            if block is None:
-                block = _stepped(E, power, x0, start, min(BLOCK, stop - start))
             check = 0.0
-            for s, X in _blocks(power, block, start, stop):
+            for s, X in _rows(E, power, x0, start, stop):
+                if s == start + BLOCK:
+                    stepped = E.advance(previous[-1])
+                    gap, scale = np.linalg.norm(X[0] - stepped), np.linalg.norm(stepped)
+                    if gap > POWER_TOL * scale:
+                        raise SimulationError(
+                            f"E^{BLOCK} at h={h:g} has lost accuracy: its row at t={times[s]:.3f} "
+                            f"is {gap / scale:.3e} (relative) from a step of E; take a smaller h"
+                        )
                 check = max(check, record(s, X))
+                previous = X
             return check, X[-1].copy()
 
         def sent(i: int, check: np.ndarray, last: np.ndarray) -> list:
@@ -552,8 +548,7 @@ def run(
 
         forking = hasattr(os, "fork") and _usable_cpus() > 1
         with _forked([functools.partial(child, i) for i in later] if forking else []) as pipes:
-            check_max, last = segment(0, first)
-            del first
+            check_max, last = segment(0)
             for i in later:
                 if not forking:
                     check, last = segment(i)

@@ -100,14 +100,18 @@ def finite_part(loop, X: np.ndarray) -> np.ndarray:
     return np.hstack([zhat[:, :n0], err[:, :n0], loop.lams[n0:N] * err[:, n0:N]])
 
 
-def loop_states(loop, x0: np.ndarray, h: float, n_rows: int) -> np.ndarray:
-    """x0, E x0, ..., E^(n_rows-1) x0 for the exact step E = expm(h A) of
-    `loop`, stacked as rows: the states `simulation.run` propagates and
-    forms its columns from, kept."""
-    first, power = simulation._first_block(loop.exponential(h), x0, n_rows)
-    blocks = simulation._blocks(power, first, 0, n_rows)
+def loop_states(E, x0: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """Rows [start, stop) of x0, E x0, E^2 x0, ... for a `linalg.Factored` E,
+    stacked: the states `simulation.run` propagates and forms its columns
+    from, by `simulation._rows` with E^BLOCK squared as `run` squares it,
+    kept. The blocks must start at start, start + BLOCK, ..."""
+    power = E
+    for _ in range(simulation.BLOCK.bit_length() - 1):
+        power = power.squared()
     # a yielded block is a buffer that later blocks overwrite
-    return np.concatenate([rows.copy() for _, rows in blocks])
+    blocks = [(s, rows.copy()) for s, rows in simulation._rows(E, power, x0, start, stop)]
+    assert [s for s, _ in blocks] == list(range(start, stop, simulation.BLOCK))
+    return np.concatenate([rows for _, rows in blocks])
 
 
 def diagnostics_reference(loop, X: np.ndarray) -> dict:

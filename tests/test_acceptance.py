@@ -215,7 +215,7 @@ def test_reduced_subspace_matches_matrix_exponential(example_art30):
     X0 = finite_part(system, np.concatenate([state.z, state.zhat])[None])[0]
     F = example_art30.closed_loop
     h = 2.5e-4
-    states = loop_states(system, np.concatenate([state.z, state.zhat]), h, round(5.0 / h) + 1)
+    states = loop_states(system.exponential(h), np.concatenate([state.z, state.zhat]), 0, round(5.0 / h) + 1)
     for t_target in (1.0, 5.0):
         got = finite_part(system, states[round(t_target / h)][None])[0]
         want = expm(F * t_target) @ X0

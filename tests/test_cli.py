@@ -827,3 +827,25 @@ def test_simulate_warns_when_the_simulated_loop_grows(tmp_path, caplog, n_sim, g
     assert "'Observation spillover'" in warnings[0]
     with open(os.path.join(ROOT, "README.md")) as fh:
         assert "\n### Observation spillover\n" in fh.read()
+
+
+@pytest.mark.parametrize("h, t", [(0.05, 12.8), (0.02, 5.12), (0.01, None)])
+def test_simulate_refuses_an_inaccurate_block_power(tmp_path, capsys, caplog, h, t):
+    # the strong demo over T = 15. At h = 0.05 the squares that form E^256
+    # = exp(12.8 A) lose every digit: unchecked, the run wrote terminal h1
+    # 5.6e4 where the exact value is 1.7e-3 and warned that the loop grows.
+    # At h = 0.02 the first row advanced by E^256 is 5.7e-9 from a step of E
+    cfg = demo_config("strong_drift_pipeline.json")
+    cfg["simulation"].update(T=15.0, h=h)
+    out = tmp_path / "out"
+    with caplog.at_level(logging.WARNING, logger="parstab"):
+        code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(out)])
+    if t is None:
+        assert code == 0
+        assert [r for r in caplog.records if r.levelno >= logging.WARNING] == []
+        assert abs(strict_json(out / "summary.json")["terminal_h1"] - 1.6824e-3) < 1e-7
+        return
+    assert code == 4
+    err = capsys.readouterr().err
+    assert f"E^256 at h={h:g} has lost accuracy: its row at t={t:.3f}" in err
+    assert not out.exists()

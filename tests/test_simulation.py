@@ -205,7 +205,7 @@ def test_tail_error_is_autonomous(example_art30):
     h, t_end = 2e-4, 1.0
     n_rows = int(round(t_end / h)) + 1
     assert len(run(np.ones(10), t_end, h, example_art30, N_sim=60).times) == n_rows
-    x = loop_states(system, np.concatenate([state.z, state.zhat]), h, n_rows)[-1]
+    x = loop_states(system.exponential(h), np.concatenate([state.z, state.zhat]), 0, n_rows)[-1]
     et = system.lams[n0:N] * (x[n0:N] - x[60 + n0 : 60 + N])
     want = e0 * np.exp(-system.lams[n0:N] * t_end)
     assert np.max(np.abs(et - want)) < 1e-7
@@ -368,7 +368,7 @@ def test_diagnostics_match_the_whole_array_norms(request, design, n_sim, h):
     x0 = np.zeros(n_sim + system.N)
     x0[:5] = np.linspace(1.0, 0.5, 5)
     A = system.full_matrix
-    X = np.vstack([loop_states(system, x0, h, simulation.BLOCK)] + [expm(t * A) @ x0 for t in (5.0, 20.0)])
+    X = np.vstack([loop_states(system.exponential(h), x0, 0, simulation.BLOCK)] + [expm(t * A) @ x0 for t in (5.0, 20.0)])
     want = diagnostics_reference(system, X)
     assert np.min(want["h1_proxy"]) < 1e-4
     got = system.diagnostics(X)
@@ -382,7 +382,7 @@ def test_certificate_energy_decays_on_certified_design(mild_art30):
     h = 1e-3
     system = ClosedLoop(mild_art30, N_sim=200)
     s0 = init_state(np.ones(8), 200, 30)
-    states = loop_states(system, np.concatenate([s0.z, s0.zhat]), h, 3001)
+    states = loop_states(system.exponential(h), np.concatenate([s0.z, s0.zhat]), 0, 3001)
     decay = math.exp(-2.0 * mild_art30.delta * h)
     values = certificate_energy(system, states, P)
     ratios = values[1:] / (values[:-1] * decay)
@@ -395,15 +395,17 @@ def test_run_gives_up_on_non_finite(example_art30):
 
 
 def assert_rows_are_exact(result, rows, system, z0):
-    """Each CSV column of `result` at `rows` within 1e-10 of its largest
-    magnitude there from `ClosedLoop.diagnostics` of the exact states
-    expm(t A) x0 at those rows' times."""
+    """Each CSV column of `result` at `rows`, and at rows 1 and 128 where
+    the run has them, within 1e-10 of its largest magnitude there from
+    `ClosedLoop.diagnostics` of the exact states expm(t A) x0 at those rows'
+    times."""
+    rows = sorted(set(rows) | {i for i in (1, 128) if i < len(result.times)})
     s0 = init_state(z0, system.N_sim, system.N)
     x0 = np.concatenate([s0.z, s0.zhat])
     A = system.full_matrix
     want = system.diagnostics(np.stack([expm(result.times[i] * A) @ x0 for i in rows]))
     for name, col in want.items():
-        got = result.records[name][list(rows)]
+        got = result.records[name][rows]
         assert np.max(np.abs(got - col)) <= 1e-10 * np.max(np.abs(col)), name
 
 
@@ -434,32 +436,32 @@ def explicit_rows(E, x0, n_rows):
     return want
 
 
-def blocks_of(E, x0, n_rows):
-    # _blocks reuses its block buffers, so each block is copied
-    first, power = simulation._first_block(E, x0, n_rows)
-    blocks = [(start, rows.copy()) for start, rows in simulation._blocks(power, first, 0, n_rows)]
-    assert [start for start, _ in blocks] == list(range(0, n_rows, simulation.BLOCK))
-    return np.concatenate([rows for _, rows in blocks])
+def _start_and_rows():
+    # each row count from each block start; a case from 0 keeps the row
+    # count alone as its id
+    B = simulation.BLOCK
+    for start in (0, B, 3 * B):
+        for n_rows in (1, 2, 3, B - 1, B, B + 1, 3 * B + 5):
+            yield pytest.param(start, n_rows, id=f"{n_rows}-from{start}" if start else f"{n_rows}")
 
 
-@pytest.mark.parametrize(
-    "n_rows",
-    [1, 2, 3, simulation.BLOCK - 1, simulation.BLOCK, simulation.BLOCK + 1, 3 * simulation.BLOCK + 5],
-)
-def test_blocks_match_explicit_powers(contraction, n_rows):
+@pytest.mark.parametrize("start, n_rows", _start_and_rows())
+def test_blocks_match_explicit_powers(contraction, start, n_rows):
     E, x0 = contraction
-    got = blocks_of(Factored(None, None, None, None, plain=E), x0, n_rows)
+    got = loop_states(Factored(None, None, None, None, plain=E), x0, start, start + n_rows)
     assert got.shape == (n_rows, len(x0))
-    assert np.array_equal(got[0], x0)
-    want = explicit_rows(E, x0, n_rows)
+    if not start:
+        assert np.array_equal(got[0], x0)
+    want = explicit_rows(E, x0, start + n_rows)[start:]
     scale = np.linalg.norm(want, axis=1)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * scale)
 
 
 def test_blocks_advance_by_matrix_power(contraction):
+    # `run`'s eight squares of E are the products of np.linalg.matrix_power
     E, x0 = contraction
-    block, power = simulation._first_block(Factored(None, None, None, None, plain=E), x0, 2 * simulation.BLOCK)
-    (_, first), (_, second) = simulation._blocks(power, block, 0, 2 * simulation.BLOCK)
+    rows = loop_states(Factored(None, None, None, None, plain=E), x0, 0, 2 * simulation.BLOCK)
+    first, second = rows[: simulation.BLOCK], rows[simulation.BLOCK :]
     E_block = np.linalg.matrix_power(E, simulation.BLOCK)
     assert np.array_equal(second, first @ E_block.T)
 
@@ -476,7 +478,7 @@ def test_blocks_of_a_factored_power():
     E = factored_array(power)
     x0 = rng.standard_normal(n)
     n_rows = 3 * simulation.BLOCK + 5
-    got = blocks_of(power, x0, n_rows)
+    got = loop_states(power, x0, 0, n_rows)
     want = explicit_rows(E, x0, n_rows)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
     E_block = power
@@ -716,8 +718,8 @@ def test_csv_without_fork_formats_every_slice_in_the_caller(tmp_path, monkeypatc
     assert (tmp_path / "pids.csv").read_text().splitlines()[1:] == [str(os.getpid())] * 2
 
 
-# 2501 rows at h = 1e-3: the first block, then segments of blocks [1, 5) and
-# [5, 10), the last one 197 rows long
+# 2501 rows at h = 1e-3: segments of blocks [0, 5) and [5, 10), the last
+# block 197 rows long
 SEGMENTED_T = 2.5
 
 
@@ -737,24 +739,13 @@ def test_segments_split_the_later_blocks_by_the_row_count_alone():
     B = simulation.BLOCK
     assert simulation._segment_bounds(1) == [0, 1]
     assert simulation._segment_bounds(B + 1) == [0, B + 1]
-    # fewer than SEGMENT_MIN_BLOCKS later blocks per segment: one segment
-    short = simulation.SEGMENTS * simulation.SEGMENT_MIN_BLOCKS * B
+    # fewer than SEGMENT_MIN_BLOCKS blocks per segment: one segment
+    short = (simulation.SEGMENTS * simulation.SEGMENT_MIN_BLOCKS - 1) * B
     assert simulation._segment_bounds(short) == [0, short]
-    assert simulation._segment_bounds(short + 1) == [0, 5 * B, short + 1]
+    assert simulation._segment_bounds(short + 1) == [0, 4 * B, short + 1]
     assert simulation._segment_bounds(2501) == [0, 5 * B, 2501]
-    # the pipeline's 100 001 rows: 390 later blocks, 195 in each segment
-    assert simulation._segment_bounds(100_001) == [0, 196 * B, 100_001]
-
-
-def test_stepped_rows_are_the_powers_from_any_block_start(contraction):
-    E, x0 = contraction
-    plain = Factored(None, None, None, None, plain=E)
-    power = Factored(None, None, None, None, plain=np.linalg.matrix_power(E, simulation.BLOCK))
-    want = explicit_rows(E, x0, 3 * simulation.BLOCK + 5)
-    for start in (0, simulation.BLOCK, 3 * simulation.BLOCK):
-        got = simulation._stepped(plain, power, x0, start, 5)
-        scale = np.linalg.norm(want[start : start + 5], axis=1)
-        assert np.all(np.linalg.norm(got - want[start : start + 5], axis=1) <= 1e-12 * scale)
+    # the pipeline's 100 001 rows: 391 blocks, 195 and 196 in the segments
+    assert simulation._segment_bounds(100_001) == [0, 195 * B, 100_001]
 
 
 def test_run_columns_do_not_depend_on_the_usable_cpus(example_art30, monkeypatch):
@@ -780,14 +771,15 @@ def test_run_columns_do_not_depend_on_the_usable_cpus(example_art30, monkeypatch
 
 def _checks_fail_in_later_segments(monkeypatch, from_row: int) -> None:
     """projection_check reports 1.0 from row `from_row` of a block on, in
-    every block propagated after a segment's first block was stepped in
+    every block propagated after a segment past segment 0 began its rows in
     this process: in a forked child, or in the caller past segment 0."""
     stepped = []
-    real = simulation._stepped
+    real = simulation._rows
 
-    def marking(*args):
-        stepped.append(1)
-        return real(*args)
+    def marking(E, power, x0, start, stop):
+        if start:
+            stepped.append(1)
+        return real(E, power, x0, start, stop)
 
     def failing(self, U):
         devs = _PROJECTION_CHECK(self, U)
@@ -795,11 +787,11 @@ def _checks_fail_in_later_segments(monkeypatch, from_row: int) -> None:
             devs[from_row:] = 1.0
         return devs
 
-    monkeypatch.setattr(simulation, "_stepped", marking)
+    monkeypatch.setattr(simulation, "_rows", marking)
     monkeypatch.setattr(ClosedLoop, "projection_check", failing)
 
 
-@pytest.mark.parametrize("segments, later_starts", [(2, [2048]), (3, [1536, 2816])])
+@pytest.mark.parametrize("segments, later_starts", [(2, [2048]), (3, [1280, 2560])])
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_check_failing_in_a_later_segment_names_its_first_row(
     example_art30, monkeypatch, cpus, segments, later_starts
@@ -821,14 +813,17 @@ def test_a_check_failing_in_a_later_segment_names_its_first_row(
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_a_state_non_finite_in_a_later_segment_fails_the_run(example_art30, monkeypatch, cpus):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
-    real = simulation._stepped
+    real = simulation._rows
 
-    def overflowing(*args):
-        block = real(*args)
-        block[3, 0] = np.inf
-        return block
+    def overflowing(E, power, x0, start, stop):
+        blocks = real(E, power, x0, start, stop)
+        s, block = next(blocks)
+        if start:
+            block[3, 0] = np.inf
+        yield s, block
+        yield from blocks
 
-    monkeypatch.setattr(simulation, "_stepped", overflowing)
+    monkeypatch.setattr(simulation, "_rows", overflowing)
     # reported at the last row of the segment's first block, row 1280 + 255
     with pytest.raises(SimulationError, match=r"state non-finite by t=1\.535$"):
         run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
@@ -861,7 +856,7 @@ def test_a_segment_child_that_dies_fails_the_run(example_art30, monkeypatch):
 
 
 def test_a_later_segment_failure_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
-    # the quick demo: 4001 rows, segments [256, 2048) and [2048, 4001)
+    # the quick demo: 4001 rows, segments [0, 2048) and [2048, 4001)
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     _checks_fail_in_later_segments(monkeypatch, from_row=0)
     config = os.path.join(ROOT, "demos", "quick_certify.json")
