@@ -22,9 +22,9 @@ core. Each squaring keeps the form and carries the bases: only the r new
 directions diag(lam) Q and diag(lam) W are orthogonalized against Q and W,
 by block Gram-Schmidt run twice, so the QRs are of n x r blocks, not of the
 n x 2r stacked factors, and an SVD of the core, at most 2r x 2r, cuts the
-square again. On the closed loops the rank stays far below n (9 for E and 23 for
-E^256 on the 300-dim strong-drift loop, 13 and 35 on the 1020-dim one), so
-no n x n array is formed. Once a rank reaches n/4, factored products cost
+square again. On the closed loops the rank stays far below n (9 for E and 20
+for the E^128 the simulation propagates by on the 300-dim strong-drift loop,
+13 and 30 for E^64 on the 1020-dim one), so no n x n array is formed. Once a rank reaches n/4, factored products cost
 more than dense ones and the plain matrix is held and squared instead. The
 plain form is an accuracy path too, not only a cost switch: with every
 index in the head, as for a dense input, lam is all ones and the low-rank

@@ -8,28 +8,32 @@ diagonal except for the rows and columns of the n0 observer-head states.
 in-repo `linalg.expm` evaluates a Taylor polynomial in h A from them,
 squared as often as its truncation bound needs, with no LU solve. It returns
 E = expm(h A) as its diagonal plus a low-rank part in orthonormal bases
-(`linalg.Factored`), of rank 9 on the 300-dim strong-drift loop. `run`
-squares E to E^BLOCK in factored form, in the bases it carries, when there
-are more than BLOCK output rows.
+(`linalg.Factored`), of rank 9 on the 300-dim strong-drift loop. Rows are
+propagated in blocks of B rows, B = `block_rows(n)` from the loop's width
+n: at most BLOCK = 256 rows and BLOCK_DOUBLES = 2^16 doubles (512 KB), so
+256 rows on the demo loops of 40 and 100 states, 128 on the 300-dim one
+and 64 on `wide_sim`'s 1020-dim one. `run` squares E to E^B in factored
+form, in the bases it carries, log2 B times, when there are more than B
+output rows.
 
 The blocks of rows are split into SEGMENTS = 2 contiguous time segments, a
 constant rather than the CPU count, and one generator, `_rows`, gives every
-segment its rows: x0 advanced to the segment's start by E^BLOCK, a vector
+segment its rows: x0 advanced to the segment's start by E^B, a vector
 product per block, then the segment's first block by single-row steps of
-E, then each later block as the one before times E^BLOCK', X * lam +
-((X W) * sig) Q' into one of two alternating row buffers: about 4 rows n r
-flops a block for rank r, against 2 rows n^2 for a dense E^BLOCK.
+E, then each later block as the one before times E^B', X * lam +
+((X W) * sig) Q' into one of two alternating row buffers: about 4 B n r
+flops a block for rank r, against 2 B n^2 for a dense E^B.
 Propagation forms no n x n array. The output spacing h is no accuracy or
-stability limit, but E^BLOCK may be: the first row of a segment's second
-block, made by E^BLOCK, must lie within POWER_TOL of one step of E from the
+stability limit, but E^B may be: the first row of a segment's second
+block, made by E^B, must lie within POWER_TOL of one step of E from the
 row before it, or the run fails.
-With `os.fork` and two or more usable CPUs, once E and E^BLOCK exist, a
+With `os.fork` and two or more usable CPUs, once E and E^B exist, a
 forked child propagates each segment after the first, forms its columns and
 checks, and streams their raw bytes back while this process propagates
 segment 0; otherwise this process propagates every segment with the same
 arithmetic. All of `run` runs on one BLAS thread (`linalg.one_blas_thread`):
 its products are too small to gain from a second one. So the columns depend
-on SEGMENTS and the row count, not on the machine's BLAS thread or CPU
+on SEGMENTS, the row count and n, not on the machine's BLAS thread or CPU
 count.
 
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
@@ -72,19 +76,21 @@ from .synthesis import SynthesisArtifacts, sensor_rows
 
 log = logging.getLogger(__name__)
 
-# output rows per propagation block: rows of block b+1 are rows of block b
-# times E^BLOCK, one matrix product per block; a power of two, since E^BLOCK
-# is E squared BLOCK.bit_length() - 1 times
+# most output rows per propagation block: rows of block b+1 are rows of
+# block b times E^B, one matrix product per block, for the loop's B of
+# `block_rows`
 BLOCK = 256
+# most doubles a block of rows holds (512 KB): a wider loop takes fewer rows
+BLOCK_DOUBLES = 1 << 16
 # contiguous time segments the blocks are split into; a forked child
 # propagates each but the first. A constant, not the CPU count, so that the
-# bytes of a run depend on the row count alone
+# bytes of a run depend on the row count and the loop's width alone
 SEGMENTS = 2
-# fewest blocks a segment holds: its first block costs about one block's
-# work in single-row steps, besides the fork
+# fewest BLOCK-row units a segment holds: its first block costs about one
+# block's work in single-row steps, besides the fork
 SEGMENT_MIN_BLOCKS = 4
 # largest gap, in 2-norm relative to the stepped row, between the first row
-# a segment advances by E^BLOCK and one step of E from the row before it
+# a segment advances by E^B and one step of E from the row before it
 # (README, "Observation spillover", gives the gaps measured)
 POWER_TOL = 1e-10
 # T/h within this of an integer counts as an integer number of steps
@@ -135,8 +141,8 @@ def default_step(lam_top: float) -> float:
 
     The propagator is exact for every h, so h sets how finely the output
     rows resolve the fastest simulated mode and bounds no error; `run`
-    refuses an h whose E^BLOCK has lost accuracy (POWER_TOL), and the
-    gaps measured at h <= 1e-2 stay below 4e-13."""
+    refuses an h whose E^B (`block_rows`) has lost accuracy (POWER_TOL),
+    and the gaps measured at h <= 2e-2 stay below 1e-13."""
     return min(0.5 / max(lam_top, 1e-12), 1e-2)
 
 
@@ -395,22 +401,31 @@ def _step_count(T: float, h: float) -> tuple:
     return n, T - n * h
 
 
-def _rows(E: Factored, power: Factored, x0: np.ndarray, start: int, stop: int):
-    """Yield (s, rows) covering rows [start, stop) of x0, E x0, E^2 x0, ...,
-    for start a multiple of BLOCK and power = E^BLOCK, which rows [0, stop)
-    with stop <= BLOCK do not read.
+def block_rows(n: int) -> int:
+    """B, the rows per propagation block and the power of E that advances a
+    block, for a loop of n states: the largest power of two at most BLOCK
+    with B n <= BLOCK_DOUBLES, and at least 1. 256 on the 40- and 100-dim
+    demo loops, 128 on the 300-dim strong-drift one, 64 on `wide_sim`'s
+    1020-dim one. A power of two, since E^B is E squared log2 B times."""
+    return min(BLOCK, 1 << (max(1, BLOCK_DOUBLES // n).bit_length() - 1))
 
-    x0 advanced by power start/BLOCK times, one vector at a time, then each
+
+def _rows(E: Factored, power: Factored, B: int, x0: np.ndarray, start: int, stop: int):
+    """Yield (s, rows) covering rows [start, stop) of x0, E x0, E^2 x0, ...,
+    in blocks of B rows, for start a multiple of B and power = E^B, which
+    rows [0, stop) with stop <= B do not read.
+
+    x0 advanced by power start/B times, one vector at a time, then each
     row the one before times E', fill the first block; each later block of
-    up to BLOCK rows is the one before times power'. A vector advance costs
-    n r flops for rank r. A further square of E^BLOCK would reach the start
+    up to B rows is the one before times power'. A vector advance costs
+    n r flops for rank r. A further square of E^B would reach the start
     in fewer products, but squares keep only absolute accuracy, which is
     lost once a power decays far below 1. A yielded block is overwritten two
     blocks later, so a caller that keeps one copies it."""
     v = x0
-    for _ in range(start // BLOCK):
+    for _ in range(start // B):
         v = power.advance(v)
-    block = np.empty((min(BLOCK, stop - start), len(x0)))
+    block = np.empty((min(B, stop - start), len(x0)))
     block[0] = v
     for j in range(1, len(block)):
         E.advance(block[j - 1], out=block[j])
@@ -419,23 +434,24 @@ def _rows(E: Factored, power: Factored, x0: np.ndarray, start: int, stop: int):
     # block glibc trims its heap and faults the pages back in on every block
     # (about 90 000 minor faults on the 300-dim pipeline loop)
     other = np.empty_like(block)
-    for s in range(start + len(block), stop, BLOCK):
-        rows = min(BLOCK, stop - s)
+    for s in range(start + len(block), stop, B):
+        rows = min(B, stop - s)
         power.advance(block[:rows], out=other[:rows])
         block, other = other[:rows], block
         yield s, block
 
 
-def _segment_bounds(n_rows: int) -> list:
-    """Row bounds [0, ..., n_rows] of the time segments of n_rows propagated rows.
+def _segment_bounds(n_rows: int, B: int) -> list:
+    """Row bounds [0, ..., n_rows] of the time segments of n_rows propagated
+    rows in blocks of B rows.
 
-    The blocks are split into at most SEGMENTS contiguous segments, as
-    evenly as whole blocks allow, of at least SEGMENT_MIN_BLOCKS blocks
-    each; a run with fewer blocks stays one segment. The bounds depend on
-    n_rows alone."""
-    blocks = -(-n_rows // BLOCK)
-    count = max(1, min(SEGMENTS, blocks // SEGMENT_MIN_BLOCKS))
-    return [BLOCK * (blocks * i // count) for i in range(count)] + [n_rows]
+    There is one segment per SEGMENT_MIN_BLOCKS started BLOCK-row units, at
+    least one and at most SEGMENTS, so whether a run forks depends on its
+    row count alone; the cuts fall at whole blocks of B rows, as evenly as
+    those allow."""
+    count = max(1, min(SEGMENTS, -(-n_rows // BLOCK) // SEGMENT_MIN_BLOCKS))
+    blocks = -(-n_rows // B)
+    return [B * (blocks * i // count) for i in range(count)] + [n_rows]
 
 
 def run(
@@ -459,11 +475,13 @@ def run(
     forcing. No option turns the check off. A non-finite state raises
     SimulationError.
 
-    The rows are propagated in the time segments of `_segment_bounds`, each
-    by `_rows`, and a segment whose second block's first row departs from
-    one step of E by more than POWER_TOL raises SimulationError naming h and
-    the t of that row: E^BLOCK has lost accuracy. This process propagates
-    segment 0. With `os.fork` and more than one usable CPU, a forked child
+    The rows are propagated in blocks of B = `block_rows(n)` rows for the
+    loop's n states, in the time segments of `_segment_bounds`, each by
+    `_rows`, after log2 B squarings of E to E^B. A segment whose second
+    block's first row departs from one step of E by more than POWER_TOL
+    raises SimulationError naming E^B, h and the t of that row: E^B has
+    lost accuracy. This process propagates segment 0. With `os.fork` and
+    more than one usable CPU, a forked child
     propagates each later segment, forms its columns and checks, and sends
     back its largest check bound, its last state and its columns' rows;
     otherwise this process propagates every segment the same way. The
@@ -510,12 +528,13 @@ def run(
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         E = system.exponential(h)
         log.info("E = expm(h A) of the %d-dim loop is diagonal plus rank %d", len(x0), E.rank)
+        B = block_rows(len(x0))
         power = E
-        if n_steps + 1 > BLOCK:
-            for _ in range(BLOCK.bit_length() - 1):
+        if n_steps + 1 > B:
+            for _ in range(B.bit_length() - 1):
                 power = power.squared()
-            log.info("E^%d is diagonal plus rank %d", BLOCK, power.rank)
-        bounds = _segment_bounds(n_steps + 1)
+            log.info("E^%d is diagonal plus rank %d", B, power.rank)
+        bounds = _segment_bounds(n_steps + 1, B)
         later = range(1, len(bounds) - 1)
 
         def segment(i: int) -> tuple:
@@ -524,13 +543,13 @@ def run(
             E from the row before, still in the first block's buffer."""
             start, stop = bounds[i], bounds[i + 1]
             check = 0.0
-            for s, X in _rows(E, power, x0, start, stop):
-                if s == start + BLOCK:
+            for s, X in _rows(E, power, B, x0, start, stop):
+                if s == start + B:
                     stepped = E.advance(previous[-1])
                     gap, scale = np.linalg.norm(X[0] - stepped), np.linalg.norm(stepped)
                     if gap > POWER_TOL * scale:
                         raise SimulationError(
-                            f"E^{BLOCK} at h={h:g} has lost accuracy: its row at t={times[s]:.3f} "
+                            f"E^{B} at h={h:g} has lost accuracy: its row at t={times[s]:.3f} "
                             f"is {gap / scale:.3e} (relative) from a step of E; take a smaller h"
                         )
                 check = max(check, record(s, X))

@@ -100,17 +100,20 @@ def finite_part(loop, X: np.ndarray) -> np.ndarray:
     return np.hstack([zhat[:, :n0], err[:, :n0], loop.lams[n0:N] * err[:, n0:N]])
 
 
-def loop_states(E, x0: np.ndarray, start: int, stop: int) -> np.ndarray:
+def loop_states(E, x0: np.ndarray, start: int, stop: int, B=None) -> np.ndarray:
     """Rows [start, stop) of x0, E x0, E^2 x0, ... for a `linalg.Factored` E,
     stacked: the states `simulation.run` propagates and forms its columns
-    from, by `simulation._rows` with E^BLOCK squared as `run` squares it,
-    kept. The blocks must start at start, start + BLOCK, ..."""
+    from, by `simulation._rows` in blocks of B rows (by default the loop's
+    own, `simulation.block_rows`) with E^B squared as `run` squares it,
+    kept. The blocks must start at start, start + B, ..."""
+    if B is None:
+        B = simulation.block_rows(len(x0))
     power = E
-    for _ in range(simulation.BLOCK.bit_length() - 1):
+    for _ in range(B.bit_length() - 1):
         power = power.squared()
     # a yielded block is a buffer that later blocks overwrite
-    blocks = [(s, rows.copy()) for s, rows in simulation._rows(E, power, x0, start, stop)]
-    assert [s for s, _ in blocks] == list(range(start, stop, simulation.BLOCK))
+    blocks = [(s, rows.copy()) for s, rows in simulation._rows(E, power, B, x0, start, stop)]
+    assert [s for s, _ in blocks] == list(range(start, stop, B))
     return np.concatenate([rows for _, rows in blocks])
 
 

@@ -755,7 +755,8 @@ def test_quick_simulation_bytes_do_not_depend_on_blas_threads(tmp_path):
     # 300-dim one, shortened to 2501 rows, which still make two segments
     strong = demo_config("strong_drift_pipeline.json")
     strong["simulation"]["T"] = 0.5
-    assert len(simulation._segment_bounds(2501)) == 3
+    n = strong["simulation"]["N_sim"] + strong["synthesis"]["N"]
+    assert len(simulation._segment_bounds(2501, simulation.block_rows(n))) == 3
     demos = [os.path.join(ROOT, "demos", name) for name in ("quick_certify.json", "cube_3d.json")]
     for demo in demos + [write_cfg(tmp_path, strong, "strong.json")]:
         name = os.path.basename(demo)
@@ -829,12 +830,14 @@ def test_simulate_warns_when_the_simulated_loop_grows(tmp_path, caplog, n_sim, g
         assert "\n### Observation spillover\n" in fh.read()
 
 
-@pytest.mark.parametrize("h, t", [(0.05, 12.8), (0.02, 5.12), (0.01, None)])
+@pytest.mark.parametrize("h, t", [(0.1, 12.8), (0.05, 6.4), (0.04, 5.12), (0.02, None), (0.01, None)])
 def test_simulate_refuses_an_inaccurate_block_power(tmp_path, capsys, caplog, h, t):
-    # the strong demo over T = 15. At h = 0.05 the squares that form E^256
-    # = exp(12.8 A) lose every digit: unchecked, the run wrote terminal h1
-    # 5.6e4 where the exact value is 1.7e-3 and warned that the loop grows.
-    # At h = 0.02 the first row advanced by E^256 is 5.7e-9 from a step of E
+    # the strong demo over T = 15, whose 300-dim loop propagates by E^128.
+    # At h = 0.1 the squares that form E^128 = exp(12.8 A) lose every digit
+    # (the first row it advances is 1.5e5 from a step of E): unchecked, such
+    # a run wrote terminal h1 5.6e4 where the exact value is 1.7e-3 and
+    # warned that the loop grows. At h = 0.05 that row is 5.5e-6 from a step
+    # of E and at h = 0.04 5.7e-9; at h = 0.02, 9.5e-14
     cfg = demo_config("strong_drift_pipeline.json")
     cfg["simulation"].update(T=15.0, h=h)
     out = tmp_path / "out"
@@ -847,5 +850,5 @@ def test_simulate_refuses_an_inaccurate_block_power(tmp_path, capsys, caplog, h,
         return
     assert code == 4
     err = capsys.readouterr().err
-    assert f"E^256 at h={h:g} has lost accuracy: its row at t={t:.3f}" in err
+    assert f"E^128 at h={h:g} has lost accuracy: its row at t={t:.3f}" in err
     assert not out.exists()

@@ -206,9 +206,10 @@ def test_expm_matches_scipy_on_the_workload_loops(strong_design, n_sim, h):
     "design, n_sim, h", [("strong_design", 240, 2e-4), ("strong_design", 960, 1e-3), ("quick_design", 32, 1e-3)]
 )
 def test_factored_powers_match_scipy_on_the_demo_loops(request, design, n_sim, h):
-    # the pipeline's, wide_sim's and the quick demo's loops: E and the
-    # squares that `run` propagates by, up to E^256, stay diagonal plus
-    # factors of rank below n/4 and match scipy's exponential of 2^p h A
+    # the pipeline's, wide_sim's and the quick demo's loops, which `run`
+    # propagates by E^128, E^64 and E^256: E and its squares up to E^256
+    # stay diagonal plus factors of rank below n/4 and match scipy's
+    # exponential of 2^p h A
     B = ClosedLoop(request.getfixturevalue(design), N_sim=n_sim).border().scaled(h)
     hA = B.dense()
     E = linalg.expm(B)
@@ -362,27 +363,28 @@ def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
 
 def test_wide_loop_memory(strong_design, monkeypatch):
     # the 1020-dim wide_sim loop: the exponential holds its border parts, its
-    # width-72 Taylor factors and their QR copies (0.37 n^2 doubles), and run
-    # (expm, the squarings and every block's diagnostics; 0.84 n^2) less than
-    # one array of n^2 doubles, so no n x n array is formed. On one usable
-    # CPU no segment is forked, so tracemalloc sees all of run's work
+    # width-72 Taylor factors and their QR copies (0.37 n^2 doubles), and
+    # that sets the peak of run (expm, the squarings and the diagnostics of
+    # every 64-row block; 0.39 n^2), so no n x n array is formed. On one
+    # usable CPU no segment is forked, so tracemalloc sees all of run's work
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     loop = ClosedLoop(strong_design, N_sim=960)
     n2 = (loop.N_sim + loop.N) ** 2 * 8
     assert traced_peak(loop.exponential, 1e-3) <= 0.4 * n2
     z0 = np.linspace(1.0, 0.5, 5)
-    assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 0.9 * n2
+    assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 0.45 * n2
 
 
 def test_pipeline_loop_memory(strong_design, monkeypatch):
     # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
-    # its output columns and at most 2.7 MB more for propagation, the
-    # diagnostics and checks of a block and the rate fit. On one usable CPU
-    # this process propagates both segments, one after the other
+    # its output columns and at most 2.0 MB more (1.72 MB measured) for
+    # propagation, the diagnostics and checks of a 128-row block and the
+    # rate fit. On one usable CPU this process propagates both segments, one
+    # after the other
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     z0 = np.linspace(1.0, 0.5, 5)
     columns = len(CSV_COLUMNS) * 100_001 * 8
-    assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 2.7e6
+    assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 2.0e6
 
 
 def test_one_blas_thread_sets_one_thread_and_restores_the_count(monkeypatch):

@@ -368,7 +368,8 @@ def test_diagnostics_match_the_whole_array_norms(request, design, n_sim, h):
     x0 = np.zeros(n_sim + system.N)
     x0[:5] = np.linspace(1.0, 0.5, 5)
     A = system.full_matrix
-    X = np.vstack([loop_states(system.exponential(h), x0, 0, simulation.BLOCK)] + [expm(t * A) @ x0 for t in (5.0, 20.0)])
+    block = simulation.block_rows(len(x0))
+    X = np.vstack([loop_states(system.exponential(h), x0, 0, block)] + [expm(t * A) @ x0 for t in (5.0, 20.0)])
     want = diagnostics_reference(system, X)
     assert np.min(want["h1_proxy"]) < 1e-4
     got = system.diagnostics(X)
@@ -436,19 +437,25 @@ def explicit_rows(E, x0, n_rows):
     return want
 
 
+# the rows per block of the 1020-, 300- and 40-dim loops (`block_rows`)
+BLOCKS = (64, 128, 256)
+
+
 def _start_and_rows():
-    # each row count from each block start; a case from 0 keeps the row
-    # count alone as its id
-    B = simulation.BLOCK
-    for start in (0, B, 3 * B):
-        for n_rows in (1, 2, 3, B - 1, B, B + 1, 3 * B + 5):
-            yield pytest.param(start, n_rows, id=f"{n_rows}-from{start}" if start else f"{n_rows}")
+    # each row count from each block start, for each block size; the id
+    # names the start when it is not 0 and the block size when it is not
+    # BLOCK
+    for B in BLOCKS:
+        for start in (0, B, 3 * B):
+            for n_rows in (1, 2, 3, B - 1, B, B + 1, 3 * B + 5):
+                name = f"{n_rows}" + (f"-from{start}" if start else "") + (f"-B{B}" if B != simulation.BLOCK else "")
+                yield pytest.param(B, start, n_rows, id=name)
 
 
-@pytest.mark.parametrize("start, n_rows", _start_and_rows())
-def test_blocks_match_explicit_powers(contraction, start, n_rows):
+@pytest.mark.parametrize("B, start, n_rows", _start_and_rows())
+def test_blocks_match_explicit_powers(contraction, B, start, n_rows):
     E, x0 = contraction
-    got = loop_states(Factored(None, None, None, None, plain=E), x0, start, start + n_rows)
+    got = loop_states(Factored(None, None, None, None, plain=E), x0, start, start + n_rows, B)
     assert got.shape == (n_rows, len(x0))
     if not start:
         assert np.array_equal(got[0], x0)
@@ -458,17 +465,30 @@ def test_blocks_match_explicit_powers(contraction, start, n_rows):
 
 
 def test_blocks_advance_by_matrix_power(contraction):
-    # `run`'s eight squares of E are the products of np.linalg.matrix_power
+    # `run`'s log2 B squares of E are the products of np.linalg.matrix_power
     E, x0 = contraction
-    rows = loop_states(Factored(None, None, None, None, plain=E), x0, 0, 2 * simulation.BLOCK)
-    first, second = rows[: simulation.BLOCK], rows[simulation.BLOCK :]
-    E_block = np.linalg.matrix_power(E, simulation.BLOCK)
-    assert np.array_equal(second, first @ E_block.T)
+    for B in BLOCKS:
+        rows = loop_states(Factored(None, None, None, None, plain=E), x0, 0, 2 * B, B)
+        first, second = rows[:B], rows[B:]
+        E_block = np.linalg.matrix_power(E, B)
+        assert np.array_equal(second, first @ E_block.T), B
+
+
+def test_block_rows_fit_the_loop_width():
+    # the quick, cube, strong-drift and wide_sim loops
+    assert [simulation.block_rows(n) for n in (40, 100, 300, 1020)] == [256, 256, 128, 64]
+    for n in range(1, 5000):
+        B = simulation.block_rows(n)
+        assert B & (B - 1) == 0 and 1 <= B <= simulation.BLOCK, n
+        if n > simulation.BLOCK:
+            # the largest such power of two: twice B would not fit
+            assert B * n <= simulation.BLOCK_DOUBLES < 2 * B * n, n
+    assert simulation.block_rows(1 << 17) == 1
 
 
 def test_blocks_of_a_factored_power():
     # E = exp of a 48-dim arrowhead with one border index, a small loop in
-    # miniature: E^BLOCK stays below the n/4 rank at which squaring turns plain
+    # miniature: E^B stays below the n/4 rank at which squaring turns plain
     rng = np.random.default_rng(48)
     n = 48
     A = np.diag(-rng.uniform(0.0, 3.0, n) - np.linspace(0.0, 40.0, n))
@@ -477,15 +497,16 @@ def test_blocks_of_a_factored_power():
     power = expm_border(Border.of(0.05 * A / np.linalg.norm(A, 1), [0]))
     E = factored_array(power)
     x0 = rng.standard_normal(n)
-    n_rows = 3 * simulation.BLOCK + 5
+    B = simulation.block_rows(n)
+    n_rows = 3 * B + 5
     got = loop_states(power, x0, 0, n_rows)
     want = explicit_rows(E, x0, n_rows)
     assert np.all(np.linalg.norm(got - want, axis=1) <= 1e-12 * np.linalg.norm(want, axis=1))
     E_block = power
-    for _ in range(8):
+    for _ in range(B.bit_length() - 1):
         E_block = E_block.squared()
     assert E_block.plain is None and 4 * E_block.rank < n
-    want_block = np.linalg.matrix_power(E, simulation.BLOCK)
+    want_block = np.linalg.matrix_power(E, B)
     got_block = factored_array(E_block)
     assert np.max(np.abs(got_block - want_block)) <= 1e-12 * np.max(np.abs(want_block))
 
@@ -736,16 +757,24 @@ def _counted_forks(monkeypatch) -> list:
 
 
 def test_segments_split_the_later_blocks_by_the_row_count_alone():
-    B = simulation.BLOCK
-    assert simulation._segment_bounds(1) == [0, 1]
-    assert simulation._segment_bounds(B + 1) == [0, B + 1]
-    # fewer than SEGMENT_MIN_BLOCKS blocks per segment: one segment
-    short = (simulation.SEGMENTS * simulation.SEGMENT_MIN_BLOCKS - 1) * B
-    assert simulation._segment_bounds(short) == [0, short]
-    assert simulation._segment_bounds(short + 1) == [0, 4 * B, short + 1]
-    assert simulation._segment_bounds(2501) == [0, 5 * B, 2501]
-    # the pipeline's 100 001 rows: 391 blocks, 195 and 196 in the segments
-    assert simulation._segment_bounds(100_001) == [0, 195 * B, 100_001]
+    # the cut of the one later segment, by block size: for the pipeline's
+    # 100 001 rows, 391 blocks of 256 rows, 195 and 196 in the segments;
+    # 782 of 128, 391 each; 1563 of 64, 781 and 782
+    cuts = {
+        256: {1793: 4 * 256, 2501: 5 * 256, 100_001: 195 * 256},
+        128: {1793: 7 * 128, 2501: 10 * 128, 100_001: 391 * 128},
+        64: {1793: 14 * 64, 2501: 20 * 64, 100_001: 781 * 64},
+    }
+    # fewer than SEGMENT_MIN_BLOCKS units of BLOCK rows per segment: one
+    # segment, whatever the block
+    short = (simulation.SEGMENTS * simulation.SEGMENT_MIN_BLOCKS - 1) * simulation.BLOCK
+    assert short + 1 == 1793
+    for B in BLOCKS:
+        assert simulation._segment_bounds(1, B) == [0, 1]
+        assert simulation._segment_bounds(257, B) == [0, 257]
+        assert simulation._segment_bounds(short, B) == [0, short]
+        for n_rows, cut in cuts[B].items():
+            assert simulation._segment_bounds(n_rows, B) == [0, cut, n_rows]
 
 
 def test_run_columns_do_not_depend_on_the_usable_cpus(example_art30, monkeypatch):
@@ -776,10 +805,10 @@ def _checks_fail_in_later_segments(monkeypatch, from_row: int) -> None:
     stepped = []
     real = simulation._rows
 
-    def marking(E, power, x0, start, stop):
+    def marking(E, power, B, x0, start, stop):
         if start:
             stepped.append(1)
-        return real(E, power, x0, start, stop)
+        return real(E, power, B, x0, start, stop)
 
     def failing(self, U):
         devs = _PROJECTION_CHECK(self, U)
@@ -800,7 +829,8 @@ def test_a_check_failing_in_a_later_segment_names_its_first_row(
     # names row 7 of the first of them
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     monkeypatch.setattr(simulation, "SEGMENTS", segments)
-    assert simulation._segment_bounds(4001)[1:-1] == later_starts
+    loop = ClosedLoop(example_art30, N_sim=60)
+    assert simulation._segment_bounds(4001, simulation.block_rows(loop.N_sim + loop.N))[1:-1] == later_starts
     forks = _counted_forks(monkeypatch)
     _checks_fail_in_later_segments(monkeypatch, from_row=7)
     t = (later_starts[0] + 7) * 1e-3
@@ -815,8 +845,8 @@ def test_a_state_non_finite_in_a_later_segment_fails_the_run(example_art30, monk
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     real = simulation._rows
 
-    def overflowing(E, power, x0, start, stop):
-        blocks = real(E, power, x0, start, stop)
+    def overflowing(E, power, B, x0, start, stop):
+        blocks = real(E, power, B, x0, start, stop)
         s, block = next(blocks)
         if start:
             block[3, 0] = np.inf
