@@ -622,41 +622,16 @@ def _sim_run(records: dict) -> SimulationRun:
     return SimulationRun(times=records["t"], records=records, rate=0.0, h=1.0, projection_check_max=0.0)
 
 
-def _pid_rows(chunk) -> str:
-    return f"{os.getpid()}\n"
-
-
-def _refuse_rows(chunk) -> str:
-    raise ValueError("chunk refused")
-
-
-def _refuse_rows_in_children(caller: int):
-    def fmt(chunk) -> str:
-        if os.getpid() != caller:
-            raise ValueError("chunk refused in a child")
-        return ""
-
-    return fmt
-
-
-def _exit_in_children(caller: int):
-    def fmt(chunk) -> str:
-        if os.getpid() != caller:
-            os._exit(3)
-        return ""
-
-    return fmt
-
-
 def _assert_no_children_left() -> None:
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
+# one and two usable CPUs: `run` forks on two, the CSV writer on neither
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize(
     "n_rows",
-    # at and around one chunk, two and sixteen, and slices of many chunks
+    # at and around one chunk, two and sixteen, and many chunks with a partial last one
     [
         1,
         CSV_CHUNK_ROWS - 1,
@@ -683,60 +658,24 @@ def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_
 
 @pytest.mark.parametrize("workers, n_rows", [(1, 20_001), (2, 100_001)], ids=["serial", "fork"])
 def test_csv_writer_holds_about_one_chunk_of_text(tmp_path, monkeypatch, workers, n_rows):
-    # the caller holds one chunk's lines and one read from a child's pipe at
-    # a time, however many rows there are (the pipeline writes 100 001)
+    # one chunk's table, text and formatter workspace at a time, however
+    # many rows there are (the pipeline writes 100 001) and however many
+    # CPUs `run` may fork onto
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
     records = _sim_run(_records(n_rows))
     assert traced_peak(write_csv, records, tmp_path / "big.csv") <= 3e6
     _assert_no_children_left()
 
 
-@pytest.mark.parametrize("cpus", [2, 3])
-def test_csv_caller_formats_slice_zero_and_children_the_rest(tmp_path, monkeypatch, cpus):
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
-    monkeypatch.setattr(simulation, "_format_rows", _pid_rows)
-    write_csv(_sim_run(_records(2 * cpus * CSV_CHUNK_ROWS)), tmp_path / "pids.csv")
-    pids = (tmp_path / "pids.csv").read_text().splitlines()[1:]
-    # one line per chunk: two chunks per slice, slices in order
-    assert len(pids) == 2 * cpus
-    assert pids[:2] == [str(os.getpid())] * 2
-    children = pids[2::2]
-    assert pids[3::2] == children
-    assert len(set(children)) == cpus - 1 and str(os.getpid()) not in children
-    _assert_no_children_left()
+def test_csv_writer_forks_nothing(tmp_path, monkeypatch):
+    def refuse():
+        raise AssertionError("write_csv forked")
 
-
-def test_csv_error_in_the_caller_kills_and_reaps_every_child(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(simulation, "_format_rows", _refuse_rows)
-    with pytest.raises(ValueError, match="chunk refused"):
-        write_csv(_sim_run(_records(3 * CSV_CHUNK_ROWS)), tmp_path / "never.csv")
-    _assert_no_children_left()
-
-
-def test_csv_worker_error_reaches_the_caller(tmp_path, monkeypatch):
-    # both children fail; the first one's exception is raised, the other child is killed
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 3)
-    monkeypatch.setattr(simulation, "_format_rows", _refuse_rows_in_children(os.getpid()))
-    with pytest.raises(ValueError, match="chunk refused in a child"):
-        write_csv(_sim_run(_records(3 * CSV_CHUNK_ROWS)), tmp_path / "never.csv")
-    _assert_no_children_left()
-
-
-def test_csv_child_that_dies_fails_the_write(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulation, "_format_rows", _exit_in_children(os.getpid()))
-    with pytest.raises(SimulationError, match="without output"):
-        write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS)), tmp_path / "never.csv")
-    _assert_no_children_left()
-
-
-def test_csv_without_fork_formats_every_slice_in_the_caller(tmp_path, monkeypatch):
-    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(simulation, "_format_rows", _pid_rows)
-    monkeypatch.delattr(os, "fork")
-    write_csv(_sim_run(_records(2 * CSV_CHUNK_ROWS)), tmp_path / "pids.csv")
-    assert (tmp_path / "pids.csv").read_text().splitlines()[1:] == [str(os.getpid())] * 2
+    monkeypatch.setattr(os, "fork", refuse)
+    records = _records(3 * CSV_CHUNK_ROWS + 1)
+    _reference_csv(records, tmp_path / "want.csv")
+    write_csv(_sim_run(records), tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 # 2501 rows at h = 1e-3: segments of blocks [0, 5) and [5, 10), the last
