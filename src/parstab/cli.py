@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import certification, lifting, simulation, synthesis
+from .linalg import trim_heap
 from .spectral_basis import (
     FaceId,
     PlantConfig,
@@ -427,7 +428,14 @@ def cmd_simulate(cfg: RunConfig, designs, out_dir: str) -> int:
         print(f"simulation failed: {err}", file=sys.stderr)
         return EXIT_SIMULATION
     os.makedirs(out_dir, exist_ok=True)
-    simulation.write_csv(result, os.path.join(out_dir, "simulation.csv"))
+    csv_path = os.path.join(out_dir, "simulation.csv")
+    try:
+        simulation.write_csv(result, csv_path)
+    except simulation.SimulationError as err:
+        # a forked formatter died: its segment is missing from the file
+        os.remove(csv_path)
+        print(f"simulation failed: {err}", file=sys.stderr)
+        return EXIT_SIMULATION
     summary = {
         "schema_version": 1,
         "decay_rate": result.rate,
@@ -514,6 +522,9 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
     except ConfigError as err:
         return _abort("config error", err)
+    # hand back what the imports' compiles and the parse freed, so that a
+    # command's peak RSS is what it holds live
+    trim_heap()
     if args.command == "sweep":
         return cmd_sweep(cfg, args.out)
     handler = {

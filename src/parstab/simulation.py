@@ -47,15 +47,23 @@ and the largest projection-check bound. The per-state `ClosedLoop.step`
 and `ClosedLoop.w` stay for the benchmark, and the tests keep their
 certificate-energy helpers in `tests/oracles.py`.
 
-`write_csv` writes each float in the bytes of its repr, in this process:
+`write_csv` writes each float in the bytes of its repr:
 `_shortest.CsvText` finds the shortest round-trip digits of CSV_CHUNK_ROWS
 rows at a time by Schubfach in numpy integer arrays, in a workspace
-allocated once per call. On the strong-drift pipeline's 100 001 rows it
-takes 0.15-0.16 s (traced), against 0.31-0.32 s for repr on two forked
-processes and 0.56-0.62 s for repr on one core (2 vCPUs), and 510-550 minor
-page faults, the formatter's compile and tables included, against 620-630:
-no temporary is made afresh per chunk for glibc to trim from its heap and
-fault back in (`CSV_CHUNK_ROWS`).
+allocated once per call, so no temporary is made afresh per chunk for glibc
+to trim from its heap and fault back in (`CSV_CHUNK_ROWS`). The rows are
+split into `run`'s time segments, `_segment_bounds(n_rows, CSV_CHUNK_ROWS)`.
+With `os.fork` and two or more usable CPUs, a forked child renders each
+segment after the first while this process writes segment 0, then this
+process copies the child's text into the file 64 KB at a time; otherwise
+this process renders every segment. `run` has returned and reaped its
+children by then, and the formatter makes no BLAS call. On the
+strong-drift pipeline's 100 001 rows (2 vCPUs) it takes 0.090-0.095 s
+(traced), against 0.15-0.16 s in one process and 0.56-0.62 s for repr on
+one core. `run` and `write_csv` hand the C heap's free pages back to the
+system before the propagation, the rate fit and the formatter
+(`linalg.trim_heap`), so that the peak RSS they reach is set by the live
+arrays, not by where glibc placed the freed ones.
 
 Forcing enters the plant row n as minus the face inner product of the
 control against trace_n, W = -cross_cols @ sum_k Lam_k @ A; the observer
@@ -72,13 +80,14 @@ import logging
 import math
 import os
 import pickle
+import shutil
 import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from .lifting import LiftingContext, shift_denominators
-from .linalg import Border, Factored, expm, one_blas_thread
+from .linalg import Border, Factored, expm, one_blas_thread, trim_heap
 from .spectral_basis import ModeTable, axis_rules, max_wavenumber
 # perfbench/spans.py wraps these three names here; no stage of the program calls them
 from .spectral_basis import eval_phi, face_quadrature, trace_matrix  # noqa: F401
@@ -385,18 +394,32 @@ def estimate_decay_rate(times, values, t_skip: float) -> float:
     mask = times >= t_skip
     if int(mask.sum()) < 10:
         raise ValueError("need at least 10 samples after t_skip")
-    # the closed-form slope on centred data, in place, so the fit holds two
-    # arrays of the kept length; np.polyfit would build a Vandermonde matrix
-    # and an lstsq workspace for the same number
-    t = times[mask]
-    t -= t.mean()
+    # the closed-form slope on centred data, in place, so the fit holds one
+    # array of the kept length, the logs; the kept times are centred 8192 at
+    # a time, in the products and sums of the whole-array form. np.polyfit
+    # would build a Vandermonde matrix and an lstsq workspace for the same
+    # number
+    t_mean = times[mask].mean()
     logs = values[mask]
     np.maximum(logs, 1e-300, out=logs)
     np.log(logs, out=logs)
     logs -= logs.mean()
-    logs *= t
-    t *= t
-    return float(np.sum(logs) / np.sum(t))
+
+    def centred():
+        """(rows of logs, their centred times), 8192 times at a time."""
+        done, step = 0, 8192
+        for s in range(0, len(times), step):
+            t = times[s : s + step][mask[s : s + step]]
+            t -= t_mean
+            yield slice(done, done + len(t)), t
+            done += len(t)
+
+    for rows, t in centred():
+        logs[rows] *= t
+    cross = np.sum(logs)
+    for rows, t in centred():
+        np.multiply(t, t, out=logs[rows])
+    return float(cross / np.sum(logs))
 
 
 def _step_count(T: float, h: float) -> tuple:
@@ -455,13 +478,14 @@ def _rows(E: Factored, power: Factored, B: int, x0: np.ndarray, start: int, stop
 
 
 def _segment_bounds(n_rows: int, B: int) -> list:
-    """Row bounds [0, ..., n_rows] of the time segments of n_rows propagated
-    rows in blocks of B rows.
+    """Row bounds [0, ..., n_rows] of the time segments of n_rows rows in
+    blocks of B rows: `run`'s propagated rows, and `write_csv`'s rows in
+    chunks of B = CSV_CHUNK_ROWS.
 
     There is one segment per SEGMENT_MIN_BLOCKS started BLOCK-row units, at
-    least one and at most SEGMENTS, so whether a run forks depends on its
-    row count alone; the cuts fall at whole blocks of B rows, as evenly as
-    those allow."""
+    least one and at most SEGMENTS, so whether `run` or `write_csv` forks
+    depends on the row count alone (two segments from 1793 rows on); the
+    cuts fall at whole blocks of B rows, as evenly as those allow."""
     count = max(1, min(SEGMENTS, -(-n_rows // BLOCK) // SEGMENT_MIN_BLOCKS))
     blocks = -(-n_rows // B)
     return [B * (blocks * i // count) for i in range(count)] + [n_rows]
@@ -506,6 +530,8 @@ def run(
     """
     if T <= 0:
         raise ValueError("T must be positive")
+    # hand back the pages the design freed before the propagation takes its own
+    trim_heap()
     system = ClosedLoop(artifacts, N_sim=N_sim, open_loop=open_loop)
     if h is None:
         h = default_step(system.lams[-1])
@@ -595,6 +621,8 @@ def run(
         if rest > 0:
             check_max = max(check_max, record(n_rows - 1, system.exponential(rest).advance(last)[None]))
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
+    # hand back the pages the propagation freed before the fit takes its own
+    trim_heap()
     try:
         rate = estimate_decay_rate(cols["t"], series, t_skip)
     except ValueError:
@@ -611,8 +639,8 @@ def run(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: `run` forks for its later segments
-    when there are two or more."""
+    """CPUs this process may run on: `run` and `write_csv` fork for their
+    later segments when there are two or more."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -621,7 +649,8 @@ def _usable_cpus() -> int:
 @contextlib.contextmanager
 def _forked(jobs):
     """Fork one child per job; yield one pipe from each, in order; reap them
-    all. `run` forks its later segments through it; nothing else forks.
+    all. `run` and `write_csv` fork their later segments through it; nothing
+    else forks.
 
     A child calls its job, which returns the bytes-like buffers to send,
     before it writes any, so it never waits on its pipe while the caller is
@@ -697,26 +726,54 @@ def write_csv(run_result: SimulationRun, path) -> None:
     """Header, then one line per record in CSV_COLUMNS order, each float in
     the bytes of its repr.
 
-    This process stacks CSV_CHUNK_ROWS rows at a time into one table and
-    writes the lines `_shortest.CsvText` renders from it, the digits by
-    Schubfach in numpy integer arrays; the table and every array the
-    formatter works in are allocated once per call. It forks nothing.
+    The rows are split into the time segments `run` uses,
+    `_segment_bounds(n_rows, CSV_CHUNK_ROWS)`. Each segment's rows are
+    stacked CSV_CHUNK_ROWS at a time into one table, and `_shortest.CsvText`
+    renders its lines, the digits by Schubfach in numpy integer arrays; the
+    table and every array the formatter works in are allocated once per
+    call. This process writes segment 0. With `os.fork` and more than one
+    usable CPU, a forked child renders each later segment whole and sends
+    its text back, which this process copies into the file 64 KB at a time
+    once segment 0 is written; otherwise this process renders every segment
+    the same way. Formatting is a pure function of each float, so the bytes
+    do not depend on the path. A child's exception is raised here, and a
+    child that dies raises SimulationError.
     """
     # imported here, so that a command that writes no CSV neither compiles
     # the formatter at start-up (about 2 ms with no bytecode cache) nor
     # keeps it in memory
     from ._shortest import CsvText
 
+    # hand back the pages the rate fit freed before the formatter takes its own
+    trim_heap()
     cols = [run_result.records[name] for name in CSV_COLUMNS]
     n_rows = len(cols[0])
     rows = min(CSV_CHUNK_ROWS, n_rows)
     text = CsvText(rows, len(cols))
     table = np.empty((rows, len(cols)))
-    with open(path, "wb") as fh:
-        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
-        for s in range(0, n_rows, CSV_CHUNK_ROWS):
+    bounds = _segment_bounds(n_rows, CSV_CHUNK_ROWS)
+    later = range(1, len(bounds) - 1)
+
+    def lines(i: int):
+        """The text of segment i's rows, in pieces, one chunk at a time."""
+        for s in range(bounds[i], bounds[i + 1], CSV_CHUNK_ROWS):
             chunk = [c[s : s + CSV_CHUNK_ROWS] for c in cols]
-            fh.writelines(text.lines(np.stack(chunk, axis=1, out=table[: len(chunk[0])])))
+            yield from text.lines(np.stack(chunk, axis=1, out=table[: len(chunk[0])]))
+
+    def child(i: int) -> list:
+        return list(lines(i))
+
+    forking = hasattr(os, "fork") and _usable_cpus() > 1
+    jobs = [functools.partial(child, i) for i in later] if forking else []
+    with _forked(jobs) as pipes, open(path, "wb") as fh:
+        fh.write((",".join(CSV_COLUMNS) + "\n").encode())
+        fh.writelines(lines(0))
+        for i in later:
+            if not forking:
+                fh.writelines(lines(i))
+            else:
+                _received(pipes[i - 1])
+                shutil.copyfileobj(pipes[i - 1], fh)
 
 
 def project_bump(plant, eigs: ModeTable, center, width: float, amplitude: float, count: int) -> np.ndarray:

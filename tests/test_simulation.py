@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.integrate import simpson
 from scipy.linalg import expm
 
-from parstab import lifting, simulation
+from parstab import _shortest, lifting, simulation
 from parstab.certification import solve_lyapunov
 from parstab.cli import main
 from parstab.linalg import Border, Factored
@@ -544,6 +544,27 @@ def test_estimate_decay_rate_cases():
         estimate_decay_rate(t[:5], np.exp(-t[:5]), 0.0)
 
 
+@pytest.mark.parametrize("n, shuffled", [(8192, False), (8193, True), (30_001, True), (100_001, False)])
+def test_estimate_decay_rate_holds_one_kept_array_and_keeps_its_bits(n, shuffled):
+    # the pipeline's 100 001 rows keep 90 001 past t = 2; the kept times are
+    # centred 8192 at a time, so the result is still the whole-array form
+    rng = np.random.default_rng(n)
+    t = np.linspace(0.0, 20.0, n)
+    v = np.exp(-0.7 * t + 0.3 * rng.standard_normal(n))
+    v[::997] = 0.0
+    if shuffled:
+        order = rng.permutation(n)
+        t, v = t[order], v[order]
+    m = t >= 2.0
+    tc = t[m] - t[m].mean()
+    logs = np.log(np.maximum(v[m], 1e-300))
+    logs -= logs.mean()
+    assert estimate_decay_rate(t, v, 2.0) == float(np.sum(tc * logs) / np.sum(tc * tc))
+    # one kept-length array at a time (the kept times for their mean, then
+    # the logs), the mask and a chunk of times, not two kept-length arrays
+    assert traced_peak(estimate_decay_rate, t, v, 2.0) <= 8 * m.sum() + n + 2e5
+
+
 @settings(max_examples=25, deadline=None)
 @given(rate=st.floats(min_value=-5.0, max_value=5.0, allow_nan=False))
 def test_estimate_decay_rate_recovers_pure_exponentials(rate):
@@ -608,13 +629,21 @@ def _reference_csv(records, path) -> None:
 
 def _records(n_rows: int) -> dict:
     """Columns of mixed magnitude with -0.0, 1e-05, 1e16, 5e-324, nan and
-    both infinities spread over the table, first and last cell included."""
+    both infinities spread over the table, first and last cell included.
+    When `write_csv` cuts the rows in two, the cells `CsvText` leaves to
+    repr also fill the last row before the cut and the first after it, so
+    the later segment's text starts on a repr piece."""
     rng = np.random.default_rng(n_rows)
     table = rng.standard_normal((n_rows, len(CSV_COLUMNS)))
     table *= 10.0 ** rng.integers(-30, 30, size=table.shape)
     specials = [-0.0, 1e-05, 1e16, 5e-324, np.nan, np.inf, -np.inf]
     cells = np.linspace(0, table.size - 1, min(table.size, 3 * len(specials))).astype(int)
     table.ravel()[cells] = np.resize(specials, len(cells))
+    cuts = simulation._segment_bounds(n_rows, CSV_CHUNK_ROWS)[1:-1]
+    if cuts:
+        odd = [-0.0, 5e-324, np.nan, np.inf, -np.inf]
+        table[cuts[0] - 1] = np.resize(odd, len(CSV_COLUMNS))
+        table[cuts[0]] = np.resize(odd[::-1], len(CSV_COLUMNS))
     return {name: table[:, j].copy() for j, name in enumerate(CSV_COLUMNS)}
 
 
@@ -627,11 +656,14 @@ def _assert_no_children_left() -> None:
         os.waitpid(-1, os.WNOHANG)
 
 
-# one and two usable CPUs: `run` forks on two, the CSV writer on neither
+# one and two usable CPUs: on two, `run` and the CSV writer fork a child for
+# each later time segment (the writer's from 1793 rows on)
 @pytest.mark.parametrize("workers", [1, 2], ids=["serial", "pool"])
 @pytest.mark.parametrize(
     "n_rows",
-    # at and around one chunk, two and sixteen, and many chunks with a partial last one
+    # at and around one chunk, two and sixteen, either side of the writer's
+    # first cut (four chunks at 1793 rows, each side of the cut holding
+    # repr's cells), and many chunks with a partial last one
     [
         1,
         CSV_CHUNK_ROWS - 1,
@@ -640,6 +672,9 @@ def _assert_no_children_left() -> None:
         2 * CSV_CHUNK_ROWS - 1,
         2 * CSV_CHUNK_ROWS,
         2 * CSV_CHUNK_ROWS + 1,
+        1792,
+        1793,
+        2048,
         16 * CSV_CHUNK_ROWS - 1,
         16 * CSV_CHUNK_ROWS,
         16 * CSV_CHUNK_ROWS + 1,
@@ -658,24 +693,69 @@ def test_csv_bytes_match_the_one_format_per_row_writer(tmp_path, monkeypatch, n_
 
 @pytest.mark.parametrize("workers, n_rows", [(1, 20_001), (2, 100_001)], ids=["serial", "fork"])
 def test_csv_writer_holds_about_one_chunk_of_text(tmp_path, monkeypatch, workers, n_rows):
-    # one chunk's table, text and formatter workspace at a time, however
-    # many rows there are (the pipeline writes 100 001) and however many
-    # CPUs `run` may fork onto
+    # one chunk's table, text and formatter workspace at a time (0.99 MB),
+    # however many rows there are (the pipeline writes 100 001); with a
+    # forked child, its text is copied in 64 KB pieces, never read whole
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
     records = _sim_run(_records(n_rows))
-    assert traced_peak(write_csv, records, tmp_path / "big.csv") <= 3e6
+    # the formatter's tables, built once per process at first use, are not
+    # the writer's to hold per call
+    _shortest._tables()
+    assert traced_peak(write_csv, records, tmp_path / "big.csv") <= 1.2e6
     _assert_no_children_left()
 
 
-def test_csv_writer_forks_nothing(tmp_path, monkeypatch):
-    def refuse():
-        raise AssertionError("write_csv forked")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    records = _records(3 * CSV_CHUNK_ROWS + 1)
+@pytest.mark.parametrize("workers, n_rows", [(1, 1793), (2, 1792)])
+def test_csv_writer_forks_nothing_on_one_cpu_or_for_one_segment(tmp_path, monkeypatch, workers, n_rows):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: workers)
+    forks = _counted_forks(monkeypatch)
+    records = _records(n_rows)
     _reference_csv(records, tmp_path / "want.csv")
     write_csv(_sim_run(records), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert not forks
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("n_rows", [1793, 100_001])
+def test_csv_writer_forks_one_child_for_the_later_segment(tmp_path, monkeypatch, n_rows):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    forks = _counted_forks(monkeypatch)
+    records = _records(n_rows)
+    _reference_csv(records, tmp_path / "want.csv")
+    write_csv(_sim_run(records), tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(forks) == 1
+    _assert_no_children_left()
+
+
+def _csv_lines_failing(monkeypatch, in_child: bool, fail) -> None:
+    """`CsvText.lines` calls `fail()` in a forked child, or in the caller,
+    and renders as before in the other."""
+    caller = os.getpid()
+    real = _shortest.CsvText.lines
+
+    def lines(self, table):
+        if (os.getpid() != caller) == in_child:
+            fail()
+        return real(self, table)
+
+    monkeypatch.setattr(_shortest.CsvText, "lines", lines)
+
+
+def _raise_value_error():
+    raise ValueError("formatter failed")
+
+
+@pytest.mark.parametrize("in_child", [True, False], ids=["child", "caller"])
+def test_a_csv_formatting_error_is_raised_and_the_child_reaped(tmp_path, monkeypatch, in_child):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    forks = _counted_forks(monkeypatch)
+    _csv_lines_failing(monkeypatch, in_child, _raise_value_error)
+    with pytest.raises(ValueError, match="formatter failed"):
+        write_csv(_sim_run(_records(4001)), tmp_path / "got.csv")
+    assert len(forks) == 1
+    _assert_no_children_left()
 
 
 # 2501 rows at h = 1e-3: segments of blocks [0, 5) and [5, 10), the last
@@ -832,4 +912,15 @@ def test_a_later_segment_failure_exits_4_and_writes_nothing(tmp_path, monkeypatc
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
     assert "lifted-projection routes disagree by up to 1.000e+00 at t=2.048" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+    _assert_no_children_left()
+
+
+def test_a_csv_child_that_dies_exits_4_and_leaves_no_csv(tmp_path, monkeypatch, capsys):
+    # the quick demo's 4001 rows: CSV segments [0, 2048) and [2048, 4001)
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    _csv_lines_failing(monkeypatch, True, lambda: os._exit(3))
+    config = os.path.join(ROOT, "demos", "quick_certify.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    assert "simulation failed: a forked child ended without output" in capsys.readouterr().err
+    assert os.listdir(tmp_path / "o") == []
     _assert_no_children_left()
