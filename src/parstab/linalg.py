@@ -24,13 +24,15 @@ by block Gram-Schmidt run twice, so the QRs are of n x r blocks, not of the
 n x 2r stacked factors, and an SVD of the core, at most 2r x 2r, cuts the
 square again. On the closed loops the rank stays far below n (9 for E and 20
 for the E^128 the simulation propagates by on the 300-dim strong-drift loop,
-13 and 30 for E^64 on the 1020-dim one), so no n x n array is formed. Once a rank reaches n/4, factored products cost
-more than dense ones and the plain matrix is held and squared instead. The
-plain form is an accuracy path too, not only a cost switch: with every
-index in the head, as for a dense input, lam is all ones and the low-rank
-part holds E - I, which cancels against it. Kept factored there, `expm` of
-a dense matrix with many squarings (n = 12, six squarings) is 4.1e-7 from
-`scipy.linalg.expm`, against 2.6e-14 plain. No LU factorization is made.
+13 and 30 for E^64 on the 1020-dim one), so no n x n array is formed.
+`expm` chooses the form once: if the Taylor polynomial has a rank r with
+4r >= n, factored products cost more than dense ones, and the plain matrix
+is held and squared instead. Squaring never changes the form. The plain
+form is an accuracy path too: with every index in the head, as for a dense
+input, lam is all ones and the low-rank part holds E - I, which cancels
+against it. Kept factored there, `expm` of a dense matrix with many
+squarings (n = 12, six) is 5.2e-7 from `scipy.linalg.expm`, against 3.9e-14
+plain. No LU factorization is made.
 
 `one_blas_thread` runs a block of code with BLAS on one thread, so that its
 products and LAPACK calls give the same bytes at every thread count. It
@@ -247,10 +249,10 @@ class Factored:
 
     Q'Q = W'W = I is an invariant: `_cut` makes both bases from orthonormal
     ones, and `squared` extends them by block Gram-Schmidt. sig holds the
-    singular values of the low-rank part, largest first. Once 4r >= n, a
-    product with the factors costs more than a dense one, and the matrix
-    itself is held as `plain`, with lam, Q, sig and W None. `rank` is r, or
-    n for a plain matrix.
+    singular values of the low-rank part, largest first. Where `expm` finds
+    4r >= n, a product with the factors costs more than a dense one, and the
+    matrix itself is held as `plain`, with lam, Q, sig and W None; `squared`
+    keeps the form. `rank` is r, or n for a plain matrix.
     """
 
     def __init__(self, lam, Q, sig, W, plain=None):
@@ -267,7 +269,7 @@ class Factored:
         return out
 
     def squared(self) -> "Factored":
-        """M @ M in the carried bases.
+        """M @ M in the form of M: one product if plain, else in the carried bases.
 
         With L = diag(lam) and S = diag(sig),
 
@@ -288,11 +290,7 @@ class Factored:
         LQ, LW = lam[:, None] * Q, lam[:, None] * W
         Qx, Ru = _extended(Q, LQ)
         Wx, Rw = _extended(W, LW)
-
-        def uncut():
-            return np.hstack([Q, LQ]) @ core @ np.hstack([W, LW]).T
-
-        return _cut(lam * lam, Qx, Ru @ core @ Rw.T, Wx, uncut)
+        return _cut(lam * lam, Qx, Ru @ core @ Rw.T, Wx)
 
 
 def _extended(Q: np.ndarray, B: np.ndarray) -> tuple:
@@ -338,32 +336,19 @@ def _all_nan(n: int) -> Factored:
     return Factored(np.full(n, np.nan), np.full((n, 1), np.nan), np.full(1, np.nan), np.full((n, 1), np.nan))
 
 
-def _cut(lam: np.ndarray, Qu: np.ndarray, core: np.ndarray, Qv: np.ndarray, uncut) -> Factored:
+def _cut(lam: np.ndarray, Qu: np.ndarray, core: np.ndarray, Qv: np.ndarray) -> Factored:
     """diag(lam) + Qu core Qv' for orthonormal Qu and Qv, cut to its numerical rank r.
 
     The SVD of the small core gives the singular values; those at most the
-    unit roundoff times max(max |lam|, the largest) are dropped. Once 4r >= n
-    the plain matrix is formed from the uncut factors, whose product `uncut`
-    returns. A non-finite core or lam gives an all-nan result.
+    unit roundoff times max(max |lam|, the largest) are dropped. The result
+    is factored whatever r is: only `expm` chooses the plain form. A
+    non-finite core or lam gives an all-nan result.
     """
-    n = len(lam)
     if not (np.all(np.isfinite(core)) and np.all(np.isfinite(lam))):
-        return _all_nan(n)
+        return _all_nan(len(lam))
     P, sig, Zt = np.linalg.svd(core)
     r = int(np.count_nonzero(sig > UNIT_ROUNDOFF * max(np.max(np.abs(lam)), sig[0])))
-    if 4 * r >= n:
-        M = uncut()
-        M.flat[:: n + 1] += lam
-        return Factored(None, None, None, None, plain=M)
     return Factored(lam, Qu @ P[:, :r], sig[:r], Qv @ Zt[:r].T)
-
-
-def _compressed(lam: np.ndarray, U: np.ndarray, V: np.ndarray) -> Factored:
-    """diag(lam) + U V' in orthonormal bases, cut to its numerical rank:
-    U = Qu Ru and V = Qv Rv by QR, then `_cut` of the core Ru Rv'."""
-    Qu, Ru = np.linalg.qr(U)
-    Qv, Rv = np.linalg.qr(V)
-    return _cut(lam, Qu, Ru @ Rv.T, Qv, lambda: U @ V.T)
 
 
 def _taylor_factors(C: Border, m: int) -> tuple:
@@ -407,7 +392,9 @@ def expm(B: Border) -> Factored:
     diagonal is returned with empty factors. A non-finite entry gives an
     all-nan result, which the caller's finiteness checks report. Otherwise
     exp(A) = T_m(2^-s A)^(2^s): the Taylor polynomial from its factors
-    (`_taylor_factors`), compressed, then s squarings, each compressed.
+    (`_taylor_factors`), each dropped after its QR, cut to its rank r
+    (`_cut`) and, the one choice of form, held plain from the uncut bases
+    and core once 4r >= n; then s squarings in that form.
     """
     n = B.shape[0]
     if not all(np.all(np.isfinite(part)) for part in (B.diag, B.rows, B.cols)):
@@ -418,7 +405,17 @@ def expm(B: Border) -> Factored:
         diag[B.head] = at_head
         return Factored(np.exp(diag), np.zeros((n, 0)), np.zeros(0), np.zeros((n, 0)))
     m, s = taylor_degree(B)
-    E = _compressed(*_taylor_factors(B.scaled(2.0**-s), m))
+    lam, U, V = _taylor_factors(B.scaled(2.0**-s), m)
+    Qu, Ru = np.linalg.qr(U)
+    del U
+    Qv, Rv = np.linalg.qr(V)
+    del V
+    core = Ru @ Rv.T
+    E = _cut(lam, Qu, core, Qv)
+    if 4 * E.rank >= n:
+        M = (Qu @ core) @ Qv.T
+        M.flat[:: n + 1] += lam
+        E = Factored(None, None, None, None, plain=M)
     for _ in range(s):
         E = E.squared()
     return E

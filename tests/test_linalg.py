@@ -297,11 +297,39 @@ def test_squarings_of_drawn_bordered_matrices(n, k, log_norm, squarings, seed):
     A = arrowhead(n, head, seed)
     A *= 10.0**log_norm / np.linalg.norm(A, 1)
     E = linalg.expm(linalg.Border.of(A / 2**squarings, head))
+    # squaring keeps the form expm chose, so E's form says which squares
+    # carry bases
+    factored = E.plain is None
     for _ in range(squarings):
         E = E.squared()
-        if E.plain is None:
+        assert (E.plain is None) == factored
+        if factored:
             assert orthonormality_defect(E) <= 1e-13
     assert relerr(factored_array(E), scipy.linalg.expm(A)) <= 5e-13
+
+
+def test_squaring_keeps_its_form(base):
+    # the form is chosen once, in expm, from the Taylor polynomial's rank: a
+    # factored power whose rank passes n/4 stays factored, with orthonormal
+    # bases and within the drawn matrices' bound, and a plain E stays plain,
+    # squared as np.linalg.matrix_power squares it
+    n, head = 48, [0, 24]
+    A = arrowhead(n, head, n)
+    A *= 100.0 / np.linalg.norm(A, 1)
+    E = linalg.expm(linalg.Border.of(A / 2**6, head))
+    assert E.plain is None and 4 * E.rank < n
+    for _ in range(6):
+        E = E.squared()
+        assert E.plain is None and orthonormality_defect(E) <= 1e-13
+    assert 4 * E.rank >= n
+    assert relerr(factored_array(E), scipy.linalg.expm(A)) <= 5e-13
+    P = linalg.expm(dense(base))
+    assert P.plain is not None
+    F = P
+    for _ in range(3):
+        F = F.squared()
+        assert F.plain is not None
+    assert np.array_equal(F.plain, np.linalg.matrix_power(P.plain, 8))
 
 
 @pytest.mark.parametrize("inside", [0, 2, 6])
@@ -362,22 +390,23 @@ def test_border_route_makes_no_lu_solve(monkeypatch, strong_design):
 
 
 def test_wide_loop_memory(strong_design, monkeypatch):
-    # the 1020-dim wide_sim loop: the exponential holds its border parts, its
-    # width-72 Taylor factors and their QR copies (0.37 n^2 doubles), and
-    # that sets the peak of run (expm, the squarings and the diagnostics of
-    # every 64-row block; 0.39 n^2), so no n x n array is formed. On one
-    # usable CPU no segment is forked, so tracemalloc sees all of run's work
+    # the 1020-dim wide_sim loop: the exponential holds its border parts,
+    # its width-72 Taylor factors and their QR copies, each factor dropped
+    # after its QR (0.30 n^2 doubles measured), and run peaks after it, in
+    # the squarings and the propagation and diagnostics of its 64-row blocks
+    # (0.35 n^2), so no n x n array is formed. On one usable CPU no segment
+    # is forked, so tracemalloc sees all of run's work
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     loop = ClosedLoop(strong_design, N_sim=960)
     n2 = (loop.N_sim + loop.N) ** 2 * 8
-    assert traced_peak(loop.exponential, 1e-3) <= 0.4 * n2
+    assert traced_peak(loop.exponential, 1e-3) <= 0.32 * n2
     z0 = np.linspace(1.0, 0.5, 5)
-    assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 0.45 * n2
+    assert traced_peak(run, z0, 0.3, 1e-3, strong_design, N_sim=960) <= 0.37 * n2
 
 
 def test_pipeline_loop_memory(strong_design, monkeypatch):
     # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
-    # its output columns and at most 2.0 MB more (1.72 MB measured) for
+    # its output columns and at most 2.0 MB more (1.36 MB measured) for
     # propagation, the diagnostics and checks of a 128-row block and the
     # rate fit. On one usable CPU this process propagates both segments, one
     # after the other

@@ -18,7 +18,12 @@ itself through `dataclasses.fields(self)` reads all its fields.
 
 At most one function of `src/parstab` calls `os.fork`: every fork goes
 through one helper, which reaps its children and forks only while no other
-thread is inside BLAS."""
+thread is inside BLAS.
+
+At most one function of `src/parstab` builds a plain `linalg.Factored`
+besides `Factored.squared`, which squares the plain matrix it is given, and
+`squared` calls none that does: the form is chosen once, from the rank of
+the Taylor polynomial, and squaring keeps it."""
 
 import ast
 import functools
@@ -287,10 +292,9 @@ def test_every_dataclass_field_is_read_by_the_program():
     assert unread_fields() == []
 
 
-def fork_callers() -> list:
-    """`module.function` of the innermost function around each call of a
-    name `fork`, such as `os.fork()`, in the package (`module` alone for a
-    call at module level)."""
+def _callers(matches) -> list:
+    """`module.function` of the innermost function around each call that
+    `matches` (`module` alone for a call at module level)."""
     found = []
 
     def visit(node, module, owner):
@@ -298,10 +302,8 @@ def fork_callers() -> list:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 visit(child, module, f"{module}.{child.name}")
                 continue
-            if isinstance(child, ast.Call):
-                called = getattr(child.func, "id", None) or getattr(child.func, "attr", None)
-                if called == "fork":
-                    found.append(owner)
+            if isinstance(child, ast.Call) and matches(child):
+                found.append(owner)
             visit(child, module, owner)
 
     for name, (tree, _) in _indexed(PACKAGE).items():
@@ -309,5 +311,37 @@ def fork_callers() -> list:
     return found
 
 
+def _called(call):
+    return getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+
+
+def fork_callers() -> list:
+    """The functions around each call of a name `fork`, such as `os.fork()`."""
+    return _callers(lambda call: _called(call) == "fork")
+
+
+def plain_builders() -> list:
+    """The functions around each call of `Factored` that passes `plain`, by
+    keyword or as the fifth argument."""
+    return _callers(
+        lambda call: _called(call) == "Factored"
+        and (len(call.args) > 4 or any(k.arg == "plain" for k in call.keywords))
+    )
+
+
 def test_one_function_forks():
     assert len(set(fork_callers())) <= 1, fork_callers()
+
+
+def squaring_calls() -> set:
+    """`linalg.name` of each name that `linalg.Factored.squared` calls."""
+    tree, _ = _indexed(PACKAGE)["linalg.py"]
+    (cls,) = [node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "Factored"]
+    (squared,) = [node for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "squared"]
+    return {f"linalg.{_called(node)}" for node in ast.walk(squared) if isinstance(node, ast.Call)}
+
+
+def test_one_function_chooses_the_plain_form():
+    builders = set(plain_builders()) - {"linalg.squared"}
+    assert len(builders) <= 1, plain_builders()
+    assert not builders & squaring_calls(), builders

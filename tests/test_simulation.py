@@ -488,7 +488,7 @@ def test_block_rows_fit_the_loop_width():
 
 def test_blocks_of_a_factored_power():
     # E = exp of a 48-dim arrowhead with one border index, a small loop in
-    # miniature: E^B stays below the n/4 rank at which squaring turns plain
+    # miniature: E^B stays factored, at a rank below n/4
     rng = np.random.default_rng(48)
     n = 48
     A = np.diag(-rng.uniform(0.0, 3.0, n) - np.linspace(0.0, 40.0, n))
