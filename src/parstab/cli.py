@@ -522,6 +522,8 @@ def main(argv=None) -> int:
         cfg = parse_config(args.config)
     except ConfigError as err:
         return _abort("config error", err)
+    if os.path.exists(args.out) and not os.path.isdir(args.out):
+        return _abort("config error", ConfigError(f"--out {args.out}: exists and is not a directory"))
     # hand back what the imports' compiles and the parse freed, so that a
     # command's peak RSS is what it holds live
     trim_heap()

@@ -27,14 +27,11 @@ Propagation forms no n x n array. The output spacing h is no accuracy or
 stability limit, but E^B may be: the first row of a segment's second
 block, made by E^B, must lie within POWER_TOL of one step of E from the
 row before it, or the run fails.
-With `os.fork` and two or more usable CPUs, once E and E^B exist, a
-forked child propagates each segment after the first, forms its columns and
-checks, and streams their raw bytes back while this process propagates
-segment 0; otherwise this process propagates every segment with the same
-arithmetic. All of `run` runs on one BLAS thread (`linalg.one_blas_thread`):
-its products are too small to gain from a second one. So the columns depend
-on SEGMENTS, the row count and n, not on the machine's BLAS thread or CPU
-count.
+`_segments` runs the segments, each after the first in a forked child when
+it can, with the same arithmetic on every path. All of `run` runs on one
+BLAS thread (`linalg.one_blas_thread`): its products are too small to gain
+from a second one. So the columns depend on SEGMENTS, the row count and n,
+not on the machine's BLAS thread or CPU count.
 
 `ClosedLoop.diagnostics` forms every CSV column from a block of stacked
 states in array operations, each norm over a row in one einsum pass that
@@ -51,16 +48,12 @@ certificate-energy helpers in `tests/oracles.py`.
 `_shortest.CsvText` finds the shortest round-trip digits of CSV_CHUNK_ROWS
 rows at a time by Schubfach in numpy integer arrays, in a workspace
 allocated once per call, so no temporary is made afresh per chunk for glibc
-to trim from its heap and fault back in (`CSV_CHUNK_ROWS`). The rows are
-split into `run`'s time segments, `_segment_bounds(n_rows, CSV_CHUNK_ROWS)`.
-With `os.fork` and two or more usable CPUs, a forked child renders each
-segment after the first while this process writes segment 0, then this
-process copies the child's text into the file 64 KB at a time; otherwise
-this process renders every segment. `run` has returned and reaped its
-children by then, and the formatter makes no BLAS call. On the
-strong-drift pipeline's 100 001 rows (2 vCPUs) it takes 0.090-0.095 s
-(traced), against 0.15-0.16 s in one process and 0.56-0.62 s for repr on
-one core. `run` and `write_csv` hand the C heap's free pages back to the
+to trim from its heap and fault back in (`CSV_CHUNK_ROWS`). `_segments`
+splits the rows into `run`'s time segments, so a child renders the later
+one; `run` has reaped its children by then, and the formatter makes no BLAS
+call. On the strong-drift pipeline's 100 001 rows (2 vCPUs) it takes
+0.090-0.095 s (traced), against 0.15-0.16 s in one process and 0.56-0.62 s
+for repr on one core. `run` and `write_csv` hand the C heap's free pages back to the
 system before the propagation, the rate fit and the formatter
 (`linalg.trim_heap`), so that the peak RSS they reach is set by the live
 arrays, not by where glibc placed the freed ones.
@@ -517,16 +510,11 @@ def run(
     `_rows`, after log2 B squarings of E to E^B. A segment whose second
     block's first row departs from one step of E by more than POWER_TOL
     raises SimulationError naming E^B, h and the t of that row: E^B has
-    lost accuracy. This process propagates segment 0. With `os.fork` and
-    more than one usable CPU, a forked child
-    propagates each later segment, forms its columns and checks, and sends
-    back its largest check bound, its last state and its columns' rows;
-    otherwise this process propagates every segment the same way. The
-    columns are the same bytes on every path, and all of `run` runs on one
-    BLAS thread (`linalg.one_blas_thread`), so they do not depend on the
-    thread count either. A failure in a segment is raised
-    here after every earlier segment passed, so the first failing row names
-    the error.
+    lost accuracy. `_segments` runs the segments; a child sends back its
+    largest check bound, its last state and its columns' rows. The columns
+    are the same bytes on every path, and all of `run` runs on one BLAS
+    thread (`linalg.one_blas_thread`), so they do not depend on the thread
+    count either.
     """
     if T <= 0:
         raise ValueError("T must be positive")
@@ -573,14 +561,11 @@ def run(
             for _ in range(B.bit_length() - 1):
                 power = power.squared()
             log.info("E^%d is diagonal plus rank %d", B, power.rank)
-        bounds = _segment_bounds(n_steps + 1, B)
-        later = range(1, len(bounds) - 1)
 
-        def segment(i: int) -> tuple:
-            """(largest check bound, last state) of segment i, its rows
-            recorded and its first power-made row checked against a step of
-            E from the row before, still in the first block's buffer."""
-            start, stop = bounds[i], bounds[i + 1]
+        def segment(start: int, stop: int) -> tuple:
+            """(largest check bound, last state) of rows [start, stop), recorded,
+            their first power-made row checked against a step of E from the
+            row before, still in the first block's buffer."""
             check = 0.0
             for s, X in _rows(E, power, B, x0, start, stop):
                 if s == start + B:
@@ -595,27 +580,25 @@ def run(
                 previous = X
             return check, X[-1].copy()
 
-        def sent(i: int, check: np.ndarray, last: np.ndarray) -> list:
-            """What a child sends of segment i, in order: its check bound, its
-            last state and the rows of its columns."""
-            return [check, last] + [cols[name][bounds[i] : bounds[i + 1]] for name in CSV_COLUMNS[1:]]
+        def sent(start: int, stop: int, check: np.ndarray, last: np.ndarray) -> list:
+            """What a child sends of rows [start, stop), in order: its check
+            bound, its last state and the rows of its columns."""
+            return [check, last] + [cols[name][start:stop] for name in CSV_COLUMNS[1:]]
 
-        def child(i: int) -> list:
-            check, last = segment(i)
-            return sent(i, np.array([check]), last)
+        def child(start: int, stop: int) -> list:
+            check, last = segment(start, stop)
+            return sent(start, stop, np.array([check]), last)
 
-        forking = hasattr(os, "fork") and _usable_cpus() > 1
-        with _forked([functools.partial(child, i) for i in later] if forking else []) as pipes:
-            check_max, last = segment(0)
-            for i in later:
-                if not forking:
-                    check, last = segment(i)
+        check_max = 0.0
+        with _segments(n_steps + 1, B, child) as segments:
+            for start, stop, pipe in segments:
+                if pipe is None:
+                    check, last = segment(start, stop)
                 else:
-                    pipe = pipes[i - 1]
-                    _received(pipe)
                     check, last = np.empty(1), np.empty(len(x0))
-                    for buf in sent(i, check, last):
-                        _read_into(pipe, buf)
+                    for buf in sent(start, stop, check, last):
+                        if pipe.readinto(buf) != buf.nbytes:
+                            raise SimulationError("a forked child ended before the end of its output")
                     check = float(check[0])
                 check_max = max(check_max, check)
         if rest > 0:
@@ -639,42 +622,74 @@ def run(
 
 
 def _usable_cpus() -> int:
-    """CPUs this process may run on: `run` and `write_csv` fork for their
-    later segments when there are two or more."""
+    """CPUs this process may run on: `_segments` forks when there are two or
+    more."""
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
 @contextlib.contextmanager
-def _forked(jobs):
-    """Fork one child per job; yield one pipe from each, in order; reap them
-    all. `run` and `write_csv` fork their later segments through it; nothing
-    else forks.
+def _segments(n_rows: int, B: int, child):
+    """Run the time segments of n_rows rows in blocks of B rows
+    (`_segment_bounds`): the one driver of `run` and `write_csv`, and the one
+    place that forks.
 
-    A child calls its job, which returns the bytes-like buffers to send,
-    before it writes any, so it never waits on its pipe while the caller is
-    still working. It then sends a zero byte and the buffers, or a one byte
-    and its pickled exception, and exits without running any cleanup of the
-    process it was forked from; a child that can send neither exits with
-    status 1 and sends nothing. `_received` reads the status byte. If the
-    body raises, every child is killed. Every child is reaped before this
-    returns or raises, and a child that ended with a nonzero wait status
-    fails the caller. Forking is safe only while no other thread of this
-    process is inside a BLAS call: OpenBLAS stops its thread pool around
-    fork, and a sweep that ran its entries on threads hung in most runs (a
-    thread spinning, the BLAS worker gone)."""
+    With `os.fork`, more than one usable CPU and more than one segment, it
+    forks on entry one child per later segment, which runs `child(start,
+    stop)` and sends the bytes-like buffers it returns. The body gets the
+    segments in order as (start, stop, pipe): pipe is None for a segment
+    this process runs, else the child's pipe, to read the buffers from. A
+    fork that fails (EAGAIN under a pids limit, ENOMEM) closes its pipe,
+    logs a warning and leaves that segment and every later one to this
+    process.
+
+    A child runs `child` whole before it writes, so it never waits on its
+    pipe while this process works; then it sends a zero byte and the
+    buffers, or a one byte and its pickled exception, and exits without the
+    cleanup of the process it was forked from (`_send`). The status byte is
+    read before the segment reaches the body, and a child's exception is
+    raised there, after every earlier segment passed; a child that sends no
+    status raises SimulationError. If the body raises, every child is
+    killed. Every child is reaped before this returns or raises, and a
+    nonzero wait status fails the caller. Fork only while no other thread is
+    inside a BLAS call: OpenBLAS stops its thread pool around fork, and a
+    sweep that ran its entries on threads hung in most runs (a thread
+    spinning, the BLAS worker gone)."""
+    bounds = _segment_bounds(n_rows, B)
+    pairs = list(zip(bounds, bounds[1:]))
+    forking = hasattr(os, "fork") and _usable_cpus() > 1 and len(pairs) > 1
+    pipes = [None] * len(pairs)
     children = []
     statuses = []
     try:
-        for job in jobs:
+        for i in range(1, len(pairs)) if forking else ():
+            start, stop = pairs[i]
             read_fd, write_fd = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError as err:
+                os.close(read_fd)
+                os.close(write_fd)
+                log.warning("cannot fork (%s): this process runs rows %d on", err, start)
+                break
             if not pid:
-                _send(job, read_fd, write_fd)
+                _send(functools.partial(child, start, stop), read_fd, write_fd)
             os.close(write_fd)
-            children.append((pid, os.fdopen(read_fd, "rb")))
-        yield [pipe for _, pipe in children]
+            pipes[i] = os.fdopen(read_fd, "rb")
+            children.append((pid, pipes[i]))
+
+        def ordered():
+            for (start, stop), pipe in zip(pairs, pipes):
+                if pipe is not None:
+                    status = pipe.read(1)
+                    if status == b"\1":
+                        raise pickle.loads(pipe.read())
+                    if status != b"\0":
+                        raise SimulationError("a forked child ended without output")
+                yield start, stop, pipe
+
+        yield ordered()
     except BaseException:
         for pid, _ in children:
             os.kill(pid, signal.SIGKILL)
@@ -688,7 +703,7 @@ def _forked(jobs):
 
 
 def _send(job, read_fd: int, write_fd: int) -> None:
-    """The body of a `_forked` child: run `job` and send its buffers or its
+    """The body of a `_segments` child: run `job` and send its buffers or its
     exception; never returns."""
     code = 1
     try:
@@ -706,38 +721,18 @@ def _send(job, read_fd: int, write_fd: int) -> None:
         os._exit(code)
 
 
-def _received(pipe) -> None:
-    """Read the status byte of a `_forked` child from its pipe; raise the
-    child's exception when it sent one."""
-    status = pipe.read(1)
-    if status == b"\1":
-        raise pickle.loads(pipe.read())
-    if status != b"\0":
-        raise SimulationError("a forked child ended without output")
-
-
-def _read_into(pipe, buf: np.ndarray) -> None:
-    """Fill `buf` with its size in bytes from `pipe`."""
-    if pipe.readinto(buf) != buf.nbytes:
-        raise SimulationError("a forked child ended before the end of its output")
-
-
 def write_csv(run_result: SimulationRun, path) -> None:
     """Header, then one line per record in CSV_COLUMNS order, each float in
     the bytes of its repr.
 
-    The rows are split into the time segments `run` uses,
-    `_segment_bounds(n_rows, CSV_CHUNK_ROWS)`. Each segment's rows are
-    stacked CSV_CHUNK_ROWS at a time into one table, and `_shortest.CsvText`
-    renders its lines, the digits by Schubfach in numpy integer arrays; the
-    table and every array the formatter works in are allocated once per
-    call. This process writes segment 0. With `os.fork` and more than one
-    usable CPU, a forked child renders each later segment whole and sends
-    its text back, which this process copies into the file 64 KB at a time
-    once segment 0 is written; otherwise this process renders every segment
-    the same way. Formatting is a pure function of each float, so the bytes
-    do not depend on the path. A child's exception is raised here, and a
-    child that dies raises SimulationError.
+    `_segments` splits the rows into the time segments `run` uses, in
+    chunks of CSV_CHUNK_ROWS. Each segment's rows are stacked a chunk at a
+    time into one table, and `_shortest.CsvText` renders its lines, the
+    digits by Schubfach in numpy integer arrays; the table and every array
+    the formatter works in are allocated once per call. A child renders its
+    segment whole and sends the text, which this process copies into the
+    file 64 KB at a time. Formatting is a pure function of each float, so
+    the bytes do not depend on the path.
     """
     # imported here, so that a command that writes no CSV neither compiles
     # the formatter at start-up (about 2 ms with no bytecode cache) nor
@@ -751,29 +746,26 @@ def write_csv(run_result: SimulationRun, path) -> None:
     rows = min(CSV_CHUNK_ROWS, n_rows)
     text = CsvText(rows, len(cols))
     table = np.empty((rows, len(cols)))
-    bounds = _segment_bounds(n_rows, CSV_CHUNK_ROWS)
-    later = range(1, len(bounds) - 1)
 
-    def lines(i: int):
-        """The text of segment i's rows, in pieces, one chunk at a time."""
-        for s in range(bounds[i], bounds[i + 1], CSV_CHUNK_ROWS):
+    def lines(start: int, stop: int):
+        """The text of rows [start, stop), in pieces, one chunk at a time."""
+        for s in range(start, stop, CSV_CHUNK_ROWS):
             chunk = [c[s : s + CSV_CHUNK_ROWS] for c in cols]
             yield from text.lines(np.stack(chunk, axis=1, out=table[: len(chunk[0])]))
 
-    def child(i: int) -> list:
-        return list(lines(i))
+    def child(start: int, stop: int) -> list:
+        return list(lines(start, stop))
 
-    forking = hasattr(os, "fork") and _usable_cpus() > 1
-    jobs = [functools.partial(child, i) for i in later] if forking else []
-    with _forked(jobs) as pipes, open(path, "wb") as fh:
+    # fork before the file is opened: opened first, rewriting an existing
+    # simulation.csv took 3.3 ms more per call (0.0894-0.0905 s against
+    # 0.0861-0.0871 s in process, strong-drift demo, 2 vCPUs, ext4)
+    with _segments(n_rows, CSV_CHUNK_ROWS, child) as segments, open(path, "wb") as fh:
         fh.write((",".join(CSV_COLUMNS) + "\n").encode())
-        fh.writelines(lines(0))
-        for i in later:
-            if not forking:
-                fh.writelines(lines(i))
+        for start, stop, pipe in segments:
+            if pipe is None:
+                fh.writelines(lines(start, stop))
             else:
-                _received(pipes[i - 1])
-                shutil.copyfileobj(pipes[i - 1], fh)
+                shutil.copyfileobj(pipe, fh)
 
 
 def project_bump(plant, eigs: ModeTable, center, width: float, amplitude: float, count: int) -> np.ndarray:

@@ -643,6 +643,19 @@ def test_simulate_creates_missing_out_dir(tmp_path):
     assert (out / "summary.json").exists()
 
 
+@pytest.mark.parametrize("command", ["synthesize", "certify", "simulate", "pipeline", "sweep"])
+def test_an_out_that_is_a_file_is_a_config_error(tmp_path, capsys, monkeypatch, command):
+    # refused before any stage enumerates a mode, and the file is kept
+    enumerated = []
+    monkeypatch.setattr(cli, "enumerate_eigenpairs", lambda *a: enumerated.append(a))
+    out = tmp_path / "out"
+    out.write_bytes(b"kept")
+    assert main([command, "--config", write_cfg(tmp_path, MILD), "--out", str(out)]) == 2
+    assert f"config error: --out {out}: exists and is not a directory" in capsys.readouterr().err
+    assert out.read_bytes() == b"kept"
+    assert not enumerated
+
+
 def test_missing_config_flag_is_an_argparse_error():
     with pytest.raises(SystemExit):
         main(["synthesize"])

@@ -16,9 +16,10 @@ as a string constant, by the package outside its class, or by `perfbench/`
 or `demos/`: a field only the tests read goes. A class that serializes
 itself through `dataclasses.fields(self)` reads all its fields.
 
-At most one function of `src/parstab` calls `os.fork`: every fork goes
-through one helper, which reaps its children and forks only while no other
-thread is inside BLAS.
+At most one function of `src/parstab` calls `os.fork`, and at most one
+calls `_usable_cpus`: one driver splits the time segments, decides whether
+to fork, reaps its children and forks only while no other thread is inside
+BLAS.
 
 At most one function of `src/parstab` builds a plain `linalg.Factored`
 besides `Factored.squared`, which squares the plain matrix it is given, and
@@ -331,6 +332,11 @@ def plain_builders() -> list:
 
 def test_one_function_forks():
     assert len(set(fork_callers())) <= 1, fork_callers()
+
+
+def test_one_function_counts_the_usable_cpus():
+    callers = _callers(lambda call: _called(call) == "_usable_cpus")
+    assert len(set(callers)) <= 1, callers
 
 
 def squaring_calls() -> set:

@@ -1,6 +1,8 @@
 import copy
 import csv
 import dataclasses
+import errno
+import logging
 import math
 import os
 import tracemalloc
@@ -726,6 +728,81 @@ def test_csv_writer_forks_one_child_for_the_later_segment(tmp_path, monkeypatch,
     write_csv(_sim_run(records), tmp_path / "got.csv")
     assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
     assert len(forks) == 1
+    _assert_no_children_left()
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_csv_bytes_through_three_segments(tmp_path, monkeypatch, cpus):
+    # 10 247 rows in three segments: two children on two CPUs, none on one
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    monkeypatch.setattr(simulation, "SEGMENTS", 3)
+    n_rows = 4 * 5 * CSV_CHUNK_ROWS + 7
+    assert len(simulation._segment_bounds(n_rows, CSV_CHUNK_ROWS)) == 4
+    forks = _counted_forks(monkeypatch)
+    records = _records(n_rows)
+    _reference_csv(records, tmp_path / "want.csv")
+    write_csv(_sim_run(records), tmp_path / "got.csv")
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    assert len(forks) == (2 if cpus > 1 else 0)
+    _assert_no_children_left()
+
+
+def _failing_forks(monkeypatch) -> list:
+    """Two usable CPUs, and `os.fork` raising EAGAIN, as under a pids limit;
+    returns the descriptors of every pipe made from then on."""
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    fds = []
+    pipe = os.pipe
+
+    def pipes():
+        fds.extend(pipe())
+        return tuple(fds[-2:])
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "pipe", pipes)
+    monkeypatch.setattr(os, "fork", fork)
+    return fds
+
+
+def _fork_warnings(caplog) -> list:
+    return [r for r in caplog.records if r.levelno == logging.WARNING and "cannot fork" in r.getMessage()]
+
+
+def test_a_failing_fork_runs_every_segment_here(tmp_path, example_art30, monkeypatch, caplog):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+    want = run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+    records = _records(4001)
+    _reference_csv(records, tmp_path / "want.csv")
+    fds = _failing_forks(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="parstab.simulation"):
+        got = run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+        write_csv(_sim_run(records), tmp_path / "got.csv")
+    # one pipe for each, both ends closed
+    assert len(fds) == 4
+    for fd in fds:
+        with pytest.raises(OSError):
+            os.fstat(fd)
+    assert len(_fork_warnings(caplog)) == 2
+    for name in CSV_COLUMNS:
+        assert got.records[name].tobytes() == want.records[name].tobytes(), name
+    assert (got.projection_check_max, got.rate) == (want.projection_check_max, want.rate)
+    assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+    _assert_no_children_left()
+
+
+def test_simulate_with_a_failing_fork_exits_0_with_the_serial_bytes(tmp_path, monkeypatch, caplog):
+    # the quick demo's 4001 rows: two segments for `run` and for the CSV
+    config = os.path.join(ROOT, "demos", "quick_certify.json")
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "serial")]) == 0
+    _failing_forks(monkeypatch)
+    with caplog.at_level(logging.WARNING, logger="parstab.simulation"):
+        assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    assert len(_fork_warnings(caplog)) == 2
+    for name in ("summary.json", "simulation.csv"):
+        assert (tmp_path / "o" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes(), name
     _assert_no_children_left()
 
 
