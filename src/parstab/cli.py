@@ -188,6 +188,15 @@ def _validated(raw: dict) -> RunConfig:
             raise ConfigError(f"/plant/lengths/{i}: must be positive")
     if p["face"]["side"] not in ("low", "high"):
         raise ConfigError("/plant/face/side: must be 'low' or 'high'")
+    # PlantConfig refuses these four too, but without a pointer
+    if p["b"] and len(p["b"]) != d:
+        raise ConfigError("/plant/b: wrong number of entries")
+    if p["face"]["axis"] is not None and not 0 <= p["face"]["axis"] < d:
+        raise ConfigError(f"/plant/face/axis: must be 0 to {d - 1}")
+    if not p["delta"] > 0:
+        raise ConfigError("/plant/delta: must be positive")
+    if p["nu"] is not None and not p["nu"] > p["c"]:
+        raise ConfigError("/plant/nu: must exceed plant.c")
     for key in ("xi1", "xi2"):
         xi = merged["sensors"][key]
         if len(xi) != d:
@@ -348,6 +357,10 @@ def _design_source(cfg: RunConfig):
         count = max(lifting.tail_cap(top), _n_sim(cfg))
         eigs = enumerate_eigenpairs(plant, count)
         n0, _ = count_unstable(eigs, plant.delta)
+        if n0 == 0:
+            raise ValueError(
+                f"no eigenvalue at or below delta = {plant.delta:g}: the open loop already decays faster"
+            )
         return lifting.LiftingContext(eigs, n0)
 
     @functools.cache

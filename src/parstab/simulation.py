@@ -37,12 +37,12 @@ not on the machine's BLAS thread or CPU count.
 states in array operations, each norm over a row in one einsum pass that
 forms no block-sized square; it is the one place the outputs, the control
 norm and the energy proxies are formed. `ClosedLoop.projection_check`
-bounds, for every row, how far the forcing the loop simulates departs from
-the forcing the design built; the defect it multiplies is formed once per
-loop. `run` keeps no state: it returns those columns, the output spacing h
-and the largest projection-check bound. The per-state `ClosedLoop.step`
-and `ClosedLoop.w` stay for the benchmark, and the tests keep their
-certificate-energy helpers in `tests/oracles.py`.
+gives how far the forcing the loop simulates may depart from the forcing
+the design built, per unit of head control; `run` tests it once, before
+any row is propagated. `run` keeps no state: it returns those columns, the
+output spacing h and that projection-check gain. The per-state
+`ClosedLoop.step` and `ClosedLoop.w` stay for the benchmark, and the tests
+keep their certificate-energy helpers in `tests/oracles.py`.
 
 `write_csv` writes each float in the bytes of its repr:
 `_shortest.CsvText` finds the shortest round-trip digits of CSV_CHUNK_ROWS
@@ -107,7 +107,7 @@ SEGMENT_MIN_BLOCKS = 4
 POWER_TOL = 1e-10
 # T/h within this of an integer counts as an integer number of steps
 STEP_RATIO_TOL = 1e-9
-# largest deviation bound projection_check may give a row of a run
+# largest gain projection_check may give a loop that `run` propagates
 CHECK_TOL = 1e-8
 CSV_COLUMNS = (
     "t",
@@ -240,15 +240,6 @@ class ClosedLoop:
         # squared face L2 norm of the control as a quadratic form in U
         K = lift_sum[:, None] * A
         self.control_form = K.T @ m.trace_gram @ K
-        # the gain of `projection_check`: the largest row sum of |Q_k - M_k|
-        # over the shifts k, with Q_k = -diag(lam_k) G_q Lam_k A (G_q the head
-        # Gram on the context's face samples, by einsum, no BLAS) and M_k = -B_k A
-        gram_q = np.einsum("iq,jq,q->ij", ctx.traces, ctx.traces, ctx.quad.weights)
-        gaps = [
-            np.einsum("i,ij,jl->il", -lift, gram_q, lift[:, None] * A) - (-Bk @ A)
-            for lift, Bk in zip(m.head_lifts, m.shifted_grams)
-        ]
-        self.check_gain = max(float(np.max(np.sum(np.abs(gap), axis=1))) for gap in gaps)
 
     def border(self) -> Border:
         """A in x' = A x as its parts: the diagonal, the n0 observer-head rows
@@ -349,25 +340,28 @@ class ClosedLoop:
 
     # -- consistency check -------------------------------------------------
 
-    def projection_check(self, U: np.ndarray) -> np.ndarray:
-        """Bound on the dual-route deviation of the head lifted projections,
-        for each row of U.
-
-        U stacks head controls as rows (n0 columns; closed loop, `zhat[:n0]`).
-        Per shift k, the quadrature route U Q_k' (head Gram summed on the
-        context's face samples) departs from the matrix route U M_k'
-        (closed-form head Gram) by U (Q_k - M_k)', at most max|U| times the
-        largest row sum of |Q_k - M_k|. Returns, per row, max|U| times
-        `check_gain`, that row sum's maximum over k.
-        """
-        return np.max(np.abs(U), axis=1) * self.check_gain
+    def projection_check(self) -> float:
+        """The largest row sum of |Q_k - M_k| over the shifts k: how far the
+        head lifted projections of the quadrature route, U Q_k' (Q_k =
+        -diag(lam_k) G_q Lam_k A, G_q the head Gram summed on the context's
+        face samples, by einsum, no BLAS), may depart from those of the
+        matrix route, U M_k' (M_k = -B_k A, the closed-form head Gram), per
+        unit of max|U|; U with the signs of the worst row attains it. A
+        property of the loop, not of any state, which `run` tests once."""
+        m, ctx = self.artifacts, self.artifacts.context
+        gram_q = np.einsum("iq,jq,q->ij", ctx.traces, ctx.traces, ctx.quad.weights)
+        gaps = [
+            np.einsum("i,ij,jl->il", -lift, gram_q, lift[:, None] * m.gram_inverse) - (-Bk @ m.gram_inverse)
+            for lift, Bk in zip(m.head_lifts, m.shifted_grams)
+        ]
+        return max(float(np.max(np.sum(np.abs(gap), axis=1))) for gap in gaps)
 
 
 @dataclass(frozen=True)
 class SimulationRun:
     """What `run` gives its readers: the CSV columns (`records`, with t also
-    as `times`), the fitted decay rate, the output spacing h and the largest
-    projection-check bound over the rows (0 on the open loop)."""
+    as `times`), the fitted decay rate, the output spacing h and the loop's
+    `ClosedLoop.projection_check` gain (0 on the open loop)."""
 
     times: np.ndarray
     records: dict
@@ -497,13 +491,14 @@ def run(
     """Propagate the loop over [0, T] and collect the standard diagnostics.
 
     Rows sit at t = 0, h, 2h, ... and, when T is not a whole number of steps,
-    one last row at t = T. On every row of a closed-loop run the bound on how
-    far the head lifted projections of the quadrature route depart from the
-    matrix route must stay within CHECK_TOL (`ClosedLoop.projection_check`,
-    one call per block); a larger bound is a hard failure naming the t of the
-    first such row, since the simulated forcing may then not be the designed
-    forcing. No option turns the check off. A non-finite state raises
-    SimulationError.
+    one last row at t = T. Before any row is propagated, a closed loop's
+    `ClosedLoop.projection_check` gain, how far the head lifted projections
+    of the quadrature route may depart from the matrix route per unit of
+    head control, must stay within CHECK_TOL; a larger gain raises
+    SimulationError, since the simulated forcing may then not be the
+    designed forcing. The loop is linear, so the verdict does not depend on
+    the size of z0. No option turns the check off. A non-finite state
+    raises SimulationError.
 
     The rows are propagated in blocks of B = `block_rows(n)` rows for the
     loop's n states, in the time segments of `_segment_bounds`, each by
@@ -511,16 +506,21 @@ def run(
     block's first row departs from one step of E by more than POWER_TOL
     raises SimulationError naming E^B, h and the t of that row: E^B has
     lost accuracy. `_segments` runs the segments; a child sends back its
-    largest check bound, its last state and its columns' rows. The columns
-    are the same bytes on every path, and all of `run` runs on one BLAS
-    thread (`linalg.one_blas_thread`), so they do not depend on the thread
-    count either.
+    last state and its columns' rows. The columns are the same bytes on
+    every path, and all of `run` runs on one BLAS thread
+    (`linalg.one_blas_thread`), so they do not depend on the thread count
+    either.
     """
     if T <= 0:
         raise ValueError("T must be positive")
     # hand back the pages the design freed before the propagation takes its own
     trim_heap()
     system = ClosedLoop(artifacts, N_sim=N_sim, open_loop=open_loop)
+    check = 0.0 if open_loop else system.projection_check()
+    if check > CHECK_TOL:
+        raise SimulationError(
+            f"lifted-projection routes disagree by up to {check:.3e} per unit of head control"
+        )
     if h is None:
         h = default_step(system.lams[-1])
     state = init_state(z0_coeffs, system.N_sim, system.N)
@@ -533,24 +533,13 @@ def run(
     cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
     cols["t"] = times
 
-    def record(start: int, X: np.ndarray) -> float:
-        """Fill the columns of the rows from `start` with those of the states
-        X; return their largest projection-check bound."""
+    def record(start: int, X: np.ndarray) -> None:
+        """Fill the columns of the rows from `start` with those of the states X."""
         stop = start + len(X)
         if not np.all(np.isfinite(X)):
             raise SimulationError(f"state non-finite by t={times[stop - 1]:.3f}")
         for name, col in system.diagnostics(X).items():
             cols[name][start:stop] = col
-        if open_loop:
-            return 0.0
-        devs = system.projection_check(X[:, system.N_sim : system.N_sim + system.n0])
-        bad = np.flatnonzero(devs > CHECK_TOL)
-        if len(bad):
-            raise SimulationError(
-                f"lifted-projection routes disagree by up to {devs[bad[0]]:.3e} "
-                f"at t={times[start + bad[0]]:.3f}"
-            )
-        return float(devs.max())
 
     with one_blas_thread(), np.errstate(over="ignore", invalid="ignore"):
         E = system.exponential(h)
@@ -562,11 +551,10 @@ def run(
                 power = power.squared()
             log.info("E^%d is diagonal plus rank %d", B, power.rank)
 
-        def segment(start: int, stop: int) -> tuple:
-            """(largest check bound, last state) of rows [start, stop), recorded,
-            their first power-made row checked against a step of E from the
-            row before, still in the first block's buffer."""
-            check = 0.0
+        def segment(start: int, stop: int) -> np.ndarray:
+            """The last state of rows [start, stop), recorded, their first
+            power-made row checked against a step of E from the row before,
+            still in the first block's buffer."""
             for s, X in _rows(E, power, B, x0, start, stop):
                 if s == start + B:
                     stepped = E.advance(previous[-1])
@@ -576,33 +564,29 @@ def run(
                             f"E^{B} at h={h:g} has lost accuracy: its row at t={times[s]:.3f} "
                             f"is {gap / scale:.3e} (relative) from a step of E; take a smaller h"
                         )
-                check = max(check, record(s, X))
+                record(s, X)
                 previous = X
-            return check, X[-1].copy()
+            return X[-1].copy()
 
-        def sent(start: int, stop: int, check: np.ndarray, last: np.ndarray) -> list:
-            """What a child sends of rows [start, stop), in order: its check
-            bound, its last state and the rows of its columns."""
-            return [check, last] + [cols[name][start:stop] for name in CSV_COLUMNS[1:]]
+        def sent(start: int, stop: int, last: np.ndarray) -> list:
+            """What a child sends of rows [start, stop), in order: its last
+            state and the rows of its columns."""
+            return [last] + [cols[name][start:stop] for name in CSV_COLUMNS[1:]]
 
         def child(start: int, stop: int) -> list:
-            check, last = segment(start, stop)
-            return sent(start, stop, np.array([check]), last)
+            return sent(start, stop, segment(start, stop))
 
-        check_max = 0.0
         with _segments(n_steps + 1, B, child) as segments:
             for start, stop, pipe in segments:
                 if pipe is None:
-                    check, last = segment(start, stop)
+                    last = segment(start, stop)
                 else:
-                    check, last = np.empty(1), np.empty(len(x0))
-                    for buf in sent(start, stop, check, last):
+                    last = np.empty(len(x0))
+                    for buf in sent(start, stop, last):
                         if pipe.readinto(buf) != buf.nbytes:
                             raise SimulationError("a forked child ended before the end of its output")
-                    check = float(check[0])
-                check_max = max(check_max, check)
         if rest > 0:
-            check_max = max(check_max, record(n_rows - 1, system.exponential(rest).advance(last)[None]))
+            record(n_rows - 1, system.exponential(rest).advance(last)[None])
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
     # hand back the pages the propagation freed before the fit takes its own
     trim_heap()
@@ -618,7 +602,7 @@ def run(
             system.N,
             system.N_sim,
         )
-    return SimulationRun(times=cols["t"], records=cols, rate=rate, h=h, projection_check_max=check_max)
+    return SimulationRun(times=cols["t"], records=cols, rate=rate, h=h, projection_check_max=check)
 
 
 def _usable_cpus() -> int:

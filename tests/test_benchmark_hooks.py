@@ -59,8 +59,8 @@ def test_benchmark_tracer_instruments_a_pipeline(tmp_path):
     assert out["code"] == 0
     m = out["metrics"]
     # one context and one N = 8 design shared by the three stages, one
-    # certificate round, T/h + 1 rows, every one checked, in one call per
-    # 256-row block (rows 0..255 and 256..500); one batched
+    # certificate round, T/h + 1 rows from a loop checked once before its
+    # propagation; one batched
     # eval_phi call per sensor-row block: the design's head and tail rows,
     # the round's Sphi terms and C_sim
     assert m["spectral_basis.enumerate_calls"] == 1
@@ -68,6 +68,6 @@ def test_benchmark_tracer_instruments_a_pipeline(tmp_path):
     assert m["synthesis.calls"] == 1
     assert m["certification.rounds"] == 1
     assert m["simulation.rows"] == 501
-    assert m["simulation.checks"] == 2
+    assert m["simulation.checks"] == 1
     assert m["spectral_basis.point_evals"] == 4
     assert m["spectral_basis.trace_rows"] > 0

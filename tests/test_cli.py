@@ -278,12 +278,23 @@ def _quick_with(simulation_overrides):
 
 
 def test_check_every_is_not_a_config_key(tmp_path, capsys):
-    # every closed-loop run checks every row; no config key can thin the
-    # check out or turn it off
+    # every closed-loop run checks its loop; no config key can turn the
+    # check off
     cfg = _quick_with({"check_every": 100})
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "/simulation/check_every: unknown key" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_a_plant_with_no_mode_to_stabilize_names_delta(tmp_path, capsys):
+    # lam_1 = 2 on the square with c = 0, above delta = 1.5
+    cfg = _quick_with({})
+    cfg["plant"]["c"] = 0.0
+    code = main(["pipeline", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == "synthesis failed: no eigenvalue at or below delta = 1.5: the open loop already decays faster\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -333,6 +344,12 @@ def test_pipeline_refuses_n_sim_below_n_before_writing(tmp_path, capsys):
         # reported at the entry, /plant/lengths/1, not as an exterior sensor
         pytest.param("/plant/lengths", [math.pi, 0.0], id="lengths_0"),
         pytest.param("/plant/lengths", [-1.0, math.pi], id="lengths_negative"),
+        # the plant values PlantConfig refuses without a pointer
+        pytest.param("/plant/b", [0.0], id="b_arity"),
+        pytest.param("/plant/delta", 0, id="delta_0"),
+        pytest.param("/plant/face/axis", 2, id="face_axis"),
+        # the demo's c is 0.5
+        pytest.param("/plant/nu", 0.5, id="nu_at_c"),
         # the demo's z0 modes are [[1, 1], [2, 1]]
         pytest.param("/simulation/z0/modes/1", [1, 1], id="modes_repeated"),
         # non-finite numbers: json.dumps writes Infinity and NaN, which parse

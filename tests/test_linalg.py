@@ -407,7 +407,7 @@ def test_wide_loop_memory(strong_design, monkeypatch):
 def test_pipeline_loop_memory(strong_design, monkeypatch):
     # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
     # its output columns and at most 2.0 MB more (1.36 MB measured) for
-    # propagation, the diagnostics and checks of a 128-row block and the
+    # propagation, the diagnostics of a 128-row block and the
     # rate fit. On one usable CPU this process propagates both segments, one
     # after the other
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)

@@ -2,6 +2,7 @@ import copy
 import csv
 import dataclasses
 import errno
+import json
 import logging
 import math
 import os
@@ -243,27 +244,29 @@ def _with_scaled_traces(art, factor):
 
 
 def test_projection_check_consistency(example_art30):
-    system = ClosedLoop(example_art30, N_sim=60)
+    gain = ClosedLoop(example_art30, N_sim=60).projection_check()
+    assert isinstance(gain, float) and 0.0 < gain < 1e-8
     U = _head_controls()
-    devs = system.projection_check(U)
-    assert devs.shape == (5,)
+    devs = np.max(np.abs(U), axis=1) * gain
     assert np.all(devs < 1e-8) and devs[1] == 0.0
     # a matrix route off by 1 % is caught in every row but the zero one
     art = dataclasses.replace(example_art30, shifted_grams=[1.01 * Bk for Bk in example_art30.shifted_grams])
-    devs = ClosedLoop(art, N_sim=60).projection_check(U)
+    gain = ClosedLoop(art, N_sim=60).projection_check()
+    assert gain > 1e-3
+    devs = np.max(np.abs(U), axis=1) * gain
     assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
 
 
 @pytest.mark.parametrize("factor", [1.0, math.sqrt(1.01)], ids=["design", "gram_off_1pc"])
 def test_projection_check_bounds_each_rows_deviation(example_art30, factor):
     art = _with_scaled_traces(example_art30, factor)
-    system = ClosedLoop(art, N_sim=60)
+    gain = ClosedLoop(art, N_sim=60).projection_check()
     # random rows, and rows with the signs of each row of each Q_k - M_k,
-    # on which the bound max|U| * (largest row sum) is attained
+    # on which the bound max|U| * gain is attained
     defects = projection_defects(art)
     tight = np.vstack([np.sign(D) for D in defects])
     U = np.vstack([np.random.default_rng(5).standard_normal((40, 3)), tight])
-    devs = system.projection_check(U)
+    devs = np.max(np.abs(U), axis=1) * gain
     want = projection_deviations(art, U)
     assert np.all(want > 0)
     assert np.all(devs >= want * (1 - 1e-12))
@@ -273,63 +276,124 @@ def test_projection_check_bounds_each_rows_deviation(example_art30, factor):
 def test_projection_check_catches_a_quadrature_route_error(example_art30, tmp_path, monkeypatch, capsys):
     # context traces scaled by sqrt(1.01) put the face-rule Gram off by 1 %
     art = _with_scaled_traces(example_art30, math.sqrt(1.01))
-    U = _head_controls()
-    devs = ClosedLoop(art, N_sim=60).projection_check(U)
-    assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
-    # the observer starts at zero, so row 0 passes and row 1 fails the run
-    with pytest.raises(SimulationError, match=r"disagree by up to .* at t=0\.001$"):
+    assert ClosedLoop(art, N_sim=60).projection_check() > 1e-3
+    # refused before any row is propagated
+    calls = _counted_blocks(monkeypatch)
+    with pytest.raises(SimulationError, match=r"disagree by up to .* per unit of head control$"):
         run(np.ones(5), 0.6, 1e-3, art, N_sim=60)
+    assert calls == []
     # through the CLI: exit 4 and nothing written
+    _trace_matrix_off_by_one_percent(monkeypatch)
+    config = os.path.join(ROOT, "demos", "quick_certify.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    assert "lifted-projection routes disagree" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+def _trace_matrix_off_by_one_percent(monkeypatch) -> None:
+    """`lifting.trace_matrix` scaled by sqrt(1.01): every context's face-rule
+    Gram is off by 1 %."""
     exact = lifting.trace_matrix
 
     def off_by_one_percent(eigs, quad):
         return exact(eigs, quad) * math.sqrt(1.01)
 
     monkeypatch.setattr(lifting, "trace_matrix", off_by_one_percent)
-    config = os.path.join(ROOT, "demos", "quick_certify.json")
+
+
+def _demo_with_z0_scaled(tmp_path, demo: str, scale: float) -> str:
+    """The path of a copy of demos/`demo` with its z0 coeffs times `scale`
+    and T = 0.2, past t = 0.163, where the strong-drift loop at z0 x 1e4
+    used to be refused."""
+    with open(os.path.join(ROOT, "demos", demo)) as fh:
+        cfg = json.load(fh)
+    z0 = cfg["simulation"]["z0"]
+    z0["coeffs"] = [scale * c for c in z0["coeffs"]]
+    cfg["simulation"]["T"] = 0.2
+    path = tmp_path / f"{scale:g}_{demo}"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+# the check takes the loop's gain, not the size of its trajectory: a bound
+# of max|U| times the gain on every row refused the strong-drift loop at
+# z0 x 1e4 and passed the 1 % fault below at z0 x 1e-6
+@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
+@pytest.mark.parametrize("demo", ["quick_certify.json", "cube_3d.json", "strong_drift_pipeline.json"])
+def test_a_correct_loop_passes_the_check_whatever_the_size_of_z0(tmp_path, demo, scale):
+    config = _demo_with_z0_scaled(tmp_path, demo, scale)
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
+    with open(tmp_path / "o" / "summary.json") as fh:
+        assert 0.0 < json.load(fh)["projection_check_max"] < 1e-8
+
+
+# z0 x 1 is `test_projection_check_catches_a_quadrature_route_error`
+@pytest.mark.parametrize("scale", [1e-6, 1e4])
+def test_a_quadrature_route_error_is_refused_whatever_the_size_of_z0(tmp_path, monkeypatch, capsys, scale):
+    config = _demo_with_z0_scaled(tmp_path, "quick_certify.json", scale)
+    _trace_matrix_off_by_one_percent(monkeypatch)
+    calls = _counted_blocks(monkeypatch)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
     assert "lifted-projection routes disagree" in capsys.readouterr().err
+    assert calls == []
     assert not (tmp_path / "o").exists()
 
 
-_PROJECTION_CHECK = ClosedLoop.projection_check
+_DIAGNOSTICS = ClosedLoop.diagnostics
 
 
-def _counted_checks(monkeypatch, fail_in_call=None, fail_from_row=0):
-    """Record the row count of each projection_check call; in call number
-    `fail_in_call` (from 1) report 1.0 from row `fail_from_row` on."""
+def _counted_blocks(monkeypatch, fail_in_call=None, fail_from_row=0):
+    """Record the row count of each `ClosedLoop.diagnostics` call, one per
+    recorded block; call number `fail_in_call` (from 1) raises
+    SimulationError naming row `fail_from_row` of its block, counted from
+    the first row this process recorded."""
     calls = []
 
-    def counted(self, U):
-        calls.append(len(U))
-        devs = _PROJECTION_CHECK(self, U)
+    def counted(self, X):
+        calls.append(len(X))
         if len(calls) == fail_in_call:
-            devs[fail_from_row:] = 1.0
-        return devs
+            raise SimulationError(f"injected failure at row {sum(calls[:-1]) + fail_from_row}")
+        return _DIAGNOSTICS(self, X)
 
-    monkeypatch.setattr(ClosedLoop, "projection_check", counted)
+    monkeypatch.setattr(ClosedLoop, "diagnostics", counted)
     return calls
 
 
 def test_projection_checks_run_once_per_block(example_art30, monkeypatch):
-    calls = _counted_checks(monkeypatch)
+    # one check per run, before any block is recorded, then one
+    # diagnostics call per block
+    calls = _counted_blocks(monkeypatch)
+    checks = []
+    check = ClosedLoop.projection_check
+
+    def counted(self):
+        checks.append(len(calls))
+        return check(self)
+
+    monkeypatch.setattr(ClosedLoop, "projection_check", counted)
     result = run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
+    assert checks == [0]
     # every one of the 601 rows, in blocks [0, 256), [256, 512) and [512, 601)
     assert calls == [256, 256, 89]
+    assert result.projection_check_max == check(ClosedLoop(example_art30, N_sim=60))
     assert 0.0 < result.projection_check_max < 1e-8
-    # the failing row is named by its own t: row 256 + 7
-    _counted_checks(monkeypatch, fail_in_call=2, fail_from_row=7)
-    with pytest.raises(SimulationError, match=r"disagree by up to 1\.000e\+00 at t=0\.263$"):
+    # an open loop is not checked
+    assert run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60, open_loop=True).projection_check_max == 0.0
+    assert checks == [0]
+    # a failing block fails the run: row 256 + 7
+    _counted_blocks(monkeypatch, fail_in_call=2, fail_from_row=7)
+    with pytest.raises(SimulationError, match=r"injected failure at row 263$"):
         run(np.ones(5), 0.6, 1e-3, example_art30, N_sim=60)
 
 
 def test_the_partial_last_row_is_checked(example_art30, monkeypatch):
     # T = 250.7 h: rows at 0, h, ..., 250 h in one block, then the row at T
-    calls = _counted_checks(monkeypatch)
+    calls = _counted_blocks(monkeypatch)
     run(np.ones(5), 0.2507, 1e-3, example_art30, N_sim=60)
     assert calls == [251, 1]
-    _counted_checks(monkeypatch, fail_in_call=2)
-    with pytest.raises(SimulationError, match=r"disagree by up to 1\.000e\+00 at t=0\.251$"):
+    _counted_blocks(monkeypatch, fail_in_call=2)
+    with pytest.raises(SimulationError, match=r"injected failure at row 251$"):
         run(np.ones(5), 0.2507, 1e-3, example_art30, N_sim=60)
 
 
@@ -894,26 +958,27 @@ def test_run_columns_do_not_depend_on_the_usable_cpus(example_art30, monkeypatch
     assert_rows_are_exact(first, rows, ClosedLoop(example_art30, N_sim=60), np.ones(5))
 
 
-def _checks_fail_in_later_segments(monkeypatch, from_row: int) -> None:
-    """projection_check reports 1.0 from row `from_row` of a block on, in
-    every block propagated after a segment past segment 0 began its rows in
-    this process: in a forked child, or in the caller past segment 0."""
-    stepped = []
+def _blocks_fail_in_later_segments(monkeypatch, from_row: int) -> None:
+    """`ClosedLoop.diagnostics` raises SimulationError naming row `from_row`
+    of its block in every block propagated after a segment past segment 0
+    began its rows in this process: in a forked child, or in the caller past
+    segment 0."""
+    starts = []
     real = simulation._rows
 
     def marking(E, power, B, x0, start, stop):
-        if start:
-            stepped.append(1)
-        return real(E, power, B, x0, start, stop)
+        for s, X in real(E, power, B, x0, start, stop):
+            if start:
+                starts.append(s)
+            yield s, X
 
-    def failing(self, U):
-        devs = _PROJECTION_CHECK(self, U)
-        if stepped:
-            devs[from_row:] = 1.0
-        return devs
+    def failing(self, X):
+        if starts:
+            raise SimulationError(f"injected failure at row {starts[-1] + from_row}")
+        return _DIAGNOSTICS(self, X)
 
     monkeypatch.setattr(simulation, "_rows", marking)
-    monkeypatch.setattr(ClosedLoop, "projection_check", failing)
+    monkeypatch.setattr(ClosedLoop, "diagnostics", failing)
 
 
 @pytest.mark.parametrize("segments, later_starts", [(2, [2048]), (3, [1280, 2560])])
@@ -928,9 +993,8 @@ def test_a_check_failing_in_a_later_segment_names_its_first_row(
     loop = ClosedLoop(example_art30, N_sim=60)
     assert simulation._segment_bounds(4001, simulation.block_rows(loop.N_sim + loop.N))[1:-1] == later_starts
     forks = _counted_forks(monkeypatch)
-    _checks_fail_in_later_segments(monkeypatch, from_row=7)
-    t = (later_starts[0] + 7) * 1e-3
-    with pytest.raises(SimulationError, match=rf"disagree by up to 1\.000e\+00 at t={t:.3f}$"):
+    _blocks_fail_in_later_segments(monkeypatch, from_row=7)
+    with pytest.raises(SimulationError, match=rf"injected failure at row {later_starts[0] + 7}$"):
         run(np.ones(5), 4.0, 1e-3, example_art30, N_sim=60)
     assert len(forks) == (segments - 1 if cpus > 1 else 0)
     _assert_no_children_left()
@@ -959,8 +1023,8 @@ def test_a_state_non_finite_in_a_later_segment_fails_the_run(example_art30, monk
 def test_a_check_failing_in_segment_zero_kills_and_reaps_the_child(example_art30, monkeypatch):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     forks = _counted_forks(monkeypatch)
-    _counted_checks(monkeypatch, fail_in_call=2, fail_from_row=7)
-    with pytest.raises(SimulationError, match=r"at t=0\.263$"):
+    _counted_blocks(monkeypatch, fail_in_call=2, fail_from_row=7)
+    with pytest.raises(SimulationError, match=r"injected failure at row 263$"):
         run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
     assert len(forks) == 1
     _assert_no_children_left()
@@ -970,12 +1034,12 @@ def test_a_segment_child_that_dies_fails_the_run(example_art30, monkeypatch):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     caller = os.getpid()
 
-    def exiting(self, U):
+    def exiting(self, X):
         if os.getpid() != caller:
             os._exit(3)
-        return _PROJECTION_CHECK(self, U)
+        return _DIAGNOSTICS(self, X)
 
-    monkeypatch.setattr(ClosedLoop, "projection_check", exiting)
+    monkeypatch.setattr(ClosedLoop, "diagnostics", exiting)
     with pytest.raises(SimulationError, match="without output"):
         run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
     _assert_no_children_left()
@@ -984,10 +1048,10 @@ def test_a_segment_child_that_dies_fails_the_run(example_art30, monkeypatch):
 def test_a_later_segment_failure_exits_4_and_writes_nothing(tmp_path, monkeypatch, capsys):
     # the quick demo: 4001 rows, segments [0, 2048) and [2048, 4001)
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
-    _checks_fail_in_later_segments(monkeypatch, from_row=0)
+    _blocks_fail_in_later_segments(monkeypatch, from_row=0)
     config = os.path.join(ROOT, "demos", "quick_certify.json")
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
-    assert "lifted-projection routes disagree by up to 1.000e+00 at t=2.048" in capsys.readouterr().err
+    assert "simulation failed: injected failure at row 2048" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
     _assert_no_children_left()
 
