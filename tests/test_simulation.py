@@ -230,11 +230,6 @@ def test_forcing_is_minus_the_face_inner_product(example_art60, example_ctx):
     assert np.array_equal(obs_tail, system.forcing[m.n0 : m.N])
 
 
-def _head_controls():
-    """Five rows of head controls U, the second one zero."""
-    return np.vstack([np.ones(3), np.zeros(3), np.random.default_rng(4).standard_normal((3, 3))])
-
-
 def _with_scaled_traces(art, factor):
     """`art` on a copy of its context whose head trace samples are scaled
     by `factor`, so that the face-rule Gram is off by factor^2."""
@@ -246,15 +241,9 @@ def _with_scaled_traces(art, factor):
 def test_projection_check_consistency(example_art30):
     gain = ClosedLoop(example_art30, N_sim=60).projection_check()
     assert isinstance(gain, float) and 0.0 < gain < 1e-8
-    U = _head_controls()
-    devs = np.max(np.abs(U), axis=1) * gain
-    assert np.all(devs < 1e-8) and devs[1] == 0.0
-    # a matrix route off by 1 % is caught in every row but the zero one
+    # a matrix route off by 1 % is caught
     art = dataclasses.replace(example_art30, shifted_grams=[1.01 * Bk for Bk in example_art30.shifted_grams])
-    gain = ClosedLoop(art, N_sim=60).projection_check()
-    assert gain > 1e-3
-    devs = np.max(np.abs(U), axis=1) * gain
-    assert devs[1] == 0.0 and np.all(np.delete(devs, 1) > 1e-3)
+    assert ClosedLoop(art, N_sim=60).projection_check() > 1e-3
 
 
 @pytest.mark.parametrize("factor", [1.0, math.sqrt(1.01)], ids=["design", "gram_off_1pc"])
@@ -317,21 +306,18 @@ def _demo_with_z0_scaled(tmp_path, demo: str, scale: float) -> str:
 
 
 # the check takes the loop's gain, not the size of its trajectory: a bound
-# of max|U| times the gain on every row refused the strong-drift loop at
-# z0 x 1e4 and passed the 1 % fault below at z0 x 1e-6
-@pytest.mark.parametrize("scale", [1e-6, 1.0, 1e4])
-@pytest.mark.parametrize("demo", ["quick_certify.json", "cube_3d.json", "strong_drift_pipeline.json"])
-def test_a_correct_loop_passes_the_check_whatever_the_size_of_z0(tmp_path, demo, scale):
-    config = _demo_with_z0_scaled(tmp_path, demo, scale)
+# of max|U| times the gain on every row refused this loop at z0 x 1e4 and
+# passed the 1 % fault below at z0 x 1e-6
+def test_the_correct_strong_drift_loop_passes_the_check_at_a_large_z0(tmp_path):
+    config = _demo_with_z0_scaled(tmp_path, "strong_drift_pipeline.json", 1e4)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 0
     with open(tmp_path / "o" / "summary.json") as fh:
         assert 0.0 < json.load(fh)["projection_check_max"] < 1e-8
 
 
 # z0 x 1 is `test_projection_check_catches_a_quadrature_route_error`
-@pytest.mark.parametrize("scale", [1e-6, 1e4])
-def test_a_quadrature_route_error_is_refused_whatever_the_size_of_z0(tmp_path, monkeypatch, capsys, scale):
-    config = _demo_with_z0_scaled(tmp_path, "quick_certify.json", scale)
+def test_a_quadrature_route_error_is_refused_at_a_small_z0(tmp_path, monkeypatch, capsys):
+    config = _demo_with_z0_scaled(tmp_path, "quick_certify.json", 1e-6)
     _trace_matrix_off_by_one_percent(monkeypatch)
     calls = _counted_blocks(monkeypatch)
     assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
@@ -345,17 +331,30 @@ _DIAGNOSTICS = ClosedLoop.diagnostics
 
 def _counted_blocks(monkeypatch, fail_in_call=None, fail_from_row=0):
     """Record the row count of each `ClosedLoop.diagnostics` call, one per
-    recorded block; call number `fail_in_call` (from 1) raises
-    SimulationError naming row `fail_from_row` of its block, counted from
-    the first row this process recorded."""
+    recorded block; call number `fail_in_call` (from 1) of this process
+    raises SimulationError naming row `fail_from_row` of its block.
+
+    A block's first row is the one `simulation._rows` gave it; the partial
+    last row at T follows on from the last block this process recorded. A
+    forked child counts its own calls, so its failure names a row of its
+    segment, not of segment 0."""
     calls = []
+    first = [0]
+    real = simulation._rows
+
+    def marking(E, power, B, x0, start, stop):
+        for s, X in real(E, power, B, x0, start, stop):
+            first[0] = s
+            yield s, X
 
     def counted(self, X):
         calls.append(len(X))
+        row, first[0] = first[0], first[0] + len(X)
         if len(calls) == fail_in_call:
-            raise SimulationError(f"injected failure at row {sum(calls[:-1]) + fail_from_row}")
+            raise SimulationError(f"injected failure at row {row + fail_from_row}")
         return _DIAGNOSTICS(self, X)
 
+    monkeypatch.setattr(simulation, "_rows", marking)
     monkeypatch.setattr(ClosedLoop, "diagnostics", counted)
     return calls
 
@@ -1023,6 +1022,8 @@ def test_a_state_non_finite_in_a_later_segment_fails_the_run(example_art30, monk
 def test_a_check_failing_in_segment_zero_kills_and_reaps_the_child(example_art30, monkeypatch):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
     forks = _counted_forks(monkeypatch)
+    # call 2 fails in both processes: here at row 256 + 7, in the child,
+    # whose segment starts at row 1280, at row 1536 + 7; segment 0's wins
     _counted_blocks(monkeypatch, fail_in_call=2, fail_from_row=7)
     with pytest.raises(SimulationError, match=r"injected failure at row 263$"):
         run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
