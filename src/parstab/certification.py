@@ -12,10 +12,11 @@ P comes from a block back-substitution on F's structure (a dense head of
 2*N0 rows over a diagonal tail), in numpy alone. Every sum in P, and in the
 P F product of Theta1, runs over the head rows only, so those bytes do not
 depend on the BLAS thread count. The two dense LAPACK steps, the
-eigenvalues of Theta1 and the 2-norm of P, run on one BLAS thread
+eigenvalues of Theta1 and those of P, run on one BLAS thread
 (`linalg.one_blas_thread`), so `certificate.json` does not depend on it
-either. A `Certificate` keeps P's 2-norm, not P;
-`solve_lyapunov` gives P again from the design.
+either. `certify_round` decides from P's eigenvalues whether P is positive
+definite, and takes the largest as P's 2-norm. A `Certificate` keeps that
+norm, not P; `solve_lyapunov` gives P again from the design.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ class NotYetCertifiable(CertificationError):
 
 
 def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
-    """P solving F'P + PF + 2*delta*P = -I, symmetric positive definite.
+    """P solving F'P + PF + 2*delta*P = -I, exactly symmetric.
 
     F is block upper triangular with a dense head of h rows (`assemble_F`
     gives h = 2*N0) and a diagonal tail D, so with F_s = F + delta*I =
@@ -57,7 +58,8 @@ def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     - (H' + d_j I) P12[:, j] = -(P11 B)[:, j], one h x h solve per tail column;
     - P22 = -(I + B'P12 + P12'B) / (d_i + d_j), elementwise.
     The Kronecker system has h^2 unknowns; an h below F's head fails the
-    residual check.
+    residual check, which runs on the dense F. Whether P is positive
+    definite is left to `certify_round`.
     """
     F = np.asarray(F, dtype=float)
     spectral = abscissa(F)
@@ -79,12 +81,16 @@ def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     P22 = -(np.eye(n - h) + cross + cross.T) / (d[:, None] + d[None, :])
     P = np.block([[P11, P12], [P12.T, P22]])
     P = 0.5 * (P + P.T)
-    residual = F.T @ P + P @ F + 2.0 * delta * P + np.eye(n)
+    # F'P is the transpose of P F, P being exactly symmetric. Summed in
+    # place, with the transpose as a contiguous copy (a transposed operand
+    # goes through a 64 KB ufunc buffer), the check holds two n x n arrays
+    residual = P @ F
+    residual += residual.T.copy()
+    residual += 2.0 * delta * P
+    residual.flat[:: n + 1] += 1.0
     res = float(np.max(np.abs(residual)))
     if res >= LYAP_RESIDUAL_TOL:
         raise CertificationError(f"Lyapunov residual {res:.3e} too large")
-    if float(np.min(np.linalg.eigvalsh(P))) <= 0.0:
-        raise CertificationError("Lyapunov solution not positive definite")
     return P
 
 
@@ -265,17 +271,26 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     m = artifacts
     N, nu = m.N, m.plant.nu
     blocking = None
-    P = None
     S1 = S2 = S_phi = float("nan")
     eta_cert = float("nan")
     theta1 = float("nan")
     psi = float("nan")
+    P_norm = float("nan")
     n_tail = 0
     try:
         P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
     except CertificationError as err:
         blocking = f"lyapunov: {err}"
-    if P is not None:
+    else:
+        # P's eigenvalues, ascending, on one thread: on two the largest
+        # differs in the last bit at N = 240
+        with one_blas_thread():
+            eig = np.linalg.eigvalsh(P)
+        if eig[0] <= 0.0:
+            blocking = "lyapunov: Lyapunov solution not positive definite"
+    if blocking is None:
+        # P is symmetric positive definite, so its largest eigenvalue is its 2-norm
+        P_norm = float(eig[-1])
         n_tail, phi = choose_tail(m, N)
         sums = tail_pair_sums(m, N, n_tail)
         S1 = compute_S1(m, sums)
@@ -297,11 +312,6 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
                 elif psi > NEG_SLACK:
                     blocking = f"psi: Theta2 = {psi:.4e} > 0"
     status = "certified" if blocking is None else f"failed: {blocking}"
-    P_norm = float("nan")
-    if P is not None:
-        # an SVD, whose last bit depends on the BLAS thread count at N = 240
-        with one_blas_thread():
-            P_norm = float(np.linalg.norm(P, 2))
     return Certificate(
         N=N,
         nu=nu,

@@ -345,8 +345,9 @@ def _design_source(cfg: RunConfig):
     tail cap and the simulated modes, and with them the N modes of every
     design. Enumeration is prefix-stable and context rows do not depend on
     the context's length, so each stage reads what a context sized for it
-    alone would give. The stages only read a design, so one object serves
-    them all.
+    alone would give. The head, which does not depend on N, is designed
+    once, on first use too, for every N. The stages only read a design, so
+    one object serves them all.
     """
 
     @functools.cache
@@ -364,6 +365,21 @@ def _design_source(cfg: RunConfig):
         return lifting.LiftingContext(eigs, n0)
 
     @functools.cache
+    def head() -> synthesis.Head:
+        ctx, s = context(), cfg.synthesis
+        return synthesis.design_head(
+            ctx,
+            cfg.sensors["xi1"],
+            cfg.sensors["xi2"],
+            ctx.plant.delta,
+            c_ratio=s["c_ratio"],
+            gamma_base=s["gamma_base"],
+            spread=s["spread"],
+            sensor_tol=s["sensor_tol"],
+            cond_max=s["cond_max"],
+        )
+
+    @functools.cache
     def design(N: int) -> synthesis.SynthesisArtifacts:
         ctx, s = context(), cfg.synthesis
         return synthesis.synthesize(
@@ -377,6 +393,7 @@ def _design_source(cfg: RunConfig):
             spread=s["spread"],
             sensor_tol=s["sensor_tol"],
             cond_max=s["cond_max"],
+            head=head(),
         )
 
     return design

@@ -5,7 +5,9 @@ spectral split parameters (eta shift, shift ladder gamma_1 < ... <
 gamma_N0), forms the boundary Gram family B_k = Lam_k B Lam_k and its
 normalizer A = (sum B_k)^-1, places an observer gain L on the unstable head
 block and assembles the closed-loop system matrix F together with the maps
-needed later by certification and simulation.
+needed later by certification and simulation. Only F and G depend on the
+truncation size N: `design_head` picks the shifts, C0 and L, which a
+command designs once for all its N, and `synthesize` adds the tail.
 
 The gain L comes from an in-repo port of the Yang-Tits ("YT") method of
 `scipy.signal.place_poles`, reduced to what this design asks of it: distinct
@@ -371,6 +373,44 @@ def assemble_F(gain_block, A0, LC0, L, C1t, tail_lams):
     return F, G
 
 
+class Head(NamedTuple):
+    """The N-independent part of a design: what acts on the N0 head modes."""
+
+    eta: float
+    ladder: GammaLadder
+    C0: np.ndarray  # sensor values of the head modes
+    L: np.ndarray  # observer gain
+    observer_abscissa: float  # of A0 - L C0
+
+
+def design_head(
+    context: lifting.LiftingContext,
+    xi1,
+    xi2,
+    delta: float,
+    *,
+    c_ratio: float,
+    gamma_base: float,
+    spread: float,
+    sensor_tol: float,
+    cond_max: float,
+) -> Head:
+    """eta, the gamma ladder, C0 and the observer gain L, which every design
+    size N of the context shares; `spread` None means delta/2."""
+    n0 = context.n0
+    head_lams = context.lams[:n0]
+    eta = select_eta(head_lams)
+    ladder = select_gamma_ladder(
+        context, eta, delta, c_ratio=c_ratio, gamma_base=gamma_base, cond_max=cond_max
+    )
+    C0 = validate_sensors(xi1, xi2, context.eigs, n0, tol=sensor_tol)
+    A0 = -np.diag(head_lams)
+    if spread is None:
+        spread = 0.5 * delta
+    L = place_observer_gain(A0, C0, delta, spread)
+    return Head(eta, ladder, C0, L, abscissa(A0 - L @ C0))
+
+
 def synthesize(
     context: lifting.LiftingContext,
     xi1,
@@ -383,33 +423,42 @@ def synthesize(
     spread: float = None,
     sensor_tol: float = 1e-3,
     cond_max: float = 1e12,
+    head: Head = None,
 ) -> SynthesisArtifacts:
-    """Full design pipeline at truncation size N."""
+    """Full design pipeline at truncation size N.
+
+    `head`, when given, is `design_head` of the same context, sensors, delta
+    and options; a command designs it once for all its N.
+    """
     eigs = context.eigs
     n0 = context.n0
     if N <= n0:
         raise ValueError(f"N={N} must exceed the unstable count {n0}")
     if N > len(eigs):
         raise ValueError(f"context holds {len(eigs)} modes, N={N} requested")
-    head_lams = context.lams[:n0]
     tail_lams = context.lams[n0:N]
     if np.any(tail_lams <= delta):
         raise SynthesisError("tail eigenvalues must clear the decay target")
-    eta = select_eta(head_lams)
-    ladder = select_gamma_ladder(
-        context, eta, delta, c_ratio=c_ratio, gamma_base=gamma_base, cond_max=cond_max
-    )
-    C0 = validate_sensors(xi1, xi2, eigs, n0, tol=sensor_tol)
+    if head is None:
+        head = design_head(
+            context,
+            xi1,
+            xi2,
+            delta,
+            c_ratio=c_ratio,
+            gamma_base=gamma_base,
+            spread=spread,
+            sensor_tol=sensor_tol,
+            cond_max=cond_max,
+        )
+    ladder, C0, L = head.ladder, head.C0, head.L
     C1 = sensor_rows(eigs[n0:N], xi1, xi2)
     C1t = C1 / tail_lams[None, :]
-    A0 = -np.diag(head_lams)
-    if spread is None:
-        spread = 0.5 * delta
-    L = place_observer_gain(A0, C0, delta, spread)
+    A0 = -np.diag(context.lams[:n0])
     F, G = assemble_F(ladder.gain_block, A0, L @ C0, L, C1t, tail_lams)
     margins = {
         "gain_block_abscissa": ladder.margin,
-        "observer_abscissa": abscissa(A0 - L @ C0),
+        "observer_abscissa": head.observer_abscissa,
         "F_abscissa": abscissa(F),
     }
     if margins["F_abscissa"] >= -delta:
@@ -422,7 +471,7 @@ def synthesize(
         n0=n0,
         N=N,
         delta=delta,
-        eta=eta,
+        eta=head.eta,
         gammas=ladder.gammas,
         head_lifts=ladder.head_lifts,
         trace_gram=context.head_gram,

@@ -204,7 +204,9 @@ def test_open_loop_growth(example_art60, example_eigs):
     z0 = decay_z0(example_eigs, 120)
     result = run(z0, 10.0, 1e-3, example_art60, N_sim=120, open_loop=True)
     elapsed = time.perf_counter() - t0
-    assert result.rate == pytest.approx(3.5, abs=0.05 * 3.5)
+    # measured 3.4999999077: the slower growing modes' share, not the fit,
+    # which returns the rate of a pure exponential on this grid exactly
+    assert result.rate == pytest.approx(3.5, abs=1e-5)
     assert elapsed < 10.0
 
 
@@ -220,7 +222,8 @@ def test_reduced_subspace_matches_matrix_exponential(example_art30):
         got = finite_part(system, states[round(t_target / h)][None])[0]
         want = expm(F * t_target) @ X0
         rel = np.linalg.norm(got - want) / np.linalg.norm(want)
-        assert rel <= 1e-5
+        # measured 2.4e-13 (t = 1) and 6.6e-11 (t = 5)
+        assert rel <= 1e-8
     elapsed = time.perf_counter() - t0
     assert elapsed < 10.0
 
@@ -252,7 +255,8 @@ def test_terminal_energy_insensitive_to_resolution_doubling(mild_ctx, mild_art30
         assert elapsed < 60.0
         h1[n_sim] = result.records["h1_proxy"][-1]
         exact = exact_terminal_h1(mild_art30, z0, DECAY_T, n_sim)
-        assert abs(h1[n_sim] - exact) / exact < 1e-3
+        # measured 1.3e-14 (N_sim = 240) and 1.3e-12 (480)
+        assert abs(h1[n_sim] - exact) / exact < 1e-10
     h1_base = h1[DECAY_N_SIM]
     h1_doubled = h1[2 * DECAY_N_SIM]
     assert abs(h1_doubled - h1_base) / h1_base < 0.01

@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parstab import certification, lifting
+from parstab import certification, cli, lifting
 from parstab.certification import (
     CertificationError,
     NotYetCertifiable,
@@ -301,6 +301,23 @@ def test_certify_round_mild_design(mild_art30):
     assert cert.theta1_max <= 1e-9
     assert cert.psi_bound < 0
     P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
+    assert np.min(np.linalg.eigvalsh(P)) > 0
+    assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
+
+
+def test_P_norm_is_the_2_norm_of_P_on_the_strong_design_at_240():
+    cfg = cli._validated(
+        {
+            "plant": {"d": 2, "b": [3.0, 3.0], "c": 10.0, "delta": 0.5},
+            "sensors": {"xi1": list(EXAMPLE_SENSOR_1), "xi2": list(EXAMPLE_SENSOR_2)},
+            "synthesis": {"N": 60},
+            "certification": {"N_start": 240, "N_max": 240},
+        }
+    )
+    m = cli._design_source(cfg)(240)
+    cert = certify_round(m)
+    assert cert.N_tail == lifting.tail_cap(240)
+    P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 

@@ -839,6 +839,23 @@ def test_undefined_values_are_written_as_null(tmp_path, monkeypatch):
         assert cert[key] is None, key
 
 
+def test_a_round_whose_P_is_not_positive_definite_writes_null_bounds(tmp_path, monkeypatch):
+    # `certify_round` decides definiteness from P's eigenvalues, after the solve
+    def indefinite(F, delta, h):
+        P = np.eye(len(F))
+        P[-1, -1] = -1.0
+        return P
+
+    monkeypatch.setattr(certification, "solve_lyapunov", indefinite)
+    out = tmp_path / "certify"
+    assert main(["certify", "--config", write_cfg(tmp_path, MILD), "--out", str(out)]) == 3
+    cert = strict_json(out / "certificate.json")
+    assert cert["status"] == "failed: lyapunov: Lyapunov solution not positive definite"
+    assert [r["status"] for r in cert["rounds"]] == [cert["status"]]
+    for key in ("S1", "S2", "Sphi", "eta_cert", "theta1_max", "psi_bound", "P_norm"):
+        assert cert[key] is None, key
+
+
 @pytest.mark.parametrize("n_sim, grows", [(70, True), (240, False)])
 def test_simulate_warns_when_the_simulated_loop_grows(tmp_path, caplog, n_sim, grows):
     # the strong-drift design at N = 60: its simulated loop is unstable at

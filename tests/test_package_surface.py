@@ -24,7 +24,12 @@ BLAS.
 At most one function of `src/parstab` builds a plain `linalg.Factored`
 besides `Factored.squared`, which squares the plain matrix it is given, and
 `squared` calls none that does: the form is chosen once, from the rank of
-the Taylor polynomial, and squaring keeps it."""
+the Taylor polynomial, and squaring keeps it.
+
+The steps of the head, which does not depend on N, each have one caller,
+`synthesis.design_head`, so a command designs it once and not per N. And
+`certification` computes no SVD and no matrix 2-norm: the eigenvalues of P
+give both its definiteness and its norm."""
 
 import ast
 import functools
@@ -351,3 +356,31 @@ def test_one_function_chooses_the_plain_form():
     builders = set(plain_builders()) - {"linalg.squared"}
     assert len(builders) <= 1, plain_builders()
     assert not builders & squaring_calls(), builders
+
+
+HEAD_STEPS = ("select_eta", "select_gamma_ladder", "validate_sensors", "place_observer_gain")
+
+
+def test_the_head_steps_are_called_by_design_head_alone():
+    for name in HEAD_STEPS:
+        callers = _callers(lambda call, name=name: _called(call) == name)
+        assert callers == ["synthesis.design_head"], (name, callers)
+
+
+def second_decompositions() -> list:
+    """Positions of the calls in `certification.py` of `svd`, or of `norm`
+    given an order (a matrix 2-norm is an SVD)."""
+    tree, _ = _indexed(PACKAGE)["certification.py"]
+    return [
+        _position(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and (
+            _called(node) == "svd"
+            or (_called(node) == "norm" and (node.args[1:] or any(k.arg == "ord" for k in node.keywords)))
+        )
+    ]
+
+
+def test_certification_takes_no_svd_and_no_2_norm():
+    assert second_decompositions() == []

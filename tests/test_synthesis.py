@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from parstab.synthesis import (
     SynthesisError,
     abscissa,
     assemble_F,
+    design_head,
     eta_shift_matrix,
     place_observer_gain,
     report_dict,
@@ -163,6 +165,64 @@ def test_synthesize_evaluates_each_sensor_row_once(example_ctx, monkeypatch):
     assert evals == Counter(
         (tuple(k), xi) for k in example_ctx.eigs.ks[:30].tolist() for xi in (EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2)
     )
+
+
+def _same_bytes(a, b) -> bool:
+    """a and b hold the same values, arrays compared byte for byte."""
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+    if isinstance(a, (list, tuple)):
+        return type(a) is type(b) and len(a) == len(b) and all(map(_same_bytes, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same_bytes(a[k], b[k]) for k in a)
+    return a is b or a == b
+
+
+@pytest.mark.parametrize("N", [30, 60, 120, 240])
+def test_a_given_head_gives_the_design_synthesize_builds(example_ctx, N):
+    head = design_head(
+        example_ctx,
+        EXAMPLE_SENSOR_1,
+        EXAMPLE_SENSOR_2,
+        0.5,
+        c_ratio=2.0,
+        gamma_base=10.0,
+        spread=None,
+        sensor_tol=1e-3,
+        cond_max=1e12,
+    )
+    plain = synthesize(example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, N, 0.5)
+    given = synthesize(example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, N, 0.5, head=head)
+    for f in dataclasses.fields(synthesis.SynthesisArtifacts):
+        assert _same_bytes(getattr(plain, f.name), getattr(given, f.name)), f.name
+
+
+def test_a_command_designs_the_head_once(tmp_path, monkeypatch):
+    calls = []
+
+    def recorded(name):
+        real = getattr(synthesis, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append((name, args))
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("place_observer_gain", "select_gamma_ladder", "synthesize"):
+        monkeypatch.setattr(synthesis, name, recorded(name))
+    cfg = {
+        "plant": {"d": 2, "b": [3.0, 3.0], "c": 10.0, "delta": 0.5},
+        "sensors": {"xi1": list(EXAMPLE_SENSOR_1), "xi2": list(EXAMPLE_SENSOR_2)},
+        "synthesis": {"N": 60},
+        "certification": {"N_start": 30, "N_max": 240},
+    }
+    path = tmp_path / "strong.json"
+    path.write_text(json.dumps(cfg))
+    # the strong design fails theta1 at every size, so all four rounds run
+    assert cli.main(["certify", "--config", str(path), "--out", str(tmp_path / "out")]) == 3
+    assert Counter(name for name, _ in calls) == {"place_observer_gain": 1, "select_gamma_ladder": 1, "synthesize": 4}
+    assert [args[3] for name, args in calls if name == "synthesize"] == [30, 60, 120, 240]
 
 
 def test_validate_sensors_rejections(example_eigs):
