@@ -29,6 +29,7 @@ from .linalg import trim_heap
 from .spectral_basis import (
     FaceId,
     PlantConfig,
+    PlantError,
     SearchRadiusError,
     count_unstable,
     enumerate_eigenpairs,
@@ -60,47 +61,58 @@ def _abort(what: str, err: Exception) -> int:
 
 _REQUIRED = object()
 
+
+_POSITIVE = (lambda value: value > 0, "must be positive")
+_ABOVE_1 = (lambda value: value > 1, "must exceed 1")
+_AT_LEAST_1 = (lambda value: value >= 1, "must be at least 1")
+_SIDE = (lambda value: value in ("low", "high"), "must be 'low' or 'high'")
+
 # The schema tree. A dict node is a section: always present, its keys filled
-# with their defaults. A leaf is (kind, default), the default _REQUIRED for a
-# key that must be given. A kind is int, float, bool or str, [kind] for an
-# array of that kind, or a schema dict for an optional object. `null` is
-# allowed only where the default is None, and means the same as leaving the
-# key out.
+# with their defaults. A leaf is (kind, default) or (kind, default, rule),
+# the default _REQUIRED for a key that must be given. A kind is int, float,
+# bool or str, [kind] for an array of that kind, or a schema dict for an
+# optional object. `null` is allowed only where the default is None, and
+# means the same as leaving the key out. A rule (predicate, message) holds
+# for each scalar of the key, array entries included.
 SCHEMA = {
     "plant": {
         "d": (int, _REQUIRED),
         "lengths": ([float], None),
         "b": ([float], None),
         "c": (float, 0.0),
-        "face": {"axis": (int, None), "side": (str, "low")},
+        "face": {"axis": (int, None), "side": (str, "low", _SIDE)},
         "nu": (float, None),
         "delta": (float, 0.5),
     },
     "sensors": {"xi1": ([float], _REQUIRED), "xi2": ([float], _REQUIRED)},
     "synthesis": {
         "N": (int, 30),
-        "c_ratio": (float, 2.0),
-        "gamma_base": (float, 10.0),
-        "spread": (float, None),
-        "sensor_tol": (float, 1e-3),
-        "cond_max": (float, 1e12),
+        # the shifts gamma_base (1 + (k-1) rho), rho = (c_ratio - 1) / (N0 - 1),
+        # are distinct only for c_ratio > 1
+        "c_ratio": (float, 2.0, _ABOVE_1),
+        "gamma_base": (float, 10.0, _POSITIVE),
+        # spread <= 0 would place the observer poles at or right of -delta
+        "spread": (float, None, _POSITIVE),
+        "sensor_tol": (float, 1e-3, _POSITIVE),
+        # a condition number is at least 1
+        "cond_max": (float, 1e12, _ABOVE_1),
     },
     "certification": {
         "required": (bool, False),
-        "N_start": (int, 30),
+        "N_start": (int, 30, _AT_LEAST_1),
         "N_max": (int, 200),
     },
     "simulation": {
         "z0": {
-            "modes": ([[int]], None),
+            "modes": ([[int]], None, _AT_LEAST_1),
             "coeffs": ([float], None),
             "bump": (
-                {"center": ([float], None), "width": (float, 0.2), "amplitude": (float, 1.0)},
+                {"center": ([float], None), "width": (float, 0.2, _POSITIVE), "amplitude": (float, 1.0)},
                 None,
             ),
         },
-        "T": (float, 20.0),
-        "h": (float, None),
+        "T": (float, 20.0, _POSITIVE),
+        "h": (float, None, _POSITIVE),
         "N_sim": (int, None),
         "t_skip": (float, 2.0),
         "open_loop": (bool, False),
@@ -126,8 +138,9 @@ def _no_duplicates(pairs):
     return dict(pairs)
 
 
-def _typed(kind, value, pointer: str):
-    """`value` checked against a schema kind; a float kind gives a finite float."""
+def _typed(kind, value, pointer: str, rule=None):
+    """`value` checked against a schema kind and each of its scalars against
+    the leaf's `rule`; a float kind gives a finite float."""
     if isinstance(kind, dict):
         if not isinstance(value, dict):
             raise ConfigError(f"{pointer}: expected an object")
@@ -135,7 +148,7 @@ def _typed(kind, value, pointer: str):
     if isinstance(kind, list):
         if not isinstance(value, list):
             raise ConfigError(f"{pointer}: expected an array")
-        return [_typed(kind[0], v, f"{pointer}/{i}") for i, v in enumerate(value)]
+        return [_typed(kind[0], v, f"{pointer}/{i}", rule) for i, v in enumerate(value)]
     if kind is float and type(value) is int:
         # an integer too large for a float counts as infinite
         value = float(value) if abs(value) <= sys.float_info.max else math.inf
@@ -144,6 +157,8 @@ def _typed(kind, value, pointer: str):
     # JSON 1e400 parses to inf, and Python's json reads Infinity and NaN
     if kind is float and not math.isfinite(value):
         raise ConfigError(f"{pointer}: expected a finite number")
+    if rule is not None and not rule[0](value):
+        raise ConfigError(f"{pointer}: {rule[1]}")
     return value
 
 
@@ -155,11 +170,11 @@ def _merge(schema: dict, data: dict, pointer: str) -> dict:
     out = {}
     for key, node in schema.items():
         here = f"{pointer}/{key}"
-        kind, default = (node, {}) if isinstance(node, dict) else node
+        kind, default, *rule = (node, {}) if isinstance(node, dict) else node
         value = data[key] if key in data else default
         if value is _REQUIRED:
             raise ConfigError(f"{here}: required key missing")
-        out[key] = None if value is None and default is None else _typed(kind, value, here)
+        out[key] = None if value is None and default is None else _typed(kind, value, here, *rule)
     return out
 
 
@@ -173,67 +188,38 @@ class RunConfig:
     sweep: list
 
 
+# the key of each PlantConfig field that PlantConfig can refuse, as a JSON pointer
+_PLANT_POINTERS = {
+    "dim": "/plant/d", "lengths": "/plant/lengths", "drift": "/plant/b",
+    "control_face": "/plant/face/axis", "delta": "/plant/delta", "nu": "/plant/nu",
+}
+
+
 def _validated(raw: dict) -> RunConfig:
-    """Types from SCHEMA, then the checks that relate values to each other."""
+    """Types and single-key rules from SCHEMA, the plant's rules from
+    PlantConfig, then the rules that relate keys to each other."""
     merged = _merge(SCHEMA, raw, "")
-    p = merged["plant"]
-    d = p["d"]
-    if d not in (1, 2, 3):
-        raise ConfigError("/plant/d: must be 1, 2 or 3")
-    lengths = p["lengths"] or [math.pi] * d
-    if len(lengths) != d:
-        raise ConfigError("/plant/lengths: wrong number of entries")
-    for i, length in enumerate(lengths):
-        if not length > 0:
-            raise ConfigError(f"/plant/lengths/{i}: must be positive")
-    if p["face"]["side"] not in ("low", "high"):
-        raise ConfigError("/plant/face/side: must be 'low' or 'high'")
-    # PlantConfig refuses these four too, but without a pointer
-    if p["b"] and len(p["b"]) != d:
-        raise ConfigError("/plant/b: wrong number of entries")
-    if p["face"]["axis"] is not None and not 0 <= p["face"]["axis"] < d:
-        raise ConfigError(f"/plant/face/axis: must be 0 to {d - 1}")
-    if not p["delta"] > 0:
-        raise ConfigError("/plant/delta: must be positive")
-    if p["nu"] is not None and not p["nu"] > p["c"]:
-        raise ConfigError("/plant/nu: must exceed plant.c")
+    cfg = RunConfig(**{**merged, "sweep": merged["sweep"] or []})
+    try:
+        plant = build_plant(cfg)
+    except PlantError as err:
+        entry = "" if err.index is None else f"/{err.index}"
+        raise ConfigError(f"{_PLANT_POINTERS[err.field]}{entry}: {err.problem}") from None
+    d = plant.dim
     for key in ("xi1", "xi2"):
-        xi = merged["sensors"][key]
+        xi = cfg.sensors[key]
         if len(xi) != d:
             raise ConfigError(f"/sensors/{key}: expected {d} coordinates")
-        if not all(0.0 < v < l for v, l in zip(xi, lengths)):
+        if not all(0.0 < v < l for v, l in zip(xi, plant.lengths)):
             raise ConfigError(f"/sensors/{key}: sensor must be an interior point")
-    syn = merged["synthesis"]
-    for key in ("gamma_base", "sensor_tol"):
-        if not syn[key] > 0:
-            raise ConfigError(f"/synthesis/{key}: must be positive")
-    # a condition number is at least 1, and the shifts gamma_base (1 + (k-1)
-    # rho), rho = (c_ratio - 1) / (N0 - 1), are distinct only for c_ratio > 1
-    for key in ("cond_max", "c_ratio"):
-        if not syn[key] > 1:
-            raise ConfigError(f"/synthesis/{key}: must exceed 1")
-    # spread <= 0 would place the observer poles at or right of -delta
-    if syn["spread"] is not None and not syn["spread"] > 0:
-        raise ConfigError("/synthesis/spread: must be positive")
-    c = merged["certification"]
-    if c["N_start"] < 1:
-        raise ConfigError("/certification/N_start: must be at least 1")
-    if c["N_max"] < c["N_start"]:
+    if cfg.certification["N_max"] < cfg.certification["N_start"]:
         raise ConfigError("/certification/N_max: below N_start")
-    sim = merged["simulation"]
-    # `not x > 0` refuses a NaN too
-    if not sim["T"] > 0:
-        raise ConfigError("/simulation/T: T must be positive")
-    if sim["h"] is not None and not sim["h"] > 0:
-        raise ConfigError("/simulation/h: h must be positive")
-    if sim["N_sim"] is not None and sim["N_sim"] < merged["synthesis"]["N"]:
+    sim = cfg.simulation
+    if sim["N_sim"] is not None and sim["N_sim"] < cfg.synthesis["N"]:
         raise ConfigError("/simulation/N_sim: below synthesis.N")
     z0 = sim["z0"]
-    if z0["bump"] is not None:
-        if not z0["bump"]["width"] > 0:
-            raise ConfigError("/simulation/z0/bump/width: width must be positive")
-        if z0["bump"]["center"] is not None and len(z0["bump"]["center"]) != d:
-            raise ConfigError(f"/simulation/z0/bump/center: expected {d} coordinates")
+    if z0["bump"] is not None and z0["bump"]["center"] is not None and len(z0["bump"]["center"]) != d:
+        raise ConfigError(f"/simulation/z0/bump/center: expected {d} coordinates")
     if z0["modes"] is not None:
         if z0["coeffs"] is None:
             raise ConfigError("/simulation/z0/modes: needs matching coeffs")
@@ -243,13 +229,10 @@ def _validated(raw: dict) -> RunConfig:
         for i, m in enumerate(z0["modes"]):
             if len(m) != d:
                 raise ConfigError(f"/simulation/z0/modes/{i}: expected {d} indices")
-            for j, k in enumerate(m):
-                if k < 1:
-                    raise ConfigError(f"/simulation/z0/modes/{i}/{j}: mode indices start at 1")
             if tuple(m) in seen:
                 raise ConfigError(f"/simulation/z0/modes/{i}: mode {m} given twice")
             seen.add(tuple(m))
-    return RunConfig(**{**merged, "sweep": merged["sweep"] or []})
+    return cfg
 
 
 def parse_config(path) -> RunConfig:

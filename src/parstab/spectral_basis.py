@@ -56,6 +56,15 @@ class GridSizeError(ValueError):
     """A quadrature rule and its sample table would not fit the byte cap."""
 
 
+class PlantError(ValueError):
+    """A PlantConfig value that no plant can have: `field` names it, and
+    `index` the entry of `lengths` (None for a whole field)."""
+
+    def __init__(self, field: str, problem: str, index: int = None):
+        super().__init__(f"{field}{'' if index is None else f'[{index}]'}: {problem}")
+        self.field, self.problem, self.index = field, problem, index
+
+
 QUAD_ORDER = 16
 PANELS_PER_HALFWAVE = 8
 # Largest rule plus sample table a quadrature is built for, in bytes. The
@@ -79,7 +88,7 @@ class FaceId:
 
 @dataclass(frozen=True)
 class PlantConfig:
-    """Coefficients and geometry of one plant.
+    """Coefficients and geometry of one plant; `PlantError` names a refused field.
 
     Parameters
     ----------
@@ -112,27 +121,27 @@ class PlantConfig:
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
-            raise ValueError("dim must be 1, 2 or 3")
+            raise PlantError("dim", "must be 1, 2 or 3")
         lengths = tuple(float(v) for v in self.lengths) or (math.pi,) * self.dim
         drift = tuple(float(v) for v in self.drift) or (0.0,) * self.dim
-        if len(lengths) != self.dim or len(drift) != self.dim:
-            raise ValueError("lengths and drift must have one entry per axis")
-        if any(v <= 0 for v in lengths):
-            raise ValueError("all side lengths must be positive")
+        for field, values in (("lengths", lengths), ("drift", drift)):
+            if len(values) != self.dim:
+                raise PlantError(field, f"expected {self.dim} entries, one per axis")
+        for i, v in enumerate(lengths):
+            if not v > 0:
+                raise PlantError("lengths", "must be positive", i)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "drift", drift)
         face = self.control_face or FaceId(axis=self.dim - 1, side=0)
         if not (0 <= face.axis < self.dim):
-            raise ValueError("control face axis out of range")
+            raise PlantError("control_face", f"axis must be 0 to {self.dim - 1}")
         object.__setattr__(self, "control_face", face)
-        if self.delta <= 0:
-            raise ValueError("delta must be positive")
+        if not self.delta > 0:
+            raise PlantError("delta", "must be positive")
         if self.nu is None:
             object.__setattr__(self, "nu", nu_default(self))
         if self.reaction_shift_margin() <= 0:
-            raise ValueError(
-                "nu too small: reaction term plus nu*mu must stay positive"
-            )
+            raise PlantError("nu", "must exceed the reaction c")
 
     # mu(x) = exp(b . x) is monotone per axis, so its extrema sit at corners.
     @property

@@ -344,14 +344,18 @@ def test_pipeline_refuses_n_sim_below_n_before_writing(tmp_path, capsys):
         # reported at the entry, /plant/lengths/1, not as an exterior sensor
         pytest.param("/plant/lengths", [math.pi, 0.0], id="lengths_0"),
         pytest.param("/plant/lengths", [-1.0, math.pi], id="lengths_negative"),
-        # the plant values PlantConfig refuses without a pointer
+        # the plant values PlantConfig refuses, at the key of the field it names
+        pytest.param("/plant/d", 4, id="d_4"),
+        pytest.param("/plant/lengths", [math.pi], id="lengths_arity"),
         pytest.param("/plant/b", [0.0], id="b_arity"),
         pytest.param("/plant/delta", 0, id="delta_0"),
         pytest.param("/plant/face/axis", 2, id="face_axis"),
+        pytest.param("/plant/face/side", "middle", id="face_side"),
         # the demo's c is 0.5
         pytest.param("/plant/nu", 0.5, id="nu_at_c"),
         # the demo's z0 modes are [[1, 1], [2, 1]]
         pytest.param("/simulation/z0/modes/1", [1, 1], id="modes_repeated"),
+        pytest.param("/simulation/z0", {"modes": [[1, 1], [2, 1]], "coeffs": [1.0]}, id="coeffs_arity"),
         # non-finite numbers: json.dumps writes Infinity and NaN, which parse
         # as a JSON 1e400 does, and no float holds the integer 10**400
         pytest.param("/simulation/T", math.inf, id="T_inf"),
@@ -518,7 +522,7 @@ def test_simulate_rejects_nonpositive_T(tmp_path, capsys):
     cfg = {**MILD, "simulation": {**MILD["simulation"], "T": 0.0}}
     code = main(["simulate", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
     assert code == 2
-    assert "T must be positive" in capsys.readouterr().err
+    assert "config error: /simulation/T: must be positive" in capsys.readouterr().err
 
 
 def test_simulate_3d_bump_runs(tmp_path):
@@ -634,16 +638,25 @@ def test_non_positive_gamma_base_is_refused(tmp_path, base):
     assert not out.exists()
 
 
-def test_sweep_entry_with_gamma_base_0_exits_2(tmp_path):
-    cfg = {**MILD, "sweep": [{"synthesis": {"gamma_base": 0}}]}
+def _sweep_entry_exits_2(tmp_path, entry, pointer):
+    cfg = {**MILD, "sweep": [entry]}
     out = tmp_path / "sweep"
     args = ["-m", "parstab", "sweep", "--config", write_cfg(tmp_path, cfg), "--out", str(out)]
     proc = run_python(args, timeout=60)
     assert proc.returncode == 2
-    assert "sweep entry 0: /synthesis/gamma_base" in proc.stderr
+    assert f"sweep entry 0: {pointer}" in proc.stderr
     index = json.loads((out / "sweep_index.json").read_text())
     assert index["runs"] == [{"index": 0, "out": "sweep_000", "exit_code": 2}]
     assert not (out / "sweep_000").exists()
+
+
+def test_sweep_entry_with_gamma_base_0_exits_2(tmp_path):
+    _sweep_entry_exits_2(tmp_path, {"synthesis": {"gamma_base": 0}}, "/synthesis/gamma_base")
+
+
+def test_sweep_entry_breaking_a_plant_rule_exits_2(tmp_path):
+    # refused by PlantConfig, at the key of the field it names
+    _sweep_entry_exits_2(tmp_path, {"plant": {"delta": 0}}, "/plant/delta")
 
 
 def test_sweep_without_entries_fails(tmp_path, capsys):

@@ -9,7 +9,15 @@ classes' `__init__`, is passed, by keyword or by position, in some call of
 that name in the same places; a parameter only the tests set goes.
 
 Every leaf key of `cli.SCHEMA` is read by a string subscript in `cli.py`
-outside `SCHEMA`, so a config key that nothing reads fails here.
+outside `SCHEMA`, so a config key that nothing reads fails here. A leaf is
+(kind, default) or (kind, default, rule).
+
+Each config rule lives in one place: a rule on one key on its `SCHEMA` leaf,
+a rule of the plant in `PlantConfig`, and only the rules that relate keys in
+`cli._validated`. So `_validated` compares no single value with constants
+alone (an `is None` test aside), and `cli.py` writes no `/plant/` pointer
+outside `_PLANT_POINTERS`, the map from a refused `PlantConfig` field to its
+key.
 
 Every field of a `@dataclass` of `src/parstab` is read, as an attribute or
 as a string constant, by the package outside its class, or by `perfbench/`
@@ -216,8 +224,9 @@ def test_the_parameter_allowlist_names_only_defaulted_parameters():
 
 
 def _schema_leaves(node):
-    """Keys of the leaves (kind, default) of a SCHEMA dict node, with the
-    leaves of the object schemas nested in their kinds."""
+    """Keys of the leaves (kind, default) and (kind, default, rule) of a
+    SCHEMA dict node, with the leaves of the object schemas nested in their
+    kinds."""
     for key, value in zip(node.keys, node.values):
         if isinstance(value, ast.Dict):
             yield from _schema_leaves(value)
@@ -228,13 +237,20 @@ def _schema_leaves(node):
                     yield from _schema_leaves(inner)
 
 
-def unread_config_keys() -> list:
+def _cli_assignment(name):
+    """The top-level assignment of `name` in `cli.py`."""
     tree, _ = _indexed(PACKAGE)["cli.py"]
-    (schema,) = [
+    (node,) = [
         node
         for node in tree.body
-        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["SCHEMA"]
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == [name]
     ]
+    return node
+
+
+def unread_config_keys() -> list:
+    tree, _ = _indexed(PACKAGE)["cli.py"]
+    schema = _cli_assignment("SCHEMA")
     span = _position(schema), (schema.end_lineno, schema.end_col_offset)
     read = {
         node.slice.value
@@ -249,6 +265,50 @@ def unread_config_keys() -> list:
 
 def test_every_config_key_is_read_by_the_cli():
     assert unread_config_keys() == []
+
+
+def _literal(node) -> bool:
+    """A constant, or a tuple, list or set of literals."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return all(map(_literal, node.elts))
+    return isinstance(node, ast.Constant)
+
+
+def single_value_tests() -> list:
+    """Positions of the comparisons in `cli._validated`, `is` tests aside,
+    of one value with literals alone, such as `d not in (1, 2, 3)`."""
+    tree, _ = _indexed(PACKAGE)["cli.py"]
+    (fn,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_validated"]
+    return [
+        _position(node)
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Compare)
+        and not all(isinstance(op, (ast.Is, ast.IsNot)) for op in node.ops)
+        and sum(not _literal(side) for side in [node.left, *node.comparators]) == 1
+    ]
+
+
+def plant_pointers_outside_the_map() -> list:
+    """Positions of the strings in `cli.py`, f-string parts included, that
+    hold a `/plant/` pointer outside `_PLANT_POINTERS`."""
+    _, index = _indexed(PACKAGE)["cli.py"]
+    table = _cli_assignment("_PLANT_POINTERS")
+    span = _position(table), (table.end_lineno, table.end_col_offset)
+    return sorted(
+        position
+        for value, positions in index.strings.items()
+        if "/plant/" in value
+        for position in positions
+        if _outside(span, position)
+    )
+
+
+def test_validated_keeps_only_the_rules_that_relate_keys():
+    assert single_value_tests() == []
+
+
+def test_plant_rules_are_plant_configs_alone():
+    assert plant_pointers_outside_the_map() == []
 
 
 def _dataclasses(tree):

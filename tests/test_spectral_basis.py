@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -198,14 +199,20 @@ def test_nu_default_and_shift_margin(example_plant):
 
 
 def test_plant_rejects_bad_geometry():
-    with pytest.raises(ValueError):
-        PlantConfig(dim=4)
-    with pytest.raises(ValueError):
-        PlantConfig(dim=2, lengths=(1.0,))
-    with pytest.raises(ValueError):
-        PlantConfig(dim=1, delta=0.0)
-    with pytest.raises(ValueError):
-        PlantConfig(dim=1, reaction=5.0, nu=-20.0)
+    # each refusal names its field, and the entry of `lengths` by index
+    for kwargs, field, index in [
+        (dict(dim=4), "dim", None),
+        (dict(dim=2, lengths=(1.0,)), "lengths", None),
+        (dict(dim=2, lengths=(1.0, 0.0)), "lengths", 1),
+        (dict(dim=2, drift=(1.0, 2.0, 3.0)), "drift", None),
+        (dict(dim=2, control_face=FaceId(axis=2, side=0)), "control_face", None),
+        (dict(dim=1, delta=0.0), "delta", None),
+        (dict(dim=1, reaction=5.0, nu=-20.0), "nu", None),
+    ]:
+        at = field if index is None else f"{field}[{index}]"
+        with pytest.raises(ValueError, match=f"^{re.escape(at)}: ") as info:
+            PlantConfig(**kwargs)
+        assert (info.value.field, info.value.index) == (field, index)
 
 
 def test_gauss_panels_exactness():
