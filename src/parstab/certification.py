@@ -9,14 +9,18 @@ must be nonpositive. The certifier doubles N until both hold or a budget
 runs out, returning an honest failure record in the latter case.
 
 P comes from a block back-substitution on F's structure (a dense head of
-2*N0 rows over a diagonal tail), in numpy alone. Every sum in P, and in the
-P F product of Theta1, runs over the head rows only, so those bytes do not
-depend on the BLAS thread count. The two dense LAPACK steps, the
-eigenvalues of Theta1 and those of P, run on one BLAS thread
-(`linalg.one_blas_thread`), so `certificate.json` does not depend on it
-either. `certify_round` decides from P's eigenvalues whether P is positive
-definite, and takes the largest as P's 2-norm. A `Certificate` keeps that
-norm, not P; `solve_lyapunov` gives P again from the design.
+2*N0 rows over a diagonal tail), in numpy alone, and F's spectrum is read
+from the same blocks. Every sum in P, and in the P F product of Theta1,
+runs over the head rows only, so those bytes do not depend on the BLAS
+thread count. P and Theta1 are filled in place and the solve's elementwise
+n x n steps run ROW_BLOCK rows at a time, so a round holds at most three
+n x n arrays at once (n = N + N0): P and one work array in the solve, then
+P, Theta1 and one work array. The two dense LAPACK steps, the eigenvalues
+of Theta1 and those of P, run on one BLAS thread (`linalg.one_blas_thread`),
+so `certificate.json` does not depend on it either. `certify_round` decides
+from P's eigenvalues whether P is positive definite, and takes the largest
+as P's 2-norm. A `Certificate` keeps that norm, not P; `solve_lyapunov`
+gives P again from the design.
 """
 
 from __future__ import annotations
@@ -37,6 +41,9 @@ log = logging.getLogger(__name__)
 
 NEG_SLACK = 1e-9  # absolute slack on "<= 0" checks
 LYAP_RESIDUAL_TOL = 1e-8
+# rows per block of the elementwise n x n steps of `solve_lyapunov`, whose
+# temporaries stay ROW_BLOCK x n
+ROW_BLOCK = 32
 
 
 class CertificationError(RuntimeError):
@@ -45,6 +52,22 @@ class CertificationError(RuntimeError):
 
 class NotYetCertifiable(CertificationError):
     """Precondition tied to N failed; a larger N may fix it."""
+
+
+def _row_blocks(n: int):
+    """Slices of ROW_BLOCK rows covering range(n), in order."""
+    return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
+
+
+def _block_abscissa(F: np.ndarray, h: int):
+    """F's spectral abscissa read from its blocks, or None unless F is block
+    upper triangular at h with a diagonal tail: then its spectrum is that of
+    the head F[:h, :h] together with the tail diagonal."""
+    tail = F[h:, h:]
+    diag = np.diagonal(tail)
+    if np.any(F[h:, :h]) or np.count_nonzero(tail) != np.count_nonzero(diag):
+        return None
+    return max(abscissa(F[:h, :h]), float(np.max(diag, initial=-np.inf)))
 
 
 def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
@@ -57,38 +80,58 @@ def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     - H'P11 + P11 H = -I, solved in its Kronecker form;
     - (H' + d_j I) P12[:, j] = -(P11 B)[:, j], one h x h solve per tail column;
     - P22 = -(I + B'P12 + P12'B) / (d_i + d_j), elementwise.
-    The Kronecker system has h^2 unknowns; an h below F's head fails the
-    residual check, which runs on the dense F. Whether P is positive
-    definite is left to `certify_round`.
+    The spectrum that must lie left of -delta is read from the same blocks.
+    The Kronecker system has h^2 unknowns; for an h at which F is not of
+    this form the spectrum is not checked, and the residual check, which
+    runs on the dense F, refuses the P of the other equation solved. Whether
+    P is positive definite is left to `certify_round`.
+
+    P is filled in place and the residual is summed ROW_BLOCK rows at a
+    time, so at most two n x n arrays are alive: P and B'P12, then P and P F.
     """
     F = np.asarray(F, dtype=float)
-    spectral = abscissa(F)
-    if spectral >= -delta:
+    n = F.shape[0]
+    spectral = _block_abscissa(F, h)
+    if spectral is not None and spectral >= -delta:
         raise CertificationError(
             f"F + {delta}*I is not Hurwitz (abscissa {spectral:.4f}), "
             "no certificate exists"
         )
-    n = F.shape[0]
-    shifted = F + delta * np.eye(n)
-    H, B, d = shifted[:h, :h], shifted[:h, h:], np.diagonal(shifted)[h:]
+    # the blocks of F + delta*I; + 0.0 turns a -0.0 of F into the 0.0 the sum gives
+    H = F[:h, :h] + delta * np.eye(h)
+    B, d = F[:h, h:] + 0.0, np.diagonal(F)[h:] + delta
     eye_h = np.eye(h)
     # row-major vec: vec(H'X) = (H' kron I) vec(X), vec(XH) = (I kron H') vec(X)
     kron = np.kron(H.T, eye_h) + np.kron(eye_h, H.T)
     P11 = np.linalg.solve(kron, -eye_h.ravel()).reshape(h, h)
     heads = H.T[None, :, :] + d[:, None, None] * eye_h
     P12 = np.linalg.solve(heads, -(P11 @ B).T[:, :, None])[:, :, 0].T
+    del heads
+    P = np.empty((n, n))
+    P[:h, :h] = 0.5 * (P11 + P11.T)
+    P[:h, h:] = P12
+    P[h:, :h] = P12.T
+    # P22 = -((I + C) + C') / (d_i + d_j) with C = B'P12, summed in that
+    # order: off the diagonal (C + 0.0) + C', on it (1 + c_ii) + c_ii. It is
+    # exactly symmetric, as P is
     cross = B.T @ P12
-    P22 = -(np.eye(n - h) + cross + cross.T) / (d[:, None] + d[None, :])
-    P = np.block([[P11, P12], [P12.T, P22]])
-    P = 0.5 * (P + P.T)
-    # F'P is the transpose of P F, P being exactly symmetric. Summed in
-    # place, with the transpose as a contiguous copy (a transposed operand
-    # goes through a 64 KB ufunc buffer), the check holds two n x n arrays
-    residual = P @ F
-    residual += residual.T.copy()
-    residual += 2.0 * delta * P
-    residual.flat[:: n + 1] += 1.0
-    res = float(np.max(np.abs(residual)))
+    P22 = P[h:, h:]
+    np.add(cross, 0.0, out=P22)
+    P22 += cross.T
+    np.fill_diagonal(P22, 1.0 + np.diagonal(cross) + np.diagonal(cross))
+    del cross
+    np.negative(P22, out=P22)
+    for rows in _row_blocks(n - h):
+        P22[rows] /= d[rows, None] + d[None, :]
+    # F'P is the transpose of P F, P being exactly symmetric
+    PF = P @ F
+    worst = []
+    for rows in _row_blocks(n):
+        block = PF[rows] + PF[:, rows].T
+        block += 2.0 * delta * P[rows]
+        block.flat[rows.start :: n + 1] += 1.0
+        worst.append(np.max(np.abs(block)))
+    res = float(np.max(worst))
     if res >= LYAP_RESIDUAL_TOL:
         raise CertificationError(f"Lyapunov residual {res:.3e} too large")
     return P
@@ -159,9 +202,12 @@ def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndar
     """The bordered certificate matrix Theta1, symmetric; eps = 2*N0^2.
 
     Layout: state block of size n_F = 2*N0 + (N - N0) bordered by the two
-    output channels. E1 picks the observer head out of the state; E2 is the
-    head rows of the full loop including the input channel, the first N0
-    rows of F beside those of G: [gain block, L C0, L C1t, L].
+    output channels. The state block is F'P + PF + 2*delta*P, with eps*S1
+    added on the observer head's diagonal (E1'E1 for E1 the head rows of
+    the identity); eps*S2 E2'E2 is added to the whole, E2 being the head
+    rows of the full loop including the input channel, the first N0 rows of
+    F beside those of G: [gain block, L C0, L C1t, L]. Theta1 is built in
+    its own array with one n_F x n_F work array for P F, then E2'E2.
     """
     m = artifacts
     F, G, P = m.closed_loop, m.stacked_gain, np.asarray(P, dtype=float)
@@ -170,24 +216,35 @@ def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndar
     eps = _young_weight(n0)
     if P.shape != F.shape:
         raise ValueError("P and F dimensions differ")
-    E1 = np.zeros((n0, n_F))
-    E1[:, :n0] = np.eye(n0)
-    E2 = np.hstack([F[:n0], G[:n0]])
+    theta = np.empty((n_F + 2, n_F + 2))
+    top = theta[:n_F, :n_F]
     # P @ F from F's blocks (dense head of h = 2*N0 rows, diagonal tail):
     # every sum runs over the h head rows only, so its bytes do not depend
-    # on how BLAS splits the work; F'P is its transpose, P being symmetric
+    # on how BLAS splits the work; F'P is its transpose, P being symmetric.
+    # top holds P's tail columns times F's tail diagonal on the way
     h = 2 * n0
     PF = np.empty_like(P)
     PF[:, :h] = P[:, :h] @ F[:h, :h]
-    PF[:, h:] = P[:, :h] @ F[:h, h:] + P[:, h:] * np.diagonal(F)[h:]
-    top = PF.T + PF + 2.0 * m.delta * P + eps * S1 * (E1.T @ E1)
-    theta = np.zeros((n_F + 2, n_F + 2))
-    theta[:n_F, :n_F] = top
+    np.matmul(P[:, :h], F[:h, h:], out=PF[:, h:])
+    np.multiply(P[:, h:], np.diagonal(F)[h:], out=top[:, h:])
+    PF[:, h:] += top[:, h:]
+    np.add(PF.T, PF, out=top)
+    np.multiply(P, 2.0 * m.delta, out=PF)
+    top += PF
+    del PF
+    head = np.arange(n0)
+    top[head, head] += eps * S1
     theta[:n_F, n_F:] = P @ G
     theta[n_F:, :n_F] = G.T @ P
     theta[n_F:, n_F:] = -eta_cert * np.eye(2)
-    theta += eps * S2 * (E2.T @ E2)
-    return 0.5 * (theta + theta.T)
+    E2 = np.hstack([F[:n0], G[:n0]])
+    gram = E2.T @ E2
+    gram *= eps * S2
+    theta += gram
+    del gram
+    np.add(theta, theta.T, out=theta)
+    theta *= 0.5
+    return theta
 
 
 def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> float:

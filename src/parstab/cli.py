@@ -520,12 +520,10 @@ def main(argv=None) -> int:
         prog="parstab",
         description="observer-based boundary stabilization toolkit",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("synthesize", "certify", "simulate", "pipeline", "sweep"):
-        p = sub.add_parser(name)
-        p.add_argument("--config", required=True, help="JSON config path")
-        p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--verbose", action="store_true")
+    parser.add_argument("command", choices=("synthesize", "certify", "simulate", "pipeline", "sweep"))
+    parser.add_argument("--config", required=True, help="JSON config path")
+    parser.add_argument("--out", default="out", help="output directory")
+    parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.WARNING,

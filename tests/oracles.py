@@ -214,3 +214,59 @@ def factored_array(F) -> np.ndarray:
     M = (F.Q * F.sig) @ F.W.T
     M.flat[:: len(M) + 1] += F.lam
     return M
+
+
+def lyapunov_dense(F, delta: float, h: int) -> np.ndarray:
+    """`certification.solve_lyapunov` by whole-matrix steps: F + delta*I and
+    the P22 sum formed n x n, P assembled by `np.block` and symmetrized as a
+    whole, the Hurwitz check on the dense spectrum of F."""
+    F = np.asarray(F, dtype=float)
+    spectral = synthesis.abscissa(F)
+    if spectral >= -delta:
+        raise certification.CertificationError(
+            f"F + {delta}*I is not Hurwitz (abscissa {spectral:.4f}), no certificate exists"
+        )
+    n = F.shape[0]
+    shifted = F + delta * np.eye(n)
+    H, B, d = shifted[:h, :h], shifted[:h, h:], np.diagonal(shifted)[h:]
+    eye_h = np.eye(h)
+    kron = np.kron(H.T, eye_h) + np.kron(eye_h, H.T)
+    P11 = np.linalg.solve(kron, -eye_h.ravel()).reshape(h, h)
+    heads = H.T[None, :, :] + d[:, None, None] * eye_h
+    P12 = np.linalg.solve(heads, -(P11 @ B).T[:, :, None])[:, :, 0].T
+    cross = B.T @ P12
+    P22 = -(np.eye(n - h) + cross + cross.T) / (d[:, None] + d[None, :])
+    P = np.block([[P11, P12], [P12.T, P22]])
+    P = 0.5 * (P + P.T)
+    residual = P @ F
+    residual += residual.T.copy()
+    residual += 2.0 * delta * P
+    residual.flat[:: n + 1] += 1.0
+    res = float(np.max(np.abs(residual)))
+    if res >= certification.LYAP_RESIDUAL_TOL:
+        raise certification.CertificationError(f"Lyapunov residual {res:.3e} too large")
+    return P
+
+
+def theta1_dense(P, artifacts, S1, S2, eta_cert) -> np.ndarray:
+    """`certification.theta1_matrix` by whole-matrix steps: E1'E1 and E2'E2
+    formed full, the state block summed apart and copied in, and the result
+    symmetrized out of place."""
+    m = artifacts
+    F, G = m.closed_loop, m.stacked_gain
+    n_F, n0, h = F.shape[0], m.n0, 2 * m.n0
+    eps = 2.0 * n0**2
+    E1 = np.zeros((n0, n_F))
+    E1[:, :n0] = np.eye(n0)
+    E2 = np.hstack([F[:n0], G[:n0]])
+    PF = np.empty_like(P)
+    PF[:, :h] = P[:, :h] @ F[:h, :h]
+    PF[:, h:] = P[:, :h] @ F[:h, h:] + P[:, h:] * np.diagonal(F)[h:]
+    top = PF.T + PF + 2.0 * m.delta * P + eps * S1 * (E1.T @ E1)
+    theta = np.zeros((n_F + 2, n_F + 2))
+    theta[:n_F, :n_F] = top
+    theta[:n_F, n_F:] = P @ G
+    theta[n_F:, :n_F] = G.T @ P
+    theta[n_F:, n_F:] = -eta_cert * np.eye(2)
+    theta += eps * S2 * (E2.T @ E2)
+    return 0.5 * (theta + theta.T)

@@ -305,7 +305,9 @@ def test_certify_round_mild_design(mild_art30):
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 
 
-def test_P_norm_is_the_2_norm_of_P_on_the_strong_design_at_240():
+@pytest.fixture(scope="module")
+def strong_art240():
+    """The strong-drift design at N = 240 on the modes its top round needs."""
     cfg = cli._validated(
         {
             "plant": {"d": 2, "b": [3.0, 3.0], "c": 10.0, "delta": 0.5},
@@ -314,12 +316,28 @@ def test_P_norm_is_the_2_norm_of_P_on_the_strong_design_at_240():
             "certification": {"N_start": 240, "N_max": 240},
         }
     )
-    m = cli._design_source(cfg)(240)
+    return cli._design_source(cfg)(240)
+
+
+def test_P_norm_is_the_2_norm_of_P_on_the_strong_design_at_240(strong_art240):
+    m = strong_art240
     cert = certify_round(m)
     assert cert.N_tail == lifting.tail_cap(240)
     P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
+
+
+def test_a_round_at_240_stays_within_its_n2_budget(strong_art240):
+    # the solve holds P and B'P12, then P and P F, beside ROW_BLOCK-row
+    # temporaries; the round then P, Theta1 and one work array. The
+    # whole-matrix forms read 6.15 and 6.10 n^2 doubles
+    m = strong_art240
+    n = m.closed_loop.shape[0]
+    assert n == 243
+    n2 = 8 * n * n
+    assert conftest.traced_peak(certify_round, m) <= 4.5 * n2
+    assert conftest.traced_peak(solve_lyapunov, m.closed_loop, m.delta, 2 * m.n0) <= 3.5 * n2
 
 
 def test_certify_stops_at_first_passing_round(mild_ctx):
@@ -386,22 +404,34 @@ def test_certificate_json_shape(mild_art30):
     assert back["theta1_max"] == cert.theta1_max
 
 
-# P and the bordered Theta1 of the strong-drift design at N = 120 and 240,
-# as digests of their bytes
+# P and the bordered Theta1 of the demo designs: the strong-drift one at
+# N = 30 to 240, the quick one at 8 and the cube at 40. Each must have the
+# bytes of the whole-matrix forms in `oracles`; prints a digest of them all
 THETA_DIGEST = """
-import hashlib
+import hashlib, json, os, sys
+import oracles
+from parstab import cli
 from parstab.certification import solve_lyapunov, theta1_matrix
-from parstab.lifting import LiftingContext
-from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
-from parstab.synthesis import synthesize
 
-plant = PlantConfig(dim=2, drift=(3.0, 3.0), reaction=10.0, delta=0.5)
-ctx = LiftingContext(enumerate_eigenpairs(plant, 960), 3)
-for N in (120, 240):
-    m = synthesize(ctx, (0.53, 1.05), (1.05, 0.53), N, 0.5)
-    P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
-    theta = theta1_matrix(P, m, 1.0, 1.0, 10.0)
-    print(hashlib.sha256(P.tobytes() + theta.tobytes()).hexdigest())
+digest = hashlib.sha256()
+for demo, sizes in (
+    ("strong_drift_pipeline.json", (30, 60, 120, 240)),
+    ("quick_certify.json", (8,)),
+    ("cube_3d.json", (40,)),
+):
+    with open(os.path.join(sys.argv[1], demo)) as fh:
+        raw = json.load(fh)
+    raw["certification"].update(N_start=sizes[0], N_max=sizes[-1])
+    source = cli._design_source(cli._validated(raw))
+    for N in sizes:
+        m = source(N)
+        loop = (m.closed_loop, m.delta, 2 * m.n0)
+        P = solve_lyapunov(*loop)
+        theta = theta1_matrix(P, m, 1.0, 1.0, 10.0)
+        assert P.tobytes() == oracles.lyapunov_dense(*loop).tobytes(), (demo, N)
+        assert theta.tobytes() == oracles.theta1_dense(P, m, 1.0, 1.0, 10.0).tobytes(), (demo, N)
+        digest.update(P.tobytes() + theta.tobytes())
+print(digest.hexdigest())
 """
 
 
@@ -409,13 +439,18 @@ def test_lyapunov_and_theta1_bytes_do_not_depend_on_blas_threads():
     # the eigenvalues of a 245-dim Theta1 and the 2-norm of P would not
     # without the one-thread pin; tests/test_cli.py holds those certificate
     # bytes at N = 240
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    here = os.path.dirname(os.path.abspath(__file__))
+    root = os.path.dirname(here)
     digests = set()
     for threads in ("1", "2"):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
-        env["PYTHONPATH"] = os.pathsep.join([src, env.get("PYTHONPATH", "")])
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), here, env.get("PYTHONPATH", "")])
         proc = subprocess.run(
-            [sys.executable, "-c", THETA_DIGEST], capture_output=True, text=True, env=env, timeout=120
+            [sys.executable, "-c", THETA_DIGEST, os.path.join(root, "demos")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         digests.add(proc.stdout)

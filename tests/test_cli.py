@@ -691,6 +691,14 @@ def test_missing_config_flag_is_an_argparse_error():
         main(["synthesize"])
 
 
+@pytest.mark.parametrize("argv", [["certfy", "--config", "c.json"], ["synthesize"], []])
+def test_an_unknown_command_or_a_missing_flag_exits_2_with_the_usage(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.startswith("usage: parstab")
+
+
 def test_synthesis_report_round_trips_exactly(tmp_path):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

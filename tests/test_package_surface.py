@@ -444,3 +444,18 @@ def second_decompositions() -> list:
 
 def test_certification_takes_no_svd_and_no_2_norm():
     assert second_decompositions() == []
+
+
+def dense_certificate_steps() -> list:
+    """Positions of the calls in `certification.py` of `eigvals` (F's
+    spectrum is read from its blocks) or of `block` (P is filled in place)."""
+    tree, _ = _indexed(PACKAGE)["certification.py"]
+    return [
+        _position(node)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _called(node) in ("eigvals", "block")
+    ]
+
+
+def test_certification_takes_no_eigvals_and_no_np_block():
+    assert dense_certificate_steps() == []
