@@ -35,7 +35,7 @@ import numpy as np
 from . import lifting
 from .linalg import one_blas_thread
 from .spectral_basis import ModeTable, eval_phi, riesz_constants
-from .synthesis import SynthesisArtifacts, abscissa
+from .synthesis import SynthesisArtifacts, block_abscissa
 
 log = logging.getLogger(__name__)
 
@@ -59,17 +59,6 @@ def _row_blocks(n: int):
     return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
 
 
-def _block_abscissa(F: np.ndarray, h: int):
-    """F's spectral abscissa read from its blocks, or None unless F is block
-    upper triangular at h with a diagonal tail: then its spectrum is that of
-    the head F[:h, :h] together with the tail diagonal."""
-    tail = F[h:, h:]
-    diag = np.diagonal(tail)
-    if np.any(F[h:, :h]) or np.count_nonzero(tail) != np.count_nonzero(diag):
-        return None
-    return max(abscissa(F[:h, :h]), float(np.max(diag, initial=-np.inf)))
-
-
 def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     """P solving F'P + PF + 2*delta*P = -I, exactly symmetric.
 
@@ -91,7 +80,7 @@ def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     """
     F = np.asarray(F, dtype=float)
     n = F.shape[0]
-    spectral = _block_abscissa(F, h)
+    spectral = block_abscissa(F, h)
     if spectral is not None and spectral >= -delta:
         raise CertificationError(
             f"F + {delta}*I is not Hurwitz (abscissa {spectral:.4f}), "

@@ -28,7 +28,10 @@ stability limit, but E^B may be: the first row of a segment's second
 block, made by E^B, must lie within POWER_TOL of one step of E from the
 row before it, or the run fails.
 `_segments` runs the segments, each after the first in a forked child when
-it can, with the same arithmetic on every path. All of `run` runs on one
+it can, with the same arithmetic on every path. Every CSV column but t is a
+row of one shared anonymous mapping (`mmap`), which a child writes its rows
+into in place, sending back only its last state; tracemalloc does not count
+that mapping. All of `run` runs on one
 BLAS thread (`linalg.one_blas_thread`): its products are too small to gain
 from a second one. So the columns depend on SEGMENTS, the row count and n,
 not on the machine's BLAS thread or CPU count.
@@ -39,8 +42,8 @@ forms no block-sized square; it is the one place the outputs, the control
 norm and the energy proxies are formed. `ClosedLoop.projection_check`
 gives how far the forcing the loop simulates may depart from the forcing
 the design built, per unit of head control; `run` tests it once, before
-any row is propagated. `run` keeps no state: it returns those columns, the
-output spacing h and that projection-check gain. The per-state
+any row is propagated. `run` keeps no state: it returns those columns,
+read-only, the output spacing h and that projection-check gain. The per-state
 `ClosedLoop.step` and `ClosedLoop.w` stay for the benchmark, and the tests
 keep their certificate-energy helpers in `tests/oracles.py`.
 
@@ -505,12 +508,17 @@ def run(
     `_rows`, after log2 B squarings of E to E^B. A segment whose second
     block's first row departs from one step of E by more than POWER_TOL
     raises SimulationError naming E^B, h and the t of that row: E^B has
-    lost accuracy. `_segments` runs the segments; a child sends back its
-    last state and its columns' rows. The columns are the same bytes on
-    every path, and all of `run` runs on one BLAS thread
-    (`linalg.one_blas_thread`), so they do not depend on the thread count
-    either.
+    lost accuracy. `_segments` runs the segments. Every column but t is a
+    row of one shared anonymous mapping, so a child writes its rows in place
+    and sends back only its last state, n doubles; a mapping the system
+    refuses raises MemoryError. The columns are the same bytes on every
+    path, and all of `run` runs on one BLAS thread (`linalg.one_blas_thread`),
+    so they do not depend on the thread count either. They and `times` come
+    back read-only, so no process forked later writes pages that this one
+    shares.
     """
+    import mmap  # here, so a command that simulates nothing maps no mmap library
+
     if T <= 0:
         raise ValueError("T must be positive")
     # hand back the pages the design freed before the propagation takes its own
@@ -530,8 +538,11 @@ def run(
     times = np.arange(n_rows) * h
     if rest > 0:
         times[-1] = T
-    cols = {name: np.empty(n_rows) for name in CSV_COLUMNS}
-    cols["t"] = times
+    try:
+        shared = mmap.mmap(-1, (len(CSV_COLUMNS) - 1) * n_rows * 8)
+    except OSError as err:  # ENOMEM: more output rows than memory holds
+        raise MemoryError(f"cannot map {n_rows} output rows: {err}") from err
+    cols = dict(zip(CSV_COLUMNS, [times, *np.frombuffer(shared).reshape(-1, n_rows)]))
 
     def record(start: int, X: np.ndarray) -> None:
         """Fill the columns of the rows from `start` with those of the states X."""
@@ -568,25 +579,19 @@ def run(
                 previous = X
             return X[-1].copy()
 
-        def sent(start: int, stop: int, last: np.ndarray) -> list:
-            """What a child sends of rows [start, stop), in order: its last
-            state and the rows of its columns."""
-            return [last] + [cols[name][start:stop] for name in CSV_COLUMNS[1:]]
-
         def child(start: int, stop: int) -> list:
-            return sent(start, stop, segment(start, stop))
+            return [segment(start, stop)]
 
         with _segments(n_steps + 1, B, child) as segments:
             for start, stop, pipe in segments:
                 if pipe is None:
                     last = segment(start, stop)
-                else:
-                    last = np.empty(len(x0))
-                    for buf in sent(start, stop, last):
-                        if pipe.readinto(buf) != buf.nbytes:
-                            raise SimulationError("a forked child ended before the end of its output")
+                elif pipe.readinto(last := np.empty(len(x0))) != last.nbytes:
+                    raise SimulationError("a forked child ended before the end of its output")
         if rest > 0:
             record(n_rows - 1, system.exponential(rest).advance(last)[None])
+    for col in cols.values():
+        col.flags.writeable = False
     series = cols["composite"] if not open_loop else cols["l2_proxy"]
     # hand back the pages the propagation freed before the fit takes its own
     trim_heap()

@@ -140,7 +140,9 @@ class PlantConfig:
             raise PlantError("delta", "must be positive")
         if self.nu is None:
             object.__setattr__(self, "nu", nu_default(self))
-        if self.reaction_shift_margin() <= 0:
+        # the sign of nu - c, not of the margin (nu - c) mu_min: mu_min
+        # underflows to 0 once the drift sum b . l falls below about -745
+        if not self.nu - self.reaction > 0:
             raise PlantError("nu", "must exceed the reaction c")
 
     # mu(x) = exp(b . x) is monotone per axis, so its extrema sit at corners.
@@ -155,11 +157,6 @@ class PlantConfig:
     def mu(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return np.exp(x @ np.asarray(self.drift))
-
-    def reaction_shift_margin(self) -> float:
-        """Exact min over the box of (-c mu + nu mu) = (nu - c) mu."""
-        fac = self.nu - self.reaction
-        return fac * (self.mu_min if fac >= 0 else self.mu_max)
 
     def contains(self, x, tol: float = 0.0) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -375,8 +372,15 @@ def trace_leads(plant: PlantConfig, ks) -> np.ndarray:
 
 
 def riesz_constants(plant: PlantConfig) -> tuple:
-    """Frame constants (c1, c2) = (1/mu_max, 1/mu_min) of the mode expansion."""
-    return 1.0 / plant.mu_max, 1.0 / plant.mu_min
+    """Frame constants (c1, c2) = (1/mu_max, 1/mu_min) of the mode expansion.
+    A drift sum b . l past about +-709 takes mu beyond a float's range: c1 is
+    then 0.0 where mu_max overflows, and c2 inf where mu_min underflows to 0."""
+    try:
+        c1 = 1.0 / plant.mu_max
+    except OverflowError:
+        c1 = 0.0
+    mu_min = plant.mu_min
+    return c1, 1.0 / mu_min if mu_min > 0 else math.inf
 
 
 def count_unstable(eigs: ModeTable, delta: float) -> tuple:

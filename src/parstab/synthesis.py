@@ -46,6 +46,17 @@ def abscissa(M) -> float:
     return float(np.max(np.linalg.eigvals(M).real))
 
 
+def block_abscissa(F: np.ndarray, h: int):
+    """F's spectral abscissa read from its blocks, or None unless F is block
+    upper triangular at h with a diagonal tail: then its spectrum is that of
+    the head F[:h, :h] together with the tail diagonal."""
+    tail = F[h:, h:]
+    diag = np.diagonal(tail)
+    if np.any(F[h:, :h]) or np.count_nonzero(tail) != np.count_nonzero(diag):
+        return None
+    return max(abscissa(F[:h, :h]), float(np.max(diag, initial=-np.inf)))
+
+
 def select_eta(unstable_lambdas) -> float:
     """Splitting shift for the repeated second eigenvalue.
 
@@ -456,10 +467,12 @@ def synthesize(
     C1t = C1 / tail_lams[None, :]
     A0 = -np.diag(context.lams[:n0])
     F, G = assemble_F(ladder.gain_block, A0, L @ C0, L, C1t, tail_lams)
+    # assemble_F lays F out block upper triangular at 2 n0, so its spectrum
+    # comes from the head block and the tail diagonal, with no n x n eigvals
     margins = {
         "gain_block_abscissa": ladder.margin,
         "observer_abscissa": head.observer_abscissa,
-        "F_abscissa": abscissa(F),
+        "F_abscissa": block_abscissa(F, 2 * n0),
     }
     if margins["F_abscissa"] >= -delta:
         raise SynthesisError(

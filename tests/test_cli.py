@@ -820,6 +820,22 @@ def test_quick_simulation_bytes_do_not_depend_on_blas_threads(tmp_path):
         assert outputs[0] == outputs[1], name
 
 
+def test_artifact_digests_do_not_depend_on_blas_threads():
+    # tests/artifact_digests.py whole: the three demos' pipelines, the quick
+    # sweep and the seed-1 benchmark ops, 33 files of 8 runs, the strong
+    # certify to N = 240 among them
+    outputs = []
+    for threads in (1, 2):
+        proc = run_python([os.path.join(ROOT, "tests", "artifact_digests.py")], threads)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+    lines = outputs[0].splitlines()
+    exits = [line.rsplit(" ", 1)[1] for line in lines if line.startswith("# ")]
+    assert exits == ["0", "0", "0", "0", "0", "3", "0", "0"]
+    assert len(lines) - len(exits) == 33
+
+
 def strict_json(path):
     """The file parsed as RFC 8259 JSON, which has no NaN or Infinity."""
 

@@ -10,6 +10,7 @@ and the dense assembly of the closed loop, which `ClosedLoop.border` matches
 bit for bit."""
 
 import math
+import mmap
 
 import numpy as np
 import pytest
@@ -406,14 +407,24 @@ def test_wide_loop_memory(strong_design, monkeypatch):
 
 def test_pipeline_loop_memory(strong_design, monkeypatch):
     # the strong-drift pipeline's 300-dim loop over 100 001 rows: run holds
-    # its output columns and at most 2.0 MB more (1.36 MB measured) for
-    # propagation, the diagnostics of a 128-row block and the
-    # rate fit. On one usable CPU this process propagates both segments, one
-    # after the other
+    # its t column and at most 2.0 MB more (1.36 MB measured) for
+    # propagation, the diagnostics of a 128-row block and the rate fit. The
+    # other ten columns are the rows of one shared anonymous mapping, which
+    # tracemalloc does not count, so their size is checked on the buffer
+    # they view. On one usable CPU this process propagates both segments,
+    # one after the other
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: 1)
     z0 = np.linspace(1.0, 0.5, 5)
-    columns = len(CSV_COLUMNS) * 100_001 * 8
-    assert traced_peak(run, z0, 20.0, 2e-4, strong_design, N_sim=240) <= columns + 2.0e6
+    runs = []
+    peak = traced_peak(lambda: runs.append(run(z0, 20.0, 2e-4, strong_design, N_sim=240)))
+    assert peak <= 100_001 * 8 + 2.0e6
+    records = runs[0].records
+    assert len(records["t"]) == 100_001
+    buffers = {id(records[name].base) for name in CSV_COLUMNS[1:]}
+    assert len(buffers) == 1 and id(records["t"].base) not in buffers
+    shared = records["l2_proxy"].base
+    assert isinstance(shared.base.obj, mmap.mmap)
+    assert shared.nbytes == memoryview(shared.base.obj).nbytes == 10 * 100_001 * 8
 
 
 def test_one_blas_thread_sets_one_thread_and_restores_the_count(monkeypatch):

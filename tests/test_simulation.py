@@ -5,6 +5,7 @@ import errno
 import json
 import logging
 import math
+import mmap
 import os
 import tracemalloc
 
@@ -955,6 +956,53 @@ def test_run_columns_do_not_depend_on_the_usable_cpus(example_art30, monkeypatch
     # the rows of each segment, its start included, are exact
     rows = (0, 255, 256, 1279, 1280, 1281, 1535, 1536, 2500, 2501)
     assert_rows_are_exact(first, rows, ClosedLoop(example_art30, N_sim=60), np.ones(5))
+
+
+def test_a_run_child_sends_its_last_state_alone(example_art30, monkeypatch, tmp_path):
+    # the child writes its rows into the caller's shared columns, so down
+    # the pipe goes its last state alone: n doubles, n = N_sim + N
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: 2)
+    real = simulation._send
+    sent = tmp_path / "sent"
+
+    def counting(job, read_fd, write_fd):
+        def counted():
+            buffers = job()
+            sent.write_text(str(sum(memoryview(b).nbytes for b in buffers)))
+            return buffers
+
+        real(counted, read_fd, write_fd)
+
+    monkeypatch.setattr(simulation, "_send", counting)
+    run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+    _assert_no_children_left()
+    assert int(sent.read_text()) == (60 + example_art30.N) * 8
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_run_columns_are_read_only(example_art30, monkeypatch, cpus):
+    # the columns and times are read-only, so no process forked later, such
+    # as the CSV writer's child, writes pages the caller shares
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    got = run(np.ones(5), SEGMENTED_T, 1e-3, example_art30, N_sim=60)
+    for column in [got.times, *got.records.values()]:
+        with pytest.raises(ValueError, match="read-only"):
+            column[-1] = 0.0
+    assert set(got.records) == set(CSV_COLUMNS)
+
+
+def test_a_mapping_refused_for_memory_exits_4(tmp_path, monkeypatch, capsys):
+    # the ten shared columns of the quick demo's 4001 rows cannot be mapped
+    def refused(*args):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", refused)
+    config = os.path.join(ROOT, "demos", "quick_certify.json")
+    assert main(["simulate", "--config", config, "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("simulation failed: cannot map 4001 output rows: ")
+    assert os.strerror(errno.ENOMEM) in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
 
 
 def _blocks_fail_in_later_segments(monkeypatch, from_row: int) -> None:

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import re
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from parstab import spectral_basis
+from parstab import cli, spectral_basis
 from parstab.spectral_basis import (
     DomainError,
     GRID_BYTES_MAX,
@@ -170,6 +171,30 @@ def test_riesz_constants(example_plant):
     assert c2 == pytest.approx(1.0)
 
 
+def test_a_drift_beyond_a_floats_range_keeps_the_nu_rule(tmp_path):
+    # mu_min = exp(-900) underflows to 0.0: nu > c is read from the sign of
+    # nu - c, not from (nu - c) mu_min, and c2 = 1/mu_min is inf
+    plant = PlantConfig(dim=1, drift=(-300.0,), lengths=(3.0,), nu=5.0)
+    assert plant.mu_min == 0.0
+    assert riesz_constants(plant) == (1.0, math.inf)
+    # and the mirror case: mu_max = exp(900) overflows, so c1 = 1/mu_max is 0.0
+    plant = PlantConfig(dim=1, drift=(300.0,), lengths=(3.0,), nu=5.0)
+    with pytest.raises(OverflowError):
+        plant.mu_max
+    assert riesz_constants(plant) == (0.0, 1.0)
+    with pytest.raises(ValueError, match="^nu: must exceed the reaction c$"):
+        PlantConfig(dim=1, drift=(-300.0,), lengths=(3.0,), reaction=5.0, nu=5.0)
+    cfg = {
+        "plant": {"d": 1, "lengths": [3.0], "b": [-300.0], "c": 5.0, "nu": 5.0},
+        "sensors": {"xi1": [1.0], "xi2": [2.0]},
+        "simulation": {"z0": {"modes": [[1]], "coeffs": [1.0]}, "T": 1.0},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    with pytest.raises(cli.ConfigError, match="^/plant/nu: must exceed the reaction c$"):
+        cli.parse_config(path)
+
+
 def test_count_unstable_patterns(example_eigs, d1_eigs):
     assert count_unstable(example_eigs, 0.5) == (3, (1, 2))
     assert count_unstable(example_eigs, 0.6) == (3, (1, 2))
@@ -192,9 +217,9 @@ def test_nu_default_and_shift_margin(example_plant):
     assert nu_default(example_plant) == pytest.approx(11.0)
     assert example_plant.nu == pytest.approx(11.0)
     # (nu - c) mu attains its minimum at the all-zero corner here
-    assert example_plant.reaction_shift_margin() == pytest.approx(1.0)
-    # and its maximum at the opposite corner, where mu = mu_max
     fac = example_plant.nu - example_plant.reaction
+    assert fac * example_plant.mu_min == pytest.approx(1.0)
+    # and its maximum at the opposite corner, where mu = mu_max
     assert fac * example_plant.mu_max == pytest.approx(math.exp(6 * math.pi))
 
 

@@ -35,7 +35,7 @@ from parstab.synthesis import (
     validate_sensors,
 )
 
-from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
+from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, mild_synthesize
 from oracles import control_trace, head_drift, sensor_tail_scaled
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -245,6 +245,18 @@ def test_place_observer_gain_scalar_formula():
 def test_place_observer_gain_invisible_mode():
     with pytest.raises(SynthesisError):
         place_observer_gain([[2.0]], [[0.0], [0.0]], 1.0, 0.5)
+
+
+@pytest.mark.parametrize("N", [8, 60, 240])
+def test_F_abscissa_is_the_dense_abscissa_bit_for_bit(example_ctx, mild_ctx, N):
+    # synthesize reads F's abscissa from its 2 n0 head block and its tail
+    # diagonal; synthesis.json must hold the bits of an eigvals of all of F
+    designs = (
+        synthesize(example_ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, N, 0.5),
+        mild_synthesize(mild_ctx, N),
+    )
+    for art in designs:
+        assert art.margins["F_abscissa"] == abscissa(art.closed_loop)
 
 
 def test_example_design_numbers(example_art60):
