@@ -8,16 +8,19 @@ matrix Theta1 must be negative semidefinite and the tail decay bound Theta2
 must be nonpositive. The certifier doubles N until both hold or a budget
 runs out, returning an honest failure record in the latter case.
 
-P comes from a block back-substitution on F's structure (a dense head of
-2*N0 rows over a diagonal tail), in numpy alone, and F's spectrum is read
-from the same blocks. Every sum in P, and in the P F product of Theta1,
-runs over the head rows only, so those bytes do not depend on the BLAS
-thread count. P and Theta1 are filled in place and the solve's elementwise
-n x n steps run ROW_BLOCK rows at a time, so a round holds at most three
-n x n arrays at once (n = N + N0): P and one work array in the solve, then
-P, Theta1 and one work array. The two dense LAPACK steps, the eigenvalues
-of Theta1 and those of P, run on one BLAS thread (`linalg.one_blas_thread`),
-so `certificate.json` does not depend on it either. `certify_round` decides
+P comes from a block back-substitution on the blocks the design keeps of
+F (a dense head of 2*N0 rows, its coupling to the tail, and the diagonal
+tail), in numpy alone, and F's spectrum is read from the same blocks; no
+n x n F is formed. Every sum in P, and in the P F product that the
+solve's residual and Theta1 share (`_times_loop`), runs over the head rows
+only, so those bytes do not depend on the BLAS thread count. P and Theta1
+are filled in place and the elementwise n x n steps run ROW_BLOCK rows at
+a time, so a round holds at most three n x n arrays at once (n = N + N0):
+P and one work array in the solve, then P, Theta1 and one work array.
+`certify_round` runs on one BLAS thread (`linalg.one_blas_thread`), so the
+two dense LAPACK steps, the eigenvalues of Theta1 and those of P, and with
+them `certificate.json`, do not depend on it either, and no OpenBLAS
+worker is left spinning after a threaded product. `certify_round` decides
 from P's eigenvalues whether P is positive definite, and takes the largest
 as P's 2-norm. A `Certificate` keeps that norm, not P; `solve_lyapunov`
 gives P again from the design.
@@ -35,14 +38,14 @@ import numpy as np
 from . import lifting
 from .linalg import one_blas_thread
 from .spectral_basis import ModeTable, eval_phi, riesz_constants
-from .synthesis import SynthesisArtifacts, block_abscissa
+from .synthesis import SynthesisArtifacts, abscissa
 
 log = logging.getLogger(__name__)
 
 NEG_SLACK = 1e-9  # absolute slack on "<= 0" checks
 LYAP_RESIDUAL_TOL = 1e-8
-# rows per block of the elementwise n x n steps of `solve_lyapunov`, whose
-# temporaries stay ROW_BLOCK x n
+# rows per block of the elementwise n x n steps of `solve_lyapunov` and
+# `_times_loop`, whose temporaries stay ROW_BLOCK x n
 ROW_BLOCK = 32
 
 
@@ -59,36 +62,47 @@ def _row_blocks(n: int):
     return (slice(i, min(i + ROW_BLOCK, n)) for i in range(0, n, ROW_BLOCK))
 
 
-def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
-    """P solving F'P + PF + 2*delta*P = -I, exactly symmetric.
+def _times_loop(P, head, coupling, tail) -> np.ndarray:
+    """P F in a new n x n array, from F's blocks: every sum runs over the h
+    head rows only, so its bytes do not depend on how BLAS splits the work.
+    The tail columns' diagonal terms are added ROW_BLOCK rows at a time."""
+    h = len(head)
+    out = np.empty_like(P)
+    np.matmul(P[:, :h], head, out=out[:, :h])
+    np.matmul(P[:, :h], coupling, out=out[:, h:])
+    for rows in _row_blocks(len(P)):
+        out[rows, h:] += P[rows, h:] * tail
+    return out
 
-    F is block upper triangular with a dense head of h rows (`assemble_F`
-    gives h = 2*N0) and a diagonal tail D, so with F_s = F + delta*I =
-    [[H, B], [0, D]] the equation splits by block back-substitution
+
+def solve_lyapunov(head, coupling, tail, delta: float) -> np.ndarray:
+    """P solving F'P + PF + 2*delta*P = -I, exactly symmetric, for the
+    block upper triangular F = [[head, coupling], [0, diag(tail)]].
+
+    With h head rows (2*N0 for a design) and F_s = F + delta*I =
+    [[H, B], [0, D]], the equation splits by block back-substitution
     (Bartels & Stewart, Comm. ACM 15(9), 1972, with the triangular form given):
     - H'P11 + P11 H = -I, solved in its Kronecker form;
     - (H' + d_j I) P12[:, j] = -(P11 B)[:, j], one h x h solve per tail column;
     - P22 = -(I + B'P12 + P12'B) / (d_i + d_j), elementwise.
-    The spectrum that must lie left of -delta is read from the same blocks.
-    The Kronecker system has h^2 unknowns; for an h at which F is not of
-    this form the spectrum is not checked, and the residual check, which
-    runs on the dense F, refuses the P of the other equation solved. Whether
-    P is positive definite is left to `certify_round`.
+    The spectrum that must lie left of -delta is that of the head and the
+    tail. The Kronecker system has h^2 unknowns. Whether P is positive
+    definite is left to `certify_round`.
 
     P is filled in place and the residual is summed ROW_BLOCK rows at a
-    time, so at most two n x n arrays are alive: P and B'P12, then P and P F.
+    time over P F formed from the blocks (`_times_loop`), so at most two
+    n x n arrays are alive: P and B'P12, then P and P F.
     """
-    F = np.asarray(F, dtype=float)
-    n = F.shape[0]
-    spectral = block_abscissa(F, h)
-    if spectral is not None and spectral >= -delta:
+    h, n = len(head), len(head) + len(tail)
+    spectral = max(abscissa(head), float(np.max(tail, initial=-np.inf)))
+    if spectral >= -delta:
         raise CertificationError(
             f"F + {delta}*I is not Hurwitz (abscissa {spectral:.4f}), "
             "no certificate exists"
         )
     # the blocks of F + delta*I; + 0.0 turns a -0.0 of F into the 0.0 the sum gives
-    H = F[:h, :h] + delta * np.eye(h)
-    B, d = F[:h, h:] + 0.0, np.diagonal(F)[h:] + delta
+    H = head + delta * np.eye(h)
+    B, d = coupling + 0.0, tail + delta
     eye_h = np.eye(h)
     # row-major vec: vec(H'X) = (H' kron I) vec(X), vec(XH) = (I kron H') vec(X)
     kron = np.kron(H.T, eye_h) + np.kron(eye_h, H.T)
@@ -113,7 +127,7 @@ def solve_lyapunov(F: np.ndarray, delta: float, h: int) -> np.ndarray:
     for rows in _row_blocks(n - h):
         P22[rows] /= d[rows, None] + d[None, :]
     # F'P is the transpose of P F, P being exactly symmetric
-    PF = P @ F
+    PF = _times_loop(P, head, coupling, tail)
     worst = []
     for rows in _row_blocks(n):
         block = PF[rows] + PF[:, rows].T
@@ -196,37 +210,30 @@ def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndar
     the identity); eps*S2 E2'E2 is added to the whole, E2 being the head
     rows of the full loop including the input channel, the first N0 rows of
     F beside those of G: [gain block, L C0, L C1t, L]. Theta1 is built in
-    its own array with one n_F x n_F work array for P F, then E2'E2.
+    its own array with one n_F x n_F work array for P F (`_times_loop`, F'P
+    being its transpose), then E2'E2.
     """
     m = artifacts
-    F, G, P = m.closed_loop, m.stacked_gain, np.asarray(P, dtype=float)
-    n_F = F.shape[0]
+    head, coupling, G = m.loop_head, m.loop_coupling, m.stacked_gain
+    P = np.asarray(P, dtype=float)
+    n_F = len(G)
     n0 = m.n0
     eps = _young_weight(n0)
-    if P.shape != F.shape:
+    if P.shape != (n_F, n_F):
         raise ValueError("P and F dimensions differ")
     theta = np.empty((n_F + 2, n_F + 2))
     top = theta[:n_F, :n_F]
-    # P @ F from F's blocks (dense head of h = 2*N0 rows, diagonal tail):
-    # every sum runs over the h head rows only, so its bytes do not depend
-    # on how BLAS splits the work; F'P is its transpose, P being symmetric.
-    # top holds P's tail columns times F's tail diagonal on the way
-    h = 2 * n0
-    PF = np.empty_like(P)
-    PF[:, :h] = P[:, :h] @ F[:h, :h]
-    np.matmul(P[:, :h], F[:h, h:], out=PF[:, h:])
-    np.multiply(P[:, h:], np.diagonal(F)[h:], out=top[:, h:])
-    PF[:, h:] += top[:, h:]
+    PF = _times_loop(P, head, coupling, m.loop_tail())
     np.add(PF.T, PF, out=top)
     np.multiply(P, 2.0 * m.delta, out=PF)
     top += PF
     del PF
-    head = np.arange(n0)
-    top[head, head] += eps * S1
+    diag = np.arange(n0)
+    top[diag, diag] += eps * S1
     theta[:n_F, n_F:] = P @ G
     theta[n_F:, :n_F] = G.T @ P
     theta[n_F:, n_F:] = -eta_cert * np.eye(2)
-    E2 = np.hstack([F[:n0], G[:n0]])
+    E2 = np.hstack([head[:n0], coupling[:n0], G[:n0]])
     gram = E2.T @ E2
     gram *= eps * S2
     theta += gram
@@ -237,11 +244,10 @@ def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndar
 
 
 def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> float:
-    """Largest eigenvalue of the bordered certificate matrix `theta1_matrix`."""
+    """Largest eigenvalue of the bordered certificate matrix `theta1_matrix`;
+    `certify_round` runs it on one BLAS thread."""
     theta = theta1_matrix(P, artifacts, S1, S2, eta_cert)
-    # on two threads the eigenvalues of a 245-dim Theta1 differ in the last bit
-    with one_blas_thread():
-        return float(np.max(np.linalg.eigvalsh(theta)))
+    return float(np.max(np.linalg.eigvalsh(theta)))
 
 
 def check_psi(lambda_next, nu, delta, eta_cert, S_phi) -> float:
@@ -323,40 +329,42 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     psi = float("nan")
     P_norm = float("nan")
     n_tail = 0
-    try:
-        P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
-    except CertificationError as err:
-        blocking = f"lyapunov: {err}"
-    else:
-        # P's eigenvalues, ascending, on one thread: on two the largest
-        # differs in the last bit at N = 240
-        with one_blas_thread():
-            eig = np.linalg.eigvalsh(P)
-        if eig[0] <= 0.0:
-            blocking = "lyapunov: Lyapunov solution not positive definite"
-    if blocking is None:
-        # P is symmetric positive definite, so its largest eigenvalue is its 2-norm
-        P_norm = float(eig[-1])
-        n_tail, phi = choose_tail(m, N)
-        sums = tail_pair_sums(m, N, n_tail)
-        S1 = compute_S1(m, sums)
-        S2 = compute_S2(m, sums)
-        S_phi = compute_Sphi(phi)
-        eta_cert = eta_cert_rule(S_phi, N)
-        lam_next = m.context.lams[N] if N < len(m.context.lams) else None
-        if lam_next is None:
-            blocking = "tail: no eigenvalue beyond N available"
+    # the whole round on one BLAS thread: on two, the eigenvalues of P and
+    # of Theta1 differ in the last bit at N = 240, and an OpenBLAS worker
+    # left idle after a threaded product spins
+    with one_blas_thread():
+        try:
+            P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+        except CertificationError as err:
+            blocking = f"lyapunov: {err}"
         else:
-            try:
-                psi = check_psi(lam_next, nu, m.delta, eta_cert, S_phi)
-            except NotYetCertifiable as err:
-                blocking = f"psi precondition: {err}"
-            theta1 = check_theta1(P, m, S1, S2, eta_cert)
-            if blocking is None:
-                if theta1 > NEG_SLACK:
-                    blocking = f"theta1: largest eigenvalue {theta1:.4e} > 0"
-                elif psi > NEG_SLACK:
-                    blocking = f"psi: Theta2 = {psi:.4e} > 0"
+            # P's eigenvalues, ascending
+            eig = np.linalg.eigvalsh(P)
+            if eig[0] <= 0.0:
+                blocking = "lyapunov: Lyapunov solution not positive definite"
+        if blocking is None:
+            # P is symmetric positive definite, so its largest eigenvalue is its 2-norm
+            P_norm = float(eig[-1])
+            n_tail, phi = choose_tail(m, N)
+            sums = tail_pair_sums(m, N, n_tail)
+            S1 = compute_S1(m, sums)
+            S2 = compute_S2(m, sums)
+            S_phi = compute_Sphi(phi)
+            eta_cert = eta_cert_rule(S_phi, N)
+            lam_next = m.context.lams[N] if N < len(m.context.lams) else None
+            if lam_next is None:
+                blocking = "tail: no eigenvalue beyond N available"
+            else:
+                try:
+                    psi = check_psi(lam_next, nu, m.delta, eta_cert, S_phi)
+                except NotYetCertifiable as err:
+                    blocking = f"psi precondition: {err}"
+                theta1 = check_theta1(P, m, S1, S2, eta_cert)
+                if blocking is None:
+                    if theta1 > NEG_SLACK:
+                        blocking = f"theta1: largest eigenvalue {theta1:.4e} > 0"
+                    elif psi > NEG_SLACK:
+                        blocking = f"psi: Theta2 = {psi:.4e} > 0"
     status = "certified" if blocking is None else f"failed: {blocking}"
     return Certificate(
         N=N,

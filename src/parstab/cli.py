@@ -50,7 +50,7 @@ class ConfigError(ValueError):
 # what building a design can raise: config, domain, pattern, sensor
 # placement and admissibility errors are all ValueErrors; trace integrals
 # that overflow under strong in-face drift raise FloatingPointError, and a
-# design too large for memory (F is dense, (N + N0)^2) raises MemoryError
+# mode table or design too large for memory raises MemoryError
 DESIGN_ERRORS = (ValueError, SearchRadiusError, synthesis.SynthesisError, FloatingPointError, MemoryError)
 
 
@@ -347,37 +347,26 @@ def _design_source(cfg: RunConfig):
             )
         return lifting.LiftingContext(eigs, n0)
 
+    # the synthesis options, which the head and every design share
+    s = cfg.synthesis
+    options = {
+        "c_ratio": s["c_ratio"],
+        "gamma_base": s["gamma_base"],
+        "spread": s["spread"],
+        "sensor_tol": s["sensor_tol"],
+        "cond_max": s["cond_max"],
+    }
+    xi1, xi2 = cfg.sensors["xi1"], cfg.sensors["xi2"]
+
     @functools.cache
     def head() -> synthesis.Head:
-        ctx, s = context(), cfg.synthesis
-        return synthesis.design_head(
-            ctx,
-            cfg.sensors["xi1"],
-            cfg.sensors["xi2"],
-            ctx.plant.delta,
-            c_ratio=s["c_ratio"],
-            gamma_base=s["gamma_base"],
-            spread=s["spread"],
-            sensor_tol=s["sensor_tol"],
-            cond_max=s["cond_max"],
-        )
+        ctx = context()
+        return synthesis.design_head(ctx, xi1, xi2, ctx.plant.delta, **options)
 
     @functools.cache
     def design(N: int) -> synthesis.SynthesisArtifacts:
-        ctx, s = context(), cfg.synthesis
-        return synthesis.synthesize(
-            ctx,
-            cfg.sensors["xi1"],
-            cfg.sensors["xi2"],
-            N,
-            ctx.plant.delta,
-            c_ratio=s["c_ratio"],
-            gamma_base=s["gamma_base"],
-            spread=s["spread"],
-            sensor_tol=s["sensor_tol"],
-            cond_max=s["cond_max"],
-            head=head(),
-        )
+        ctx = context()
+        return synthesis.synthesize(ctx, xi1, xi2, N, ctx.plant.delta, **options, head=head())
 
     return design
 

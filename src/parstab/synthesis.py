@@ -5,17 +5,21 @@ spectral split parameters (eta shift, shift ladder gamma_1 < ... <
 gamma_N0), forms the boundary Gram family B_k = Lam_k B Lam_k and its
 normalizer A = (sum B_k)^-1, places an observer gain L on the unstable head
 block and assembles the closed-loop system matrix F together with the maps
-needed later by certification and simulation. Only F and G depend on the
-truncation size N: `design_head` picks the shifts, C0 and L, which a
-command designs once for all its N, and `synthesize` adds the tail.
+needed later by certification and simulation. F is block upper
+triangular, a dense head of 2*N0 rows over the diagonal tail -lam_n of
+modes N0+1..N, and is kept as its blocks: the head, the coupling of the
+head rows to the tail and the tail diagonal, read from the mode table, so
+a design holds no n x n array (n = N + N0). Only the coupling and G depend
+on the truncation size N: `design_head` picks the shifts, C0 and L, which
+a command designs once for all its N, and `synthesize` adds the tail.
 
 The gain L comes from an in-repo port of the Yang-Tits ("YT") method of
 `scipy.signal.place_poles`, reduced to what this design asks of it: distinct
 real targets and two sensors. It keeps scipy's order of operations on
 numpy's QR, so L is bit-equal to scipy's without importing scipy.
 
-All Hurwitz claims are verified by dense eigenvalue computation at build
-time; nothing is trusted from formulas alone.
+All Hurwitz claims are verified by eigenvalue computation at build time,
+on the head block for F; nothing is trusted from formulas alone.
 """
 
 from __future__ import annotations
@@ -44,17 +48,6 @@ class SensorPlacementError(ValueError):
 def abscissa(M) -> float:
     """Largest real part over the spectrum of a dense matrix."""
     return float(np.max(np.linalg.eigvals(M).real))
-
-
-def block_abscissa(F: np.ndarray, h: int):
-    """F's spectral abscissa read from its blocks, or None unless F is block
-    upper triangular at h with a diagonal tail: then its spectrum is that of
-    the head F[:h, :h] together with the tail diagonal."""
-    tail = F[h:, h:]
-    diag = np.diagonal(tail)
-    if np.any(F[h:, :h]) or np.count_nonzero(tail) != np.count_nonzero(diag):
-        return None
-    return max(abscissa(F[:h, :h]), float(np.max(diag, initial=-np.inf)))
 
 
 def select_eta(unstable_lambdas) -> float:
@@ -273,7 +266,9 @@ def _place_yt(A, B, poles) -> np.ndarray:
     scipy's, so K is bit-equal to scipy's, and so are its defaults: at most 30
     sweeps, stopping once |det X| moves by less than 1e-3 relative. A loop
     that has not converged keeps its last transfer matrix, as scipy does.
-    A zero B, which scipy refuses, raises SynthesisError.
+    A zero B, which scipy refuses, raises SynthesisError, and so does a B of
+    rank below its column count when n exceeds that rank, which scipy
+    refuses too (its last solve would be of a non-square block).
     """
     poles = np.sort(np.asarray(poles, dtype=float))
     n = A.shape[0]
@@ -283,6 +278,11 @@ def _place_yt(A, B, poles) -> np.ndarray:
         raise SynthesisError("pole placement failed: no sensor sees the head")
     if n == rank:
         return np.real(-np.linalg.lstsq(B, np.diag(poles) - A, rcond=-1)[0])
+    if rank < B.shape[1]:
+        raise SynthesisError(
+            f"pole placement failed: the sensor block has rank {rank}, "
+            f"below its {B.shape[1]} sensors (their head values are numerically dependent)"
+        )
     ker, cols = [], []
     for p in poles:
         space = np.dot(u[:, rank:].T, A - p * np.eye(n)).T
@@ -350,7 +350,8 @@ class SynthesisArtifacts:
     gain_block: np.ndarray  # -sum gamma_k B_k A + Xi
     sensor_head: np.ndarray  # C0
     observer_gain: np.ndarray  # L
-    closed_loop: np.ndarray  # F
+    loop_head: np.ndarray  # F's 2 N0 head, [[gain block, L C0], [0, A0 - L C0]]
+    loop_coupling: np.ndarray  # F's head rows on the tail, [L C1t; -L C1t]
     stacked_gain: np.ndarray  # G
     sensors: tuple
     margins: dict
@@ -360,28 +361,31 @@ class SynthesisArtifacts:
         """The diagonal of sum_k Lam_{gamma_k}, the combined head lifting map."""
         return sum(self.head_lifts)
 
+    def loop_tail(self) -> np.ndarray:
+        """The diagonal of F's tail block, -lam_(N0+1..N)."""
+        return -self.eigs.lams[self.n0 : self.N]
 
-def assemble_F(gain_block, A0, LC0, L, C1t, tail_lams):
-    """Closed-loop matrix F and stacked gain G = (L; -L; 0).
+
+def assemble_F(gain_block, A0, LC0, L, C1t):
+    """The head and coupling blocks of the closed-loop matrix F, and the
+    stacked gain G = (L; -L; 0).
 
     Block rows: observer head estimate, head estimation error, tail modes.
-    The structure is block upper triangular, so the spectrum is the union of
-    the three diagonal blocks.
+    F is block upper triangular: the dense 2 N0 head and the coupling, the
+    head rows on the tail columns, sit over the diagonal tail
+    -diag(lam_(N0+1..N)), which `SynthesisArtifacts.loop_tail` gives, so
+    the spectrum is the union of those of the three diagonal blocks.
     """
     n0 = A0.shape[0]
-    nt = len(tail_lams)
-    n = 2 * n0 + nt
-    F = np.zeros((n, n))
-    F[:n0, :n0] = gain_block
-    F[:n0, n0 : 2 * n0] = LC0
-    F[:n0, 2 * n0 :] = L @ C1t
-    F[n0 : 2 * n0, n0 : 2 * n0] = A0 - LC0
-    F[n0 : 2 * n0, 2 * n0 :] = -L @ C1t
-    F[2 * n0 :, 2 * n0 :] = -np.diag(tail_lams)
-    G = np.zeros((n, 2))
+    head = np.zeros((2 * n0, 2 * n0))
+    head[:n0, :n0] = gain_block
+    head[:n0, n0:] = LC0
+    head[n0:, n0:] = A0 - LC0
+    coupling = np.vstack([L @ C1t, -L @ C1t])
+    G = np.zeros((2 * n0 + C1t.shape[1], 2))
     G[:n0] = L
     G[n0 : 2 * n0] = -L
-    return F, G
+    return head, coupling, G
 
 
 class Head(NamedTuple):
@@ -466,13 +470,13 @@ def synthesize(
     C1 = sensor_rows(eigs[n0:N], xi1, xi2)
     C1t = C1 / tail_lams[None, :]
     A0 = -np.diag(context.lams[:n0])
-    F, G = assemble_F(ladder.gain_block, A0, L @ C0, L, C1t, tail_lams)
-    # assemble_F lays F out block upper triangular at 2 n0, so its spectrum
-    # comes from the head block and the tail diagonal, with no n x n eigvals
+    loop_head, coupling, G = assemble_F(ladder.gain_block, A0, L @ C0, L, C1t)
+    # F is block upper triangular, so its spectrum is that of the head block
+    # and the tail diagonal
     margins = {
         "gain_block_abscissa": ladder.margin,
         "observer_abscissa": head.observer_abscissa,
-        "F_abscissa": block_abscissa(F, 2 * n0),
+        "F_abscissa": max(abscissa(loop_head), float(np.max(-tail_lams))),
     }
     if margins["F_abscissa"] >= -delta:
         raise SynthesisError(
@@ -493,7 +497,8 @@ def synthesize(
         gain_block=ladder.gain_block,
         sensor_head=C0,
         observer_gain=L,
-        closed_loop=F,
+        loop_head=loop_head,
+        loop_coupling=coupling,
         stacked_gain=G,
         sensors=(tuple(np.asarray(xi1, dtype=float)), tuple(np.asarray(xi2, dtype=float))),
         margins=margins,

@@ -216,6 +216,19 @@ def factored_array(F) -> np.ndarray:
     return M
 
 
+def dense_loop(m) -> np.ndarray:
+    """The n x n closed-loop matrix F of design m, laid out from its blocks
+    as the dense assembly did: zeros, the 2*N0 head, the coupling beside
+    it and -diag(lam_(N0+1..N)) below."""
+    h = 2 * m.n0
+    n = len(m.stacked_gain)
+    F = np.zeros((n, n))
+    F[:h, :h] = m.loop_head
+    F[:h, h:] = m.loop_coupling
+    F[h:, h:] = -np.diag(m.eigs.lams[m.n0 : m.N])
+    return F
+
+
 def lyapunov_dense(F, delta: float, h: int) -> np.ndarray:
     """`certification.solve_lyapunov` by whole-matrix steps: F + delta*I and
     the P22 sum formed n x n, P assembled by `np.block` and symmetrized as a
@@ -253,7 +266,7 @@ def theta1_dense(P, artifacts, S1, S2, eta_cert) -> np.ndarray:
     formed full, the state block summed apart and copied in, and the result
     symmetrized out of place."""
     m = artifacts
-    F, G = m.closed_loop, m.stacked_gain
+    F, G = dense_loop(m), m.stacked_gain
     n_F, n0, h = F.shape[0], m.n0, 2 * m.n0
     eps = 2.0 * n0**2
     E1 = np.zeros((n0, n_F))

@@ -45,6 +45,7 @@ from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2
 from oracles import (
     biorthonormality_defect,
     build_projection_table,
+    dense_loop,
     finite_part,
     lifted_projection,
     loop_states,
@@ -174,9 +175,10 @@ def test_certificate_closes_and_tail_sums_shrink(mild_ctx):
     assert cert.certified
     assert cert.N <= 200
     art = conftest.mild_synthesize(mild_ctx, cert.N)
-    P = solve_lyapunov(art.closed_loop, art.delta, 2 * art.n0)
+    P = solve_lyapunov(art.loop_head, art.loop_coupling, art.loop_tail(), art.delta)
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
-    residual = art.closed_loop.T @ P + P @ art.closed_loop + 2 * art.delta * P + np.eye(art.closed_loop.shape[0])
+    F = dense_loop(art)
+    residual = F.T @ P + P @ F + 2 * art.delta * P + np.eye(F.shape[0])
     assert np.max(np.abs(residual)) < 1e-8
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.theta1_max <= 0.0
@@ -215,7 +217,7 @@ def test_reduced_subspace_matches_matrix_exponential(example_art30):
     system = ClosedLoop(example_art30, N_sim=30)
     state = init_state(np.ones(5), 30, 30)
     X0 = finite_part(system, np.concatenate([state.z, state.zhat])[None])[0]
-    F = example_art30.closed_loop
+    F = dense_loop(example_art30)
     h = 2.5e-4
     states = loop_states(system.exponential(h), np.concatenate([state.z, state.zhat]), 0, round(5.0 / h) + 1)
     for t_target in (1.0, 5.0):

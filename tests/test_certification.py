@@ -12,7 +12,7 @@ import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from parstab import certification, cli, lifting
+from parstab import certification, cli, lifting, linalg
 from parstab.certification import (
     CertificationError,
     NotYetCertifiable,
@@ -39,27 +39,31 @@ import conftest
 import oracles
 
 
+NO_TAIL = (np.zeros((1, 0)), np.zeros(0))
+
+
 def test_solve_lyapunov_scalars():
-    assert solve_lyapunov(np.array([[-1.0]]), 0.0, 1)[0, 0] == pytest.approx(0.5)
-    assert solve_lyapunov(np.array([[-2.0]]), 1.0, 1)[0, 0] == pytest.approx(0.5)
+    assert solve_lyapunov(np.array([[-1.0]]), *NO_TAIL, 0.0)[0, 0] == pytest.approx(0.5)
+    assert solve_lyapunov(np.array([[-2.0]]), *NO_TAIL, 1.0)[0, 0] == pytest.approx(0.5)
 
 
 def test_solve_lyapunov_rejects_shifted_unstable():
     with pytest.raises(CertificationError):
-        solve_lyapunov(np.array([[-0.5]]), 1.0, 1)
+        solve_lyapunov(np.array([[-0.5]]), *NO_TAIL, 1.0)
+    # a tail eigenvalue right of -delta is refused too
+    with pytest.raises(CertificationError, match="not Hurwitz"):
+        solve_lyapunov(np.array([[-2.0]]), np.ones((1, 1)), np.array([-0.5]), 1.0)
 
 
 def block_loop(rng, n0, n_tail, margin):
-    """F as `assemble_F` lays it out: a dense 2*n0 head over a diagonal tail,
-    with every eigenvalue's real part at or below -margin."""
+    """The blocks of a loop as a design holds them: a dense 2*n0 head, its
+    coupling to the tail and the tail diagonal, with every eigenvalue's
+    real part at or below -margin."""
     h = 2 * n0
     H = rng.standard_normal((h, h)) * rng.uniform(0.1, 5.0)
     H -= (np.max(np.linalg.eigvals(H).real) + margin) * np.eye(h)
-    F = np.zeros((h + n_tail, h + n_tail))
-    F[:h, :h] = H
-    F[:h, h:] = rng.standard_normal((h, n_tail)) * rng.uniform(0.1, 10.0)
-    F[h:, h:] = -np.diag(rng.uniform(margin, 200.0, n_tail))
-    return F
+    coupling = rng.standard_normal((h, n_tail)) * rng.uniform(0.1, 10.0)
+    return H, coupling, -rng.uniform(margin, 200.0, n_tail)
 
 
 @settings(max_examples=60, deadline=None)
@@ -70,29 +74,23 @@ def block_loop(rng, n0, n_tail, margin):
     margin=st.floats(min_value=0.2, max_value=5.0),
 )
 def test_block_lyapunov_solve_is_scipys(n0, n_tail, seed, margin):
-    F = block_loop(np.random.default_rng(seed), n0, n_tail, margin)
+    head, coupling, tail = block_loop(np.random.default_rng(seed), n0, n_tail, margin)
     delta = 0.5 * margin
-    P = solve_lyapunov(F, delta, 2 * n0)
+    P = solve_lyapunov(head, coupling, tail, delta)
+    F = np.block([[head, coupling], [np.zeros((n_tail, 2 * n0)), np.diag(tail)]])
     want = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(len(F))).T, -np.eye(len(F)))
     assert np.array_equal(P, P.T)
     assert np.max(np.abs(P - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_solve_lyapunov_example_loop(example_art30):
-    F = example_art30.closed_loop
-    P = solve_lyapunov(F, 0.5, 2 * example_art30.n0)
+    m = example_art30
+    F = oracles.dense_loop(m)
+    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), 0.5)
     residual = F.T @ P + P @ F + 2 * 0.5 * P + np.eye(F.shape[0])
     assert np.max(np.abs(residual)) < 1e-8
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert np.array_equal(P, P.T)
-
-
-def test_solve_lyapunov_refuses_a_head_below_Fs(example_art30):
-    # rows h..2*N0 of F are not diagonal, so the back-substitution solves
-    # another equation, which the residual check refuses
-    m = example_art30
-    with pytest.raises(CertificationError, match="residual"):
-        solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0 - 1)
 
 
 def s_sums(m, N, N_tail):
@@ -193,7 +191,7 @@ def test_check_psi_rejections():
 
 def test_theta1_border_threshold(mild_art30):
     m = mild_art30
-    P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
+    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     threshold = np.linalg.norm(P @ m.stacked_gain, 2) ** 2
     assert check_theta1(P, m, 0.0, 0.0, 1.1 * threshold) < 0
     assert check_theta1(P, m, 0.0, 0.0, 0.9 * threshold) > 0
@@ -210,10 +208,11 @@ def test_theta1_E2_is_the_head_rows_of_F_and_G(design, request):
     m = request.getfixturevalue(design)
     L = m.observer_gain
     E2 = np.hstack([m.gain_block, L @ m.sensor_head, L @ oracles.sensor_tail_scaled(m), L])
-    assert np.array_equal(np.hstack([m.closed_loop[: m.n0], m.stacked_gain[: m.n0]]), E2)
+    F = oracles.dense_loop(m)
+    assert np.array_equal(np.hstack([F[: m.n0], m.stacked_gain[: m.n0]]), E2)
     # with P, S1 and eta_cert zero and S2 one, Theta1 is eps E2'E2, symmetrised
     gram = 2.0 * m.n0**2 * (E2.T @ E2)
-    theta = theta1_matrix(np.zeros_like(m.closed_loop), m, 0.0, 1.0, 0.0)
+    theta = theta1_matrix(np.zeros_like(F), m, 0.0, 1.0, 0.0)
     assert np.array_equal(theta, 0.5 * (gram + gram.T))
 
 
@@ -300,7 +299,8 @@ def test_certify_round_mild_design(mild_art30):
     assert cert.P_norm == pytest.approx(1.748, abs=1e-2)
     assert cert.theta1_max <= 1e-9
     assert cert.psi_bound < 0
-    P = solve_lyapunov(mild_art30.closed_loop, mild_art30.delta, 2 * mild_art30.n0)
+    m = mild_art30
+    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 
@@ -323,7 +323,7 @@ def test_P_norm_is_the_2_norm_of_P_on_the_strong_design_at_240(strong_art240):
     m = strong_art240
     cert = certify_round(m)
     assert cert.N_tail == lifting.tail_cap(240)
-    P = solve_lyapunov(m.closed_loop, m.delta, 2 * m.n0)
+    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 
@@ -333,11 +333,40 @@ def test_a_round_at_240_stays_within_its_n2_budget(strong_art240):
     # temporaries; the round then P, Theta1 and one work array. The
     # whole-matrix forms read 6.15 and 6.10 n^2 doubles
     m = strong_art240
-    n = m.closed_loop.shape[0]
+    n = len(m.stacked_gain)
     assert n == 243
     n2 = 8 * n * n
     assert conftest.traced_peak(certify_round, m) <= 4.5 * n2
-    assert conftest.traced_peak(solve_lyapunov, m.closed_loop, m.delta, 2 * m.n0) <= 3.5 * n2
+    loop = (m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    assert conftest.traced_peak(solve_lyapunov, *loop) <= 3.5 * n2
+
+
+def test_a_round_runs_on_one_blas_thread(mild_art30, monkeypatch):
+    # the solve and Theta1 run inside the round's pin, whatever the count outside
+    calls = linalg._blas_thread_calls()
+    if calls is None:
+        pytest.skip("no OpenBLAS thread call in numpy's BLAS")
+    setter, getter = calls
+    seen = []
+
+    def counted(fn):
+        def wrapper(*args):
+            seen.append((fn.__name__, getter()))
+            return fn(*args)
+
+        return wrapper
+
+    for name in ("solve_lyapunov", "theta1_matrix"):
+        monkeypatch.setattr(certification, name, counted(getattr(certification, name)))
+    old = getter()
+    setter(2)
+    try:
+        cert = certify_round(mild_art30)
+        assert getter() == 2
+    finally:
+        setter(old)
+    assert cert.certified
+    assert seen == [("solve_lyapunov", 1), ("theta1_matrix", 1)]
 
 
 def test_certify_stops_at_first_passing_round(mild_ctx):
@@ -425,10 +454,10 @@ for demo, sizes in (
     source = cli._design_source(cli._validated(raw))
     for N in sizes:
         m = source(N)
-        loop = (m.closed_loop, m.delta, 2 * m.n0)
-        P = solve_lyapunov(*loop)
+        P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
         theta = theta1_matrix(P, m, 1.0, 1.0, 10.0)
-        assert P.tobytes() == oracles.lyapunov_dense(*loop).tobytes(), (demo, N)
+        dense = oracles.lyapunov_dense(oracles.dense_loop(m), m.delta, 2 * m.n0)
+        assert P.tobytes() == dense.tobytes(), (demo, N)
         assert theta.tobytes() == oracles.theta1_dense(P, m, 1.0, 1.0, 10.0).tobytes(), (demo, N)
         digest.update(P.tobytes() + theta.tobytes())
 print(digest.hexdigest())

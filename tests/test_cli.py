@@ -231,9 +231,10 @@ def test_overflowing_trace_integrals_exit_code(tmp_path, capsys, command):
 
 @pytest.mark.parametrize("command", ["synthesize", "certify", "simulate", "pipeline"])
 def test_design_too_large_for_memory_exit_code(tmp_path, capsys, monkeypatch, command):
-    # F is dense, (N + N0)^2; a real N = 100 000 asks numpy for 74.5 GiB
+    # the block assembler's coupling is 2 N0 x (N - N0); at N0 = 3 and an N
+    # near 1.7e9 it asks numpy for 74.5 GiB
     def no_memory(*args):
-        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100001, 100001)")
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (6, 1666666667)")
 
     monkeypatch.setattr(synthesis, "assemble_F", no_memory)
     out = tmp_path / "o"
@@ -243,6 +244,22 @@ def test_design_too_large_for_memory_exit_code(tmp_path, capsys, monkeypatch, co
     assert "synthesis" in err and "74.5 GiB" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_rank_deficient_sensor_block_is_refused_by_name(tmp_path, capsys):
+    # the head's sensor values span 1e49 to 1e130, so C0 has rank 1 of 2;
+    # the last solve of the pole placement would be of a 1 x 2 block
+    cfg = {
+        "plant": {"d": 1, "lengths": [3.0], "b": [-300.0], "c": 22510.0, "nu": 22520.0},
+        "sensors": {"xi1": [1.0], "xi2": [2.0]},
+        "synthesis": {"N": 8},
+    }
+    code = main(["synthesize", "--config", write_cfg(tmp_path, cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "synthesis failed" in err and "rank 1" in err
+    assert "Last 2 dimensions" not in err and "square" not in err
+    assert "Traceback" not in err
 
 
 def test_block_frac_is_not_a_config_key(tmp_path, capsys):
@@ -864,7 +881,7 @@ def test_undefined_values_are_written_as_null(tmp_path, monkeypatch):
     assert strict_json(out / "summary.json")["decay_rate"] is None
     # a round whose Lyapunov solve fails has no bounds
 
-    def fail(F, delta, h):
+    def fail(head, coupling, tail, delta):
         raise certification.CertificationError("forced failure")
 
     monkeypatch.setattr(certification, "solve_lyapunov", fail)
@@ -878,8 +895,8 @@ def test_undefined_values_are_written_as_null(tmp_path, monkeypatch):
 
 def test_a_round_whose_P_is_not_positive_definite_writes_null_bounds(tmp_path, monkeypatch):
     # `certify_round` decides definiteness from P's eigenvalues, after the solve
-    def indefinite(F, delta, h):
-        P = np.eye(len(F))
+    def indefinite(head, coupling, tail, delta):
+        P = np.eye(len(head) + len(tail))
         P[-1, -1] = -1.0
         return P
 

@@ -35,8 +35,8 @@ from parstab.synthesis import (
     validate_sensors,
 )
 
-from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, mild_synthesize
-from oracles import control_trace, head_drift, sensor_tail_scaled
+from conftest import EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, mild_synthesize, traced_peak
+from oracles import control_trace, dense_loop, head_drift, sensor_tail_scaled
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -256,7 +256,28 @@ def test_F_abscissa_is_the_dense_abscissa_bit_for_bit(example_ctx, mild_ctx, N):
         mild_synthesize(mild_ctx, N),
     )
     for art in designs:
-        assert art.margins["F_abscissa"] == abscissa(art.closed_loop)
+        assert art.margins["F_abscissa"] == abscissa(dense_loop(art))
+
+
+def test_a_design_at_240_holds_no_n_by_n_array(strong_design):
+    # F is kept as its blocks: the 2 n0 head, the 2 n0 x (N - n0) coupling
+    # and the tail diagonal of the mode table. A dense F reads 1 n^2 doubles
+    ctx = strong_design.context
+    head = design_head(
+        ctx,
+        EXAMPLE_SENSOR_1,
+        EXAMPLE_SENSOR_2,
+        0.5,
+        c_ratio=2.0,
+        gamma_base=10.0,
+        spread=None,
+        sensor_tol=1e-3,
+        cond_max=1e12,
+    )
+    n = 240 + ctx.n0
+    assert n == 243
+    peak = traced_peak(synthesize, ctx, EXAMPLE_SENSOR_1, EXAMPLE_SENSOR_2, 240, 0.5, head=head)
+    assert peak <= 0.25 * 8 * n * n
 
 
 def test_example_design_numbers(example_art60):
@@ -293,7 +314,7 @@ def test_closed_loop_spectrum_is_block_union(example_art60):
             -tail,
         ]
     )
-    full = np.linalg.eigvals(m.closed_loop)
+    full = np.linalg.eigvals(dense_loop(m))
     assert np.allclose(np.sort_complex(full), np.sort_complex(parts), atol=1e-8)
 
 
@@ -308,16 +329,17 @@ def test_stacked_gain_layout(example_art60):
 
 def test_assemble_F_rejects_nothing_but_builds_shape(example_art60):
     m = example_art60
-    F, G = assemble_F(
-        m.gain_block,
-        head_drift(m),
-        m.observer_gain @ m.sensor_head,
-        m.observer_gain,
-        sensor_tail_scaled(m),
-        m.eigs.lams[m.n0 : m.N],
-    )
-    assert np.array_equal(F, m.closed_loop)
+    n0, L, A0 = m.n0, m.observer_gain, head_drift(m)
+    LC0, LC1t = L @ m.sensor_head, L @ sensor_tail_scaled(m)
+    head, coupling, G = assemble_F(m.gain_block, A0, LC0, L, sensor_tail_scaled(m))
+    assert head.shape == (2 * n0, 2 * n0)
+    assert coupling.shape == (2 * n0, m.N - n0)
+    assert np.array_equal(head, np.block([[m.gain_block, LC0], [np.zeros((n0, n0)), A0 - LC0]]))
+    assert np.array_equal(coupling, np.vstack([LC1t, -LC1t]))
+    assert np.array_equal(head, m.loop_head)
+    assert np.array_equal(coupling, m.loop_coupling)
     assert np.array_equal(G, m.stacked_gain)
+    assert np.array_equal(m.loop_tail(), -m.eigs.lams[n0 : m.N])
 
 
 def test_control_trace_zero_and_quadrature_consistency(example_art60, example_ctx):
