@@ -76,8 +76,11 @@ cube_cert = certify(
     10,
     160,
 )
-for n, n_tail, status in cube_cert.rounds:
-    print(f"N = {n:3d}, tail {n_tail}: {status}")
+# each round that reached Theta1 also names the row block holding most of
+# its top eigenvector
+for n, n_tail, status, _, _, shares in cube_cert.rounds:
+    where = "" if shares is None else f" (top eigenvector on {max(shares, key=shares.get)})"
+    print(f"N = {n:3d}, tail {n_tail}: {status}{where}")
 
 banner("closed loop vs open loop (strong drift, five low modes excited)")
 z0 = np.zeros(240)

@@ -11,19 +11,20 @@ runs out, returning an honest failure record in the latter case.
 P comes from a block back-substitution on the blocks the design keeps of
 F (a dense head of 2*N0 rows, its coupling to the tail, and the diagonal
 tail), in numpy alone, and F's spectrum is read from the same blocks; no
-n x n F is formed. Every sum in P, and in the P F product that the
-solve's residual and Theta1 share (`_times_loop`), runs over the head rows
-only, so those bytes do not depend on the BLAS thread count. P and Theta1
-are filled in place and the elementwise n x n steps run ROW_BLOCK rows at
-a time, so a round holds at most three n x n arrays at once (n = N + N0):
-P and one work array in the solve, then P, Theta1 and one work array.
-`certify_round` runs on one BLAS thread (`linalg.one_blas_thread`), so the
-two dense LAPACK steps, the eigenvalues of Theta1 and those of P, and with
+n x n F is formed. Every sum in P, and in the P F product of the solve's
+residual (`_times_loop`), runs over the head rows only, so those bytes do
+not depend on the BLAS thread count. P is filled in place and the
+elementwise n x n steps run ROW_BLOCK rows at a time, so a round holds at
+most two n x n arrays at once (n = N + N0). Theta1 is never formed: its
+state block is -I plus the residual R of the equation P solves and the rest
+has rank at most k = 2*N0 + 4, so its largest eigenvalue comes from a k x k
+matrix, within the bound on R's 2-norm that the solve returns and the round
+adds before the sign test (`check_theta1`). `certify_round` runs on one
+BLAS thread (`linalg.one_blas_thread`), so the eigenvalues of P, and with
 them `certificate.json`, do not depend on it either, and no OpenBLAS
-worker is left spinning after a threaded product. `certify_round` decides
-from P's eigenvalues whether P is positive definite, and takes the largest
-as P's 2-norm. A `Certificate` keeps that norm, not P; `solve_lyapunov`
-gives P again from the design.
+worker is left spinning after a threaded product. They decide whether P
+is positive definite, and the largest is P's 2-norm. A `Certificate` keeps
+that norm, not P; `solve_lyapunov` gives P again from the design.
 """
 
 from __future__ import annotations
@@ -75,9 +76,10 @@ def _times_loop(P, head, coupling, tail) -> np.ndarray:
     return out
 
 
-def solve_lyapunov(head, coupling, tail, delta: float) -> np.ndarray:
-    """P solving F'P + PF + 2*delta*P = -I, exactly symmetric, for the
-    block upper triangular F = [[head, coupling], [0, diag(tail)]].
+def solve_lyapunov(head, coupling, tail, delta: float) -> tuple:
+    """(P, r): P solving F'P + PF + 2*delta*P = -I, exactly symmetric, for
+    the block upper triangular F = [[head, coupling], [0, diag(tail)]], and
+    the largest absolute row sum r of the residual R = F'P + PF + 2*delta*P + I.
 
     With h head rows (2*N0 for a design) and F_s = F + delta*I =
     [[H, B], [0, D]], the equation splits by block back-substitution
@@ -91,7 +93,9 @@ def solve_lyapunov(head, coupling, tail, delta: float) -> np.ndarray:
 
     P is filled in place and the residual is summed ROW_BLOCK rows at a
     time over P F formed from the blocks (`_times_loop`), so at most two
-    n x n arrays are alive: P and B'P12, then P and P F.
+    n x n arrays are alive: P and B'P12, then P and P F. R is exactly
+    symmetric, as P is, so r bounds its 2-norm; its largest entry must stay
+    below LYAP_RESIDUAL_TOL.
     """
     h, n = len(head), len(head) + len(tail)
     spectral = max(abscissa(head), float(np.max(tail, initial=-np.inf)))
@@ -128,16 +132,18 @@ def solve_lyapunov(head, coupling, tail, delta: float) -> np.ndarray:
         P22[rows] /= d[rows, None] + d[None, :]
     # F'P is the transpose of P F, P being exactly symmetric
     PF = _times_loop(P, head, coupling, tail)
-    worst = []
+    worst, row_sums = [], []
     for rows in _row_blocks(n):
         block = PF[rows] + PF[:, rows].T
         block += 2.0 * delta * P[rows]
         block.flat[rows.start :: n + 1] += 1.0
-        worst.append(np.max(np.abs(block)))
+        np.abs(block, out=block)
+        worst.append(np.max(block))
+        row_sums.append(np.max(np.add.reduce(block, axis=1)))
     res = float(np.max(worst))
-    if res >= LYAP_RESIDUAL_TOL:
+    if not res < LYAP_RESIDUAL_TOL:  # a NaN too, lest r be NaN in a verdict
         raise CertificationError(f"Lyapunov residual {res:.3e} too large")
-    return P
+    return P, float(np.max(row_sums))
 
 
 def tail_pair_sums(artifacts: SynthesisArtifacts, N: int, N_tail: int) -> list:
@@ -201,53 +207,47 @@ def _young_weight(n0: int) -> float:
     return 2.0 * n0**2
 
 
-def theta1_matrix(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> np.ndarray:
-    """The bordered certificate matrix Theta1, symmetric; eps = 2*N0^2.
+def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> tuple:
+    """(theta1, k, shares): the largest eigenvalue of the bordered matrix
+    Theta1 less the Lyapunov residual R, decided on a k x k matrix, and the
+    shares of that matrix's top eigenvector, mapped back to Theta1's rows,
+    on its head estimate, head error, scaled tail error and two output rows.
 
-    Layout: state block of size n_F = 2*N0 + (N - N0) bordered by the two
-    output channels. The state block is F'P + PF + 2*delta*P, with eps*S1
-    added on the observer head's diagonal (E1'E1 for E1 the head rows of
-    the identity); eps*S2 E2'E2 is added to the whole, E2 being the head
-    rows of the full loop including the input channel, the first N0 rows of
-    F beside those of G: [gain block, L C0, L C1t, L]. Theta1 is built in
-    its own array with one n_F x n_F work array for P F (`_times_loop`, F'P
-    being its transpose), then E2'E2.
+    Theta1 is the state block F'P + PF + 2*delta*P (n x n) with eps*S1 on the
+    head estimate's diagonal, bordered by P G and -eta_cert*I for the two
+    outputs, plus eps*S2 E2'E2 with E2 the first N0 rows of [F, G]; eps =
+    2*N0^2. By the equation P solves, Theta1 = -I + M + R with M's range in
+    that of W = [e_1..e_N0 | [P G; 0] | e_(n+1), e_(n+2) | E2']. With Z the
+    k = min(2*N0 + 4, n + 2) orthonormal columns of W's QR, -I + M has the
+    eigenvalues of Z'MZ less 1, and -1 when k < n + 2. M Z costs O(n k).
     """
     m = artifacts
-    head, coupling, G = m.loop_head, m.loop_coupling, m.stacked_gain
-    P = np.asarray(P, dtype=float)
-    n_F = len(G)
-    n0 = m.n0
-    eps = _young_weight(n0)
-    if P.shape != (n_F, n_F):
+    G, n0 = m.stacked_gain, m.n0
+    n = len(G)
+    if P.shape != (n, n):
         raise ValueError("P and F dimensions differ")
-    theta = np.empty((n_F + 2, n_F + 2))
-    top = theta[:n_F, :n_F]
-    PF = _times_loop(P, head, coupling, m.loop_tail())
-    np.add(PF.T, PF, out=top)
-    np.multiply(P, 2.0 * m.delta, out=PF)
-    top += PF
-    del PF
-    diag = np.arange(n0)
-    top[diag, diag] += eps * S1
-    theta[:n_F, n_F:] = P @ G
-    theta[n_F:, :n_F] = G.T @ P
-    theta[n_F:, n_F:] = -eta_cert * np.eye(2)
-    E2 = np.hstack([head[:n0], coupling[:n0], G[:n0]])
-    gram = E2.T @ E2
-    gram *= eps * S2
-    theta += gram
-    del gram
-    np.add(theta, theta.T, out=theta)
-    theta *= 0.5
-    return theta
-
-
-def check_theta1(P, artifacts: SynthesisArtifacts, S1, S2, eta_cert) -> float:
-    """Largest eigenvalue of the bordered certificate matrix `theta1_matrix`;
-    `certify_round` runs it on one BLAS thread."""
-    theta = theta1_matrix(P, artifacts, S1, S2, eta_cert)
-    return float(np.max(np.linalg.eigvalsh(theta)))
+    eps = _young_weight(n0)
+    PG = P @ G
+    E2 = np.hstack([m.loop_head[:n0], m.loop_coupling[:n0], G[:n0]])
+    W = np.zeros((n + 2, 2 * n0 + 4))
+    W[:n0, :n0] = np.eye(n0)
+    W[:n, n0 : n0 + 2] = PG
+    W[n:, n0 + 2 : n0 + 4] = np.eye(2)
+    W[:, n0 + 4 :] = E2.T
+    Z = np.linalg.qr(W)[0]
+    MZ = E2.T @ (E2 @ Z)
+    MZ *= eps * S2
+    MZ[:n0] += eps * S1 * Z[:n0]
+    MZ[:n] += PG @ Z[n:]
+    MZ[n:] += PG.T @ Z[:n] + (1.0 - eta_cert) * Z[n:]
+    K = Z.T @ MZ
+    lam, vec = np.linalg.eigh(0.5 * (K + K.T))
+    k = Z.shape[1]
+    theta1 = float(lam[-1] if k == n + 2 else max(lam[-1], 0.0)) - 1.0
+    top = Z @ vec[:, -1]
+    cuts = (0, n0, 2 * n0, n, n + 2)
+    blocks = ("head_estimate", "head_error", "tail_error", "outputs")
+    return theta1, k, {b: float(top[i:j] @ top[i:j]) for b, i, j in zip(blocks, cuts, cuts[1:])}
 
 
 def check_psi(lambda_next, nu, delta, eta_cert, S_phi) -> float:
@@ -271,6 +271,9 @@ def check_psi(lambda_next, nu, delta, eta_cert, S_phi) -> float:
     return -0.5 * lambda_next + 1.5 * nu + 2.0 * delta
 
 
+ROUND_KEYS = ("N", "N_tail", "status", "k", "residual_bound", "theta1_shares")
+
+
 @dataclass(frozen=True)
 class Certificate:
     N: int
@@ -286,8 +289,8 @@ class Certificate:
     P_norm: float
     status: str
     N_tail: int
-    # (N, N_tail, status) of every round run, in order; a failed status
-    # names the check that blocked the round
+    # ROUND_KEYS of every round run, in order: a failed status names the check
+    # that blocked it; what the round did not reach is NaN (bound) or None
     rounds: tuple
 
     @property
@@ -297,9 +300,7 @@ class Certificate:
     def to_json_dict(self) -> dict:
         """Every field, with `rounds` as dicts and a `schema_version`."""
         out = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        out["rounds"] = [
-            {"N": n, "N_tail": n_tail, "status": status} for n, n_tail, status in self.rounds
-        ]
+        out["rounds"] = [dict(zip(ROUND_KEYS, entry)) for entry in self.rounds]
         return {"schema_version": 1, **out}
 
 
@@ -323,18 +324,14 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
     m = artifacts
     N, nu = m.N, m.plant.nu
     blocking = None
-    S1 = S2 = S_phi = float("nan")
-    eta_cert = float("nan")
-    theta1 = float("nan")
-    psi = float("nan")
-    P_norm = float("nan")
-    n_tail = 0
-    # the whole round on one BLAS thread: on two, the eigenvalues of P and
-    # of Theta1 differ in the last bit at N = 240, and an OpenBLAS worker
-    # left idle after a threaded product spins
+    S1 = S2 = S_phi = eta_cert = theta1 = psi = P_norm = residual = float("nan")
+    n_tail, k, shares = 0, None, None
+    # the whole round on one BLAS thread: on two, the eigenvalues of P
+    # differ in the last bit at N = 240, and an OpenBLAS worker left idle
+    # after a threaded product spins
     with one_blas_thread():
         try:
-            P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+            P, residual = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
         except CertificationError as err:
             blocking = f"lyapunov: {err}"
         else:
@@ -359,7 +356,9 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
                     psi = check_psi(lam_next, nu, m.delta, eta_cert, S_phi)
                 except NotYetCertifiable as err:
                     blocking = f"psi precondition: {err}"
-                theta1 = check_theta1(P, m, S1, S2, eta_cert)
+                theta1, k, shares = check_theta1(P, m, S1, S2, eta_cert)
+                # so that the verdict covers the P computed, with its residual
+                theta1 += residual
                 if blocking is None:
                     if theta1 > NEG_SLACK:
                         blocking = f"theta1: largest eigenvalue {theta1:.4e} > 0"
@@ -380,7 +379,7 @@ def certify_round(artifacts: SynthesisArtifacts) -> Certificate:
         P_norm=P_norm,
         status=status,
         N_tail=n_tail,
-        rounds=((N, n_tail, status),),
+        rounds=((N, n_tail, status, k, residual, shares),),
     )
 
 

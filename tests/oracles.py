@@ -262,9 +262,12 @@ def lyapunov_dense(F, delta: float, h: int) -> np.ndarray:
 
 
 def theta1_dense(P, artifacts, S1, S2, eta_cert) -> np.ndarray:
-    """`certification.theta1_matrix` by whole-matrix steps: E1'E1 and E2'E2
-    formed full, the state block summed apart and copied in, and the result
-    symmetrized out of place."""
+    """The bordered certificate matrix Theta1 of design m by whole-matrix
+    steps, as `certification` formed it before it decided Theta1 on a k x k
+    matrix: the state block F'P + PF + 2*delta*P with eps*S1 E1'E1, bordered
+    by P G and -eta_cert*I, plus eps*S2 E2'E2; E1'E1 and E2'E2 formed full,
+    the state block summed apart and copied in, and the result symmetrized
+    out of place."""
     m = artifacts
     F, G = dense_loop(m), m.stacked_gain
     n_F, n0, h = F.shape[0], m.n0, 2 * m.n0

@@ -175,7 +175,7 @@ def test_certificate_closes_and_tail_sums_shrink(mild_ctx):
     assert cert.certified
     assert cert.N <= 200
     art = conftest.mild_synthesize(mild_ctx, cert.N)
-    P = solve_lyapunov(art.loop_head, art.loop_coupling, art.loop_tail(), art.delta)
+    P, _ = solve_lyapunov(art.loop_head, art.loop_coupling, art.loop_tail(), art.delta)
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
     F = dense_loop(art)
     residual = F.T @ P + P @ F + 2 * art.delta * P + np.eye(F.shape[0])
@@ -277,7 +277,10 @@ def test_cube_demo_certifies_in_3d(tmp_path):
     assert math.isfinite(cert["theta1_max"]) and cert["theta1_max"] <= 0.0
     assert cert["status"] == "certified"
     assert [r["N"] for r in cert["rounds"]] == [10, 20, cert["N"]]
-    assert cert["rounds"][-1] == {"N": cert["N"], "N_tail": cert["N_tail"], "status": "certified"}
+    last = cert["rounds"][-1]
+    assert (last["N"], last["N_tail"], last["status"]) == (cert["N"], cert["N_tail"], "certified")
+    # N0 = 1 on the cube: Theta1 was decided on a 2*N0 + 4 = 6 dim matrix
+    assert last["k"] == 6 and math.isclose(sum(last["theta1_shares"].values()), 1.0)
     assert elapsed < 20.0
 
 

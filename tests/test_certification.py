@@ -4,6 +4,7 @@ import logging
 import os
 import subprocess
 import sys
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -29,7 +30,6 @@ from parstab.certification import (
     solve_lyapunov,
     sphi_terms,
     tail_pair_sums,
-    theta1_matrix,
 )
 from parstab.lifting import AdmissibilityError
 from parstab.spectral_basis import PlantConfig, enumerate_eigenpairs
@@ -43,8 +43,8 @@ NO_TAIL = (np.zeros((1, 0)), np.zeros(0))
 
 
 def test_solve_lyapunov_scalars():
-    assert solve_lyapunov(np.array([[-1.0]]), *NO_TAIL, 0.0)[0, 0] == pytest.approx(0.5)
-    assert solve_lyapunov(np.array([[-2.0]]), *NO_TAIL, 1.0)[0, 0] == pytest.approx(0.5)
+    assert solve_lyapunov(np.array([[-1.0]]), *NO_TAIL, 0.0)[0][0, 0] == pytest.approx(0.5)
+    assert solve_lyapunov(np.array([[-2.0]]), *NO_TAIL, 1.0)[0][0, 0] == pytest.approx(0.5)
 
 
 def test_solve_lyapunov_rejects_shifted_unstable():
@@ -53,6 +53,9 @@ def test_solve_lyapunov_rejects_shifted_unstable():
     # a tail eigenvalue right of -delta is refused too
     with pytest.raises(CertificationError, match="not Hurwitz"):
         solve_lyapunov(np.array([[-2.0]]), np.ones((1, 1)), np.array([-0.5]), 1.0)
+    # a NaN in the blocks gives a NaN residual, which is refused
+    with pytest.raises(CertificationError, match="residual nan too large"):
+        solve_lyapunov(np.diag([-2.0, -3.0]), np.array([[np.nan], [1.0]]), np.array([-4.0]), 0.5)
 
 
 def block_loop(rng, n0, n_tail, margin):
@@ -76,7 +79,7 @@ def block_loop(rng, n0, n_tail, margin):
 def test_block_lyapunov_solve_is_scipys(n0, n_tail, seed, margin):
     head, coupling, tail = block_loop(np.random.default_rng(seed), n0, n_tail, margin)
     delta = 0.5 * margin
-    P = solve_lyapunov(head, coupling, tail, delta)
+    P, _ = solve_lyapunov(head, coupling, tail, delta)
     F = np.block([[head, coupling], [np.zeros((n_tail, 2 * n0)), np.diag(tail)]])
     want = scipy.linalg.solve_continuous_lyapunov((F + delta * np.eye(len(F))).T, -np.eye(len(F)))
     assert np.array_equal(P, P.T)
@@ -86,7 +89,7 @@ def test_block_lyapunov_solve_is_scipys(n0, n_tail, seed, margin):
 def test_solve_lyapunov_example_loop(example_art30):
     m = example_art30
     F = oracles.dense_loop(m)
-    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), 0.5)
+    P, _ = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), 0.5)
     residual = F.T @ P + P @ F + 2 * 0.5 * P + np.eye(F.shape[0])
     assert np.max(np.abs(residual)) < 1e-8
     assert np.min(np.linalg.eigvalsh(P)) > 0
@@ -191,11 +194,98 @@ def test_check_psi_rejections():
 
 def test_theta1_border_threshold(mild_art30):
     m = mild_art30
-    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    P, _ = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     threshold = np.linalg.norm(P @ m.stacked_gain, 2) ** 2
-    assert check_theta1(P, m, 0.0, 0.0, 1.1 * threshold) < 0
-    assert check_theta1(P, m, 0.0, 0.0, 0.9 * threshold) > 0
-    assert check_theta1(P, m, 0.0, 0.0, 0.0) >= 0
+    assert check_theta1(P, m, 0.0, 0.0, 1.1 * threshold)[0] < 0
+    assert check_theta1(P, m, 0.0, 0.0, 0.9 * threshold)[0] > 0
+    assert check_theta1(P, m, 0.0, 0.0, 0.0)[0] >= 0
+
+
+def assert_theta1_is_dense(P, r, m, S1, S2, eta_cert) -> float:
+    """Check that `check_theta1` is within the residual bound r plus
+    rounding of the largest eigenvalue of the whole Theta1 (`oracles`), and
+    that its shares are those of a unit vector; returns the dense value."""
+    theta1, k, shares = check_theta1(P, m, S1, S2, eta_cert)
+    eig = np.linalg.eigvalsh(oracles.theta1_dense(P, m, S1, S2, eta_cert))
+    assert k == min(2 * m.n0 + 4, len(P) + 2)
+    assert abs(theta1 - eig[-1]) <= r + 1e-13 * np.max(np.abs(eig))
+    assert list(shares) == ["head_estimate", "head_error", "tail_error", "outputs"]
+    assert min(shares.values()) >= 0.0
+    assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+    return float(eig[-1])
+
+
+DEMO_ROUNDS = (
+    ("strong_drift_pipeline.json", (30, 60, 120, 240)),
+    ("quick_certify.json", (8, 16, 32, 64)),
+    ("cube_3d.json", (10, 20, 40, 80, 160)),
+)
+
+
+@pytest.mark.parametrize("demo, sizes", DEMO_ROUNDS)
+def test_theta1_is_the_dense_eigenvalue_on_the_demo_designs(demo, sizes):
+    with open(os.path.join(os.path.dirname(os.path.dirname(__file__)), "demos", demo)) as fh:
+        raw = json.load(fh)
+    raw["certification"].update(N_start=sizes[0], N_max=sizes[-1])
+    source = cli._design_source(cli._validated(raw))
+    for N in sizes:
+        m = source(N)
+        P, r = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+        cert = certify_round(m)
+        assert_theta1_is_dense(P, r, m, cert.S1, cert.S2, cert.eta_cert)
+        assert_theta1_is_dense(P, r, m, 1.0, 1.0, 10.0)
+
+
+def drawn_design(rng, n0, n_tail, margin):
+    """A stand-in for a design on a `block_loop`, with a drawn gain G."""
+    head, coupling, tail = block_loop(rng, n0, n_tail, margin)
+    lams = np.concatenate([np.zeros(n0), -tail])
+    return SimpleNamespace(
+        n0=n0,
+        N=n0 + n_tail,
+        delta=0.5 * margin,
+        loop_head=head,
+        loop_coupling=coupling,
+        loop_tail=lambda: tail,
+        stacked_gain=rng.standard_normal((2 * n0 + n_tail, 2)) * rng.uniform(0.1, 10.0),
+        eigs=SimpleNamespace(lams=lams),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n0=st.integers(min_value=1, max_value=4),
+    n_tail=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    margin=st.floats(min_value=0.2, max_value=5.0),
+    sums=st.tuples(*[st.floats(min_value=0.0, max_value=10.0)] * 3),
+)
+def test_theta1_is_the_dense_eigenvalue_on_drawn_loops(n0, n_tail, seed, margin, sums):
+    # an n_tail of 2 or less leaves no -1 eigenvalue outside the k columns
+    m = drawn_design(np.random.default_rng(seed), n0, n_tail, margin)
+    P, r = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    assert_theta1_is_dense(P, r, m, *sums)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n0=st.integers(min_value=1, max_value=4),
+    n_tail=st.integers(min_value=0, max_value=40),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    offset=st.floats(min_value=1e-7, max_value=1e-5),
+    sign=st.sampled_from([-1.0, 1.0]),
+)
+def test_a_drawn_theta1_near_0_gets_the_dense_verdict(n0, n_tail, seed, offset, sign):
+    # with S1 = S2 = 0 Theta1 is [[-I + R, P G], [G'P, -eta I]], whose
+    # largest eigenvalue is 0 at eta = s^2 for s the largest singular value
+    # of P G, with slope -1/(1 + s^2) in eta; eta is set for theta1 = sign * offset
+    m = drawn_design(np.random.default_rng(seed), n0, n_tail, 1.0)
+    P, r = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    s2 = np.linalg.norm(P @ m.stacked_gain, 2) ** 2
+    eta_cert = s2 - sign * offset * (1.0 + s2)
+    theta1 = check_theta1(P, m, 0.0, 0.0, eta_cert)[0] + r
+    dense = assert_theta1_is_dense(P, r, m, 0.0, 0.0, eta_cert)
+    assert (theta1 > certification.NEG_SLACK) == (dense > certification.NEG_SLACK) == (sign > 0)
 
 
 def test_theta1_dimension_guard(mild_art30):
@@ -212,8 +302,11 @@ def test_theta1_E2_is_the_head_rows_of_F_and_G(design, request):
     assert np.array_equal(np.hstack([F[: m.n0], m.stacked_gain[: m.n0]]), E2)
     # with P, S1 and eta_cert zero and S2 one, Theta1 is eps E2'E2, symmetrised
     gram = 2.0 * m.n0**2 * (E2.T @ E2)
-    theta = theta1_matrix(np.zeros_like(F), m, 0.0, 1.0, 0.0)
+    theta = oracles.theta1_dense(np.zeros_like(F), m, 0.0, 1.0, 0.0)
     assert np.array_equal(theta, 0.5 * (gram + gram.T))
+    # `check_theta1` takes the same E2, with the P the design solves for
+    P, r = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    assert_theta1_is_dense(P, r, m, 0.0, 1.0, 0.0)
 
 
 def test_choose_tail_hits_cap(example_art30, mild_art30):
@@ -300,7 +393,7 @@ def test_certify_round_mild_design(mild_art30):
     assert cert.theta1_max <= 1e-9
     assert cert.psi_bound < 0
     m = mild_art30
-    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    P, _ = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 
@@ -323,22 +416,27 @@ def test_P_norm_is_the_2_norm_of_P_on_the_strong_design_at_240(strong_art240):
     m = strong_art240
     cert = certify_round(m)
     assert cert.N_tail == lifting.tail_cap(240)
-    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    P, _ = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     assert np.min(np.linalg.eigvalsh(P)) > 0
     assert cert.P_norm == pytest.approx(np.linalg.norm(P, 2), rel=1e-12)
 
 
 def test_a_round_at_240_stays_within_its_n2_budget(strong_art240):
     # the solve holds P and B'P12, then P and P F, beside ROW_BLOCK-row
-    # temporaries; the round then P, Theta1 and one work array. The
-    # whole-matrix forms read 6.15 and 6.10 n^2 doubles
+    # temporaries, and the round holds little else: Theta1 is decided on
+    # (n + 2) x k arrays, k = 2*N0 + 4. The round read 2.50 n^2 doubles
+    # and the solve 2.48 (the whole-matrix forms 6.15 and 6.10, and the
+    # round 3.50 with a dense Theta1); `check_theta1` read 4.6 (n + 2) k
     m = strong_art240
     n = len(m.stacked_gain)
     assert n == 243
     n2 = 8 * n * n
-    assert conftest.traced_peak(certify_round, m) <= 4.5 * n2
+    assert conftest.traced_peak(certify_round, m) <= 2.75 * n2
     loop = (m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     assert conftest.traced_peak(solve_lyapunov, *loop) <= 3.5 * n2
+    P, _ = solve_lyapunov(*loop)
+    k = 2 * m.n0 + 4
+    assert conftest.traced_peak(check_theta1, P, m, 1.0, 1.0, 10.0) <= 16 * 8 * (n + 2) * k
 
 
 def test_a_round_runs_on_one_blas_thread(mild_art30, monkeypatch):
@@ -356,7 +454,7 @@ def test_a_round_runs_on_one_blas_thread(mild_art30, monkeypatch):
 
         return wrapper
 
-    for name in ("solve_lyapunov", "theta1_matrix"):
+    for name in ("solve_lyapunov", "check_theta1"):
         monkeypatch.setattr(certification, name, counted(getattr(certification, name)))
     old = getter()
     setter(2)
@@ -366,7 +464,7 @@ def test_a_round_runs_on_one_blas_thread(mild_art30, monkeypatch):
     finally:
         setter(old)
     assert cert.certified
-    assert seen == [("solve_lyapunov", 1), ("theta1_matrix", 1)]
+    assert seen == [("solve_lyapunov", 1), ("check_theta1", 1)]
 
 
 def test_certify_stops_at_first_passing_round(mild_ctx):
@@ -429,18 +527,30 @@ def test_certificate_json_shape(mild_art30):
     back = json.loads(json.dumps(payload))
     assert back["status"] == "certified"
     assert back["N_tail"] == 480
-    assert back["rounds"] == [{"N": 30, "N_tail": 480, "status": "certified"}]
+    (entry,) = back["rounds"]
+    shares = entry.pop("theta1_shares")
+    residual = entry.pop("residual_bound")
+    # N0 = 1: Theta1 was decided on a 6 x 6 matrix
+    assert entry == {"N": 30, "N_tail": 480, "status": "certified", "k": 6}
+    assert set(shares) == {"head_estimate", "head_error", "tail_error", "outputs"}
+    assert sum(shares.values()) == pytest.approx(1.0, abs=1e-12)
+    assert 0.0 <= residual < 1e-12
     assert back["theta1_max"] == cert.theta1_max
 
 
-# P and the bordered Theta1 of the demo designs: the strong-drift one at
-# N = 30 to 240, the quick one at 8 and the cube at 40. Each must have the
-# bytes of the whole-matrix forms in `oracles`; prints a digest of them all
+# P, the whole Theta1 (`oracles`) and `check_theta1` on P of the demo
+# designs: the strong-drift one at N = 30 to 240, the quick one at 8 and the
+# cube at 40. P must have the bytes of the whole-matrix solve, and
+# `check_theta1`, run on one BLAS thread as a round runs it, must be within
+# the residual bound plus rounding of the dense eigenvalue; prints a digest
+# of P, the whole Theta1 and `check_theta1`'s values
 THETA_DIGEST = """
 import hashlib, json, os, sys
+import numpy as np
 import oracles
 from parstab import cli
-from parstab.certification import solve_lyapunov, theta1_matrix
+from parstab.certification import check_theta1, solve_lyapunov
+from parstab.linalg import one_blas_thread
 
 digest = hashlib.sha256()
 for demo, sizes in (
@@ -454,20 +564,22 @@ for demo, sizes in (
     source = cli._design_source(cli._validated(raw))
     for N in sizes:
         m = source(N)
-        P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
-        theta = theta1_matrix(P, m, 1.0, 1.0, 10.0)
+        P, r = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
         dense = oracles.lyapunov_dense(oracles.dense_loop(m), m.delta, 2 * m.n0)
         assert P.tobytes() == dense.tobytes(), (demo, N)
-        assert theta.tobytes() == oracles.theta1_dense(P, m, 1.0, 1.0, 10.0).tobytes(), (demo, N)
-        digest.update(P.tobytes() + theta.tobytes())
+        theta = oracles.theta1_dense(P, m, 1.0, 1.0, 10.0)
+        with one_blas_thread():
+            theta1, k, shares = check_theta1(P, m, 1.0, 1.0, 10.0)
+        eig = np.linalg.eigvalsh(theta)
+        assert abs(theta1 - eig[-1]) <= r + 1e-13 * np.max(np.abs(eig)), (demo, N)
+        digest.update(P.tobytes() + theta.tobytes() + np.array([theta1, r, *shares.values()]).tobytes())
 print(digest.hexdigest())
 """
 
 
 def test_lyapunov_and_theta1_bytes_do_not_depend_on_blas_threads():
-    # the eigenvalues of a 245-dim Theta1 and the 2-norm of P would not
-    # without the one-thread pin; tests/test_cli.py holds those certificate
-    # bytes at N = 240
+    # the 2-norm of P would not without the one-thread pin; tests/test_cli.py
+    # holds those certificate bytes at N = 240
     here = os.path.dirname(os.path.abspath(__file__))
     root = os.path.dirname(here)
     digests = set()

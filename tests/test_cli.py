@@ -785,9 +785,8 @@ def test_cli_runs_without_scipy(tmp_path):
         # n0 = 3, rounds at N = 30, 60 and 120, all failing theta1
         (dict(EXAMPLE, synthesis={"N": 60}, certification={"N_start": 30, "N_max": 120}), 3),
         # the certify_search workload's strong certify at benchmark seed 1:
-        # rounds up to N = 240, where the eigenvalues of the 245-dim Theta1
-        # and the 2-norm of P differ in the last bit between thread counts
-        # unless they run on one thread
+        # rounds up to N = 240, where the 2-norm of P differs in the last
+        # bit between thread counts unless it runs on one thread
         (
             dict(
                 EXAMPLE,
@@ -898,7 +897,7 @@ def test_a_round_whose_P_is_not_positive_definite_writes_null_bounds(tmp_path, m
     def indefinite(head, coupling, tail, delta):
         P = np.eye(len(head) + len(tail))
         P[-1, -1] = -1.0
-        return P
+        return P, 0.0
 
     monkeypatch.setattr(certification, "solve_lyapunov", indefinite)
     out = tmp_path / "certify"

@@ -446,7 +446,7 @@ def test_diagnostics_match_the_whole_array_norms(request, design, n_sim, h):
 
 def test_certificate_energy_decays_on_certified_design(mild_art30):
     m = mild_art30
-    P = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
+    P, _ = solve_lyapunov(m.loop_head, m.loop_coupling, m.loop_tail(), m.delta)
     h = 1e-3
     system = ClosedLoop(mild_art30, N_sim=200)
     s0 = init_state(np.ones(8), 200, 30)
